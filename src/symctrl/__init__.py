@@ -10,11 +10,11 @@ from .expr import (EvalDomainError, ExprSyntaxError, evaluate,
 from .loop import (ClosedLoopTrace, ConformanceReport, UncontrolledStateError,
                    conformance_report, simulate_closed_loop)
 from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
-                       ValidationReport, lattice_points, validate_parameters)
+                       ValidationReport, validate_parameters)
 from .synthesis import (Controller, Metrics, ParameterValidationError,
-                        baseline_artifacts, baseline_memory_units,
-                        controller_to_system, integrated_memory_units,
-                        nonblock_backprop, synthesize_baseline,
+                        backprop_blocking, baseline_artifacts,
+                        baseline_memory_units, controller_to_system,
+                        integrated_memory_units, synthesize_baseline,
                         synthesize_integrated)
 from .tsys import (FiniteSystem, accessible_part, check_bisimulation,
                    check_simulation, compose, is_deterministic,
@@ -26,14 +26,14 @@ __all__ = [
     "EvalDomainError", "ExprSyntaxError", "FiniteSystem", "Lattice",
     "Metrics", "ParameterValidationError", "ResourceLimitError",
     "StabilityCertificate", "SynthesisParams", "UncontrolledStateError",
-    "ValidationReport", "accessible_part", "baseline_artifacts",
-    "baseline_memory_units", "build_abstraction", "check_bisimulation",
-    "check_simulation", "compose", "conformance_report",
-    "controller_to_system", "evaluate", "flow", "flow_many",
-    "format_expression", "integrated_memory_units", "is_deterministic",
-    "lattice_points", "nonblock_backprop", "nonblocking_part",
-    "parse_expression", "simulate_closed_loop", "subsystem",
-    "synthesize_baseline", "synthesize_integrated", "validate_parameters",
+    "ValidationReport", "accessible_part", "backprop_blocking",
+    "baseline_artifacts", "baseline_memory_units", "build_abstraction",
+    "check_bisimulation", "check_simulation", "compose",
+    "conformance_report", "controller_to_system", "evaluate", "flow",
+    "flow_many", "format_expression", "integrated_memory_units",
+    "is_deterministic", "nonblocking_part", "parse_expression",
+    "simulate_closed_loop", "subsystem", "synthesize_baseline",
+    "synthesize_integrated", "validate_parameters",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ for controllers and traces.
 
 Exit codes: 0 success, 1 config or usage error, 2 parameter-validation
 violation, 3 empty controller, 4 resource cap exceeded, 5 conformance failure
-or uncontrolled state.
+or uncontrolled state, 6 a flow diverged or a field left its evaluation
+domain.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from typing import List, Optional
 import numpy as np
 
 from .abstraction import DEFAULT_TRANSITION_CAP, ResourceLimitError
-from .dynamics import DEFAULT_SUBSTEPS, ControlSystem, StabilityCertificate
-from .expr import ExprSyntaxError, parse_expression
+from .dynamics import (DEFAULT_SUBSTEPS, ControlSystem, DivergenceError,
+                       StabilityCertificate)
+from .expr import EvalDomainError, ExprSyntaxError, parse_expression
 from .loop import UncontrolledStateError, conformance_report, simulate_closed_loop
 from .quantize import Lattice, SynthesisParams, validate_parameters
 from .synthesis import (Controller, ParameterValidationError,
-                        baseline_artifacts, controller_to_system,
-                        synthesize_integrated)
+                        controller_to_system, shared_lattices,
+                        synthesize_baseline, synthesize_integrated)
 from .tsys import check_bisimulation
 
 EXIT_OK = 0
@@ -33,6 +35,7 @@ EXIT_VALIDATION = 2
 EXIT_EMPTY = 3
 EXIT_RESOURCE = 4
 EXIT_CONFORMANCE = 5
+EXIT_NUMERIC = 6
 
 
 class ConfigError(ValueError):
@@ -213,14 +216,16 @@ def read_controller_file(path: str) -> Controller:
         raise ConfigError(f"bad controller header: {exc}")
     if len(sb) != 2 * dim:
         raise ConfigError("state_box length does not match dim")
-    st_lat = Lattice(np.asarray(sb, dtype=float).reshape(dim, 2), 2.0 * eta)
-    in_lat = None
-    if mu > 0.0:
-        if len(ib) % 2:
-            raise ConfigError("input_box must list lo/hi pairs")
-        in_lat = Lattice(np.asarray(ib, dtype=float).reshape(-1, 2), 2.0 * mu)
-    return Controller(np.asarray(rows, dtype=np.int64).reshape(-1, 3),
-                      initials, bad, st_lat, in_lat)
+    if len(ib) % 2:
+        raise ConfigError("input_box must list lo/hi pairs")
+    try:
+        st_lat = Lattice(np.asarray(sb, dtype=float).reshape(dim, 2), 2.0 * eta)
+        in_lat = (Lattice(np.asarray(ib, dtype=float).reshape(-1, 2), 2.0 * mu)
+                  if mu > 0.0 else None)
+        return Controller(np.asarray(rows, dtype=np.int64).reshape(-1, 3),
+                          initials, bad, st_lat, in_lat)
+    except ValueError as exc:
+        raise ConfigError(f"bad controller file: {exc}")
 
 
 def write_trace_csv(path: str, trace, n: int, m: int) -> None:
@@ -254,28 +259,15 @@ def _cmd_validate(args) -> int:
 
 
 def _run_method(cfg: ProblemConfig, method: str, force: bool):
-    force = force or cfg.override_validation
-    if method == "baseline":
-        ctrl, metrics, systems = baseline_artifacts(
-            cfg.plant, cfg.specification, cfg.params, cfg.substeps,
-            force=force, transition_cap=cfg.transition_cap)
-        return ctrl, metrics, systems
-    ctrl, metrics = synthesize_integrated(
-        cfg.plant, cfg.specification, cfg.params, cfg.substeps,
-        force=force, transition_cap=cfg.transition_cap)
-    return ctrl, metrics, None
+    run = synthesize_baseline if method == "baseline" else synthesize_integrated
+    return run(cfg.plant, cfg.specification, cfg.params, cfg.substeps,
+               force=force or cfg.override_validation,
+               transition_cap=cfg.transition_cap)
 
 
 def _cmd_synthesize(args) -> int:
     cfg = load_config(args.config)
-    try:
-        ctrl, metrics, _ = _run_method(cfg, args.method, args.force)
-    except ParameterValidationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    except ResourceLimitError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    ctrl, metrics = _run_method(cfg, args.method, args.force)
     if args.out:
         write_controller_file(args.out, ctrl)
     print(json.dumps(metrics.as_dict()))
@@ -287,21 +279,15 @@ def _cmd_synthesize(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     ctrl = read_controller_file(args.controller)
-    if ctrl.state_lattice.spacing != 2.0 * cfg.params.eta:
+    st_lat, in_lat, _ = shared_lattices(cfg.plant, cfg.specification,
+                                        cfg.params)
+    if ctrl.state_lattice.spacing != st_lat.spacing:
         raise ConfigError("controller file lattice does not match the config "
                           "(eta differs)")
-    shared = np.column_stack([
-        np.maximum(cfg.plant.state_box[:, 0],
-                   cfg.specification.state_box[:, 0]),
-        np.minimum(cfg.plant.state_box[:, 1],
-                   cfg.specification.state_box[:, 1])])
-    if not np.array_equal(ctrl.state_lattice.box, shared):
+    if ctrl.state_lattice != st_lat:
         raise ConfigError("controller file lattice does not match the config "
                           "(state box differs)")
-    if ctrl.input_lattice is not None and (
-            ctrl.input_lattice.spacing != 2.0 * cfg.params.mu
-            or not np.array_equal(ctrl.input_lattice.box,
-                                  cfg.plant.input_box)):
+    if ctrl.input_lattice != in_lat:
         raise ConfigError("controller file lattice does not match the config "
                           "(input lattice differs)")
     try:
@@ -331,13 +317,9 @@ def _ratio(a: float, b: float) -> str:
 
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
+    int_ctrl, int_metrics = _run_method(cfg, "integrated", args.force)
     try:
-        int_ctrl, int_metrics, _ = _run_method(cfg, "integrated", args.force)
-    except ParameterValidationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        base_ctrl, base_metrics, _ = _run_method(cfg, "baseline", args.force)
+        base_ctrl, base_metrics = _run_method(cfg, "baseline", args.force)
     except ResourceLimitError as exc:
         print("integrated:", json.dumps(int_metrics.as_dict()))
         print(f"baseline leg aborted, resource cap exceeded: {exc}",
@@ -405,9 +387,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ParameterValidationError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_VALIDATION
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (DivergenceError, EvalDomainError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -114,25 +114,24 @@ def simulate_closed_loop(plant: ControlSystem, specification: ControlSystem,
             # the plant left the synthesized region around the symbolic chain
             raise UncontrolledStateError(k, x)
         options = ctrl.options(c)
-        if not options:
+        if options.shape[0] == 0:
             raise UncontrolledStateError(k, x)
-        if len(options) == 1:
+        if options.shape[0] == 1:
             uix, target = options[0]
         else:
             # several admissible inputs (relational controller): apply the one
             # whose nominal landing sits deepest inside its own target cell
             cell = np.repeat(lattice.point(c).reshape(1, -1), len(options), 0)
-            cand_u = u_values[[o[0] for o in options]]
-            landings = flow_many(plant, cell, cand_u, params.tau, substeps,
-                                 threads=1)
-            targets = lattice.points()[[o[1] for o in options]]
+            landings = flow_many(plant, cell, u_values[options[:, 0]],
+                                 params.tau, substeps, threads=1)
+            targets = lattice.points()[options[:, 1]]
             uix, target = options[int(np.argmin(
                 np.max(np.abs(landings - targets), axis=1)))]
         u = u_values[uix]
         x = _step(plant, x, u, params.tau, substeps)
         s = _step(specification, s, np.zeros(specification.m), params.tau,
                   substeps)
-        c = target
+        c = int(target)
         xs.append(x)
         ss.append(s)
         us.append(u)

@@ -84,13 +84,6 @@ class Lattice:
     def point(self, index: int) -> np.ndarray:
         return self.points()[index]
 
-    def decode(self, index: int) -> np.ndarray:
-        """Per-axis integer indices of a flat index."""
-        k = np.empty(self.dim, dtype=np.int64)
-        for ax in range(self.dim):
-            k[ax] = (index // self.strides[ax]) % self.counts[ax] + self.kmin[ax]
-        return k
-
     def outer_range_indices(self, box) -> np.ndarray:
         """Flat indices of the smallest per-axis index range covering the box,
         clipped to the lattice.
@@ -121,7 +114,7 @@ class Lattice:
 
     def quantize_many(self, X) -> np.ndarray:
         """Flat indices of the cells containing each row of X; -1 if the cell
-        center falls outside the lattice box.
+        center falls outside the lattice box or a coordinate is not finite.
 
         Cells are half-open on the right: a coordinate exactly halfway between
         two points belongs to the upper cell.
@@ -130,12 +123,12 @@ class Lattice:
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points must be (N, {self.dim})")
         half = self.spacing / 2.0
-        out = np.zeros(X.shape[0], dtype=np.int64)
-        in_range = np.ones(X.shape[0], dtype=bool)
-        for ax in range(self.dim):
-            k = np.floor((X[:, ax] + half) / self.spacing).astype(np.int64)
-            in_range &= (k >= self.kmin[ax]) & (k <= self.kmax[ax])
-            out += (k - self.kmin[ax]) * self.strides[ax]
+        # range-check in float so that NaN, inf and values past int64 never
+        # reach the integer cast
+        K = np.floor((X + half) / self.spacing)
+        in_range = np.all((K >= self.kmin) & (K <= self.kmax), axis=1)
+        K[~in_range] = self.kmin
+        out = (K.astype(np.int64) - self.kmin) @ self.strides
         out[~in_range] = -1
         return out
 
@@ -148,11 +141,6 @@ class Lattice:
         """The lattice point whose cell contains x, or None when out of range."""
         idx = self.quantize_index(x)
         return None if idx is None else self.point(idx)
-
-
-def lattice_points(box, spacing: float) -> Lattice:
-    """Build the lattice of integer multiples of `spacing` inside the box."""
-    return Lattice(box, spacing)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,10 +21,14 @@ from .abstraction import (DEFAULT_TRANSITION_CAP, AbstractionSpec,
                           ResourceLimitError, build_abstraction,
                           initial_indices, input_points)
 from .dynamics import DEFAULT_SUBSTEPS, ControlSystem, _flow_tile
-from .quantize import Lattice, SynthesisParams, ValidationReport, validate_parameters
-from .tsys import FiniteSystem, compose, nonblocking_part
+from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
+                       ValidationReport, validate_parameters)
+from .tsys import FiniteSystem, compose, nonblocking_part, subsystem
 
 _SCAN_CHUNK = 256
+
+# per-state status of the integrated route
+UNSEEN, QUEUED, CONTROLLED, BAD = 0, 1, 2, 3
 
 
 class ParameterValidationError(ValueError):
@@ -37,62 +41,38 @@ class ParameterValidationError(ValueError):
         self.report = report
 
 
-@dataclass
-class Controller:
-    """Symbolic controller: transitions (source, input, target) over lattice
-    flat indices, the surviving initial states, and the states discarded as
-    blocking during synthesis.
+class Controller(FiniteSystem):
+    """Symbolic controller: a finite transition system whose states are the
+    flat indices of a state lattice, output at their lattice points, and
+    whose inputs are the points of an input lattice (the single empty input
+    for autonomous plants), plus the states discarded as blocking during
+    synthesis.
 
     Baseline controllers may keep several inputs per source; integrated ones
     keep exactly one.
     """
 
-    transitions: np.ndarray  # (K, 3) int64, sorted by (source, input)
-    initials: np.ndarray     # int64 flat state-lattice indices
-    bad: np.ndarray          # int64 flat state-lattice indices
-    state_lattice: Lattice
-    input_lattice: Optional[Lattice]
-    _first: Optional[Dict[int, List[Tuple[int, int]]]] = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.transitions, dtype=np.int64).reshape(-1, 3)
-        if t.shape[0]:
-            t = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
-        self.transitions = t
-        self.initials = np.unique(np.asarray(self.initials, dtype=np.int64))
-        self.bad = np.unique(np.asarray(self.bad, dtype=np.int64))
+    def __init__(self, transitions, initials, bad, state_lattice: Lattice,
+                 input_lattice: Optional[Lattice]):
+        inputs = (np.zeros((1, 0)) if input_lattice is None
+                  else input_lattice.points())
+        super().__init__(state_lattice.points(), initials, inputs, transitions)
+        self.bad = np.unique(np.asarray(bad, dtype=np.int64))
+        if self.bad.size and (self.bad[0] < 0 or self.bad[-1] >= self.n_states):
+            raise ValueError("bad state index out of range")
+        self.state_lattice = state_lattice
+        self.input_lattice = input_lattice
 
     def sources(self) -> np.ndarray:
         return np.unique(self.transitions[:, 0])
 
-    @property
-    def n_states(self) -> int:
-        return int(self.sources().size)
-
-    @property
-    def n_transitions(self) -> int:
-        return int(self.transitions.shape[0])
-
     def input_values(self) -> np.ndarray:
-        if self.input_lattice is None:
-            return np.zeros((1, 0))
-        return self.input_lattice.points()
+        return self.inputs
 
-    def lookup(self, state: int) -> Optional[Tuple[int, int]]:
-        """(input index, target) for a state: the unique transition, or the
-        one with the lowest input index when several exist."""
-        opts = self.options(state)
-        return opts[0] if opts else None
-
-    def options(self, state: int) -> List[Tuple[int, int]]:
-        """All (input index, target) transitions of a state, by input order."""
-        if self._first is None:
-            table: Dict[int, List[Tuple[int, int]]] = {}
-            for src, uix, dst in self.transitions:
-                table.setdefault(int(src), []).append((int(uix), int(dst)))
-            self._first = table
-        return self._first.get(int(state), [])
+    def options(self, state: int) -> np.ndarray:
+        """(input index, target) rows of a state's transitions, by input
+        order."""
+        return self.successors(state)[:, 1:]
 
 
 @dataclass
@@ -143,39 +123,40 @@ def _require_valid(plant: ControlSystem, specification: ControlSystem,
         raise ParameterValidationError(report)
 
 
-def _shared_boxes(plant: ControlSystem, specification: ControlSystem):
-    state = np.column_stack([
-        np.maximum(plant.state_box[:, 0], specification.state_box[:, 0]),
-        np.minimum(plant.state_box[:, 1], specification.state_box[:, 1])])
-    init = np.column_stack([
-        np.maximum(plant.init_box[:, 0], specification.init_box[:, 0]),
-        np.minimum(plant.init_box[:, 1], specification.init_box[:, 1])])
-    return state, init
+def shared_lattices(plant: ControlSystem, specification: ControlSystem,
+                    params: SynthesisParams
+                    ) -> Tuple[Lattice, Optional[Lattice], Optional[np.ndarray]]:
+    """The state lattice, the input lattice and the initial box both routes
+    synthesize over.
 
+    The state lattice covers the intersection of the two state boxes and the
+    initial box is the intersection of the two initial boxes.  When the state
+    intersection holds no lattice point, the state lattice falls back to the
+    plant's state box; then, as when the initial boxes are disjoint, the
+    initial box is None and the controller is empty.
+    """
+    def intersection(a, b):
+        return np.column_stack([np.maximum(a[:, 0], b[:, 0]),
+                                np.minimum(a[:, 1], b[:, 1])])
 
-def _empty_controller(plant: ControlSystem, specification: ControlSystem,
-                      params: SynthesisParams) -> Controller:
-    state_box, _ = _shared_boxes(plant, specification)
-    try:
-        st_lat = Lattice(state_box, 2.0 * params.eta)
-    except ValueError:
-        st_lat = Lattice(plant.state_box, 2.0 * params.eta)
     in_lat = Lattice(plant.input_box, 2.0 * params.mu) if plant.m else None
-    return Controller(np.zeros((0, 3), dtype=np.int64), [], [], st_lat, in_lat)
+    try:
+        st_lat = Lattice(intersection(plant.state_box, specification.state_box),
+                         2.0 * params.eta)
+    except EmptyLatticeError:
+        return Lattice(plant.state_box, 2.0 * params.eta), in_lat, None
+    init_box = intersection(plant.init_box, specification.init_box)
+    if np.any(init_box[:, 0] > init_box[:, 1]):
+        return st_lat, in_lat, None
+    return st_lat, in_lat, init_box
 
 
 def controller_to_system(ctrl: Controller) -> FiniteSystem:
-    """View a controller as a finite transition system embedded at its
-    lattice coordinates (used for the bisimulation cross-checks)."""
+    """The controller restricted to its sources, targets and initial states,
+    embedded at their lattice coordinates (used for the bisimulation
+    cross-checks)."""
     t = ctrl.transitions
-    states = np.unique(np.concatenate([t[:, 0], t[:, 2], ctrl.initials]))
-    outputs = (ctrl.state_lattice.points()[states] if states.size
-               else np.zeros((0, ctrl.state_lattice.dim)))
-    remap = {int(s): k for k, s in enumerate(states)}
-    rows = np.asarray([[remap[int(a)], int(u), remap[int(b)]]
-                       for a, u, b in t], dtype=np.int64).reshape(-1, 3)
-    initials = np.asarray([remap[int(i)] for i in ctrl.initials], dtype=np.int64)
-    return FiniteSystem(outputs, initials, ctrl.input_values(), rows)
+    return subsystem(ctrl, np.concatenate([t[:, 0], t[:, 2], ctrl.initials]))
 
 
 def synthesize_baseline(plant: ControlSystem, specification: ControlSystem,
@@ -219,37 +200,25 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
             f"{transition_cap}")
     nb = nonblocking_part(cstar)
 
-    state_box, _ = _shared_boxes(plant, specification)
-    try:
-        st_lat = Lattice(state_box, 2.0 * params.eta)
-    except ValueError:
-        st_lat = Lattice(plant.state_box, 2.0 * params.eta)
-    in_lat = Lattice(plant.input_box, 2.0 * params.mu) if plant.m else None
+    st_lat, in_lat, _ = shared_lattices(plant, specification, params)
     if sq.n_inputs != 1:
         raise ValueError("specification must expose a single (zero) input")
-    if nb.n_transitions:
-        flat = st_lat.quantize_many(nb.outputs)
-        rows = np.column_stack([flat[nb.transitions[:, 0]],
-                                nb.transitions[:, 1],  # v = u_plant * 1 + 0
-                                flat[nb.transitions[:, 2]]])
-        initials = flat[nb.initials]
-    else:
-        rows = np.zeros((0, 3), dtype=np.int64)
-        initials = np.zeros(0, dtype=np.int64)
-    ctrl = Controller(rows, initials, [], st_lat, in_lat)
+    flat = st_lat.quantize_many(nb.outputs)
+    t = nb.transitions
+    rows = np.column_stack([flat[t[:, 0]],
+                            t[:, 1],  # v = u_plant * 1 + 0
+                            flat[t[:, 2]]])
+    ctrl = Controller(rows, flat[nb.initials], [], st_lat, in_lat)
 
-    deg_p = sp.out_degree()
-    deg_q = sq.out_degree()
-    pair_candidates = 0
-    if cstar.n_states:
-        flat_q = st_lat.quantize_many(sq.outputs)
-        match = {}
-        for j, fq in enumerate(flat_q):
-            match.setdefault(int(fq), []).append(j)
-        flat_p = st_lat.quantize_many(sp.outputs)
-        for i, fp in enumerate(flat_p):
-            for j in match.get(int(fp), ()):
-                pair_candidates += int(deg_p[i]) * int(deg_q[j])
+    def cell_degrees(sys: FiniteSystem) -> np.ndarray:
+        # summed out-degree of the states in each shared-lattice cell;
+        # states outside the shared lattice (-1) fall in no cell
+        cell = st_lat.quantize_many(sys.outputs)
+        inside = cell >= 0
+        return np.bincount(cell[inside], weights=sys.out_degree()[inside],
+                           minlength=st_lat.n_points).astype(np.int64)
+
+    pair_candidates = int(cell_degrees(sp) @ cell_degrees(sq))
     steps = (sp.n_states * sp.n_inputs + sq.n_states + pair_candidates
              + (cstar.n_transitions - nb.n_transitions)
              + (cstar.n_states - nb.n_states))
@@ -263,34 +232,33 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
     return ctrl, metrics, (sp, sq, cstar, nb)
 
 
-def nonblock_backprop(transitions: Iterable[Tuple[int, int, int]], x: int,
-                      bad: Iterable[int]) -> Tuple[Set[Tuple[int, int, int]],
-                                                   Set[int]]:
-    """Back-propagate the blocking state x through the transition set.
+def backprop_blocking(status: np.ndarray, trans: Dict[int, Tuple[int, int]],
+                      preds: Dict[int, List[int]], x: int) -> int:
+    """Mark the blocking state x BAD and back-propagate it; returns the
+    number of steps taken.
 
-    Starting from the worklist {x}, repeatedly take a state y, delete every
-    transition (z, u, y) entering it, enqueue each such z, and move y to the
-    bad set.  Assumes each source keeps a single outgoing transition, so a
-    deleted predecessor is itself blocking.
+    trans maps each controlled source to its single (input, target) and
+    preds maps a target to the sources recorded into it.  Starting from the
+    worklist {x}, repeatedly take a state y, mark it BAD, delete every
+    transition still entering it and enqueue its source, which the deletion
+    leaves blocking.  Each newly bad state and each deleted transition is
+    one step.  status, trans and preds are updated in place.
     """
-    t: Set[Tuple[int, int, int]] = {(int(a), int(u), int(b))
-                                    for a, u, b in transitions}
-    bad_set: Set[int] = {int(b) for b in bad}
-    preds: Dict[int, List[Tuple[int, int]]] = {}
-    for (z, u, y) in t:
-        preds.setdefault(y, []).append((z, u))
-    work = deque([int(x)])
-    queued = {int(x)}
+    steps = 0
+    work = deque([x])
     while work:
         y = work.popleft()
-        for (z, u) in preds.get(y, ()):
-            if (z, u, y) in t:
-                t.remove((z, u, y))
-                if z not in queued and z not in bad_set:
-                    queued.add(z)
-                    work.append(z)
-        bad_set.add(y)
-    return t, bad_set
+        if status[y] == BAD:
+            continue
+        status[y] = BAD
+        steps += 1
+        for z in preds.pop(y, ()):
+            rec = trans.get(z)
+            if rec is not None and rec[1] == y:
+                del trans[z]
+                steps += 1
+                work.append(z)
+    return steps
 
 
 def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
@@ -311,13 +279,10 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     """
     _require_valid(plant, specification, params, force)
     t0 = time.perf_counter()
-    state_box, init_box = _shared_boxes(plant, specification)
-    if np.any(state_box[:, 0] > state_box[:, 1]) or np.any(
-            init_box[:, 0] > init_box[:, 1]):
-        ctrl = _empty_controller(plant, specification, params)
+    st_lat, in_lat, init_box = shared_lattices(plant, specification, params)
+    if init_box is None:
+        ctrl = Controller([], [], [], st_lat, in_lat)
         return ctrl, Metrics(0, 0, 0, 0, (time.perf_counter() - t0) * 1e3)
-    st_lat = Lattice(state_box, 2.0 * params.eta)
-    in_lat = Lattice(plant.input_box, 2.0 * params.mu) if plant.m else None
     u_pts = input_points(plant, params.mu if plant.m else None)
     n_u = u_pts.shape[0]
     if transition_cap is not None and st_lat.n_points * n_u > transition_cap:
@@ -326,50 +291,26 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
             f"{transition_cap}")
     st_pts = st_lat.points()
 
-    UNSEEN, QUEUED, CONTROLLED, BAD = 0, 1, 2, 3
-    status = np.zeros(st_lat.n_points, dtype=np.int8)
+    status = np.full(st_lat.n_points, UNSEEN, dtype=np.int8)
     trans: Dict[int, Tuple[int, int]] = {}
     preds: Dict[int, List[int]] = {}
     steps = 0
-    bad_count = 0
-
-    def backprop(x0: int) -> None:
-        nonlocal steps, bad_count
-        work = deque([x0])
-        while work:
-            y = work.popleft()
-            if status[y] == BAD:
-                continue
-            status[y] = BAD
-            bad_count += 1
-            steps += 1
-            for z in preds.pop(y, ()):
-                rec = trans.get(z)
-                if rec is not None and rec[1] == y:
-                    del trans[z]
-                    steps += 1
-                    work.append(z)
 
     x0_indices = initial_indices(st_lat, init_box)
-    wave: List[int] = [int(i) for i in x0_indices]
-    for x in wave:
-        status[x] = QUEUED
-    zero_u = np.zeros((1, specification.m))
+    wave: List[int] = x0_indices.tolist()
+    status[x0_indices] = QUEUED
     while wave:
         spec_z = _flow_tile(specification, st_pts[wave],
-                            np.repeat(zero_u, len(wave), axis=0),
+                            np.zeros((len(wave), specification.m)),
                             params.tau, substeps)
         next_wave: List[int] = []
         for pos, x in enumerate(wave):
             if status[x] != QUEUED:
                 continue
             steps += 1  # specification successor of x
-            z = spec_z[pos]
-            y: Optional[int] = None
-            if np.all(np.isfinite(z)):
-                y = st_lat.quantize_index(z)
+            y = st_lat.quantize_index(spec_z[pos])
             if y is None or status[y] == BAD:
-                backprop(x)
+                steps += backprop_blocking(status, trans, preds, x)
                 continue
             # scan the whole input lattice and keep the admissible input whose
             # landing sits closest to the target cell center: any admissible
@@ -383,9 +324,7 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
                 chunk = u_pts[a:a + _SCAN_CHUNK]
                 Z = _flow_tile(plant, np.repeat(xs, chunk.shape[0], axis=0),
                                chunk, params.tau, substeps)
-                ok = (np.all(np.isfinite(Z), axis=1)
-                      & (st_lat.quantize_many(Z) == y))
-                hits = np.flatnonzero(ok)
+                hits = np.flatnonzero(st_lat.quantize_many(Z) == y)
                 if hits.size:
                     dist = np.max(np.abs(Z[hits] - y_pt), axis=1)
                     pick = int(np.argmin(dist))
@@ -394,7 +333,7 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
                         found = a + int(hits[pick])
             steps += n_u
             if found is None:
-                backprop(x)
+                steps += backprop_blocking(status, trans, preds, x)
                 continue
             trans[x] = (found, y)
             preds.setdefault(y, []).append(x)
@@ -404,15 +343,13 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
                 next_wave.append(y)
         wave = next_wave
 
-    rows = np.asarray([[x, u, y] for x, (u, y) in sorted(trans.items())],
+    rows = np.asarray([(x, u, y) for x, (u, y) in trans.items()],
                       dtype=np.int64).reshape(-1, 3)
-    sources = set(trans.keys())
-    initials = np.asarray(sorted(int(i) for i in x0_indices
-                                 if int(i) in sources), dtype=np.int64)
+    initials = x0_indices[status[x0_indices] == CONTROLLED]
     bad_states = np.flatnonzero(status == BAD)
     ctrl = Controller(rows, initials, bad_states, st_lat, in_lat)
     metrics = Metrics(
         states=len(trans), transitions=len(trans),
-        memory_units=integrated_memory_units(len(trans), bad_count),
+        memory_units=integrated_memory_units(len(trans), bad_states.size),
         steps=steps, wall_time_ms=(time.perf_counter() - t0) * 1e3)
     return ctrl, metrics

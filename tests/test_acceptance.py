@@ -8,13 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from symctrl import (AbstractionSpec, accessible_part, baseline_artifacts,
-                     baseline_memory_units, build_abstraction,
-                     check_bisimulation, check_simulation, compose,
-                     conformance_report, controller_to_system,
+from symctrl import (AbstractionSpec, Lattice, accessible_part,
+                     baseline_artifacts, baseline_memory_units,
+                     build_abstraction, check_bisimulation, check_simulation,
+                     compose, conformance_report, controller_to_system,
                      integrated_memory_units, is_deterministic,
-                     lattice_points, nonblocking_part, simulate_closed_loop,
-                     subsystem, synthesize_integrated)
+                     nonblocking_part, simulate_closed_loop, subsystem,
+                     synthesize_integrated)
 
 from _systems import LINEAR_EXPECTED, linear_pair, nonlinear_pair
 from test_tsys import brute_nonblocking_survivors, random_system
@@ -83,8 +83,8 @@ def nonlinear_results():
 
 def test_criterion_1_lattice_cardinalities():
     t0 = time.perf_counter()
-    states = lattice_points([[-1, 1]] * 3, 1.0 / 15.0).n_points
-    inputs = lattice_points([[-1, 1]], 0.002).n_points
+    states = Lattice([[-1, 1]] * 3, 1.0 / 15.0).n_points
+    inputs = Lattice([[-1, 1]], 0.002).n_points
     elapsed = time.perf_counter() - t0
     ok = states == 29791 and inputs == 1001 and elapsed < 1.0
     _criterion(1, ok, f"state lattice {states} (29791), input lattice "
@@ -245,7 +245,7 @@ def test_criterion_8_property_suites():
             break
 
     # quantizer partition over 1000 random points
-    lat = lattice_points([[-1, 1]] * 2, 0.1)
+    lat = Lattice([[-1, 1]] * 2, 0.1)
     pts = lat.points()
     eta = lat.spacing / 2.0
     X = rng.uniform(-0.99, 0.99, size=(1000, 2))

@@ -2,8 +2,9 @@ import json
 import os
 
 import numpy as np
+import pytest
 
-from symctrl.cli import (load_config, main, read_controller_file,
+from symctrl.cli import (ConfigError, load_config, main, read_controller_file,
                          write_controller_file)
 from symctrl import synthesize_integrated, synthesize_baseline
 
@@ -120,6 +121,44 @@ def test_resource_cap_exit4(tmp_path, capsys):
     path = write_json(tmp_path / "capped.json", doc)
     assert main(["synthesize", path, "--method", "baseline",
                  "--out", str(tmp_path / "c.ctrl")]) == 4
+
+
+def test_numeric_failure_exit6(tmp_path, capsys):
+    doc = toy_doc()
+    doc["plant"]["field"] = ["50*x1^3 + u1"]  # flows from the box edge blow up
+    doc["plant"]["state_box"] = [[-2, 2]]
+    doc["params"]["tau"] = 1.0
+    path = write_json(tmp_path / "diverging.json", doc)
+    assert main(["synthesize", path, "--method", "baseline"]) == 6
+    doc = toy_doc()
+    doc["plant"]["field"] = ["sqrt(x1) + u1"]  # x1 < 0 on half the box
+    path = write_json(tmp_path / "domain.json", doc)
+    assert main(["synthesize", path, "--method", "integrated"]) == 6
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_controller_file_bad_contents_exit1(tmp_path, capsys):
+    ctrl_path = tmp_path / "toy.ctrl"
+    main(["synthesize", TOY, "--method", "integrated", "--out", str(ctrl_path)])
+    capsys.readouterr()
+    good = ctrl_path.read_text().splitlines()
+
+    def replaced(key, line):
+        return [line if ln.split()[0] == f"#{key}" else ln for ln in good]
+
+    corrupt = {
+        "target": good + ["0 0 100000"],  # beyond the state lattice
+        "initial": replaced("initials", "#initials 100000"),
+        "bad": replaced("bad", "#bad -1"),
+        "eta": replaced("eta", "#eta 0.0"),
+        "input_box": replaced("input_box", "#input_box"),
+    }
+    for name, lines in corrupt.items():
+        path = tmp_path / f"{name}.ctrl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError):
+            read_controller_file(str(path))
+        assert main(["simulate", TOY, str(path), "--x0", "-0.25"]) == 1
 
 
 def test_controller_file_roundtrip(tmp_path):

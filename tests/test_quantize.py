@@ -1,66 +1,78 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from symctrl import (EmptyLatticeError, StabilityCertificate, SynthesisParams,
-                     lattice_points, validate_parameters)
+from symctrl import (EmptyLatticeError, Lattice, StabilityCertificate,
+                     SynthesisParams, validate_parameters)
 
 
 def test_state_lattice_cardinality():
-    lat = lattice_points([[-1, 1]] * 3, 1.0 / 15.0)
+    lat = Lattice([[-1, 1]] * 3, 1.0 / 15.0)
     assert lat.n_points == 29791  # 31^3
 
 
 def test_input_lattice_cardinality():
-    lat = lattice_points([[-1, 1]], 0.002)
+    lat = Lattice([[-1, 1]], 0.002)
     assert lat.n_points == 1001
 
 
 def test_degenerate_box_single_point():
-    lat = lattice_points([[0.0, 0.0]], 0.37)
+    lat = Lattice([[0.0, 0.0]], 0.37)
     assert lat.n_points == 1
     assert np.array_equal(lat.points(), [[0.0]])
 
 
 def test_empty_lattice_raises():
     with pytest.raises(EmptyLatticeError):
-        lattice_points([[0.3, 0.4]], 1.0)
+        Lattice([[0.3, 0.4]], 1.0)
 
 
 def test_quantize_half_open_cells():
-    lat = lattice_points([[-2, 2], [-2, 2]], 1.0)
+    lat = Lattice([[-2, 2], [-2, 2]], 1.0)
     assert np.array_equal(lat.quantize_point([0.4, -0.6]), [0.0, -1.0])
 
 
+def test_quantize_non_finite_and_huge_values_fall_outside():
+    lat = Lattice([[-1, 1]], 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lat.quantize_many([[np.nan], [np.inf], [-np.inf], [1e300],
+                                 [0.2]])
+        mixed = Lattice([[-1, 1]] * 2, 0.1).quantize_many([[0.2, np.nan]])
+    assert got.tolist() == [-1, -1, -1, -1, 12]
+    assert mixed.tolist() == [-1]
+
+
 def test_lattice_points_map_to_themselves():
-    lat = lattice_points([[-1, 1]] * 2, 1.0 / 15.0)
+    lat = Lattice([[-1, 1]] * 2, 1.0 / 15.0)
     pts = lat.points()
     assert np.array_equal(lat.quantize_many(pts), np.arange(lat.n_points))
 
 
 def test_boundary_belongs_to_right_cell():
     # x exactly at eta = spacing/2 falls in the upper cell
-    lat = lattice_points([[-2, 2]], 1.0)
+    lat = Lattice([[-2, 2]], 1.0)
     assert lat.quantize_point([0.5])[0] == 1.0
     assert lat.quantize_point([-0.5])[0] == 0.0
 
 
 def test_out_of_range_signalled():
-    lat = lattice_points([[-1, 1]], 0.5)
+    lat = Lattice([[-1, 1]], 0.5)
     assert lat.quantize_index([1.3]) is None
     assert lat.quantize_index([1.2]) is not None  # inside the last half-cell
 
 
 def test_iteration_order_lexicographic():
-    lat = lattice_points([[0, 1], [0, 2]], 1.0)
+    lat = Lattice([[0, 1], [0, 2]], 1.0)
     assert np.array_equal(lat.points(),
                           [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]])
 
 
 def test_quantizer_partition_property():
     # each random point lies in the cell of exactly one lattice point
-    lat = lattice_points([[-1, 1]] * 2, 2 * 0.05)
+    lat = Lattice([[-1, 1]] * 2, 2 * 0.05)
     rng = np.random.default_rng(17)
     X = rng.uniform(-0.95, 0.95, size=(1000, 2))
     idx = lat.quantize_many(X)
@@ -75,7 +87,7 @@ def test_quantizer_partition_property():
 
 
 def test_quantization_error_below_eta():
-    lat = lattice_points([[-1, 1]] * 3, 2 * 0.1)
+    lat = Lattice([[-1, 1]] * 3, 2 * 0.1)
     rng = np.random.default_rng(23)
     X = rng.uniform(-1, 1, size=(500, 3))
     idx = lat.quantize_many(X)
@@ -85,19 +97,19 @@ def test_quantization_error_below_eta():
 
 
 def test_outer_range_grid_aligned_box_adds_nothing():
-    lat = lattice_points([[-1, 1]] * 3, 1.0 / 15.0)
+    lat = Lattice([[-1, 1]] * 3, 1.0 / 15.0)
     idx = lat.outer_range_indices([[-1.0, 0.0]] * 3)
     assert idx.size == 16 ** 3
 
 
 def test_outer_range_unaligned_box_takes_straddling_points():
-    lat = lattice_points([[-0.5, 0.5]] * 2, 0.02)
+    lat = Lattice([[-0.5, 0.5]] * 2, 0.02)
     idx = lat.outer_range_indices([[-0.25, 0.25]] * 2)
     assert idx.size == 27 ** 2
 
 
 def test_outer_range_clipped_to_lattice():
-    lat = lattice_points([[-1, 1]], 0.5)
+    lat = Lattice([[-1, 1]], 0.5)
     idx = lat.outer_range_indices([[0.6, 5.0]])
     assert np.array_equal(lat.points()[idx][:, 0], [0.5, 1.0])
 

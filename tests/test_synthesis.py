@@ -1,53 +1,75 @@
 import numpy as np
 import pytest
 
-from symctrl import (ControlSystem, ParameterValidationError,
-                     ResourceLimitError, StabilityCertificate,
-                     SynthesisParams, accessible_part, baseline_artifacts,
+from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
+                     ParameterValidationError, ResourceLimitError,
+                     StabilityCertificate, SynthesisParams, accessible_part,
+                     backprop_blocking, baseline_artifacts,
                      baseline_memory_units, check_bisimulation,
                      controller_to_system, integrated_memory_units,
-                     is_deterministic, nonblock_backprop, nonblocking_part,
-                     parse_expression, synthesize_baseline,
-                     synthesize_integrated)
+                     is_deterministic, nonblocking_part, parse_expression,
+                     synthesize_baseline, synthesize_integrated)
+from symctrl.synthesis import BAD, CONTROLLED, UNSEEN
 
 from _systems import toy_pair
 
 
 # ---- back-propagation of blocking states ------------------------------------
 
+def run_backprop(t, x, bad, n=10):
+    """Run backprop_blocking on the single-input-per-source transition set t
+    with the states in `bad` already blocking; returns the surviving
+    transitions, the blocking states and the step count."""
+    status = np.full(n, UNSEEN, dtype=np.int8)
+    trans, preds = {}, {}
+    for z, u, y in sorted(t):
+        trans[z] = (u, y)
+        preds.setdefault(y, []).append(z)
+        status[z] = CONTROLLED
+    status[sorted(bad)] = BAD
+    steps = backprop_blocking(status, trans, preds, x)
+    return ({(z, u, y) for z, (u, y) in trans.items()},
+            set(np.flatnonzero(status == BAD).tolist()), steps)
+
+
 def test_backprop_cascades_along_chain():
     t = {(0, 0, 1), (1, 0, 2), (2, 0, 3)}
-    t2, bad = nonblock_backprop(t, 3, set())
+    t2, bad, steps = run_backprop(t, 3, set())
     assert t2 == set()
     assert bad == {0, 1, 2, 3}
+    assert steps == 4 + 3
 
 
 def test_backprop_no_predecessors():
     t = {(0, 0, 1), (1, 0, 0)}
-    t2, bad = nonblock_backprop(t, 5, set())
+    t2, bad, steps = run_backprop(t, 5, set())
     assert t2 == t
     assert bad == {5}
+    assert steps == 1
 
 
 def test_backprop_fan_in():
     t = {(1, 0, 3), (2, 1, 3)}
-    t2, bad = nonblock_backprop(t, 3, set())
+    t2, bad, steps = run_backprop(t, 3, set())
     assert t2 == set()
     assert bad == {1, 2, 3}
+    assert steps == 3 + 2
 
 
 def test_backprop_self_loop():
     t = {(3, 0, 3), (1, 0, 3)}
-    t2, bad = nonblock_backprop(t, 3, set())
+    t2, bad, steps = run_backprop(t, 3, set())
     assert t2 == set()
     assert bad == {1, 3}
+    assert steps == 2 + 2
 
 
 def test_backprop_preserves_unrelated():
     t = {(0, 0, 1), (1, 0, 0), (4, 0, 5)}
-    t2, bad = nonblock_backprop(t, 5, {9})
+    t2, bad, steps = run_backprop(t, 5, {9})
     assert t2 == {(0, 0, 1), (1, 0, 0)}
     assert bad == {4, 5, 9}
+    assert steps == 2 + 1
 
 
 # ---- memory-unit arithmetic --------------------------------------------------
@@ -146,7 +168,7 @@ def test_validation_gate_requires_force():
     with pytest.raises(ParameterValidationError):
         synthesize_integrated(plant, spec, bad)
     ctrl, _ = synthesize_integrated(plant, spec, bad, force=True)
-    assert ctrl.n_states >= 0  # runs to completion under the override
+    assert ctrl.n_states == ctrl.state_lattice.n_points
 
 
 def test_transition_cap_aborts_cleanly():
@@ -158,19 +180,33 @@ def test_transition_cap_aborts_cleanly():
 
 
 def test_disjoint_initial_boxes_give_empty_controller():
-    plant = ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, -0.6]],
-                          input_box=[[-0.25, 0.25]],
-                          field=(parse_expression("-x1 + u1", 1, 1),),
-                          certificate=StabilityCertificate(1, 1, 0.2, 1))
-    spec = ControlSystem(n=1, m=0, state_box=[[-1, 1]], init_box=[[0.6, 1.0]],
-                         input_box=[],
-                         field=(parse_expression("-x1", 1, 0),),
-                         certificate=StabilityCertificate(1, 1))
     params = SynthesisParams(epsilon=0.2, theta_p=0.1, theta_q=0.1, tau=0.5,
                              eta=0.025, mu=0.025)
-    ctrl, metrics = synthesize_integrated(plant, spec, params)
-    assert metrics.states == 0
-    assert ctrl.n_transitions == 0
+    # (plant state, plant initial, spec state, spec initial) boxes: equal
+    # state boxes with disjoint initial boxes, then state boxes whose
+    # intersection [0.005, 0.01] holds no lattice point, where both routes
+    # fall back to the plant's box
+    for plant_box, plant_init, spec_box, spec_init in (
+            ([-1, 1], [-1, -0.6], [-1, 1], [0.6, 1.0]),
+            ([-1, 0.01], [-0.5, 0.01], [0.005, 1], [0.005, 0.5])):
+        plant = ControlSystem(n=1, m=1, state_box=[plant_box],
+                              init_box=[plant_init], input_box=[[-0.25, 0.25]],
+                              field=(parse_expression("-x1 + u1", 1, 1),),
+                              certificate=StabilityCertificate(1, 1, 0.2, 1))
+        spec = ControlSystem(n=1, m=0, state_box=[spec_box],
+                             init_box=[spec_init], input_box=[],
+                             field=(parse_expression("-x1", 1, 0),),
+                             certificate=StabilityCertificate(1, 1))
+        ctrl, metrics = synthesize_integrated(plant, spec, params)
+        assert metrics.states == 0
+        assert ctrl.n_transitions == 0
+        ctrl_b, _ = synthesize_baseline(plant, spec, params)
+        assert ctrl_b.initials.size == 0
+        assert accessible_part(controller_to_system(ctrl_b)).n_states == 0
+        assert ctrl_b.state_lattice == ctrl.state_lattice
+        if plant_box != spec_box:
+            assert ctrl_b.n_transitions == 0
+            assert ctrl.state_lattice == Lattice([plant_box], 2 * params.eta)
 
 
 def test_synthesis_reproducible():
@@ -209,3 +245,74 @@ def test_random_small_pairs_routes_stay_bisimilar():
                                      controller_to_system(ctrl_b), 0.0)
             assert rel is not None
         assert m_i.memory_units <= m_b.memory_units
+
+
+def test_baseline_steps_count_exact_output_matches():
+    # the plant box reaches past the spec box: plant cells outside the shared
+    # box must not pair with spec cells outside it
+    plant = ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-0.5, 0.5]],
+                          input_box=[[-0.5, 0.5]],
+                          field=(parse_expression("-x1 + u1", 1, 1),),
+                          certificate=StabilityCertificate(1, 1, 1, 1))
+    spec = ControlSystem(n=1, m=0, state_box=[[-0.5, 1.5]],
+                         init_box=[[-0.5, 0.5]], input_box=[],
+                         field=(parse_expression("-x1", 1, 0),),
+                         certificate=StabilityCertificate(1, 1))
+    params = SynthesisParams(epsilon=0.3, theta_p=0.15, theta_q=0.15,
+                             tau=0.8, eta=0.05, mu=0.1)
+    _, m, (sp, sq, cstar, nb) = baseline_artifacts(plant, spec, params, 20,
+                                                   force=True)
+    deg_p, deg_q = sp.out_degree(), sq.out_degree()
+    brute = sum(int(deg_p[i]) * int(deg_q[j])
+                for i in range(sp.n_states) for j in range(sq.n_states)
+                if np.array_equal(sp.outputs[i], sq.outputs[j]))
+    others = (sp.n_states * sp.n_inputs + sq.n_states
+              + (cstar.n_transitions - nb.n_transitions)
+              + (cstar.n_states - nb.n_states))
+    assert brute > 0
+    assert m.steps - others == brute
+
+
+def test_options_are_the_rows_of_a_source():
+    plant, spec, params = toy_pair()
+    ctrl, _ = synthesize_baseline(plant, spec, params)
+    t = ctrl.transitions
+    relational = 0
+    for x in ctrl.sources():
+        opts = ctrl.options(x)
+        assert np.array_equal(opts, t[t[:, 0] == x][:, 1:])
+        assert np.array_equal(opts[:, 0], np.sort(opts[:, 0]))
+        relational += opts.shape[0] > 1
+    assert relational > 0
+    x = t[0, 0]
+    trimmed = Controller(t[t[:, 0] != x], [], [], ctrl.state_lattice,
+                         ctrl.input_lattice)
+    assert trimmed.options(x).shape == (0, 2)
+
+
+def remap_reference(ctrl):
+    """controller_to_system computed row by row: the states a controller
+    uses, renumbered in ascending lattice order."""
+    t = ctrl.transitions
+    states = np.unique(np.concatenate([t[:, 0], t[:, 2], ctrl.initials]))
+    outputs = (ctrl.state_lattice.points()[states] if states.size
+               else np.zeros((0, ctrl.state_lattice.dim)))
+    remap = {int(s): k for k, s in enumerate(states)}
+    rows = np.asarray([[remap[int(a)], int(u), remap[int(b)]]
+                       for a, u, b in t], dtype=np.int64).reshape(-1, 3)
+    initials = np.asarray([remap[int(i)] for i in ctrl.initials],
+                          dtype=np.int64)
+    return FiniteSystem(outputs, initials, ctrl.input_values(), rows)
+
+
+def test_controller_to_system_matches_row_remap():
+    plant, spec, params = toy_pair()
+    ctrl_i, _ = synthesize_integrated(plant, spec, params)
+    ctrl_b, _ = synthesize_baseline(plant, spec, params)
+    empty = Controller(np.zeros((0, 3)), [], [], ctrl_i.state_lattice,
+                       ctrl_i.input_lattice)
+    # an initial state that is not a source still appears
+    partial = Controller(ctrl_i.transitions[1:], ctrl_i.initials, [],
+                         ctrl_i.state_lattice, ctrl_i.input_lattice)
+    for ctrl in (ctrl_i, ctrl_b, empty, partial):
+        assert controller_to_system(ctrl).same_as(remap_reference(ctrl))

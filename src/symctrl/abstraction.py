@@ -17,15 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (DEFAULT_SUBSTEPS, ControlSystem, DivergenceError,
+from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem,
                        _flow_tile, thread_count)
 from .quantize import Lattice
 from .tsys import FiniteSystem
 
 DEFAULT_TRANSITION_CAP = 100_000_000
-
-# pair-chunk size balancing ufunc efficiency against RK4 buffer memory
-_CHUNK = 1 << 21
 
 
 class ResourceLimitError(RuntimeError):
@@ -81,13 +78,9 @@ def _transition_chunk(sys, spec, st_lat, pts, inputs, a, b):
     src = pair // n_u
     uix = pair % n_u
     Z = _flow_tile(sys, pts[src], inputs[uix], spec.tau, spec.substeps)
-    finite = np.all(np.isfinite(Z), axis=1)
-    if not np.all(finite):
-        bad = int(np.flatnonzero(~finite)[0])
-        raise DivergenceError(pts[src[bad]], inputs[uix[bad]])
     # membership rule: the endpoint must fall in the half-open cell of some
     # lattice point, i.e. within eta of the grid per axis; endpoints farther
-    # out produce no transition
+    # out, non-finite ones included, produce no transition
     dst = st_lat.quantize_many(Z)
     keep = dst >= 0
     return np.column_stack([src[keep], uix[keep], dst[keep]]).astype(np.int32)
@@ -102,7 +95,7 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     States are embedded at their own lattice coordinates; initial states come
     from the outward-rounded lattice range of the initial box.  Flows leaving
     the cells covering the state box produce no transition.  The
-    (state x input) sweep runs in lexicographic order over chunks, so the
+    (state x input) sweep runs in lexicographic order over tiles, so the
     transition array is reproducible regardless of worker count.
     """
     st_lat = state_lattice(sys, spec.eta)
@@ -112,7 +105,8 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     if transition_cap is not None and n_pairs > transition_cap:
         raise ResourceLimitError(
             f"{n_pairs} candidate transitions exceed the cap {transition_cap}")
-    ranges = [(a, min(a + _CHUNK, n_pairs)) for a in range(0, n_pairs, _CHUNK)]
+    ranges = [(a, min(a + TILE_ROWS, n_pairs))
+              for a in range(0, n_pairs, TILE_ROWS)]
     nworkers = thread_count(threads)
     if nworkers <= 1 or len(ranges) <= 1:
         parts = [_transition_chunk(sys, spec, st_lat, pts, inputs, a, b)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
-                     StabilityCertificate, build_abstraction,
+                     StabilityCertificate, abstraction, build_abstraction,
                      check_bisimulation, is_deterministic, parse_expression)
+from symctrl.dynamics import TILE_ROWS
 
 from _systems import toy_pair
 
@@ -80,12 +81,14 @@ def test_rebuild_bit_reproducible():
     assert a.same_as(b)
 
 
-def test_thread_count_invariance():
+def test_thread_count_invariance(monkeypatch):
     plant, _, params = toy_pair()
     spec = AbstractionSpec(params.tau, params.eta, params.mu)
-    a = build_abstraction(plant, spec, threads=1)
-    b = build_abstraction(plant, spec, threads=2)
-    assert a.same_as(b)
+    ref = build_abstraction(plant, spec, threads=1)
+    for tile_rows in (7, TILE_ROWS, 1 << 21):
+        monkeypatch.setattr(abstraction, "TILE_ROWS", tile_rows)
+        for threads in (1, 2):
+            assert build_abstraction(plant, spec, threads=threads).same_as(ref)
 
 
 def test_transition_cap_enforced():

@@ -123,13 +123,20 @@ def test_resource_cap_exit4(tmp_path, capsys):
                  "--out", str(tmp_path / "c.ctrl")]) == 4
 
 
-def test_numeric_failure_exit6(tmp_path, capsys):
+def test_diverging_flows_give_no_transition_in_both_routes(tmp_path, capsys):
     doc = toy_doc()
     doc["plant"]["field"] = ["50*x1^3 + u1"]  # flows from the box edge blow up
     doc["plant"]["state_box"] = [[-2, 2]]
     doc["params"]["tau"] = 1.0
     path = write_json(tmp_path / "diverging.json", doc)
-    assert main(["synthesize", path, "--method", "baseline"]) == 6
+    for method in ("integrated", "baseline"):
+        assert main(["synthesize", path, "--method", method]) == 0
+    capsys.readouterr()
+    assert main(["compare", path]) == 0
+    assert "controllers: exactly bisimilar" in capsys.readouterr().out
+
+
+def test_numeric_failure_exit6(tmp_path, capsys):
     doc = toy_doc()
     doc["plant"]["field"] = ["sqrt(x1) + u1"]  # x1 < 0 on half the box
     path = write_json(tmp_path / "domain.json", doc)

@@ -81,8 +81,9 @@ def test_flow_divergence_detected():
     sys = ControlSystem(n=1, m=0, state_box=[[-5, 5]], init_box=[[-1, 1]],
                         input_box=[],
                         field=(parse_expression("x1^3", 1, 0),))
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as err:
         flow(sys, [5.0], [], 100.0, 10)
+    assert str(err.value) == "flow diverged from x=[5.0], u=[]"
 
 
 def test_init_box_must_be_inside_state_box():

@@ -8,10 +8,10 @@ from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      baseline_memory_units, check_bisimulation,
                      controller_to_system, integrated_memory_units,
                      is_deterministic, nonblocking_part, parse_expression,
-                     synthesize_baseline, synthesize_integrated)
+                     synthesis, synthesize_baseline, synthesize_integrated)
 from symctrl.synthesis import BAD, CONTROLLED, UNSEEN
 
-from _systems import toy_pair
+from _systems import linear_pair, toy_pair
 
 
 # ---- back-propagation of blocking states ------------------------------------
@@ -216,6 +216,53 @@ def test_synthesis_reproducible():
     assert np.array_equal(c1.transitions, c2.transitions)
     assert np.array_equal(c1.bad, c2.bad)
     assert m1.steps == m2.steps
+
+
+def scan_budgets_agree(monkeypatch, plant, spec, params, budgets):
+    """Integrated controllers and counters under each input-scan row budget
+    equal those under the default budget; returns that controller."""
+    ref, m_ref = synthesize_integrated(plant, spec, params, force=True)
+    for rows in budgets:
+        monkeypatch.setattr(synthesis, "_SCAN_ROWS", rows)
+        ctrl, m = synthesize_integrated(plant, spec, params, force=True)
+        assert ctrl.same_as(ref) and np.array_equal(ctrl.bad, ref.bad)
+        assert (m.states, m.transitions, m.memory_units, m.steps) == \
+            (m_ref.states, m_ref.transitions, m_ref.memory_units, m_ref.steps)
+    return ref
+
+
+def test_scan_grouping_changes_nothing(monkeypatch):
+    # budgets: fewer rows than inputs, one state per call, every lattice
+    # state (so a whole wave) per call
+    plant, spec, params = toy_pair()
+    n_u = 11
+    ctrl = scan_budgets_agree(monkeypatch, plant, spec, params,
+                              [1, n_u, 41 * n_u])
+    assert ctrl.input_lattice.n_points == n_u
+    assert ctrl.state_lattice.n_points == 41
+    # linear #1 with a coarser input lattice, so that it blocks cells too
+    plant, spec, params = linear_pair(1)
+    params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
+                             theta_q=params.theta_q, tau=params.tau,
+                             eta=params.eta, mu=0.05)
+    n_u = 41
+    ctrl = scan_budgets_agree(monkeypatch, plant, spec, params,
+                              [30, n_u, 2601 * n_u])
+    assert ctrl.input_lattice.n_points == n_u and ctrl.bad.size > 0
+    assert ctrl.state_lattice.n_points == 2601
+
+
+def test_scan_ties_keep_the_lowest_input(monkeypatch):
+    # the field ignores u: every input lands on the same point
+    plant, spec, params = toy_pair()
+    plant = ControlSystem(
+        n=1, m=1, state_box=[[-1, 1]], init_box=[[-0.5, 0.0]],
+        input_box=[[-0.25, 0.25]],
+        field=(parse_expression("-x1 + 0*u1", 1, 1),),
+        certificate=plant.certificate)
+    ctrl = scan_budgets_agree(monkeypatch, plant, spec, params, [1, 11, 451])
+    assert ctrl.n_transitions > 0
+    assert np.all(ctrl.transitions[:, 1] == 0)
 
 
 def test_random_small_pairs_routes_stay_bisimilar():

@@ -11,14 +11,12 @@ each (state, input) has at most one successor.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem,
-                       _flow_tile, thread_count)
+from .dynamics import DEFAULT_SUBSTEPS, ControlSystem, _flow_tile, map_tiles
 from .quantize import Lattice
 from .tsys import FiniteSystem
 
@@ -87,7 +85,6 @@ def _transition_chunk(sys, spec, st_lat, pts, inputs, a, b):
 
 
 def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
-                      threads: Optional[int] = None,
                       transition_cap: Optional[int] = DEFAULT_TRANSITION_CAP
                       ) -> FiniteSystem:
     """Build the symbolic model of `sys` for the given quantization.
@@ -105,18 +102,8 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     if transition_cap is not None and n_pairs > transition_cap:
         raise ResourceLimitError(
             f"{n_pairs} candidate transitions exceed the cap {transition_cap}")
-    ranges = [(a, min(a + TILE_ROWS, n_pairs))
-              for a in range(0, n_pairs, TILE_ROWS)]
-    nworkers = thread_count(threads)
-    if nworkers <= 1 or len(ranges) <= 1:
-        parts = [_transition_chunk(sys, spec, st_lat, pts, inputs, a, b)
-                 for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(_transition_chunk, sys, spec, st_lat, pts,
-                                   inputs, a, b) for a, b in ranges]
-            parts = [f.result() for f in futures]
-    transitions = np.vstack(parts) if parts else np.zeros((0, 3), dtype=np.int32)
-    del parts
+    transitions = np.vstack(map_tiles(
+        lambda a, b: _transition_chunk(sys, spec, st_lat, pts, inputs, a, b),
+        n_pairs))
     return FiniteSystem(pts, initial_indices(st_lat, sys.init_box), inputs,
                         transitions)

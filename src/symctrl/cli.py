@@ -20,7 +20,7 @@ import numpy as np
 
 from .abstraction import DEFAULT_TRANSITION_CAP, ResourceLimitError
 from .dynamics import (DEFAULT_SUBSTEPS, ControlSystem, DivergenceError,
-                       StabilityCertificate)
+                       StabilityCertificate, thread_count)
 from .expr import EvalDomainError, ExprSyntaxError, parse_expression
 from .loop import UncontrolledStateError, conformance_report, simulate_closed_loop
 from .quantize import Lattice, SynthesisParams, validate_parameters
@@ -382,6 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        thread_count()  # a malformed SYMCTRL_THREADS fails before any work
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ConfigError as exc:

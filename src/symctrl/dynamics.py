@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ DEFAULT_SUBSTEPS = 50
 
 # rows per batched flow call: a 32K-row tile keeps the RK4 column
 # temporaries in cache, and splitting the abstraction into such tiles lets
-# its thread pool use every core; on 2 cores the baseline route of linear
+# map_tiles run it on every core; on 2 cores the baseline route of linear
 # example #1 took 8.8 s with these tiles and 19.7 s with 2M-row ones, with
 # bit-identical transitions and half the peak RSS
 TILE_ROWS = 1 << 15
@@ -41,10 +41,28 @@ class DivergenceError(ArithmeticError):
 def thread_count(requested: Optional[int] = None) -> int:
     """Worker count for batched flow evaluation; SYMCTRL_THREADS caps it."""
     limit = os.environ.get("SYMCTRL_THREADS")
-    cap = int(limit) if limit else (os.cpu_count() or 1)
+    try:
+        cap = int(limit) if limit else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"SYMCTRL_THREADS must be an integer, got "
+                         f"{limit!r}") from None
     if requested is None:
         requested = os.cpu_count() or 1
     return max(1, min(requested, cap))
+
+
+def map_tiles(fn: Callable[[int, int], object], n_rows: int,
+              threads: Optional[int] = None) -> list:
+    """[fn(a, b)] for each TILE_ROWS-row tile [a, b) of range(n_rows), in
+    tile order.  Several tiles run on a pool of thread_count(threads)
+    workers, so fn must be safe to call from several threads at once."""
+    nworkers = thread_count(threads)
+    tiles = [(a, min(a + TILE_ROWS, n_rows))
+             for a in range(0, n_rows, TILE_ROWS)]
+    if nworkers <= 1 or len(tiles) <= 1:
+        return [fn(a, b) for a, b in tiles]
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        return list(pool.map(lambda tile: fn(*tile), tiles))
 
 
 @dataclass(frozen=True)
@@ -190,18 +208,10 @@ def flow_many(sys: ControlSystem, X, U, tau: float,
         raise ValueError("tau must be positive")
     if substeps < 1:
         raise ValueError("substeps must be a positive integer")
-    ntotal = X.shape[0]
-    nworkers = thread_count(threads)
-    tiles = [(a, min(a + TILE_ROWS, ntotal))
-             for a in range(0, ntotal, TILE_ROWS)]
-    if nworkers <= 1 or len(tiles) <= 1:
-        parts = [_flow_tile(sys, X[a:b], U[a:b], tau, substeps) for a, b in tiles]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(_flow_tile, sys, X[a:b], U[a:b], tau, substeps)
-                       for a, b in tiles]
-            parts = [f.result() for f in futures]
-    out = parts[0] if len(parts) == 1 else np.vstack(parts)
+    parts = map_tiles(
+        lambda a, b: _flow_tile(sys, X[a:b], U[a:b], tau, substeps),
+        X.shape[0], threads)
+    out = np.vstack(parts) if parts else np.empty((0, sys.n))
     if check_finite and not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(out), axis=1))[0])
         raise DivergenceError(X[bad], U[bad])
@@ -226,5 +236,5 @@ def flow(sys: ControlSystem, x: Sequence[float], u: Sequence[float],
         raise ValueError("x outside the state box")
     if sys.m and (np.any(u < sys.input_box[:, 0]) or np.any(u > sys.input_box[:, 1])):
         raise ValueError("u outside the input box")
-    return flow_many(sys, x.reshape(1, -1), u.reshape(1, -1), tau, substeps,
-                     threads=1)[0]
+    return flow_many(sys, x.reshape(1, -1), u.reshape(1, -1), tau,
+                     substeps)[0]

@@ -28,7 +28,8 @@ class UncontrolledStateError(RuntimeError):
     an exit from the synthesized region)."""
 
     def __init__(self, step: int, state):
-        super().__init__(f"uncontrolled state at step {step}: {list(state)}")
+        super().__init__(f"uncontrolled state at step {step}: "
+                         f"{[float(v) for v in state]}")
         self.step = step
         self.state = state
 
@@ -70,12 +71,6 @@ class ConformanceReport:
         tag = "pass" if self.passed else "FAIL"
         return (f"[{tag}] max deviation {self.max_deviation:.6f} at step "
                 f"{self.argmax_step} (epsilon {self.epsilon})")
-
-
-def _step(sys: ControlSystem, x: np.ndarray, u: np.ndarray, tau: float,
-          substeps: int) -> np.ndarray:
-    return flow_many(sys, x.reshape(1, -1), u.reshape(1, -1), tau, substeps,
-                     threads=1)[0]
 
 
 def simulate_closed_loop(plant: ControlSystem, specification: ControlSystem,
@@ -123,14 +118,15 @@ def simulate_closed_loop(plant: ControlSystem, specification: ControlSystem,
             # whose nominal landing sits deepest inside its own target cell
             cell = np.repeat(lattice.point(c).reshape(1, -1), len(options), 0)
             landings = flow_many(plant, cell, u_values[options[:, 0]],
-                                 params.tau, substeps, threads=1)
+                                 params.tau, substeps)
             targets = lattice.points()[options[:, 1]]
             uix, target = options[int(np.argmin(
                 np.max(np.abs(landings - targets), axis=1)))]
         u = u_values[uix]
-        x = _step(plant, x, u, params.tau, substeps)
-        s = _step(specification, s, np.zeros(specification.m), params.tau,
-                  substeps)
+        x = flow_many(plant, x.reshape(1, -1), u.reshape(1, -1), params.tau,
+                      substeps)[0]
+        s = flow_many(specification, s.reshape(1, -1),
+                      np.zeros((1, specification.m)), params.tau, substeps)[0]
         c = int(target)
         xs.append(x)
         ss.append(s)

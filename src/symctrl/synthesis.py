@@ -20,13 +20,14 @@ import numpy as np
 from .abstraction import (DEFAULT_TRANSITION_CAP, AbstractionSpec,
                           ResourceLimitError, build_abstraction,
                           initial_indices, input_points)
-from .dynamics import DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile
+from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
+                       map_tiles)
 from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
                        ValidationReport, validate_parameters)
 from .tsys import FiniteSystem, compose, nonblocking_part, subsystem
 
-# rows per flow call of the integrated input scan: on the benchmark problems
-# 8K rows ran as fast as 16K and 32K, which added 4-7 MiB of peak RSS
+# (state, input) rows per group of the integrated input scan: on the benchmark
+# problems 8K ran as fast as 16K and 32K, which added 4-7 MiB of peak RSS
 _SCAN_ROWS = TILE_ROWS // 4
 
 # per-state status of the integrated route
@@ -167,14 +168,13 @@ def synthesize_baseline(plant: ControlSystem, specification: ControlSystem,
                         params: SynthesisParams,
                         substeps: int = DEFAULT_SUBSTEPS, *,
                         force: bool = False,
-                        transition_cap: Optional[int] = DEFAULT_TRANSITION_CAP,
-                        threads: Optional[int] = None
+                        transition_cap: Optional[int] = DEFAULT_TRANSITION_CAP
                         ) -> Tuple[Controller, Metrics]:
     """Abstract both systems, compose them exactly, prune to the non-blocking
     part, and project the surviving diagonal pairs onto the state lattice."""
     ctrl, metrics, _ = baseline_artifacts(
         plant, specification, params, substeps, force=force,
-        transition_cap=transition_cap, threads=threads)
+        transition_cap=transition_cap)
     return ctrl, metrics
 
 
@@ -182,8 +182,7 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
                        params: SynthesisParams,
                        substeps: int = DEFAULT_SUBSTEPS, *,
                        force: bool = False,
-                       transition_cap: Optional[int] = DEFAULT_TRANSITION_CAP,
-                       threads: Optional[int] = None):
+                       transition_cap: Optional[int] = DEFAULT_TRANSITION_CAP):
     """Baseline synthesis returning (controller, metrics, systems) where
     systems = (plant model, spec model, composition, non-blocking part)."""
     _require_valid(plant, specification, params, force)
@@ -191,12 +190,12 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
     sp = build_abstraction(
         plant, AbstractionSpec(params.tau, params.eta,
                                params.mu if plant.m else None, substeps),
-        threads=threads, transition_cap=transition_cap)
+        transition_cap=transition_cap)
     sq = build_abstraction(
         specification, AbstractionSpec(params.tau, params.eta,
                                        params.mu if specification.m else None,
                                        substeps),
-        threads=threads, transition_cap=transition_cap)
+        transition_cap=transition_cap)
     cstar = compose(sp, sq, 0.0)
     if transition_cap is not None and cstar.n_transitions > transition_cap:
         raise ResourceLimitError(
@@ -273,21 +272,20 @@ def _scan_inputs(plant: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,
     or NO_INPUT when no input lands there.  Any landing input yields the
     same controller sets, but the centered landing maximizes the closed
     loop's quantization margin.
-
-    The (state, input) rows are flowed in tiles of at most _SCAN_ROWS rows.
     """
     n_u = u_pts.shape[0]
     st_pts = st_lat.points()
-    dist = np.empty(xs.size * n_u)
-    for a in range(0, dist.size, _SCAN_ROWS):
-        pair = np.arange(a, min(a + _SCAN_ROWS, dist.size))
+
+    def tile(a, b):
+        pair = np.arange(a, b)
         src = pair // n_u
         Z = _flow_tile(plant, st_pts[xs[src]], u_pts[pair % n_u], tau,
                        substeps)
         d = np.max(np.abs(Z - st_pts[ys[src]]), axis=1)
         d[st_lat.quantize_many(Z) != ys[src]] = np.inf
-        dist[pair] = d
-    dist = dist.reshape(xs.size, n_u)
+        return d
+
+    dist = np.concatenate(map_tiles(tile, xs.size * n_u)).reshape(xs.size, n_u)
     pick = np.argmin(dist, axis=1)
     missed = np.isinf(dist[np.arange(xs.size), pick])
     return np.where(missed, NO_INPUT, pick)
@@ -297,8 +295,7 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
                           params: SynthesisParams,
                           substeps: int = DEFAULT_SUBSTEPS, *,
                           force: bool = False,
-                          transition_cap: Optional[int] = DEFAULT_TRANSITION_CAP,
-                          threads: Optional[int] = None
+                          transition_cap: Optional[int] = DEFAULT_TRANSITION_CAP
                           ) -> Tuple[Controller, Metrics]:
     """On-the-fly synthesis over the shared state lattice.
 
@@ -335,9 +332,10 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     wave = x0_indices
     status[x0_indices] = QUEUED
     while wave.size:
-        spec_z = _flow_tile(specification, st_pts[wave],
-                            np.zeros((wave.size, specification.m)),
-                            params.tau, substeps)
+        spec_z = np.vstack(map_tiles(
+            lambda a, b: _flow_tile(specification, st_pts[wave[a:b]],
+                                    np.zeros((b - a, specification.m)),
+                                    params.tau, substeps), wave.size))
         targets = st_lat.quantize_many(spec_z)
         # chosen input per wave position: UNSCANNED until its group is scanned
         choice = np.full(wave.size, UNSCANNED, dtype=np.int64)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
-                     StabilityCertificate, abstraction, build_abstraction,
-                     check_bisimulation, is_deterministic, parse_expression)
+                     StabilityCertificate, build_abstraction,
+                     check_bisimulation, dynamics, is_deterministic,
+                     parse_expression)
 from symctrl.dynamics import TILE_ROWS
 
 from _systems import toy_pair
@@ -84,11 +85,13 @@ def test_rebuild_bit_reproducible():
 def test_thread_count_invariance(monkeypatch):
     plant, _, params = toy_pair()
     spec = AbstractionSpec(params.tau, params.eta, params.mu)
-    ref = build_abstraction(plant, spec, threads=1)
+    monkeypatch.setenv("SYMCTRL_THREADS", "1")
+    ref = build_abstraction(plant, spec)
     for tile_rows in (7, TILE_ROWS, 1 << 21):
-        monkeypatch.setattr(abstraction, "TILE_ROWS", tile_rows)
-        for threads in (1, 2):
-            assert build_abstraction(plant, spec, threads=threads).same_as(ref)
+        monkeypatch.setattr(dynamics, "TILE_ROWS", tile_rows)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SYMCTRL_THREADS", threads)
+            assert build_abstraction(plant, spec).same_as(ref)
 
 
 def test_transition_cap_enforced():

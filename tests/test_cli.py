@@ -95,6 +95,14 @@ def test_synthesize_baseline_method(tmp_path, capsys):
     assert metrics["transitions"] >= metrics["states"] > 0
 
 
+def test_malformed_thread_count_exit1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SYMCTRL_THREADS", "two")
+    assert main(["synthesize", TOY, "--method", "baseline",
+                 "--out", str(tmp_path / "x.ctrl")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "SYMCTRL_THREADS" in err
+
+
 def test_synthesize_refuses_invalid_params_without_force(tmp_path, capsys):
     doc = toy_doc()
     doc["params"]["eta"] = 0.09  # violates both abstraction inequalities

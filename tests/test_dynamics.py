@@ -60,6 +60,8 @@ def test_flow_deterministic_across_batch_shapes():
     for i in (0, 777, 4999):
         one = flow_many(plant, X[i:i + 1], U[i:i + 1], 0.5, 50, threads=1)
         assert np.array_equal(big[i:i + 1], one)
+    none = flow_many(plant, X[:0], U[:0], 0.5, 50, threads=1)
+    assert none.shape == (0, 2) and none.dtype == float
 
 
 def test_flow_thread_count_does_not_change_result():

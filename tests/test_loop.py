@@ -100,8 +100,14 @@ def test_uncontrolled_state_detected():
                           ctrl.input_lattice)
     x0 = ctrl.state_lattice.point(first)
     if int(row[0, 2]) != first:  # successor differs, so step 2 must starve
-        with pytest.raises(UncontrolledStateError):
+        with pytest.raises(UncontrolledStateError) as info:
             simulate_closed_loop(plant, spec, crippled, x0, 20, params)
+        x = [float(v) for v in info.value.state]
+        assert str(info.value) == \
+            f"uncontrolled state at step {info.value.step}: {x}"
+    # plain floats, not numpy reprs
+    err = UncontrolledStateError(3, np.array([0.5, -0.25]))
+    assert str(err) == "uncontrolled state at step 3: [0.5, -0.25]"
 
 
 def test_closed_loop_conformance_over_initial_cells():

@@ -6,7 +6,7 @@ from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      StabilityCertificate, SynthesisParams, accessible_part,
                      backprop_blocking, baseline_artifacts,
                      baseline_memory_units, check_bisimulation,
-                     controller_to_system, integrated_memory_units,
+                     controller_to_system, dynamics, integrated_memory_units,
                      is_deterministic, nonblocking_part, parse_expression,
                      synthesis, synthesize_baseline, synthesize_integrated)
 from symctrl.synthesis import BAD, CONTROLLED, UNSEEN
@@ -218,36 +218,46 @@ def test_synthesis_reproducible():
     assert m1.steps == m2.steps
 
 
-def scan_budgets_agree(monkeypatch, plant, spec, params, budgets):
-    """Integrated controllers and counters under each input-scan row budget
-    equal those under the default budget; returns that controller."""
+def scan_budgets_agree(monkeypatch, plant, spec, params, budgets, tile_rows):
+    """Integrated controllers and counters under each input-scan row budget,
+    and under the last budget with tile_rows-row flow tiles (so that spec
+    waves and scan groups span several tiles), equal those under the default
+    budget; returns that controller."""
     ref, m_ref = synthesize_integrated(plant, spec, params, force=True)
-    for rows in budgets:
-        monkeypatch.setattr(synthesis, "_SCAN_ROWS", rows)
+
+    def agrees():
         ctrl, m = synthesize_integrated(plant, spec, params, force=True)
         assert ctrl.same_as(ref) and np.array_equal(ctrl.bad, ref.bad)
         assert (m.states, m.transitions, m.memory_units, m.steps) == \
             (m_ref.states, m_ref.transitions, m_ref.memory_units, m_ref.steps)
+
+    for rows in budgets:
+        monkeypatch.setattr(synthesis, "_SCAN_ROWS", rows)
+        agrees()
+    monkeypatch.setattr(dynamics, "TILE_ROWS", tile_rows)
+    agrees()
+    monkeypatch.undo()
     return ref
 
 
 def test_scan_grouping_changes_nothing(monkeypatch):
     # budgets: fewer rows than inputs, one state per call, every lattice
-    # state (so a whole wave) per call
+    # state (so a whole wave) per call; tiles smaller than one state's rows
     plant, spec, params = toy_pair()
     n_u = 11
     ctrl = scan_budgets_agree(monkeypatch, plant, spec, params,
-                              [1, n_u, 41 * n_u])
+                              [1, n_u, 41 * n_u], 7)
     assert ctrl.input_lattice.n_points == n_u
     assert ctrl.state_lattice.n_points == 41
-    # linear #1 with a coarser input lattice, so that it blocks cells too
+    # linear #1 with a coarser input lattice, so that it blocks cells too;
+    # 61-row tiles split the input rows of most states (7-row ones took 17 s)
     plant, spec, params = linear_pair(1)
     params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
                              theta_q=params.theta_q, tau=params.tau,
                              eta=params.eta, mu=0.05)
     n_u = 41
     ctrl = scan_budgets_agree(monkeypatch, plant, spec, params,
-                              [30, n_u, 2601 * n_u])
+                              [30, n_u, 2601 * n_u], 61)
     assert ctrl.input_lattice.n_points == n_u and ctrl.bad.size > 0
     assert ctrl.state_lattice.n_points == 2601
 
@@ -260,7 +270,8 @@ def test_scan_ties_keep_the_lowest_input(monkeypatch):
         input_box=[[-0.25, 0.25]],
         field=(parse_expression("-x1 + 0*u1", 1, 1),),
         certificate=plant.certificate)
-    ctrl = scan_budgets_agree(monkeypatch, plant, spec, params, [1, 11, 451])
+    ctrl = scan_budgets_agree(monkeypatch, plant, spec, params, [1, 11, 451],
+                              7)
     assert ctrl.n_transitions > 0
     assert np.all(ctrl.transitions[:, 1] == 0)
 

@@ -154,7 +154,8 @@ class ControlSystem:
 
 
 def _rk4_columns(sys: ControlSystem, xcols, ucols, tau: float, substeps: int):
-    """Advance the column arrays in place by tau using `substeps` RK4 steps."""
+    """Advance the columns (arrays, or floats for one row) in place by tau
+    using `substeps` RK4 steps."""
     funcs = sys.compiled_field
     h = tau / substeps
     n = sys.n
@@ -181,8 +182,16 @@ def _rk4_columns(sys: ControlSystem, xcols, ucols, tau: float, substeps: int):
 
 def _flow_tile(sys: ControlSystem, X: np.ndarray, U: np.ndarray,
                tau: float, substeps: int) -> np.ndarray:
-    xcols = [np.ascontiguousarray(X[:, i], dtype=float) for i in range(sys.n)]
-    ucols = [np.ascontiguousarray(U[:, i], dtype=float) for i in range(sys.m)]
+    if X.shape[0] == 1:
+        # a lone row (the closed loop) flows as Python floats: the same field
+        # and RK4 code, bit for bit, without the cost of 1-element arrays
+        xcols = [float(v) for v in X[0]]
+        ucols = [float(v) for v in U[0]]
+    else:
+        xcols = [np.ascontiguousarray(X[:, i], dtype=float)
+                 for i in range(sys.n)]
+        ucols = [np.ascontiguousarray(U[:, i], dtype=float)
+                 for i in range(sys.m)]
     xcols = _rk4_columns(sys, xcols, ucols, tau, substeps)
     out = np.empty((X.shape[0], sys.n), dtype=float)
     for i in range(sys.n):
@@ -204,6 +213,8 @@ def flow_many(sys: ControlSystem, X, U, tau: float,
         raise ValueError("X must be (N, n)")
     if U.ndim != 2 or U.shape[1] != sys.m:
         raise ValueError("U must be (N, m)")
+    if X.shape[0] != U.shape[0]:
+        raise ValueError("X and U must have the same number of rows")
     if tau <= 0:
         raise ValueError("tau must be positive")
     if substeps < 1:

@@ -6,8 +6,12 @@ tightest), unary minus, and the functions sin, cos, exp, sqrt, abs.  Numeric
 constants are plain decimal literals.
 
 Evaluation is numpy-vectorized: every occurrence of a variable broadcasts over
-column arrays, so the same compiled expression serves both single points and
-large batches bit-identically.
+column arrays.  A compiled expression also accepts Python floats in place of
+the columns, which is how a single point is evaluated.  Every operation goes
+through the same numpy ufunc loop on a float as on an array (powers other
+than ``^2`` through ``np.power``, never Python's ``**`` or ``math``, whose
+results can differ in the last bit), so single points and batches agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -247,9 +251,10 @@ CompiledExpr = Callable[[Columns, Columns], np.ndarray]
 def compile_expression(expr: Expr) -> CompiledExpr:
     """Compile an AST into a closure evaluating over column arrays.
 
-    The closure takes (state_columns, input_columns) and returns the value
-    broadcast over the columns.  Domain checks (division by zero, negative
-    radicand, fractional power of a negative base) raise EvalDomainError.
+    The closure takes (state_columns, input_columns), each a sequence of
+    arrays or of floats, and returns the value broadcast over the columns.
+    Domain checks (division by zero, negative radicand, fractional power of
+    a negative base) raise EvalDomainError.
     """
     if isinstance(expr, Num):
         v = float(expr.value)
@@ -306,13 +311,13 @@ def compile_expression(expr: Expr) -> CompiledExpr:
                         return a * a
                     return do_sq
                 if k >= 0:
-                    return lambda X, U: fl(X, U) ** k
+                    return lambda X, U: np.power(fl(X, U), k)
 
                 def do_ipow(X, U):
                     a = fl(X, U)
                     if np.any(np.equal(a, 0.0)):
                         raise EvalDomainError("zero raised to negative power", node)
-                    return a ** float(k)
+                    return np.power(a, float(k))
                 return do_ipow
 
             def do_pow(X, U):
@@ -322,14 +327,12 @@ def compile_expression(expr: Expr) -> CompiledExpr:
                     np.equal(a, 0.0) & np.less(b, 0.0))
                 if np.any(bad):
                     raise EvalDomainError("power outside real domain", node)
-                return a ** b
+                return np.power(a, b)
             return do_pow
     raise TypeError(expr)
 
 
 def evaluate(expr: Expr, x: Sequence[float], u: Sequence[float] = ()) -> float:
     """Evaluate an AST at a single point."""
-    X = [np.asarray([float(v)]) for v in x]
-    U = [np.asarray([float(v)]) for v in u]
-    out = compile_expression(expr)(X, U)
-    return float(np.asarray(out).reshape(-1)[0])
+    return float(compile_expression(expr)([float(v) for v in x],
+                                           [float(v) for v in u]))

@@ -104,24 +104,31 @@ def simulate_closed_loop(plant: ControlSystem, specification: ControlSystem,
     us = []
     x, s = xs[0], ss[0]
     c = int(q0)  # the controller's own symbolic state
+    # (input, target) per symbolic state: the choice depends on c alone, so
+    # a relational cell's landings are flowed once per run
+    chosen = {}
     for k in range(steps):
         if np.max(np.abs(x - lattice.point(c))) > params.theta_p:
             # the plant left the synthesized region around the symbolic chain
             raise UncontrolledStateError(k, x)
-        options = ctrl.options(c)
-        if options.shape[0] == 0:
-            raise UncontrolledStateError(k, x)
-        if options.shape[0] == 1:
-            uix, target = options[0]
-        else:
-            # several admissible inputs (relational controller): apply the one
-            # whose nominal landing sits deepest inside its own target cell
-            cell = np.repeat(lattice.point(c).reshape(1, -1), len(options), 0)
-            landings = flow_many(plant, cell, u_values[options[:, 0]],
-                                 params.tau, substeps)
-            targets = lattice.points()[options[:, 1]]
-            uix, target = options[int(np.argmin(
-                np.max(np.abs(landings - targets), axis=1)))]
+        if c not in chosen:
+            options = ctrl.options(c)
+            if options.shape[0] == 0:
+                raise UncontrolledStateError(k, x)
+            if options.shape[0] == 1:
+                chosen[c] = options[0]
+            else:
+                # several admissible inputs (relational controller): apply
+                # the one whose nominal landing sits deepest inside its own
+                # target cell
+                cell = np.repeat(lattice.point(c).reshape(1, -1),
+                                 len(options), 0)
+                landings = flow_many(plant, cell, u_values[options[:, 0]],
+                                     params.tau, substeps)
+                targets = lattice.points()[options[:, 1]]
+                chosen[c] = options[int(np.argmin(
+                    np.max(np.abs(landings - targets), axis=1)))]
+        uix, target = chosen[c]
         u = u_values[uix]
         x = flow_many(plant, x.reshape(1, -1), u.reshape(1, -1), params.tau,
                       substeps)[0]

@@ -6,8 +6,9 @@ from scipy.linalg import expm
 
 from symctrl import (ControlSystem, DivergenceError, StabilityCertificate,
                      flow, flow_many, parse_expression)
+from symctrl.expr import Bin, Num, Var
 
-from _systems import linear_pair
+from _systems import linear_pair, nonlinear_pair
 
 
 def scalar_decay():
@@ -47,9 +48,26 @@ def test_substep_refinement_fourth_order():
     assert np.max(np.abs(z50 - z100)) <= 1e-8
 
 
+def every_operator_system():
+    """A 4-D field using every function and power form; on the box
+    [0.5, 1]^4 sqrt, the negative powers and x2^x3 stay in their domains."""
+    field = [parse_expression(text, 4, 1) for text in (
+        "0.5*exp(-x1) + 0.2*sqrt(x1) + 0.1*x1^-2 + 0.1*u1 - x1",
+        "0.5*sin(x2) + 0.5*x2/(1 + x1) + 0.2*x2^x3 - x2",
+        "0.5*cos(x3) + 0.5*abs(x2 - 0.75) + 0.5*x3^2 - x3",
+        "0.5*x4^3 + 0.3*x1*x4 - x4")]
+    # a negative integer literal exponent, which the parser never produces
+    # (it reads x4^-3 as x4^(-(3)))
+    field[3] = Bin("+", field[3],
+                   Bin("*", Num(0.1), Bin("^", Var("x", 3), Num(-3.0))))
+    return ControlSystem(n=4, m=1, state_box=[[0.5, 1]] * 4,
+                         init_box=[[0.5, 1]] * 4, input_box=[[-1, 1]],
+                         field=tuple(field))
+
+
 def test_flow_deterministic_across_batch_shapes():
     # the same (x, u) row must integrate bit-identically whether evaluated
-    # alone, inside a small batch, or inside a large one
+    # alone (as floats), inside a small batch, or inside a large one
     plant, _, _ = linear_pair(2)
     rng = np.random.default_rng(11)
     X = rng.uniform(-0.5, 0.5, size=(5000, 2))
@@ -57,11 +75,35 @@ def test_flow_deterministic_across_batch_shapes():
     big = flow_many(plant, X, U, 0.5, 50, threads=1)
     mid = flow_many(plant, X[100:1101], U[100:1101], 0.5, 50, threads=1)
     assert np.array_equal(big[100:1101], mid)
-    for i in (0, 777, 4999):
-        one = flow_many(plant, X[i:i + 1], U[i:i + 1], 0.5, 50, threads=1)
-        assert np.array_equal(big[i:i + 1], one)
     none = flow_many(plant, X[:0], U[:0], 0.5, 50, threads=1)
     assert none.shape == (0, 2) and none.dtype == float
+    nl_plant, nl_spec, nl_params = nonlinear_pair()
+    some = list(range(0, 5000, 125)) + [4999]
+    # (system, tau, substeps, rows flowed alone); the operator system takes
+    # one RK4 step of h = 1, so that a last-bit difference in one field
+    # value reaches the endpoint often enough to show, and all its rows run
+    for sys, tau, substeps, rows in (
+            (plant, 0.5, 50, some),
+            (every_operator_system(), 1.0, 1, range(5000)),
+            (nl_plant, nl_params.tau, 50, some),
+            (nl_spec, nl_params.tau, 50, some)):
+        X = rng.uniform(sys.state_box[:, 0], sys.state_box[:, 1],
+                        size=(5000, sys.n))
+        U = rng.uniform(sys.input_box[:, 0], sys.input_box[:, 1],
+                        size=(5000, sys.m))
+        big = flow_many(sys, X, U, tau, substeps, threads=1)
+        for i in rows:
+            one = flow_many(sys, X[i:i + 1], U[i:i + 1], tau, substeps,
+                            threads=1)
+            assert np.array_equal(big[i:i + 1], one), (sys.field, i)
+
+
+def test_flow_many_rejects_mismatched_row_counts():
+    plant, _, _ = linear_pair(1)
+    for nx, nu in ((3, 5), (5, 3)):
+        with pytest.raises(ValueError) as err:
+            flow_many(plant, np.zeros((nx, 2)), np.zeros((nu, 1)), 0.5)
+        assert str(err.value) == "X and U must have the same number of rows"
 
 
 def test_flow_thread_count_does_not_change_result():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from symctrl import (ClosedLoopTrace, UncontrolledStateError, Controller,
-                     conformance_report, simulate_closed_loop,
+                     conformance_report, flow_many, loop,
+                     simulate_closed_loop, synthesize_baseline,
                      synthesize_integrated)
 
 from _systems import toy_pair
@@ -83,8 +84,6 @@ def test_x0_outside_init_box_rejected():
 
 def test_x0_not_an_initial_cell_rejected():
     plant, spec, params, ctrl = toy_controller()
-    bad = [i for i in range(ctrl.state_lattice.n_points)
-           if i not in set(int(v) for v in ctrl.initials)]
     # a state-box point outside the initial set
     with pytest.raises(ValueError):
         simulate_closed_loop(plant, spec, ctrl, [0.4], 5, params)
@@ -112,9 +111,60 @@ def test_uncontrolled_state_detected():
 
 def test_closed_loop_conformance_over_initial_cells():
     plant, spec, params, ctrl = toy_controller()
-    initials = list(ctrl.initials)[:10]
-    assert len(initials) >= 10
-    for idx in initials:
+    assert ctrl.initials.size >= 10
+    for idx in ctrl.initials:
         x0 = ctrl.state_lattice.point(int(idx))
         trace = simulate_closed_loop(plant, spec, ctrl, x0, 20, params)
         assert conformance_report(trace, params.epsilon).passed
+
+
+def recomputing_loop(plant, spec, ctrl, x0, steps, params):
+    """The closed loop with the landing argmin recomputed at every step;
+    returns the states, spec states, inputs and visited symbolic states."""
+    lattice, u_values = ctrl.state_lattice, ctrl.input_values()
+    c = int(lattice.quantize_index(x0))
+    x, s = x0, lattice.point(c)
+    xs, ss, us, cells = [x], [s], [], []
+    for _ in range(steps):
+        cells.append(c)
+        options = ctrl.options(c)
+        cell = np.repeat(lattice.point(c).reshape(1, -1), len(options), 0)
+        landings = flow_many(plant, cell, u_values[options[:, 0]], params.tau)
+        miss = np.max(np.abs(landings - lattice.points()[options[:, 1]]),
+                      axis=1)
+        uix, c = (int(v) for v in options[int(np.argmin(miss))])
+        x = flow_many(plant, x[None], u_values[uix][None], params.tau)[0]
+        s = flow_many(spec, s[None], np.zeros((1, 0)), params.tau)[0]
+        xs.append(x)
+        ss.append(s)
+        us.append(u_values[uix])
+    return np.asarray(xs), np.asarray(ss), np.asarray(us), cells
+
+
+def test_relational_choice_made_once_per_cell(monkeypatch):
+    # the toy baseline controller keeps every admissible input: each of its
+    # cells has several options, so every step of the loop makes a choice
+    plant, spec, params = toy_pair()
+    ctrl, _ = synthesize_baseline(plant, spec, params)
+    steps = 20
+    for idx in ctrl.initials:
+        x0 = ctrl.state_lattice.point(int(idx))
+        xs, ss, us, cells = recomputing_loop(plant, spec, ctrl, x0, steps,
+                                             params)
+        assert all(ctrl.options(c).shape[0] > 1 for c in cells)
+        assert len(set(cells)) < len(cells)  # some cell is visited again
+        calls = []
+
+        def counting_flow_many(sys, X, U, *args, **kwargs):
+            calls.append(len(X))
+            return flow_many(sys, X, U, *args, **kwargs)
+
+        monkeypatch.setattr(loop, "flow_many", counting_flow_many)
+        trace = simulate_closed_loop(plant, spec, ctrl, x0, steps, params)
+        monkeypatch.undo()
+        assert np.array_equal(trace.states, xs)
+        assert np.array_equal(trace.spec_states, ss)
+        assert np.array_equal(trace.inputs, us)
+        # one-row plant and spec flows every step, one landing flow per cell
+        assert calls.count(1) == 2 * steps
+        assert sum(rows > 1 for rows in calls) == len(set(cells))

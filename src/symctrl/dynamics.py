@@ -3,7 +3,11 @@
 A plant is a box-bounded ODE ``dx/dt = f(x, u)`` with the input held constant
 over each sampling period (zero-order hold).  Flows are computed with a fixed
 step classical RK4 scheme so that transition relations built from them are
-reproducible bit-for-bit on a given platform.
+reproducible bit-for-bit on a given platform.  Each system generates two RK4
+kernels from its field once, one over the arrays of a tile of rows and one
+over the floats of a single row; they run the same operations, so a row's
+endpoint does not depend on the batch it is flowed in.  A row on which the
+field leaves its domain ends at NaN.
 """
 
 from __future__ import annotations
@@ -16,20 +20,24 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import compile_expression
+from .expr import FieldCode, compile_expression, compile_source, render
 
 DEFAULT_SUBSTEPS = 50
 
-# rows per batched flow call: a 32K-row tile keeps the RK4 column
-# temporaries in cache, and splitting the abstraction into such tiles lets
-# map_tiles run it on every core; on 2 cores the baseline route of linear
-# example #1 took 8.8 s with these tiles and 19.7 s with 2M-row ones, with
-# bit-identical transitions and half the peak RSS
+# rows per batched flow call.  Every ufunc call of the RK4 kernel releases
+# the GIL and takes it back, so on several threads a tile must be long
+# enough for its ufunc calls to outlast that hand-over.  Flowing 262,144
+# rows of the nonlinear plant on 2 cores: 4K-row tiles ran at 379K rows/s
+# on 1 thread but 230K on 2; one thread was fastest on 8K-row tiles (511K),
+# whose buffers stay in L2; 32K-row tiles were fastest on 2 threads (660K,
+# 402K on 1), as they were for linear example #1's plant (944K, 646K on 1).
+# Endpoints do not depend on the tile size
 TILE_ROWS = 1 << 15
 
 
 class DivergenceError(ArithmeticError):
-    """A flow produced a non-finite value (overflow or NaN)."""
+    """A flow produced a non-finite value: it overflowed, or the field left
+    its domain (see expr) on the way."""
 
     def __init__(self, x, u):
         super().__init__(f"flow diverged from x={[float(v) for v in x]}, "
@@ -129,7 +137,9 @@ class ControlSystem:
     input_box: np.ndarray
     field: tuple
     certificate: Optional[StabilityCertificate] = None
-    _compiled: Optional[list] = field(default=None, repr=False, compare=False)
+    # not an __init__ argument, so that dataclasses.replace compiles anew
+    _compiled: Optional[tuple] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         self.state_box = _as_box(self.state_box, "state_box")
@@ -148,55 +158,95 @@ class ControlSystem:
 
     @property
     def compiled_field(self):
+        """One f(xcols, ucols) per component (expr.compile_expression)."""
+        return self._compile()[0]
+
+    def _compile(self) -> tuple:
+        # the components and the RK4 kernels of _flow_tile, generated once
         if self._compiled is None:
-            self._compiled = [compile_expression(e) for e in self.field]
+            self._compiled = ([compile_expression(e) for e in self.field],
+                              *_rk4_kernels(self.field, self.n, self.m))
         return self._compiled
 
 
-def _rk4_columns(sys: ControlSystem, xcols, ucols, tau: float, substeps: int):
-    """Advance the columns (arrays, or floats for one row) in place by tau
-    using `substeps` RK4 steps."""
-    funcs = sys.compiled_field
-    h = tau / substeps
-    n = sys.n
-    with np.errstate(all="ignore"):
-        for _ in range(substeps):
-            k1 = [f(xcols, ucols) for f in funcs]
-            xt = [xcols[i] + (h / 2.0) * k1[i] for i in range(n)]
-            k2 = [f(xt, ucols) for f in funcs]
-            for i in range(n):
-                xt[i] = xcols[i] + (h / 2.0) * k2[i]
-            k3 = [f(xt, ucols) for f in funcs]
-            for i in range(n):
-                xt[i] = xcols[i] + h * k3[i]
-            k4 = [f(xt, ucols) for f in funcs]
-            for i in range(n):
-                acc = k2[i] + k3[i]
-                acc *= 2.0
-                acc += k1[i]
-                acc += k4[i]
-                acc *= h / 6.0
-                xcols[i] = xcols[i] + acc
-    return xcols
+def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
+    """Source of an RK4 kernel f(X, U, h, substeps) over one tile: "tile"
+    over arrays, writing through ``out=`` into buffers allocated once per
+    tile, or "row" over the Python floats of a one-row tile.  Both run the
+    same operations in the same order, those of the classical step
+    x + (2 * (k2 + k3) + k1 + k4) * (h / 6), so their endpoints agree."""
+    x, xt = [f"x{i}" for i in range(n)], [f"xt{i}" for i in range(n)]
+    k1, k2, k3 = [[f"k{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
+    # a row that leaves the field's domain ends at NaN
+    fail = f"return np.full((1, {n}), nan)"
+    if form == "array":
+        lines = ["def tile(X, U, h, substeps):", "    rows = X.shape[0]"]
+        lines += [f"    x{i} = np.array(X[:, {i}], dtype=float)"
+                  for i in range(n)]
+        lines += [f"    u{j} = np.ascontiguousarray(U[:, {j}], dtype=float)"
+                  for j in range(m)]
+        lines += [f"    {b} = np.empty(rows)" for b in xt + k1 + k2 + k3]
+        lines += [f"    t{r} = np.empty(rows)" for r in range(code.n_registers)]
+        if code.checks:
+            lines.append("    bad = np.zeros(rows, dtype=bool)")
+    else:
+        lines = ["def row(X, U, h, substeps):"]
+        lines += [f"    x{i} = float(X[0, {i}])" for i in range(n)]
+        lines += [f"    u{j} = float(U[0, {j}])" for j in range(m)]
+    lines += ["    hh = h / 2.0", "    h6 = h / 6.0"]
+    lines += ["    " + ln for ln in code.prologue_lines(form, fail)]
+    lines.append("    for _ in range(substeps):")
+
+    def op(fn, dest, *args):
+        lines.append("        " + render(form, fn, args, dest))
+
+    def stage(xs, ks):
+        lines.extend("        " + ln
+                     for ln in code.body_lines(form, fail, xs, ks))
+
+    stage("x", "k1_")
+    for i in range(n):
+        op("mul", xt[i], "hh", k1[i])
+        op("add", xt[i], x[i], xt[i])
+    stage("xt", "k2_")
+    for i in range(n):
+        op("mul", xt[i], "hh", k2[i])
+        op("add", xt[i], x[i], xt[i])
+    stage("xt", "k3_")
+    for i in range(n):
+        op("add", k2[i], k2[i], k3[i])  # k2 + k3, as soon as k3 exists
+        op("mul", xt[i], "h", k3[i])
+        op("add", xt[i], x[i], xt[i])
+    stage("xt", "k3_")  # k4, into the buffers of k3
+    for i in range(n):
+        op("mul", k2[i], k2[i], "2.0")
+        op("add", k2[i], k2[i], k1[i])
+        op("add", k2[i], k2[i], k3[i])
+        op("mul", k2[i], k2[i], "h6")
+        op("add", x[i], x[i], k2[i])
+    if form == "float":
+        return lines + [f"    return np.array([[{', '.join(x)}]])"]
+    if code.checks:
+        lines += ["    if bad.any():"] + [f"        {v}[bad] = nan" for v in x]
+    lines.append(f"    out = np.empty((rows, {n}))")
+    lines += [f"    out[:, {i}] = x{i}" for i in range(n)]
+    return lines + ["    return out"]
+
+
+def _rk4_kernels(field: tuple, n: int, m: int) -> tuple:
+    code = FieldCode(field)
+    return (compile_source(_rk4_source(code, n, m, "array"), "tile"),
+            compile_source(_rk4_source(code, n, m, "float"), "row"))
 
 
 def _flow_tile(sys: ControlSystem, X: np.ndarray, U: np.ndarray,
                tau: float, substeps: int) -> np.ndarray:
-    if X.shape[0] == 1:
-        # a lone row (the closed loop) flows as Python floats: the same field
-        # and RK4 code, bit for bit, without the cost of 1-element arrays
-        xcols = [float(v) for v in X[0]]
-        ucols = [float(v) for v in U[0]]
-    else:
-        xcols = [np.ascontiguousarray(X[:, i], dtype=float)
-                 for i in range(sys.n)]
-        ucols = [np.ascontiguousarray(U[:, i], dtype=float)
-                 for i in range(sys.m)]
-    xcols = _rk4_columns(sys, xcols, ucols, tau, substeps)
-    out = np.empty((X.shape[0], sys.n), dtype=float)
-    for i in range(sys.n):
-        out[:, i] = xcols[i]
-    return out
+    # a lone row (the closed loop) flows as Python floats: the same
+    # operations, bit for bit, without the cost of 1-element arrays
+    _, tile, row = sys._compile()
+    with np.errstate(all="ignore"):
+        return (row if X.shape[0] == 1 else tile)(X, U, tau / substeps,
+                                                  substeps)
 
 
 def flow_many(sys: ControlSystem, X, U, tau: float,

@@ -1,21 +1,33 @@
-"""Parser and evaluator for the arithmetic expressions that define vector fields.
+"""Parser and code generator for the arithmetic expressions that define
+vector fields.
 
 Expressions are written over state variables ``x1..xn`` and input variables
 ``u1..um``, with operators ``+ - * / ^`` (``^`` is right-associative and binds
 tightest), unary minus, and the functions sin, cos, exp, sqrt, abs.  Numeric
-constants are plain decimal literals.
+constants are plain decimal literals; a minus sign directly before a literal
+is part of it, so ``x1^-2`` has the integer exponent -2.
 
-Evaluation is numpy-vectorized: every occurrence of a variable broadcasts over
-column arrays.  A compiled expression also accepts Python floats in place of
-the columns, which is how a single point is evaluated.  Every operation goes
-through the same numpy ufunc loop on a float as on an array (powers other
-than ``^2`` through ``np.power``, never Python's ``**`` or ``math``, whose
-results can differ in the last bit), so single points and batches agree bit
-for bit.
+Nothing walks the AST while evaluating.  `FieldCode` lowers the components
+of a field to one list of operations: each distinct subexpression once,
+subexpressions of constants folded to literals, and the operations on the
+inputs alone set apart, to run once per call instead of once per use.  Each
+operation is rendered as Python source in one of two forms: a numpy ufunc
+writing through ``out=`` into a preallocated buffer, or the same operation
+on Python floats (the same IEEE ``+ - * /`` and negation, the same numpy
+function for powers and the five functions, never Python's ``**`` or
+``math``, whose results can differ in the last bit).  So one point and a
+batch agree bit for bit.  `compile_expression` and `evaluate` compile one
+expression; `dynamics` builds its RK4 kernels from the same operations.
+
+Domain checks (a negative radicand, a zero divisor, zero to a negative
+power, a negative base to a fractional power) are operations too.  Over
+arrays they mark the offending rows, whose results read NaN; over floats
+they run a given statement, which in `evaluate` raises EvalDomainError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -163,11 +175,14 @@ class _Parser:
             node = Bin(op, node, self.parse_unary())
         return node
 
-    # unary := '-' unary | power
+    # unary := '-' unary | power; a negated literal is a negative literal
     def parse_unary(self) -> Expr:
         if self.peek()[0] == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            operand = self.parse_unary()
+            if isinstance(operand, Num):
+                return Num(-operand.value)
+            return Neg(operand)
         if self.peek()[0] == "+":
             self.advance()
             return self.parse_unary()
@@ -231,7 +246,7 @@ def parse_expression(text: str, n_states: int, n_inputs: int) -> Expr:
 def format_expression(expr: Expr) -> str:
     """Render an AST back to parseable text (fully parenthesized)."""
     if isinstance(expr, Num):
-        return repr(expr.value)
+        return _literal(expr.value)
     if isinstance(expr, Var):
         return f"{expr.kind}{expr.index + 1}"
     if isinstance(expr, Neg):
@@ -244,95 +259,266 @@ def format_expression(expr: Expr) -> str:
     raise TypeError(expr)
 
 
-Columns = Sequence[np.ndarray]
-CompiledExpr = Callable[[Columns, Columns], np.ndarray]
+# operation -> (numpy ufunc, the same operation on Python floats); the float
+# form runs the same IEEE operation (+ - * / and negation) or calls the same
+# numpy function, so both forms give the same bits
+_OPS = {
+    "add": (np.add, "{0} + {1}"),
+    "sub": (np.subtract, "{0} - {1}"),
+    "mul": (np.multiply, "{0} * {1}"),
+    "div": (np.divide, "{0} / {1}"),
+    "neg": (np.negative, "-{0}"),
+    "pow": (np.power, "np.power({0}, {1})"),
+    "sin": (np.sin, "np.sin({0})"),
+    "cos": (np.cos, "np.cos({0})"),
+    "exp": (np.exp, "np.exp({0})"),
+    "sqrt": (np.sqrt, "np.sqrt({0})"),
+    "abs": (np.abs, "np.abs({0})"),
+}
+_BIN_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+# correctly rounded operations, whose every numpy loop gives the same bits,
+# may write over a dying operand; the others always get a buffer of their own
+_EXACT = {"add", "sub", "mul", "div", "neg", "sqrt", "abs"}
+
+# domain checks: (message, condition); the condition holds where the operands
+# ({0}, {1}) leave the real domain, over arrays and over floats alike
+_SQRT_CHECK = ("sqrt of negative argument", "{0} < 0.0")
+_DIV_CHECK = ("division by zero", "{1} == 0.0")
+_IPOW_CHECK = ("zero raised to negative power", "{0} == 0.0")
+_POW_CHECK = ("power outside real domain",
+              "(({0} < 0.0) & (np.floor({1}) != {1}))"
+              " | (({0} == 0.0) & ({1} < 0.0))")
+
+# names the generated source may use besides its own variables
+_NAMESPACE = {"np": np, "inf": math.inf, "nan": math.nan}
 
 
-def compile_expression(expr: Expr) -> CompiledExpr:
-    """Compile an AST into a closure evaluating over column arrays.
+def _key(ref):
+    # repr tells 0.0 from -0.0, which compare equal
+    return repr(ref) if isinstance(ref, float) else ref
 
-    The closure takes (state_columns, input_columns), each a sequence of
-    arrays or of floats, and returns the value broadcast over the columns.
-    Domain checks (division by zero, negative radicand, fractional power of
-    a negative base) raise EvalDomainError.
+
+def _literal(value: float) -> str:
+    text = repr(float(value))  # inf and nan are names in _NAMESPACE
+    return f"({text})" if text.startswith("-") else text
+
+
+def render(form: str, fn: str, args: Sequence[str], dest: str) -> str:
+    """One operation as a line of source: over arrays, a ufunc writing
+    through ``out=`` into `dest`; over floats, an assignment to `dest`.
+    `fn` is "copy" or an operation of _OPS; `args` are names or literals."""
+    if fn == "copy":
+        return (f"np.copyto({dest}, {args[0]})" if form == "array"
+                else f"{dest} = {args[0]}")
+    ufunc, expr = _OPS[fn]
+    if form == "array":
+        return f"np.{ufunc.__name__}({', '.join(args)}, out={dest})"
+    return f"{dest} = {expr.format(*args)}"
+
+
+def compile_source(lines: Sequence[str], name: str, **names):
+    """The function `name` defined by the source `lines`."""
+    namespace = dict(_NAMESPACE, **names)
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+class FieldCode:
+    """Straight-line code for the components of a vector field.
+
+    Each distinct subexpression becomes one operation; subexpressions of
+    constants alone are folded to a literal.  Operations on constants and
+    inputs alone form the prologue, run once per call; the rest, which read
+    the state, form the body.  Values live in registers ``t0, t1, ...``,
+    reused as values die; each root writes straight into its output.
+    Operands are floats (constants), ``"x<i>"``/``"u<j>"`` (variables) or
+    the indices of earlier operations.
     """
-    if isinstance(expr, Num):
-        v = float(expr.value)
-        return lambda X, U: v
-    if isinstance(expr, Var):
-        i = expr.index
-        if expr.kind == "x":
-            return lambda X, U: X[i]
-        return lambda X, U: U[i]
-    if isinstance(expr, Neg):
-        f = compile_expression(expr.operand)
-        return lambda X, U: -f(X, U)
-    if isinstance(expr, Call):
-        f = compile_expression(expr.arg)
-        if expr.func == "sqrt":
-            node = expr
 
-            def do_sqrt(X, U):
-                a = f(X, U)
-                if np.any(np.less(a, 0.0)):
-                    raise EvalDomainError("sqrt of negative argument", node)
-                return np.sqrt(a)
+    def __init__(self, exprs: Sequence[Expr]):
+        self.ops: list = []       # (fn, args, check index or None)
+        self.levels: list = []    # 1: inputs and constants only, 2: state
+        self.checks: list = []    # (message, condition, subexpression)
+        self.variables: set = set()
+        self._memo: dict = {}
+        roots = [self._lower(e) for e in exprs]
+        self.home = {}            # operation -> component it writes
+        self.copies = []          # (component, operand) of the other roots
+        for pos, r in enumerate(roots):
+            if isinstance(r, int) and self.levels[r] == 2 and r not in self.home:
+                self.home[r] = pos
+            else:
+                self.copies.append((pos, r))
+        self.prologue = [i for i, lv in enumerate(self.levels) if lv < 2]
+        self.body = [i for i, lv in enumerate(self.levels) if lv == 2]
+        self._allocate()
 
-            return do_sqrt
-        g = _NUMPY_FUNCS[expr.func]
-        return lambda X, U: g(f(X, U))
-    if isinstance(expr, Bin):
-        fl = compile_expression(expr.left)
-        fr = compile_expression(expr.right)
-        if expr.op == "+":
-            return lambda X, U: fl(X, U) + fr(X, U)
-        if expr.op == "-":
-            return lambda X, U: fl(X, U) - fr(X, U)
-        if expr.op == "*":
-            return lambda X, U: fl(X, U) * fr(X, U)
-        if expr.op == "/":
-            node = expr
+    def _level(self, ref) -> int:
+        if isinstance(ref, float):
+            return 0
+        if isinstance(ref, str):
+            return 1 if ref[0] == "u" else 2
+        return self.levels[ref]
 
-            def do_div(X, U):
-                b = fr(X, U)
-                if np.any(np.equal(b, 0.0)):
-                    raise EvalDomainError("division by zero", node)
-                return fl(X, U) / b
-            return do_div
-        if expr.op == "^":
-            node = expr
-            # integer literal exponents cover every field in practice and
-            # avoid the cost and domain pitfalls of the general pow
-            if isinstance(expr.right, Num) and float(expr.right.value).is_integer():
-                k = int(expr.right.value)
-                if k == 2:
-                    def do_sq(X, U):
-                        a = fl(X, U)
-                        return a * a
-                    return do_sq
-                if k >= 0:
-                    return lambda X, U: np.power(fl(X, U), k)
+    def _append(self, op, level: int) -> int:
+        self.ops.append(op)
+        self.levels.append(level)
+        return len(self.ops) - 1
 
-                def do_ipow(X, U):
-                    a = fl(X, U)
-                    if np.any(np.equal(a, 0.0)):
-                        raise EvalDomainError("zero raised to negative power", node)
-                    return np.power(a, float(k))
-                return do_ipow
+    def _emit(self, fn: str, *args):
+        key = (fn,) + tuple(map(_key, args))
+        if key not in self._memo:
+            if max(map(self._level, args)) == 0:
+                with np.errstate(all="ignore"):
+                    self._memo[key] = float(_OPS[fn][0](*args))
+            else:
+                self._memo[key] = self._append(
+                    (fn, args, None), max(map(self._level, args)))
+        return self._memo[key]
 
-            def do_pow(X, U):
-                a = fl(X, U)
-                b = fr(X, U)
-                bad = (np.less(a, 0.0) & np.not_equal(np.floor(b), b)) | (
-                    np.equal(a, 0.0) & np.less(b, 0.0))
-                if np.any(bad):
-                    raise EvalDomainError("power outside real domain", node)
-                return np.power(a, b)
-            return do_pow
-    raise TypeError(expr)
+    def _check(self, node: Expr, spec, *args):
+        message, cond = spec
+        key = ("check", cond) + tuple(map(_key, args))
+        if key in self._memo:
+            return
+        self._memo[key] = None
+        level = max(map(self._level, args))
+        if level == 0:
+            if not eval(cond.format(*map(_literal, args)), dict(_NAMESPACE)):
+                return
+            args, cond, level = (), "True", 1  # fails on every row
+        self._append(("check", args, len(self.checks)), level)
+        self.checks.append((message, cond, node))
+
+    def _lower(self, e: Expr):
+        if isinstance(e, Num):
+            return float(e.value)
+        if isinstance(e, Var):
+            self.variables.add(f"{e.kind}{e.index}")
+            return f"{e.kind}{e.index}"
+        if isinstance(e, Neg):
+            return self._emit("neg", self._lower(e.operand))
+        if isinstance(e, Call):
+            a = self._lower(e.arg)
+            if e.func == "sqrt":
+                self._check(e, _SQRT_CHECK, a)
+            return self._emit(e.func, a)
+        if isinstance(e, Bin):
+            a, b = self._lower(e.left), self._lower(e.right)
+            if e.op != "^":
+                if e.op == "/":
+                    self._check(e, _DIV_CHECK, a, b)
+                return self._emit(_BIN_OPS[e.op], a, b)
+            if isinstance(e.right, Num) and float(e.right.value).is_integer():
+                # integer literal exponents cover every field in practice;
+                # they skip the general power's domain check
+                if b == 2.0:
+                    return self._emit("mul", a, a)
+                if b < 0.0:
+                    self._check(e, _IPOW_CHECK, a)
+                return self._emit("pow", a, b)
+            self._check(e, _POW_CHECK, a, b)
+            return self._emit("pow", a, b)
+        raise TypeError(e)
+
+    def _allocate(self):
+        seq = self.prologue + self.body
+        last = {}  # operation -> position in seq of its last use
+        for pos, i in enumerate(seq):
+            for a in self.ops[i][1]:
+                if isinstance(a, int):
+                    last[a] = pos
+        # prologue values that the body or a copied root reads live on
+        kept = {a for i in self.body for a in self.ops[i][1]
+                if isinstance(a, int) and self.levels[a] < 2}
+        kept |= {r for _, r in self.copies if isinstance(r, int)}
+        self.reg, free, self.n_registers = {}, [], 0
+        for pos, i in enumerate(seq):
+            fn, args, _ = self.ops[i]
+            dying = sorted({self.reg[a] for a in args if isinstance(a, int)
+                            and a in self.reg and last[a] == pos
+                            and a not in kept})
+            if fn in _EXACT:
+                free += dying
+                dying = []
+            if fn != "check" and i not in self.home:
+                if free:
+                    self.reg[i] = free.pop()
+                else:
+                    self.reg[i] = self.n_registers
+                    self.n_registers += 1
+            free += dying
+
+    def _name(self, ref, xs: str, outs: str) -> str:
+        if isinstance(ref, float):
+            return _literal(ref)
+        if isinstance(ref, str):
+            return xs + ref[1:] if ref[0] == "x" else ref
+        if ref in self.home:
+            return f"{outs}{self.home[ref]}"
+        return f"t{self.reg[ref]}"
+
+    def _lines(self, part, form: str, fail: str, xs: str, outs: str):
+        lines = []
+        for i in part:
+            fn, args, check = self.ops[i]
+            names = [self._name(a, xs, outs) for a in args]
+            if fn != "check":
+                lines.append(render(form, fn, names,
+                                    self._name(i, xs, outs)))
+                continue
+            test = self.checks[check][1].format(*names)
+            lines.append(f"bad |= {test}" if form == "array"
+                         else f"if {test}: {fail.format(check)}")
+        return lines
+
+    def prologue_lines(self, form: str, fail: str) -> list:
+        """Source of the operations on constants and inputs alone.
+
+        `form` is "array" or "float".  Over arrays a failed domain check
+        marks its rows in the boolean array ``bad``; over floats it runs
+        the statement `fail`, formatted with the index of the check in
+        self.checks."""
+        return self._lines(self.prologue, form, fail, "", "")
+
+    def body_lines(self, form: str, fail: str, xs: str, outs: str) -> list:
+        """Source of the operations on the state ``<xs>0, <xs>1, ...``,
+        which leave component i in ``<outs>i``; see prologue_lines."""
+        return self._lines(self.body, form, fail, xs, outs) + [
+            render(form, "copy", [self._name(r, xs, outs)], f"{outs}{pos}")
+            for pos, r in self.copies]
+
+
+def _field_function(code: FieldCode, form: str, fail: str = "", **names):
+    """f(X, U) computing the single component of `code`."""
+    body = [f"{v} = {v[0].upper()}[{v[1:]}]" for v in sorted(code.variables)]
+    if form == "array":
+        body += ["shape = np.broadcast(*X, *U).shape", "out0 = np.empty(shape)"]
+        body += [f"t{r} = np.empty(shape)" for r in range(code.n_registers)]
+        if code.checks:
+            body.append("bad = np.zeros(shape, dtype=bool)")
+    body += code.prologue_lines(form, fail)
+    body += code.body_lines(form, fail, "x", "out")
+    if form == "array" and code.checks:
+        body.append("out0[bad] = nan")
+    body.append("return out0")
+    return compile_source(
+        ["def field(X, U):"] + ["    " + ln for ln in body], "field", **names)
+
+
+def compile_expression(expr: Expr) -> Callable:
+    """f(X, U): the value of `expr` over the state and input columns X and
+    U (arrays, or floats for one point), broadcast together.  The result is
+    an array, NaN where the expression leaves its domain."""
+    return _field_function(FieldCode([expr]), "array")
 
 
 def evaluate(expr: Expr, x: Sequence[float], u: Sequence[float] = ()) -> float:
-    """Evaluate an AST at a single point."""
-    return float(compile_expression(expr)([float(v) for v in x],
-                                           [float(v) for v in u]))
+    """Evaluate an AST at a single point; leaving the domain raises
+    EvalDomainError."""
+    code = FieldCode([expr])
+    field = _field_function(
+        code, "float", "raise domain_error({})",
+        domain_error=lambda k: EvalDomainError(code.checks[k][0],
+                                               code.checks[k][2]))
+    return float(field([float(v) for v in x], [float(v) for v in u]))

@@ -1,6 +1,6 @@
 """Reference systems shared across the test suite: the 3-D nonlinear
-tracking pair, the eight 2-D linear benchmark pairs, and a small 1-D toy
-pair for fast tests.
+tracking pair, the eight 2-D linear benchmark pairs, a small 1-D toy
+pair for fast tests, and a 4-D field that uses every operator.
 
 Two entries of the published linear benchmark table carry typos that
 independent count fingerprints pin down: example 3's plant matrix prints
@@ -131,3 +131,17 @@ def toy_pair():
     params = SynthesisParams(epsilon=0.2, theta_p=0.1, theta_q=0.1,
                              tau=0.5, eta=0.025, mu=0.025)
     return plant, spec, params
+
+
+def every_operator_system():
+    """A 4-D field using every function and power form, the negative
+    integer literal exponent -3 included; on the box [0.5, 1]^4 sqrt, the
+    negative powers and x2^x3 stay in their domains."""
+    field = tuple(parse_expression(text, 4, 1) for text in (
+        "0.5*exp(-x1) + 0.2*sqrt(x1) + 0.1*x1^-2 + 0.1*u1 - x1",
+        "0.5*sin(x2) + 0.5*x2/(1 + x1) + 0.2*x2^x3 - x2",
+        "0.5*cos(x3) + 0.5*abs(x2 - 0.75) + 0.5*x3^2 - x3",
+        "0.5*x4^3 + 0.3*x1*x4 - x4 + 0.1*x4^-3"))
+    return ControlSystem(n=4, m=1, state_box=[[0.5, 1]] * 4,
+                         init_box=[[0.5, 1]] * 4, input_box=[[-1, 1]],
+                         field=field)

@@ -144,11 +144,27 @@ def test_diverging_flows_give_no_transition_in_both_routes(tmp_path, capsys):
     assert "controllers: exactly bisimilar" in capsys.readouterr().out
 
 
-def test_numeric_failure_exit6(tmp_path, capsys):
+def test_domain_leaving_flows_give_no_transition_in_both_routes(tmp_path,
+                                                              capsys):
     doc = toy_doc()
     doc["plant"]["field"] = ["sqrt(x1) + u1"]  # x1 < 0 on half the box
     path = write_json(tmp_path / "domain.json", doc)
-    assert main(["synthesize", path, "--method", "integrated"]) == 6
+    for method in ("integrated", "baseline"):
+        assert main(["synthesize", path, "--method", method]) == 0
+    capsys.readouterr()
+    assert main(["compare", path]) == 0
+    assert "controllers: exactly bisimilar" in capsys.readouterr().out
+
+
+def test_numeric_failure_exit6(tmp_path, capsys):
+    # the closed loop flows the plant from x0 itself, with no cell to drop
+    ctrl_path = str(tmp_path / "toy.ctrl")
+    assert main(["synthesize", TOY, "--out", ctrl_path]) == 0
+    doc = toy_doc()
+    doc["plant"]["field"] = ["sqrt(x1) + u1"]
+    path = write_json(tmp_path / "domain.json", doc)
+    capsys.readouterr()
+    assert main(["simulate", path, ctrl_path, "--x0", "-0.25"]) == 6
     assert "numeric failure" in capsys.readouterr().err
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ from scipy.linalg import expm
 
 from symctrl import (ControlSystem, DivergenceError, StabilityCertificate,
                      flow, flow_many, parse_expression)
-from symctrl.expr import Bin, Num, Var
 
-from _systems import linear_pair, nonlinear_pair
+from _systems import every_operator_system, linear_pair, nonlinear_pair
 
 
 def scalar_decay():
@@ -46,23 +46,6 @@ def test_substep_refinement_fourth_order():
     z50 = flow(plant, x0, [0.5], 0.5, 50)
     z100 = flow(plant, x0, [0.5], 0.5, 100)
     assert np.max(np.abs(z50 - z100)) <= 1e-8
-
-
-def every_operator_system():
-    """A 4-D field using every function and power form; on the box
-    [0.5, 1]^4 sqrt, the negative powers and x2^x3 stay in their domains."""
-    field = [parse_expression(text, 4, 1) for text in (
-        "0.5*exp(-x1) + 0.2*sqrt(x1) + 0.1*x1^-2 + 0.1*u1 - x1",
-        "0.5*sin(x2) + 0.5*x2/(1 + x1) + 0.2*x2^x3 - x2",
-        "0.5*cos(x3) + 0.5*abs(x2 - 0.75) + 0.5*x3^2 - x3",
-        "0.5*x4^3 + 0.3*x1*x4 - x4")]
-    # a negative integer literal exponent, which the parser never produces
-    # (it reads x4^-3 as x4^(-(3)))
-    field[3] = Bin("+", field[3],
-                   Bin("*", Num(0.1), Bin("^", Var("x", 3), Num(-3.0))))
-    return ControlSystem(n=4, m=1, state_box=[[0.5, 1]] * 4,
-                         init_box=[[0.5, 1]] * 4, input_box=[[-1, 1]],
-                         field=tuple(field))
 
 
 def test_flow_deterministic_across_batch_shapes():
@@ -114,6 +97,13 @@ def test_flow_thread_count_does_not_change_result():
     a = flow_many(plant, X, U, 0.5, 50, threads=1)
     b = flow_many(plant, X, U, 0.5, 50, threads=2)
     assert np.array_equal(a, b)
+
+
+def test_replaced_field_is_compiled_anew():
+    sys = scalar_decay()
+    assert flow(sys, [1.0], [], 0.5, 50)[0] < 1.0
+    grown = dataclasses.replace(sys, field=(parse_expression("x1", 1, 0),))
+    assert abs(flow(grown, [1.0], [], 0.5, 50)[0] - math.exp(0.5)) < 1e-6
 
 
 def test_flow_rejects_state_outside_box():

@@ -6,7 +6,7 @@ import pytest
 
 from symctrl import (EvalDomainError, ExprSyntaxError, evaluate,
                      format_expression, parse_expression)
-from symctrl.expr import compile_expression
+from symctrl.expr import Bin, Neg, Num, Var, compile_expression
 
 
 def test_arithmetic_with_states_and_inputs():
@@ -77,6 +77,40 @@ def test_precedence_power_over_product_over_sum():
 def test_unary_minus_binds_below_power():
     e = parse_expression("-x1^2", 1, 0)
     assert evaluate(e, (3.0,)) == -9.0
+
+
+def test_negative_literal_exponent_parses_to_literal():
+    assert parse_expression("x2^-2", 2, 0) == Bin("^", Var("x", 1), Num(-2.0))
+    assert parse_expression("-3*x1", 1, 0) == Bin("*", Num(-3.0), Var("x", 0))
+    # a minus before a power still negates the power
+    assert parse_expression("-2^2", 1, 0) == Neg(Bin("^", Num(2.0), Num(2.0)))
+    assert evaluate(parse_expression("-2^2", 1, 0), (0.0,)) == -4.0
+    assert evaluate(parse_expression("(-2)^2", 1, 0), (0.0,)) == 4.0
+
+
+def test_negative_literal_exponent_values_equal_old_ast():
+    # the old parse, x2^(-(2)), ran the general power; the literal runs the
+    # integer one, with the same values and the same domain
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-2, 2, size=(2000, 2))
+    X[:5, 1] = (0.5, -0.5, 1.0, -1.0, 2.0)
+    for k in (1.0, 2.0, 3.0):
+        new = parse_expression(f"x2^-{k}", 2, 0)
+        old = Bin("^", Var("x", 1), Neg(Num(k)))
+        a = compile_expression(new)([X[:, 0], X[:, 1]], [])
+        b = compile_expression(old)([X[:, 0], X[:, 1]], [])
+        assert np.array_equal(a, b)
+        for i in range(0, 2000, 37):
+            assert evaluate(new, X[i]) == evaluate(old, X[i]) == a[i]
+        for e in (new, old):
+            with pytest.raises(EvalDomainError):
+                evaluate(e, (0.0, 0.0))
+
+
+def test_format_keeps_negative_literals_apart():
+    for text in ("(-2)^2", "x1 - -3", "x1^-0.5", "-x1^2", "(-0.0)*x1"):
+        e = parse_expression(text, 1, 0)
+        assert parse_expression(format_expression(e), 1, 0) == e, text
 
 
 def test_whitespace_insignificant():

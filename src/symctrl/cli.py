@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
@@ -181,29 +182,59 @@ def write_controller_file(path: str, ctrl: Controller) -> None:
         f"#initials {' '.join(str(int(i)) for i in ctrl.initials)}".rstrip(),
         f"#bad {' '.join(str(int(i)) for i in ctrl.bad)}".rstrip(),
     ]
-    for src, uix, dst in ctrl.transitions:
-        lines.append(f"{int(src)} {int(uix)} {int(dst)}")
+    body = "".join(f"{src} {uix} {dst}\n"
+                   for src, uix, dst in ctrl.transitions.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + body)
+
+
+# the rows write_controller_file writes: three plain integers a line, each
+# short enough for int64
+_PLAIN_ROWS = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
+
+
+def _header_line(line: str, header: dict) -> None:
+    key, _, rest = line[1:].partition(" ")
+    header[key] = rest.strip()
+
+
+def _transition_rows(lines: List[str], header: dict) -> np.ndarray:
+    """The `src input dst` rows of the lines of a controller file from its
+    first transition on.  Plain rows, as write_controller_file writes them,
+    parse in one pass; any other body (blank lines, a header line among the
+    rows, a malformed line) is read line by line, and the first bad line
+    raises ConfigError."""
+    body = "\n".join(lines)
+    if _PLAIN_ROWS.fullmatch(body):
+        return np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3)
+    rows = []
+    for raw in lines:
+        line = raw.strip()
+        if line.startswith("#"):
+            _header_line(line, header)
+        elif line:
+            try:
+                src, uix, dst = map(int, line.split())
+            except ValueError:
+                raise ConfigError(f"bad transition line: {line!r}") from None
+            rows.append([src, uix, dst])
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def read_controller_file(path: str) -> Controller:
     """Reload a controller written by write_controller_file."""
-    header = {}
-    rows = []
+    header: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, rest = line[1:].partition(" ")
-                header[key] = rest.strip()
-            else:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ConfigError(f"bad transition line: {line!r}")
-                rows.append([int(parts[0]), int(parts[1]), int(parts[2])])
+        lines = fh.read().split("\n")
+    start = len(lines)
+    for pos, raw in enumerate(lines):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            start = pos
+            break
+        if line:
+            _header_line(line, header)
+    rows = _transition_rows(lines[start:], header)
     try:
         dim = int(header["dim"])
         eta = float(header["eta"])
@@ -222,8 +253,7 @@ def read_controller_file(path: str) -> Controller:
         st_lat = Lattice(np.asarray(sb, dtype=float).reshape(dim, 2), 2.0 * eta)
         in_lat = (Lattice(np.asarray(ib, dtype=float).reshape(-1, 2), 2.0 * mu)
                   if mu > 0.0 else None)
-        return Controller(np.asarray(rows, dtype=np.int64).reshape(-1, 3),
-                          initials, bad, st_lat, in_lat)
+        return Controller(rows, initials, bad, st_lat, in_lat)
     except ValueError as exc:
         raise ConfigError(f"bad controller file: {exc}")
 
@@ -330,6 +360,7 @@ def _cmd_compare(args) -> int:
         ("transitions", int_metrics.transitions, base_metrics.transitions),
         ("memory_units", int_metrics.memory_units, base_metrics.memory_units),
         ("steps", int_metrics.steps, base_metrics.steps),
+        ("rows_flowed", int_metrics.rows_flowed, base_metrics.rows_flowed),
     ]
     print(f"{'quantity':<14}{'integrated':>14}{'baseline':>14}{'ratio':>10}")
     for name, iv, bv in rows:

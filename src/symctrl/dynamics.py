@@ -7,7 +7,10 @@ reproducible bit-for-bit on a given platform.  Each system generates two RK4
 kernels from its field once, one over the arrays of a tile of rows and one
 over the floats of a single row; they run the same operations, so a row's
 endpoint does not depend on the batch it is flowed in.  A row on which the
-field leaves its domain ends at NaN.
+field leaves its domain ends at NaN.  A third kernel, generated on first
+use, is the tile kernel that also records the hull of every point at which
+it evaluates the field; the integrated route flows its plant's coarse
+inputs through it.
 """
 
 from __future__ import annotations
@@ -137,9 +140,11 @@ class ControlSystem:
     input_box: np.ndarray
     field: tuple
     certificate: Optional[StabilityCertificate] = None
-    # not an __init__ argument, so that dataclasses.replace compiles anew
+    # not __init__ arguments, so that dataclasses.replace compiles anew
     _compiled: Optional[tuple] = field(default=None, init=False, repr=False,
                                        compare=False)
+    _hull_tile: Optional[Callable] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         self.state_box = _as_box(self.state_box, "state_box")
@@ -168,13 +173,27 @@ class ControlSystem:
                               *_rk4_kernels(self.field, self.n, self.m))
         return self._compiled
 
+    def _hull_kernel(self) -> Callable:
+        # the tile kernel that also records stage-point hulls, generated on
+        # first use: only the integrated route's plant flows through it
+        if self._hull_tile is None:
+            self._hull_tile = compile_source(
+                _rk4_source(FieldCode(self.field), self.n, self.m, "array",
+                            hull=True), "tile")
+        return self._hull_tile
 
-def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
+
+def _rk4_source(code: FieldCode, n: int, m: int, form: str,
+                hull: bool = False) -> list:
     """Source of an RK4 kernel f(X, U, h, substeps) over one tile: "tile"
     over arrays, writing through ``out=`` into buffers allocated once per
     tile, or "row" over the Python floats of a one-row tile.  Both run the
     same operations in the same order, those of the classical step
-    x + (2 * (k2 + k3) + k1 + k4) * (h / 6), so their endpoints agree."""
+    x + (2 * (k2 + k3) + k1 + k4) * (h / 6), so their endpoints agree.
+
+    With `hull` (arrays only) the kernel returns (endpoints, lo, hi), where
+    lo and hi bound, per row and component, every point at which it
+    evaluated the field; the endpoints are those of the plain kernel."""
     x, xt = [f"x{i}" for i in range(n)], [f"xt{i}" for i in range(n)]
     k1, k2, k3 = [[f"k{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
     # a row that leaves the field's domain ends at NaN
@@ -189,6 +208,9 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
         lines += [f"    t{r} = np.empty(rows)" for r in range(code.n_registers)]
         if code.checks:
             lines.append("    bad = np.zeros(rows, dtype=bool)")
+        if hull:
+            lines += [f"    {b}{i} = np.array(x{i})"
+                      for b in ("lo", "hi") for i in range(n)]
     else:
         lines = ["def row(X, U, h, substeps):"]
         lines += [f"    x{i} = float(X[0, {i}])" for i in range(n)]
@@ -201,6 +223,10 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
         lines.append("        " + render(form, fn, args, dest))
 
     def stage(xs, ks):
+        if hull:  # the stage point, before the field is evaluated there
+            lines.extend(f"        np.{fn}({b}{i}, {xs}{i}, out={b}{i})"
+                         for fn, b in (("minimum", "lo"), ("maximum", "hi"))
+                         for i in range(n))
         lines.extend("        " + ln
                      for ln in code.body_lines(form, fail, xs, ks))
 
@@ -230,7 +256,11 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
         lines += ["    if bad.any():"] + [f"        {v}[bad] = nan" for v in x]
     lines.append(f"    out = np.empty((rows, {n}))")
     lines += [f"    out[:, {i}] = x{i}" for i in range(n)]
-    return lines + ["    return out"]
+    if not hull:
+        return lines + ["    return out"]
+    lo, hi = (", ".join(f"{b}{i}" for i in range(n)) for b in ("lo", "hi"))
+    return lines + [f"    return out, np.column_stack([{lo}]), "
+                    f"np.column_stack([{hi}])"]
 
 
 def _rk4_kernels(field: tuple, n: int, m: int) -> tuple:
@@ -240,13 +270,18 @@ def _rk4_kernels(field: tuple, n: int, m: int) -> tuple:
 
 
 def _flow_tile(sys: ControlSystem, X: np.ndarray, U: np.ndarray,
-               tau: float, substeps: int) -> np.ndarray:
+               tau: float, substeps: int, hull: bool = False):
+    """Endpoints of one tile of rows; with `hull`, (endpoints, lo, hi) where
+    lo and hi bound each row's RK4 stage points (see _rk4_source)."""
     # a lone row (the closed loop) flows as Python floats: the same
     # operations, bit for bit, without the cost of 1-element arrays
     _, tile, row = sys._compile()
+    if hull:
+        kernel = sys._hull_kernel()
+    else:
+        kernel = row if X.shape[0] == 1 else tile
     with np.errstate(all="ignore"):
-        return (row if X.shape[0] == 1 else tile)(X, U, tau / substeps,
-                                                  substeps)
+        return kernel(X, U, tau / substeps, substeps)
 
 
 def flow_many(sys: ControlSystem, X, U, tau: float,

@@ -23,6 +23,10 @@ Domain checks (a negative radicand, a zero divisor, zero to a negative
 power, a negative base to a fractional power) are operations too.  Over
 arrays they mark the offending rows, whose results read NaN; over floats
 they run a given statement, which in `evaluate` raises EvalDomainError.
+
+`derivative` differentiates an AST symbolically and `enclose` bounds ASTs
+over boxes in interval arithmetic; the integrated route's growth bound is
+built from both.
 """
 
 from __future__ import annotations
@@ -244,8 +248,14 @@ def parse_expression(text: str, n_states: int, n_inputs: int) -> Expr:
 
 
 def format_expression(expr: Expr) -> str:
-    """Render an AST back to parseable text (fully parenthesized)."""
+    """Render an AST back to parseable text (fully parenthesized).  An
+    infinite literal renders as ``1e999``, which parses back to it; a NaN
+    literal has no text form and raises ValueError."""
     if isinstance(expr, Num):
+        if math.isnan(expr.value):
+            raise ValueError("a NaN literal has no text form")
+        if math.isinf(expr.value):
+            return "1e999" if expr.value > 0 else "(-1e999)"
         return _literal(expr.value)
     if isinstance(expr, Var):
         return f"{expr.kind}{expr.index + 1}"
@@ -522,3 +532,206 @@ def evaluate(expr: Expr, x: Sequence[float], u: Sequence[float] = ()) -> float:
         domain_error=lambda k: EvalDomainError(code.checks[k][0],
                                                code.checks[k][2]))
     return float(field([float(v) for v in x], [float(v) for v in u]))
+
+
+# ---- derivatives and interval enclosures -----------------------------------
+#
+# `derivative` differentiates an AST symbolically.  Its result may call two
+# functions the parser does not know: log (the derivative of a power with a
+# non-constant exponent) and sign (the derivative of abs, whose subgradient
+# at 0 is [-1, 1]).  Such trees are only ever enclosed, never compiled.
+
+def _is(e: Expr, value: float) -> bool:
+    return isinstance(e, Num) and e.value == value
+
+
+def _sum(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value + b.value)
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else Bin("+", a, b)
+
+
+def _neg(a: Expr) -> Expr:
+    if isinstance(a, Num):
+        return Num(-a.value)
+    return a.operand if isinstance(a, Neg) else Neg(a)
+
+
+def _diff(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value - b.value)
+    return _neg(b) if _is(a, 0.0) else a if _is(b, 0.0) else Bin("-", a, b)
+
+
+def _prod(a: Expr, b: Expr) -> Expr:
+    if _is(a, 0.0) or _is(b, 0.0):
+        return Num(0.0)
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value * b.value)
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else Bin("*", a, b)
+
+
+def _quot(a: Expr, b: Expr) -> Expr:
+    if _is(a, 0.0):
+        return Num(0.0)
+    return a if _is(b, 1.0) else Bin("/", a, b)
+
+
+def _power(a: Expr, p: float) -> Expr:
+    return Num(1.0) if p == 0.0 else a if p == 1.0 else Bin("^", a, Num(p))
+
+
+def derivative(expr: Expr, var: Var) -> Expr:
+    """The partial derivative of `expr` with respect to `var`, with products
+    and sums of constants folded.  abs differentiates to sign, whose
+    enclosure over an interval holding 0 is the subgradient [-1, 1]."""
+    def d(e: Expr) -> Expr:
+        if isinstance(e, Num):
+            return Num(0.0)
+        if isinstance(e, Var):
+            return Num(1.0 if e == var else 0.0)
+        if isinstance(e, Neg):
+            return _neg(d(e.operand))
+        if isinstance(e, Call):
+            a, da = e.arg, d(e.arg)
+            outer = {"sin": lambda: Call("cos", a),
+                     "cos": lambda: Neg(Call("sin", a)),
+                     "exp": lambda: e,
+                     "sqrt": lambda: _quot(Num(0.5), e),
+                     "abs": lambda: Call("sign", a)}[e.func]
+            return Num(0.0) if _is(da, 0.0) else _prod(outer(), da)
+        a, b = e.left, e.right
+        da, db = d(a), d(b)
+        if e.op == "+":
+            return _sum(da, db)
+        if e.op == "-":
+            return _diff(da, db)
+        if e.op == "*":
+            return _sum(_prod(da, b), _prod(a, db))
+        if e.op == "/":
+            return _diff(_quot(da, b), _quot(_prod(a, db), _power(b, 2.0)))
+        if isinstance(b, Num):
+            return _prod(_prod(Num(b.value), _power(a, b.value - 1.0)), da)
+        # a^b = exp(b log a)
+        return _prod(e, _sum(_prod(db, Call("log", a)),
+                             _quot(_prod(b, da), a)))
+    return d(expr)
+
+
+_PI = math.pi
+
+
+def _mul_iv(a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3])),
+            np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3])))
+
+
+def _recip_iv(a):
+    # undefined (NaN) where the interval holds 0
+    hole = (a[0] <= 0.0) & (a[1] >= 0.0)
+    return np.where(hole, np.nan, 1.0 / a[1]), np.where(hole, np.nan, 1.0 / a[0])
+
+
+def _pow_iv(a, p: float):
+    lo, hi = a
+    if p == 0.0:
+        return 1.0, 1.0
+    if float(p).is_integer():
+        if p < 0.0:
+            return _recip_iv(_pow_iv(a, -p))
+        plo, phi = np.power(lo, p), np.power(hi, p)
+        if int(p) % 2:
+            return plo, phi
+        return (np.where(lo > 0.0, plo, np.where(hi < 0.0, phi, 0.0)),
+                np.maximum(plo, phi))
+    # a fractional power needs a base >= 0, and > 0 when p < 0
+    out = (lo < 0.0) if p > 0.0 else (lo <= 0.0)
+    plo = np.where(out, np.nan, np.power(np.maximum(lo, 0.0), p))
+    phi = np.where(out, np.nan, np.power(hi, p))
+    return (plo, phi) if p > 0.0 else (phi, plo)
+
+
+def _sin_iv(lo, hi):
+    slo, shi = np.sin(lo), np.sin(hi)
+    # the interval holds a maximum pi/2 + 2k pi or a minimum -pi/2 + 2k pi
+    top = np.floor((hi - _PI / 2) / (2 * _PI)) >= np.ceil((lo - _PI / 2) / (2 * _PI))
+    bot = np.floor((hi + _PI / 2) / (2 * _PI)) >= np.ceil((lo + _PI / 2) / (2 * _PI))
+    return (np.where(bot, -1.0, np.minimum(slo, shi)),
+            np.where(top, 1.0, np.maximum(slo, shi)))
+
+
+def _call_iv(func: str, a):
+    lo, hi = a
+    if func == "exp":
+        return np.exp(lo), np.exp(hi)
+    if func == "sin":
+        return _sin_iv(lo, hi)
+    if func == "cos":
+        return _sin_iv(lo + _PI / 2, hi + _PI / 2)
+    if func in ("sqrt", "log"):
+        out = (lo < 0.0) if func == "sqrt" else (lo <= 0.0)
+        fn = np.sqrt if func == "sqrt" else np.log
+        return (np.where(out, np.nan, fn(np.maximum(lo, 0.0))),
+                np.where(out, np.nan, fn(hi)))
+    if func == "abs":
+        return (np.where(lo >= 0.0, lo, np.where(hi <= 0.0, -hi, 0.0)),
+                np.maximum(np.abs(lo), np.abs(hi)))
+    if func == "sign":
+        return np.where(lo > 0.0, 1.0, -1.0), np.where(hi < 0.0, -1.0, 1.0)
+    raise TypeError(func)
+
+
+def enclose(exprs: Sequence[Expr], x: Sequence[tuple], u: Sequence[tuple]):
+    """Interval enclosures of `exprs` over a box, or over many boxes at
+    once: x[i] and u[j] are the (lo, hi) bounds of x<i+1> and u<j+1>,
+    floats or arrays broadcast together.
+
+    Returns ([(lo, hi)] per expression, ok).  ok is False on the boxes
+    where some subexpression is unbounded or undefined: a sqrt or log of an
+    interval reaching below 0 (log: to 0), a divisor interval holding 0, a
+    base reaching 0 under a negative power or below 0 under a fractional
+    one, or an overflow.  The enclosures hold there no meaning.
+
+    Bounds are computed in round-to-nearest, not rounded outward: a caller
+    relying on them must allow a margin of a few ulps.
+    """
+    memo: dict = {}
+    ok = np.array(True)
+
+    def iv(e: Expr):
+        nonlocal ok
+        if e in memo:
+            return memo[e]
+        if isinstance(e, Num):
+            r = (e.value, e.value)
+        elif isinstance(e, Var):
+            r = x[e.index] if e.kind == "x" else u[e.index]
+        elif isinstance(e, Neg):
+            lo, hi = iv(e.operand)
+            r = (-hi, -lo)
+        elif isinstance(e, Call):
+            r = _call_iv(e.func, iv(e.arg))
+        elif e.op == "^":
+            if isinstance(e.right, Num):
+                r = _pow_iv(iv(e.left), e.right.value)
+            else:  # exp(b log a)
+                r = _call_iv("exp", _mul_iv(iv(e.right),
+                                            _call_iv("log", iv(e.left))))
+        else:
+            a, b = iv(e.left), iv(e.right)
+            if e.op == "+":
+                r = (a[0] + b[0], a[1] + b[1])
+            elif e.op == "-":
+                r = (a[0] - b[1], a[1] - b[0])
+            elif e.op == "*":
+                r = _mul_iv(a, b)
+            else:
+                r = _mul_iv(a, _recip_iv(b))
+        ok = ok & np.isfinite(r[0]) & np.isfinite(r[1])
+        memo[e] = r
+        return r
+
+    with np.errstate(all="ignore"):
+        out = [iv(e) for e in exprs]
+    return out, ok

@@ -81,7 +81,7 @@ def test_synthesize_writes_controller_and_metrics(tmp_path, capsys):
     assert code == 0
     metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(metrics) == {"states", "transitions", "memory_units", "steps",
-                            "wall_time_ms"}
+                            "rows_flowed", "wall_time_ms"}
     assert metrics["states"] > 0
     assert metrics["states"] == metrics["transitions"]
     assert out.exists()
@@ -210,6 +210,45 @@ def test_controller_file_roundtrip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def line_by_line_rows(ctrl):
+    """The transition lines as the line-by-line writer rendered them."""
+    return [f"{int(src)} {int(uix)} {int(dst)}"
+            for src, uix, dst in ctrl.transitions]
+
+
+def test_controller_file_bytes_match_line_by_line_rendering(tmp_path):
+    cfg = load_config(TOY)
+    ctrl, _ = synthesize_baseline(cfg.plant, cfg.specification, cfg.params,
+                                  cfg.substeps)
+    assert ctrl.n_transitions > ctrl.sources().size  # relational
+    path = tmp_path / "base.ctrl"
+    write_controller_file(str(path), ctrl)
+    lines = path.read_text().split("\n")
+    assert lines[7:] == line_by_line_rows(ctrl) + [""]
+    back = read_controller_file(str(path))
+    assert np.array_equal(back.transitions, ctrl.transitions)
+    # a header line among the rows still sets its key, as it did
+    moved = lines[:6] + lines[7:9] + [lines[6]] + lines[9:]
+    path.write_text("\n".join(moved))
+    again = read_controller_file(str(path))
+    assert np.array_equal(again.transitions, ctrl.transitions)
+    assert np.array_equal(again.bad, ctrl.bad)
+
+
+@pytest.mark.parametrize("line", ["0 0", "0 0 1 2", "0 zero 1", "1.5 0 1"])
+def test_malformed_transition_line_names_the_line(tmp_path, capsys, line):
+    ctrl_path = tmp_path / "toy.ctrl"
+    main(["synthesize", TOY, "--method", "baseline", "--out", str(ctrl_path)])
+    lines = ctrl_path.read_text().splitlines()
+    path = tmp_path / "bad.ctrl"
+    path.write_text("\n".join(lines[:9] + [line] + lines[9:]) + "\n")
+    with pytest.raises(ConfigError, match=repr(line)):
+        read_controller_file(str(path))
+    capsys.readouterr()
+    assert main(["simulate", TOY, str(path), "--x0", "-0.25"]) == 1
+    assert repr(line) in capsys.readouterr().err
+
+
 def test_controller_file_format_shape(tmp_path):
     cfg = load_config(TOY)
     ctrl, _ = synthesize_integrated(cfg.plant, cfg.specification, cfg.params,
@@ -277,5 +316,6 @@ def test_compare_reports_ratios_and_bisimilarity(capsys):
     assert main(["compare", TOY]) == 0
     out = capsys.readouterr().out
     assert "exactly bisimilar" in out
-    for name in ("states", "transitions", "memory_units", "steps"):
+    for name in ("states", "transitions", "memory_units", "steps",
+                 "rows_flowed"):
         assert name in out

@@ -6,7 +6,8 @@ import pytest
 
 from symctrl import (EvalDomainError, ExprSyntaxError, evaluate,
                      format_expression, parse_expression)
-from symctrl.expr import Bin, Neg, Num, Var, compile_expression
+from symctrl.expr import (Bin, Neg, Num, Var, compile_expression, derivative,
+                          enclose)
 
 
 def test_arithmetic_with_states_and_inputs():
@@ -166,3 +167,106 @@ def test_vectorized_matches_scalar():
         batch = compile_expression(e)([X[:, 0], X[:, 1]], [])
         for i in range(500):
             assert batch[i] == evaluate(e, X[i]), (text, i)
+
+
+def test_nonfinite_literals_format_to_parseable_text():
+    for text in ("1e999*x1", "-1e999*x1", "x1^-1e999", "(-1e999)^2 + x1"):
+        e = parse_expression(text, 1, 0)
+        assert parse_expression(format_expression(e), 1, 0) == e
+    assert format_expression(parse_expression("1e999*x1", 1, 0)) == \
+        "(1e999 * x1)"
+    with pytest.raises(ValueError):
+        format_expression(Bin("*", Num(math.nan), Var("x", 0)))
+
+
+# ---- derivatives and interval enclosures ------------------------------------
+
+# on [0.5, 2]^2 x [-1, 1] every subexpression stays in its domain and away
+# from the kink of abs
+DERIVATIVE_TEXTS = (
+    "-2*x1 + x2^2 - u1", "2*x1 - 7*exp(x2) + 7", "-3*x2 + 0.75*u1^2",
+    "x1 - 5*sin(x2)", "cos(x1*x2) + u1*x1", "sqrt(x1 + x2) / (1 + x2^2)",
+    "x1^3 - x2^-2 + x1^0.5", "abs(x1 - 3) * u1", "x1^x2", "(x1 + u1)^3",
+    "-(x1 / x2) + exp(-u1*x1)", "abs(u1 - 2)^2 / x1")
+
+
+def _point(e, x, u):
+    """The value of e at a point, or at the rows of arrays x, u: the
+    enclosure of a one-point box."""
+    (lo, hi), = enclose([e], [(v, v) for v in x], [(v, v) for v in u])[0]
+    return lo
+
+
+def test_derivative_matches_central_differences():
+    rng = np.random.default_rng(5)
+    wrt = [Var("x", 0), Var("x", 1), Var("u", 0)]
+    for text in DERIVATIVE_TEXTS:
+        e = parse_expression(text, 2, 1)
+        for _ in range(20):
+            p = np.r_[rng.uniform(0.5, 2.0, 2), rng.uniform(-1.0, 1.0)]
+            for k, var in enumerate(wrt):
+                d = derivative(e, var)
+                step = 1e-6 * np.eye(3)[k]
+                lo, hi = p - step, p + step
+                fd = (evaluate(e, hi[:2], hi[2:]) - evaluate(e, lo[:2], lo[2:])) / 2e-6
+                got = _point(d, p[:2], p[2:])
+                assert abs(got - fd) <= 1e-5 * (1 + abs(fd)), (text, var)
+
+
+def test_enclosure_contains_sampled_values():
+    rng = np.random.default_rng(6)
+    for text in DERIVATIVE_TEXTS + ("sin(4*x1) - cos(3*x2)", "abs(x1 - 1.2)"):
+        e = parse_expression(text, 2, 1)
+        exprs = [e] + [derivative(e, v) for v in (Var("x", 0), Var("x", 1))]
+        for _ in range(10):
+            a, b = np.sort(rng.uniform(0.5, 2.0, (2, 2)), axis=0)
+            c, d = np.sort(rng.uniform(-1.0, 1.0, 2))
+            ivs, ok = enclose(exprs, list(zip(a, b)), [(c, d)])
+            assert ok
+            pts = rng.uniform([a[0], a[1], c], [b[0], b[1], d], (200, 3))
+            for ex, (lo, hi) in zip(exprs, ivs):
+                vals = _point(ex, pts[:, :2].T, pts[:, 2:].T)
+                assert np.all((lo <= vals) & (vals <= hi)), text
+
+
+def test_enclosure_over_many_boxes_at_once():
+    e = parse_expression("x1*exp(x2) - sin(x1)", 2, 0)
+    lo = np.array([[0.0, -1.0], [1.0, 0.5], [-2.0, 0.0]])
+    hi = lo + 0.25
+    (both,), ok = enclose([e], list(zip(lo.T, hi.T)), [])
+    assert ok.shape == (3,) and ok.all()
+    for k in range(3):
+        (one,), _ = enclose([e], list(zip(lo[k], hi[k])), [])
+        assert both[0][k] == one[0] and both[1][k] == one[1]
+
+
+@pytest.mark.parametrize("text, box", [
+    ("sqrt(x1)", (-1.0, 1.0)),                  # radicand below 0
+    ("1 / x1", (-1.0, 1.0)),                    # divisor interval holds 0
+    ("x1^-2", (0.0, 1.0)),                      # zero to a negative power
+    ("x1^0.5", (-0.5, 1.0)),                    # negative base, fractional
+    ("x1^x1", (0.0, 1.0)),                      # exp(x1 log x1) at 0
+    ("exp(1000/x1)", (0.5, 1.0)),               # overflow
+    ("sin(sqrt(x1))", (-1.0, 1.0)),             # not hidden by a bounded sin
+])
+def test_enclosure_flags_unbounded_and_undefined(text, box):
+    (_, ok) = enclose([parse_expression(text, 1, 0)], [box], [])
+    assert not ok
+    x = np.array([box[0], 2.0])
+    _, ok = enclose([parse_expression(text, 1, 0)], [(x, x + 1.0)], [])
+    assert list(ok) == [False, True]
+
+
+def test_derivative_of_sqrt_is_unbounded_at_zero():
+    e = parse_expression("sqrt(x1)", 1, 0)
+    d = derivative(e, Var("x", 0))
+    assert enclose([e], [(0.0, 1.0)], [])[1]
+    assert not enclose([d], [(0.0, 1.0)], [])[1]
+    assert enclose([d], [(0.25, 1.0)], [])[0][0] == (0.5, 1.0)
+
+
+def test_derivative_of_abs_is_its_subgradient():
+    d = derivative(parse_expression("abs(x1)", 1, 0), Var("x", 0))
+    assert [enclose([d], [box], [])[0][0] for box in
+            ((-1.0, 1.0), (0.0, 0.0), (0.5, 1.0), (-1.0, -0.5))] == \
+        [(-1.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (-1.0, -1.0)]

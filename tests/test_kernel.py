@@ -87,7 +87,10 @@ def reference_compile(expr):
     return do_pow
 
 
-def reference_flow_tile(sys, X, U, tau, substeps):
+def reference_flow_tile(sys, X, U, tau, substeps, visit=None):
+    """RK4 over columns; visit, if given, is called with the columns of
+    each point at which the field is evaluated."""
+    visit = visit or (lambda cols: None)
     funcs = [reference_compile(e) for e in sys.field]
     if X.shape[0] == 1:
         xcols = [float(v) for v in X[0]]
@@ -101,14 +104,18 @@ def reference_flow_tile(sys, X, U, tau, substeps):
     n = sys.n
     with np.errstate(all="ignore"):
         for _ in range(substeps):
+            visit(xcols)
             k1 = [f(xcols, ucols) for f in funcs]
             xt = [xcols[i] + (h / 2.0) * k1[i] for i in range(n)]
+            visit(xt)
             k2 = [f(xt, ucols) for f in funcs]
             for i in range(n):
                 xt[i] = xcols[i] + (h / 2.0) * k2[i]
+            visit(xt)
             k3 = [f(xt, ucols) for f in funcs]
             for i in range(n):
                 xt[i] = xcols[i] + h * k3[i]
+            visit(xt)
             k4 = [f(xt, ucols) for f in funcs]
             for i in range(n):
                 acc = k2[i] + k3[i]
@@ -160,6 +167,30 @@ def test_kernel_matches_closure_rk4(case, monkeypatch):
         monkeypatch.setenv("SYMCTRL_THREADS", threads)
         assert np.array_equal(flow_many(sys, X, U, tau, substeps), ref), \
             threads
+
+
+@pytest.mark.parametrize("case", reference_cases(), ids=lambda c: c[0])
+def test_hull_kernel_bounds_every_stage_point(case):
+    # the coarse pass of the integrated scan: the same endpoints as the
+    # plain kernel, plus the componentwise hull of every RK4 stage point
+    _, sys, tau, substeps = case
+    rng = np.random.default_rng(19)
+    X = rng.uniform(sys.state_box[:, 0], sys.state_box[:, 1], size=(300, sys.n))
+    U = rng.uniform(sys.input_box[:, 0], sys.input_box[:, 1], size=(300, sys.m))
+    lo, hi = X.copy(), X.copy()
+
+    def visit(cols):
+        for i, col in enumerate(cols):
+            np.minimum(lo[:, i], col, out=lo[:, i])
+            np.maximum(hi[:, i], col, out=hi[:, i])
+
+    ref = reference_flow_tile(sys, X, U, tau, substeps, visit)
+    for rows in (1, 300):
+        Z, got_lo, got_hi = _flow_tile(sys, X[:rows], U[:rows], tau, substeps,
+                                       hull=True)
+        assert np.array_equal(Z, ref[:rows])
+        assert np.array_equal(got_lo, lo[:rows])
+        assert np.array_equal(got_hi, hi[:rows])
 
 
 def domain_system(text):

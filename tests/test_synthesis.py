@@ -3,7 +3,8 @@ import pytest
 
 from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      ParameterValidationError, ResourceLimitError,
-                     StabilityCertificate, SynthesisParams, accessible_part,
+                     StabilityCertificate, SynthesisParams, abstraction,
+                     accessible_part,
                      backprop_blocking, baseline_artifacts,
                      baseline_memory_units, check_bisimulation,
                      controller_to_system, dynamics, integrated_memory_units,
@@ -207,6 +208,28 @@ def test_disjoint_initial_boxes_give_empty_controller():
         if plant_box != spec_box:
             assert ctrl_b.n_transitions == 0
             assert ctrl.state_lattice == Lattice([plant_box], 2 * params.eta)
+
+
+def test_rows_flowed_counts_the_flowed_rows(monkeypatch):
+    # both routes count every plant and specification row they flow; the
+    # integrated route prunes, so it flows fewer than its steps
+    plant, spec, params = linear_pair(1)
+    params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
+                             theta_q=params.theta_q, tau=params.tau,
+                             eta=0.05, mu=0.02)
+    rows = {}
+    for module in (synthesis, abstraction):
+        def counting(sys, X, *args, _inner=module._flow_tile, **kwargs):
+            rows[0] += X.shape[0]
+            return _inner(sys, X, *args, **kwargs)
+        monkeypatch.setattr(module, "_flow_tile", counting)
+    for route in (synthesize_integrated, synthesize_baseline):
+        rows[0] = 0
+        _, m = route(plant, spec, params, 20, force=True)
+        assert m.rows_flowed == rows[0] > 0
+    assert m.rows_flowed == 11 * 11 * 101 + 11 * 11  # every state and input
+    _, m = synthesize_integrated(plant, spec, params, 20, force=True)
+    assert m.rows_flowed < m.steps
 
 
 def test_synthesis_reproducible():

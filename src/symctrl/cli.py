@@ -2,7 +2,7 @@
 (validate-params, synthesize, simulate, compare), and the text file formats
 for controllers and traces.
 
-Exit codes: 0 success, 1 config or usage error, 2 parameter-validation
+Exit codes: 0 success, 1 config, usage or file error, 2 parameter-validation
 violation, 3 empty controller, 4 resource cap exceeded, 5 conformance failure
 or uncontrolled state, 6 a flow diverged or a field left its evaluation
 domain.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -68,14 +69,23 @@ def _number(sec: dict, name: str, where: str) -> float:
     return float(value)
 
 
+def _integer(value, name: str, where: str) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ConfigError(f"'{name}' in {where} must be an integer")
+    return int(value)
+
+
 def _box(sec: dict, name: str, where: str, expected_len: int) -> list:
     if name not in sec:
         raise ConfigError(f"missing '{name}' in {where}")
     box = sec[name]
     if (not isinstance(box, list) or len(box) != expected_len
-            or any(not isinstance(iv, list) or len(iv) != 2 for iv in box)):
+            or any(not isinstance(iv, list) or len(iv) != 2
+                   or not all(isinstance(v, (int, float)) and math.isfinite(v)
+                              for v in iv) for iv in box)):
         raise ConfigError(f"'{name}' in {where} must be {expected_len} "
-                          f"[lo, hi] pairs")
+                          f"[lo, hi] pairs of finite numbers")
     return box
 
 
@@ -89,15 +99,17 @@ def _certificate(sec: dict, where: str) -> StabilityCertificate:
             beta_lambda=_number(cert, "beta_lambda", where),
             gamma_a=float(cert.get("gamma_a", 0.0)),
             gamma_p=float(cert.get("gamma_p", 1.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad certificate in {where}: {exc}")
 
 
 def _system(sec: dict, where: str, n_inputs: int) -> ControlSystem:
-    n = int(_number(sec, "n", where))
+    n = _integer(_number(sec, "n", where), "n", where)
     field_src = sec.get("field")
-    if not isinstance(field_src, list) or len(field_src) != n:
-        raise ConfigError(f"'field' in {where} must list {n} expressions")
+    if (not isinstance(field_src, list) or len(field_src) != n
+            or not all(isinstance(text, str) for text in field_src)):
+        raise ConfigError(f"'field' in {where} must list {n} expression "
+                          f"strings")
     try:
         field = tuple(parse_expression(text, n, n_inputs) for text in field_src)
     except ExprSyntaxError as exc:
@@ -124,8 +136,10 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     plant_sec = _section(doc, "plant")
-    m = int(_number(plant_sec, "m", "plant"))
+    m = _integer(_number(plant_sec, "m", "plant"), "m", "plant")
     plant = _system(plant_sec, "plant", m)
     specification = _system(_section(doc, "specification"), "specification", 0)
     if plant.n != specification.n:
@@ -142,16 +156,20 @@ def load_config(path: str) -> ProblemConfig:
             mu=_number(p, "mu", "params"))
     except ValueError as exc:
         raise ConfigError(f"bad params: {exc}")
-    substeps = int(p.get("substeps", DEFAULT_SUBSTEPS))
+    substeps = _integer(p.get("substeps", DEFAULT_SUBSTEPS), "substeps",
+                        "params")
     if substeps < 1:
         raise ConfigError("substeps must be a positive integer")
     options = doc.get("options", {})
+    if not isinstance(options, dict):
+        raise ConfigError("'options' must be a JSON object")
     cap = options.get("transition_cap", DEFAULT_TRANSITION_CAP)
     return ProblemConfig(
         plant=plant, specification=specification, params=params,
         substeps=substeps,
         override_validation=bool(options.get("override_validation", False)),
-        transition_cap=None if cap in (None, 0) else int(cap))
+        transition_cap=None if cap in (None, 0)
+        else _integer(cap, "transition_cap", "options"))
 
 
 def _fmt_floats(values) -> str:
@@ -432,6 +450,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (DivergenceError, EvalDomainError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -5,13 +5,84 @@ approximate (bi)simulation relation checkers.
 States, inputs and transitions are index-based and array-backed so that
 systems with tens of millions of transitions stay affordable; the distance
 between outputs is the infinity norm.
+
+Every operator is array code on two helpers, and only fixpoint waves loop:
+
+- one CSR index: `_indptr` gives row pointers over entries sorted by row,
+  and `_ranges` the flattened entries of a batch of rows.  Transitions are
+  kept sorted, so they are their own successor index.
+- one greatest fixpoint, `_greatest_fixpoint`: every node owes
+  obligations, every obligation has witness nodes, and a node dies as soon
+  as one of its obligations has no live witness left.  Each obligation
+  counts its live witnesses, and each wave of deaths counts them down
+  through an index of the witnesses by node, the counter scheme of
+  Henzinger, Henzinger and Kopke for maximal simulations.
+
+The non-blocking part is that fixpoint with one obligation per state,
+witnessed by its transitions.  The (bi)simulation checkers run it over
+output-compatible state pairs: a pair owes one obligation per transition of
+its first state (and, for bisimulation, of its second), witnessed by the
+pairs the other state's transitions reach.  The accessible part is a
+forward wave, and output-compatible pairs come from one sorted-key join.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of n rows over entries sorted by their row."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _ranges(indptr: np.ndarray,
+            rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The entries of a batch of CSR rows, flattened row by row: (k, e)
+    where entry e belongs to row rows[k]."""
+    start = indptr[rows]
+    counts = indptr[rows + 1] - start
+    k = np.repeat(np.arange(rows.size), counts)
+    return k, np.arange(k.size) + np.repeat(start - np.cumsum(counts) + counts,
+                                            counts)
+
+
+def _mask(n: int, index) -> np.ndarray:
+    """Boolean mask of length n, true at `index`."""
+    mask = np.zeros(n, dtype=bool)
+    mask[index] = True
+    return mask
+
+
+def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Position of each code in sorted_codes, or -1 where it is absent."""
+    pos = np.minimum(np.searchsorted(sorted_codes, codes),
+                     sorted_codes.size - 1)
+    return np.where(sorted_codes[pos] == codes, pos, -1)
+
+
+def _greatest_fixpoint(n_nodes: int, owner: np.ndarray, wit_ob: np.ndarray,
+                       wit_node: np.ndarray) -> np.ndarray:
+    """Alive mask of the largest node set in which every obligation of a
+    live node keeps a live witness.  Obligation o belongs to node owner[o];
+    witness w discharges obligation wit_ob[w] while node wit_node[w] lives."""
+    live = np.bincount(wit_ob, minlength=owner.size)
+    order = np.argsort(wit_node, kind="stable")
+    by_node = _indptr(wit_node, n_nodes)
+    alive = np.ones(n_nodes, dtype=bool)
+    dying = np.unique(owner[live == 0])
+    while dying.size:
+        alive[dying] = False
+        ob, lost = np.unique(wit_ob[order[_ranges(by_node, dying)[1]]],
+                             return_counts=True)
+        live[ob] -= lost
+        dying = np.unique(owner[ob[live[ob] == 0]])
+        dying = dying[alive[dying]]
+    return alive
 
 
 def _rows_strictly_sorted(t: np.ndarray) -> bool:
@@ -67,7 +138,7 @@ class FiniteSystem:
         self.initials = initials
         self.inputs = inputs
         self.transitions = transitions
-        self._succ: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._succ: Optional[np.ndarray] = None
 
     @property
     def n_states(self) -> int:
@@ -92,28 +163,23 @@ class FiniteSystem:
                 and np.array_equal(self.inputs, other.inputs)
                 and np.array_equal(self.transitions, other.transitions))
 
-    def _succ_index(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR indptr over source states into the (sorted) transition rows."""
+    def _succ_index(self) -> np.ndarray:
+        """CSR row pointers of the (sorted) transition rows by source."""
         if self._succ is None:
-            counts = np.bincount(self.transitions[:, 0], minlength=self.n_states)
-            indptr = np.zeros(self.n_states + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._succ = (indptr, self.transitions)
+            self._succ = _indptr(self.transitions[:, 0], self.n_states)
         return self._succ
 
     def successors(self, state: int) -> np.ndarray:
         """Transitions (rows) leaving `state`."""
-        indptr, rows = self._succ_index()
-        return rows[indptr[state]:indptr[state + 1]]
+        indptr = self._succ_index()
+        return self.transitions[indptr[state]:indptr[state + 1]]
 
     def out_degree(self) -> np.ndarray:
-        return np.bincount(self.transitions[:, 0], minlength=self.n_states)
+        return np.diff(self._succ_index())
 
 
 def is_deterministic(s: FiniteSystem) -> bool:
     """True iff no (state, input) pair has two outgoing transitions."""
-    if s.n_transitions < 2:
-        return True
     t = s.transitions
     same = (np.diff(t[:, 0]) == 0) & (np.diff(t[:, 1]) == 0)
     return not np.any(same)
@@ -122,58 +188,56 @@ def is_deterministic(s: FiniteSystem) -> bool:
 def subsystem(s: FiniteSystem, keep_states) -> FiniteSystem:
     """Restriction of `s` to a subset of states (indices), keeping all
     transitions whose endpoints survive.  State order is preserved."""
-    keep = np.unique(np.asarray(keep_states, dtype=np.int64).reshape(-1))
-    alive = np.zeros(s.n_states, dtype=bool)
-    alive[keep] = True
-    remap = -np.ones(s.n_states, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    t = s.transitions
-    mask = alive[t[:, 0]] & alive[t[:, 2]] if t.shape[0] else np.zeros(0, bool)
-    t2 = np.column_stack([remap[t[mask, 0]], t[mask, 1], remap[t[mask, 2]]]) \
-        if t.shape[0] else t
-    init = remap[s.initials[alive[s.initials]]] if s.initials.size else s.initials
-    return FiniteSystem(s.outputs[keep], init, s.inputs, t2)
+    alive = _mask(s.n_states, np.asarray(keep_states, dtype=np.int64))
+    remap = np.cumsum(alive) - 1  # new index of each kept state
+    t = s.transitions[alive[s.transitions[:, 0]] & alive[s.transitions[:, 2]]]
+    return FiniteSystem(s.outputs[alive], remap[s.initials[alive[s.initials]]],
+                        s.inputs, np.column_stack([remap[t[:, 0]], t[:, 1],
+                                                   remap[t[:, 2]]]))
+
+
+def _row_codes(keys: np.ndarray) -> np.ndarray:
+    """Dense integer codes of the rows of keys: equal rows, equal codes.
+    (A lexsort: np.unique(axis=0) is many times slower.)"""
+    order = (np.lexsort(keys.T[::-1]) if keys.shape[1]
+             else np.arange(keys.shape[0]))
+    ranked = keys[order]
+    new = np.ones(keys.shape[0], dtype=np.int64)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    codes = np.empty(keys.shape[0], dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes
 
 
 def _pair_candidates(s1: FiniteSystem, s2: FiniteSystem,
-                     eps: float) -> List[Tuple[int, int]]:
-    """Output-compatible state pairs: d(H1(i), H2(j)) <= eps, infinity norm.
+                     eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Output-compatible state pairs, d(H1(i), H2(j)) <= eps in the infinity
+    norm, as index arrays (i, j) in lexicographic order.
 
-    Exact-match hashing for eps = 0, grid bucketing otherwise; falls back to
-    the full product for small instances or high output dimension.
+    One sorted-key join.  At eps = 0 a state's key is its output.  Otherwise
+    it is its grid cell floor(o / eps): s1 offers its cell and the 3^d
+    neighbours, and the joined pairs are filtered by distance.
     """
     o1, o2 = s1.outputs, s2.outputs
-    n1, n2, d = o1.shape[0], o2.shape[0], o1.shape[1]
-    pairs: List[Tuple[int, int]] = []
-    if n1 == 0 or n2 == 0:
-        return pairs
+    n1, d = o1.shape
     if eps == 0.0:
-        by_key: Dict[bytes, List[int]] = {}
-        norm2 = o2 + 0.0  # folds -0.0 into +0.0 for hashing
-        for j in range(n2):
-            by_key.setdefault(norm2[j].tobytes(), []).append(j)
-        norm1 = o1 + 0.0
-        for i in range(n1):
-            for j in by_key.get(norm1[i].tobytes(), ()):
-                pairs.append((i, j))
-        return pairs
-    if n1 * n2 <= 250_000 or 3 ** d > 64:
-        for i in range(n1):
-            close = np.max(np.abs(o2 - o1[i]), axis=1) <= eps
-            pairs.extend((i, int(j)) for j in np.flatnonzero(close))
-        return pairs
-    buckets: Dict[tuple, List[int]] = {}
-    for j in range(n2):
-        buckets.setdefault(tuple(np.floor(o2[j] / eps).astype(np.int64)), []).append(j)
-    shifts = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"),
-                      axis=-1).reshape(-1, d)
-    for i in range(n1):
-        base = np.floor(o1[i] / eps).astype(np.int64)
-        for sh in shifts:
-            for j in buckets.get(tuple(base + sh), ()):
-                if np.max(np.abs(o2[j] - o1[i])) <= eps:
-                    pairs.append((i, int(j)))
-    return sorted(set(pairs))
+        k1, k2, src = o1, o2, np.arange(n1)
+    else:
+        shifts = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"),
+                          axis=-1).reshape(1, -1, d)
+        k1 = (np.floor(o1 / eps).astype(np.int64)[:, None] + shifts
+              ).reshape(-1, d)
+        k2 = np.floor(o2 / eps).astype(np.int64)
+        src = np.repeat(np.arange(n1), shifts.shape[1])
+    codes = _row_codes(np.concatenate([k1, k2]))
+    c1, c2 = codes[:len(k1)], codes[len(k1):]
+    e, pos = _ranges(_indptr(c2, codes.size), c1)
+    i, j = src[e], np.argsort(c2, kind="stable")[pos]
+    if eps != 0.0:
+        close = np.max(np.abs(o1[i] - o2[j]), axis=1) <= eps
+        i, j = i[close], j[close]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
@@ -185,190 +249,104 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
     """
     if s1.output_dim != s2.output_dim:
         raise ValueError("composed systems must share the output space")
-    pairs = _pair_candidates(s1, s2, eps)
-    pairs.sort()
-    npairs = len(pairs)
-    pair_i = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    pair_j = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    n2 = max(s2.n_states, 1)
-    pair_code = pair_i * n2 + pair_j  # ascending because pairs are sorted
+    pair_i, pair_j = _pair_candidates(s1, s2, eps)
+    n2, i2 = np.int64(s2.n_states), np.int64(s2.n_inputs)
+    pair_code = pair_i * n2 + pair_j  # ascending, as the pairs are sorted
 
-    outputs = s1.outputs[pair_i] if npairs else np.zeros((0, s1.output_dim))
+    initials = np.flatnonzero(_mask(s1.n_states, s1.initials)[pair_i]
+                              & _mask(s2.n_states, s2.initials)[pair_j])
 
-    init1 = np.zeros(s1.n_states, dtype=bool)
-    init1[s1.initials] = True
-    init2 = np.zeros(s2.n_states, dtype=bool)
-    init2[s2.initials] = True
-    initials = np.flatnonzero(init1[pair_i] & init2[pair_j]) if npairs else []
+    inputs = np.hstack([np.repeat(s1.inputs, s2.n_inputs, axis=0),
+                        np.tile(s2.inputs, (s1.n_inputs, 1))])
 
-    i1, i2 = s1.n_inputs, s2.n_inputs
-    inputs = np.hstack([np.repeat(s1.inputs, i2, axis=0),
-                        np.tile(s2.inputs, (i1, 1))])
-
-    # join transitions: replicate each s1 transition over the composed pairs
-    # sharing its source, then over the s2 transitions of the partner state,
-    # and keep rows whose target pair is itself a composed state
-    trans_chunks = []
+    # join transitions: each s1 transition meets the composed pairs sharing
+    # its source, then the s2 transitions of the partner state; rows whose
+    # target pair is itself a composed state are kept
+    pairs_by_i = _indptr(pair_i, s1.n_states)
     t1, t2 = s1.transitions, s2.transitions
-    if npairs and t1.shape[0] and t2.shape[0]:
-        cnt_pairs_by_i = np.bincount(pair_i, minlength=s1.n_states)
-        start_pairs_by_i = np.zeros(s1.n_states + 1, dtype=np.int64)
-        np.cumsum(cnt_pairs_by_i, out=start_pairs_by_i[1:])
-        order2 = np.argsort(t2[:, 0], kind="stable")
-        t2s = t2[order2]
-        cnt_t2_by_j = np.bincount(t2s[:, 0], minlength=s2.n_states)
-        start_t2_by_j = np.zeros(s2.n_states + 1, dtype=np.int64)
-        np.cumsum(cnt_t2_by_j, out=start_t2_by_j[1:])
-
-        chunk = max(1, 4_000_000 // max(1, int(cnt_pairs_by_i.max())))
-        for a in range(0, t1.shape[0], chunk):
-            rows = t1[a:a + chunk]
-            reps = cnt_pairs_by_i[rows[:, 0]]
-            total = int(reps.sum())
-            if total == 0:
-                continue
-            row_id = np.repeat(np.arange(rows.shape[0]), reps)
-            offsets = np.arange(total) - np.repeat(
-                np.concatenate([[0], np.cumsum(reps)[:-1]]), reps)
-            k = start_pairs_by_i[rows[row_id, 0]] + offsets
-            j = pair_j[k]
-            reps2 = cnt_t2_by_j[j]
-            total2 = int(reps2.sum())
-            if total2 == 0:
-                continue
-            row2_id = np.repeat(np.arange(k.size), reps2)
-            offsets2 = np.arange(total2) - np.repeat(
-                np.concatenate([[0], np.cumsum(reps2)[:-1]]), reps2)
-            t2row = start_t2_by_j[j[row2_id]] + offsets2
-            dst_code = rows[row_id[row2_id], 2] * n2 + t2s[t2row, 2]
-            pos = np.searchsorted(pair_code, dst_code)
-            ok = (pos < npairs)
-            ok[ok] &= pair_code[pos[ok]] == dst_code[ok]
-            src_k = k[row2_id[ok]]
-            v = rows[row_id[row2_id[ok]], 1] * i2 + t2s[t2row[ok], 1]
-            trans_chunks.append(np.column_stack([src_k, v, pos[ok]]))
+    widest = int(np.diff(pairs_by_i).max(initial=1))
+    chunk = max(1, 4_000_000 // max(1, widest))
+    trans_chunks = []
+    for a in range(0, t1.shape[0], chunk):
+        rows = t1[a:a + chunk]
+        r, k = _ranges(pairs_by_i, rows[:, 0])
+        q, e2 = _ranges(s2._succ_index(), pair_j[k])
+        r, k = r[q], k[q]
+        dst = _find(pair_code, rows[r, 2] * n2 + t2[e2, 2])
+        ok = dst >= 0
+        trans_chunks.append(np.column_stack(
+            [k[ok], rows[r[ok], 1] * i2 + t2[e2[ok], 1], dst[ok]]))
     transitions = (np.vstack(trans_chunks) if trans_chunks
                    else np.zeros((0, 3), dtype=np.int64))
-    return FiniteSystem(outputs, initials, inputs, transitions)
+    return FiniteSystem(s1.outputs[pair_i], initials, inputs, transitions)
 
 
 def nonblocking_part(s: FiniteSystem) -> FiniteSystem:
-    """Maximal sub-system in which every state has an outgoing transition.
-
-    Greatest fixpoint: repeatedly delete states without outgoing transitions
-    together with the transitions leading into them.
-    """
+    """Maximal sub-system in which every state has an outgoing transition:
+    the greatest fixpoint with one obligation per state, witnessed by the
+    targets of its transitions."""
     t = s.transitions
-    outdeg = np.bincount(t[:, 0], minlength=s.n_states) if t.shape[0] else \
-        np.zeros(s.n_states, dtype=np.int64)
-    alive_state = np.ones(s.n_states, dtype=bool)
-    alive_trans = np.ones(t.shape[0], dtype=bool)
-    if t.shape[0]:
-        order_by_dst = np.argsort(t[:, 2], kind="stable")
-        cnt_by_dst = np.bincount(t[:, 2], minlength=s.n_states)
-        start_by_dst = np.zeros(s.n_states + 1, dtype=np.int64)
-        np.cumsum(cnt_by_dst, out=start_by_dst[1:])
-    stack = list(np.flatnonzero(outdeg == 0))
-    while stack:
-        y = stack.pop()
-        alive_state[y] = False
-        if not t.shape[0]:
-            continue
-        for r in order_by_dst[start_by_dst[y]:start_by_dst[y + 1]]:
-            if alive_trans[r]:
-                alive_trans[r] = False
-                z = t[r, 0]
-                outdeg[z] -= 1
-                if outdeg[z] == 0 and alive_state[z]:
-                    stack.append(z)
-    keep = np.flatnonzero(alive_state)
-    remap = -np.ones(s.n_states, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    rows = t[alive_trans]
-    new_t = np.column_stack([remap[rows[:, 0]], rows[:, 1], remap[rows[:, 2]]]) \
-        if rows.shape[0] else np.zeros((0, 3), dtype=np.int64)
-    init = remap[s.initials[alive_state[s.initials]]] if s.initials.size else []
-    return FiniteSystem(s.outputs[keep], init, s.inputs, new_t)
+    alive = _greatest_fixpoint(s.n_states, np.arange(s.n_states), t[:, 0],
+                               t[:, 2])
+    return subsystem(s, np.flatnonzero(alive))
 
 
 def accessible_part(s: FiniteSystem) -> FiniteSystem:
     """Sub-system of the states reachable from some initial state."""
     seen = np.zeros(s.n_states, dtype=bool)
-    frontier = list(s.initials)
-    for x in frontier:
-        seen[x] = True
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for row in s.successors(x):
-                y = row[2]
-                if not seen[y]:
-                    seen[y] = True
-                    nxt.append(int(y))
-        frontier = nxt
+    wave = s.initials
+    while wave.size:
+        seen[wave] = True
+        reached = np.unique(
+            s.transitions[_ranges(s._succ_index(), wave)[1], 2])
+        wave = reached[~seen[reached]]
     return subsystem(s, np.flatnonzero(seen))
 
 
-def _refine(s1: FiniteSystem, s2: FiniteSystem,
-            pairs: Set[Tuple[int, int]], symmetric: bool) -> Set[Tuple[int, int]]:
-    """Greatest fixpoint removing pairs that violate transition matching
-    (forward for simulation; both directions for bisimulation)."""
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in sorted(pairs):
-            ok = True
-            for row in s1.successors(a):
-                a2 = int(row[2])
-                if not any((a2, int(rb[2])) in pairs for rb in s2.successors(b)):
-                    ok = False
-                    break
-            if ok and symmetric:
-                for row in s2.successors(b):
-                    b2 = int(row[2])
-                    if not any((int(ra[2]), b2) in pairs for ra in s1.successors(a)):
-                        ok = False
-                        break
-            if not ok:
-                pairs.discard((a, b))
-                changed = True
-    return pairs
-
-
-def _covers_initials(pairs: Set[Tuple[int, int]], init1, init2,
-                     flipped: bool = False) -> bool:
-    """Every state of init1 must be related to some state of init2."""
-    partners: Dict[int, Set[int]] = {}
-    for (p, q) in pairs:
-        x, y = (q, p) if flipped else (p, q)
-        partners.setdefault(x, set()).add(y)
-    init2_set = set(int(i) for i in init2)
-    return all(partners.get(int(a), set()) & init2_set for a in init1)
+def _relation(s1: FiniteSystem, s2: FiniteSystem, eps: float,
+              symmetric: bool) -> Optional[Set[Tuple[int, int]]]:
+    """Maximal eps-approximate simulation relation from s1 to s2 (both ways
+    when symmetric), or None when some initial state is unrelated to every
+    initial state of the other side (s2's side only when symmetric)."""
+    if s1.output_dim != s2.output_dim:
+        raise ValueError("systems must share the output space")
+    pair_i, pair_j = _pair_candidates(s1, s2, eps)
+    n2 = np.int64(s2.n_states)
+    pair_code = pair_i * n2 + pair_j
+    sides = [(s1, pair_i, s2, pair_j)]
+    if symmetric:
+        sides.append((s2, pair_j, s1, pair_i))
+    owner, wit_ob, wit_node = [], [], []
+    for flip, (s, mine, other, theirs) in enumerate(sides):
+        # pair k owes a match for transition e of its own state; transition f
+        # of the partner state witnesses it through the pair of their targets
+        k, e = _ranges(s._succ_index(), mine)
+        ob, f = _ranges(other._succ_index(), theirs[k])
+        x, y = s.transitions[e[ob], 2], other.transitions[f, 2]
+        node = _find(pair_code, y * n2 + x if flip else x * n2 + y)
+        wit_ob.append(ob[node >= 0] + sum(map(len, owner)))
+        wit_node.append(node[node >= 0])
+        owner.append(k)
+    alive = _greatest_fixpoint(pair_code.size, np.concatenate(owner),
+                               np.concatenate(wit_ob),
+                               np.concatenate(wit_node))
+    for s, mine, other, theirs in sides:
+        # every initial state is related to some initial state of the other
+        related = mine[alive & _mask(other.n_states, other.initials)[theirs]]
+        if not _mask(s.n_states, related)[s.initials].all():
+            return None
+    return set(zip(pair_i[alive].tolist(), pair_j[alive].tolist()))
 
 
 def check_simulation(s1: FiniteSystem, s2: FiniteSystem,
                      eps: float) -> Optional[Set[Tuple[int, int]]]:
     """Maximal eps-approximate simulation relation from s1 to s2, or None
     when some initial state of s1 cannot be related to an initial of s2."""
-    if s1.output_dim != s2.output_dim:
-        raise ValueError("systems must share the output space")
-    pairs = set(_pair_candidates(s1, s2, eps))
-    pairs = _refine(s1, s2, pairs, symmetric=False)
-    if not _covers_initials(pairs, s1.initials, s2.initials):
-        return None
-    return pairs
+    return _relation(s1, s2, eps, symmetric=False)
 
 
 def check_bisimulation(s1: FiniteSystem, s2: FiniteSystem,
                        eps: float) -> Optional[Set[Tuple[int, int]]]:
     """Maximal eps-approximate bisimulation relation between s1 and s2, or
     None when the mutual initial-state conditions fail."""
-    if s1.output_dim != s2.output_dim:
-        raise ValueError("systems must share the output space")
-    pairs = set(_pair_candidates(s1, s2, eps))
-    pairs = _refine(s1, s2, pairs, symmetric=True)
-    if not _covers_initials(pairs, s1.initials, s2.initials):
-        return None
-    if not _covers_initials(pairs, s2.initials, s1.initials, flipped=True):
-        return None
-    return pairs
+    return _relation(s1, s2, eps, symmetric=True)

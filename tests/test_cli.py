@@ -62,10 +62,38 @@ def test_missing_config_exit1(capsys):
     assert main(["validate-params", "/nonexistent/nowhere.json"]) == 1
 
 
-def test_malformed_config_exit1(tmp_path):
+def test_malformed_config_exit1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate-params", str(path)]) == 1
+
+    def edited(section, key, value):
+        doc = toy_doc()
+        doc[section][key] = value
+        return doc
+
+    broken = {
+        "list": [1],
+        "substeps_text": edited("params", "substeps", "abc"),
+        "substeps_fraction": edited("params", "substeps", 2.7),
+        "cap_text": edited("options", "transition_cap", "many"),
+        "options_list": dict(toy_doc(), options=[1]),
+        "n_fraction": edited("plant", "n", 1.5),
+        "field_number": edited("plant", "field", [5]),
+        "box_null": edited("plant", "state_box", [[None, 1.0]]),
+        "certificate_list": edited("plant", "certificate",
+                                   {"beta_c": 1.0, "beta_lambda": 1.0,
+                                    "gamma_a": [1]}),
+    }
+    for name, doc in broken.items():
+        capsys.readouterr()
+        path = write_json(tmp_path / f"{name}.json", doc)
+        assert main(["validate-params", path]) == 1, name
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "config error" in err, name
+    with pytest.raises(ConfigError, match="substeps"):
+        load_config(write_json(tmp_path / "s.json",
+                               broken["substeps_fraction"]))
 
 
 def test_bad_field_expression_exit1(tmp_path):
@@ -190,6 +218,15 @@ def test_controller_file_bad_contents_exit1(tmp_path, capsys):
         with pytest.raises(ConfigError):
             read_controller_file(str(path))
         assert main(["simulate", TOY, str(path), "--x0", "-0.25"]) == 1
+    capsys.readouterr()
+    # a controller file that cannot be read or written
+    assert main(["simulate", TOY, str(tmp_path / "absent.ctrl"),
+                 "--x0", "-0.25"]) == 1
+    assert main(["synthesize", TOY, "--out",
+                 str(tmp_path / "absent" / "x.ctrl")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [line.split(":")[0] for line in err
+            if line.startswith("file error")] == ["file error"] * 2
 
 
 def test_controller_file_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from symctrl import (ClosedLoopTrace, UncontrolledStateError, Controller,
                      simulate_closed_loop, synthesize_baseline,
                      synthesize_integrated)
 
-from _systems import toy_pair
+from _systems import linear_pair, toy_pair
 
 
 def toy_controller():
@@ -110,12 +112,21 @@ def test_uncontrolled_state_detected():
 
 
 def test_closed_loop_conformance_over_initial_cells():
+    # the toy's integrated controller, and both routes' controllers of linear
+    # example #1 at mu = 0.01 (the benchmark's linear-pair problem)
     plant, spec, params, ctrl = toy_controller()
-    assert ctrl.initials.size >= 10
-    for idx in ctrl.initials:
-        x0 = ctrl.state_lattice.point(int(idx))
-        trace = simulate_closed_loop(plant, spec, ctrl, x0, 20, params)
-        assert conformance_report(trace, params.epsilon).passed
+    runs = [(plant, spec, params, ctrl)]
+    plant, spec, params = linear_pair(1)
+    params = dataclasses.replace(params, mu=0.01)
+    for synthesize in (synthesize_integrated, synthesize_baseline):
+        runs.append((plant, spec, params,
+                     synthesize(plant, spec, params)[0]))
+    for plant, spec, params, ctrl in runs:
+        assert ctrl.initials.size >= 10
+        for idx in ctrl.initials:
+            x0 = ctrl.state_lattice.point(int(idx))
+            trace = simulate_closed_loop(plant, spec, ctrl, x0, 20, params)
+            assert conformance_report(trace, params.epsilon).passed
 
 
 def recomputing_loop(plant, spec, ctrl, x0, steps, params):

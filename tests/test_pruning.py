@@ -1,11 +1,16 @@
-"""The pruned input scan of the integrated route against a full scan.
+"""The integrated route against its sequential definition.
 
-`full_scan_reference` is the integrated route with no grouping and no
-pruning: for each state it flows every input.  The route must give the
-same controller rows, bad set and counters on random small plant and
-specification pairs, whose fields are drawn from the expression grammar
-(blow-ups and domain exits included), and on the benchmark problems.
+`full_scan_reference` is the integrated route as a sequential worklist, with
+no batching and no pruning: states are processed one at a time in
+breadth-first order, each flowing every input, and a blocking state is
+back-propagated at once through the transitions recorded so far
+(`backprop_blocking`).  The route must give the same controller rows, bad
+set and counters on random small plant and specification pairs, whose
+fields are drawn from the expression grammar (blow-ups and domain exits
+included), and on the benchmark problems.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -13,18 +18,50 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symctrl import (ControlSystem, Controller, StabilityCertificate,
-                     SynthesisParams, backprop_blocking, flow_many,
-                     parse_expression, synthesis, synthesize_integrated)
+                     SynthesisParams, flow_many, parse_expression, synthesis,
+                     synthesize_integrated)
 from symctrl.abstraction import initial_indices, input_points
-from symctrl.synthesis import (BAD, CONTROLLED, QUEUED, UNSEEN,
-                               integrated_memory_units, shared_lattices)
+from symctrl.synthesis import integrated_memory_units, shared_lattices
 
 from _systems import linear_pair, nonlinear_pair
 
+# per-state status of the sequential reference
+UNSEEN, QUEUED, CONTROLLED, BAD = 0, 1, 2, 3
 
-def full_scan_reference(plant, spec, params, substeps):
+
+def backprop_blocking(status, trans, preds, x):
+    """Mark the blocking state x BAD and back-propagate it; returns the
+    number of steps taken.
+
+    trans maps each controlled source to its single (input, target) and
+    preds maps a target to the sources recorded into it.  Starting from the
+    worklist {x}, repeatedly take a state y, mark it BAD, delete every
+    transition still entering it and enqueue its source, which the deletion
+    leaves blocking.  Each newly bad state and each deleted transition is
+    one step.  status, trans and preds are updated in place.
+    """
+    steps = 0
+    work = deque([x])
+    while work:
+        y = work.popleft()
+        if status[y] == BAD:
+            continue
+        status[y] = BAD
+        steps += 1
+        for z in preds.pop(y, ()):
+            rec = trans.get(z)
+            if rec is not None and rec[1] == y:
+                del trans[z]
+                steps += 1
+                work.append(z)
+    return steps
+
+
+def full_scan_reference(plant, spec, params, substeps, stats=None):
     """(controller, states, memory units, steps) of the integrated route,
-    flowing every input of every scanned state."""
+    flowing every input of every scanned state.  `stats`, if given, gets
+    the number of waves and of transitions deleted in a later wave than
+    the one that recorded them."""
     st_lat, in_lat, init_box = shared_lattices(plant, spec, params)
     if init_box is None:
         return Controller([], [], [], st_lat, in_lat), 0, 0, 0
@@ -37,7 +74,10 @@ def full_scan_reference(plant, spec, params, substeps):
     x0 = initial_indices(st_lat, init_box)
     wave = x0
     status[wave] = QUEUED
+    waves = across = 0
     while wave.size:
+        waves += 1
+        recorded = set(trans)
         targets = st_lat.quantize_many(flow_many(
             spec, st_pts[wave], np.zeros((wave.size, spec.m)), params.tau,
             substeps, check_finite=False))
@@ -64,7 +104,10 @@ def full_scan_reference(plant, spec, params, substeps):
             if status[y] == UNSEEN:
                 status[y] = QUEUED
                 next_wave.append(y)
+        across += len(recorded - set(trans))
         wave = np.asarray(next_wave, dtype=np.int64)
+    if stats is not None:
+        stats.update(waves=waves, across=across)
     t = np.asarray([(x, u, y) for x, (u, y) in trans.items()],
                    dtype=np.int64).reshape(-1, 3)
     bad = np.flatnonzero(status == BAD)
@@ -73,12 +116,12 @@ def full_scan_reference(plant, spec, params, substeps):
             steps)
 
 
-def assert_matches_full_scan(plant, spec, params, substeps):
+def assert_matches_full_scan(plant, spec, params, substeps, stats=None):
     """Asserts the route equals the full scan; returns its controller and
     metrics."""
     ctrl, m = synthesize_integrated(plant, spec, params, substeps, force=True)
     ref, states, memory, steps = full_scan_reference(plant, spec, params,
-                                                     substeps)
+                                                     substeps, stats)
     assert np.array_equal(ctrl.transitions, ref.transitions)
     assert np.array_equal(ctrl.initials, ref.initials)
     assert np.array_equal(ctrl.bad, ref.bad)
@@ -121,10 +164,15 @@ BLOW_UPS = ("0",) * 12 + ("4*x1^3", "exp(5*x1)", "1/(x1 - 0.3)",
 # axis: 2k + 1 for k from 2 up to INPUT_HALF[m]
 STATE_HALF = {1: 12, 2: 5, 3: 3}
 INPUT_HALF = {1: 40, 2: 5}
+# draws whose specification drifts across the state box
+MULTI_WAVE_DRAWS = 100
 
 
 @st.composite
-def problems(draw):
+def problems(draw, drifting=False):
+    """A random plant and specification pair; with `drifting`, the initial
+    box is a corner sub-box and the specification contracts toward a centre
+    outside it, so that synthesis runs over several waves."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2))
     xs = [f"x{i + 1}" for i in range(n)]
@@ -136,10 +184,17 @@ def problems(draw):
     tau = draw(st.floats(0.2, 1.0))
     substeps = draw(st.sampled_from((1, 2) + (5, 10) * 3))
     spec_field, plant_field = [], []
+    if drifting:
+        # per axis, the initial box is the low or the high quarter of the
+        # state box and the centre lies in the other half
+        sides = [draw(st.sampled_from((-1, 1))) for _ in range(n)]
+        centre = [-side * draw(st.floats(0.0, 0.8 * w)) for side in sides]
     for i in range(n):
         a = draw(st.floats(0.5, 3.0))
         b = draw(st.floats(-0.5, 0.5))
         spec_i = f"{-a}*x{i + 1} + {b}*{draw(terms(xs))}"
+        if drifting:
+            spec_i += f" + {a * centre[i]}"
         gains = " + ".join(
             f"{draw(st.sampled_from((-1, 1))) * draw(st.floats(0.5, 2.0))}*{u}"
             for u in us)
@@ -152,7 +207,8 @@ def problems(draw):
                            f"{d}*{draw(terms(xs + us))} + {blow}")
         spec_field.append(spec_i)
     box = [[-w, w]] * n
-    init = [[-w / 2, draw(st.floats(0.0, w / 2))]] * n
+    init = ([sorted((side * w / 2, side * w)) for side in sides] if drifting
+            else [[-w / 2, draw(st.floats(0.0, w / 2))]] * n)
     plant = ControlSystem(
         n=n, m=m, state_box=box, init_box=init, input_box=[[-r, r]] * m,
         field=tuple(parse_expression(t, n, m) for t in plant_field),
@@ -193,6 +249,23 @@ def test_pruned_scan_equals_full_scan_on_random_problems(monkeypatch):
     # the draws must exercise the pruning on problems that control something
     assert seen["pruned"] >= seen["examples"] // 3
     assert seen["controlled"] >= seen["examples"] // 2
+
+    waves = []
+
+    @settings(derandomize=True, max_examples=MULTI_WAVE_DRAWS, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(problems(drifting=True))
+    def check_drifting(problem):
+        stats = {}
+        assert_matches_full_scan(*problem, stats=stats)
+        waves.append((stats["waves"], stats["across"]))
+
+    check_drifting()
+    # the next-wave logic, and blocking states back-propagated into the
+    # transitions of earlier waves, must both be exercised
+    assert sum(w > 1 for w, _ in waves) >= len(waves) // 3
+    assert sum(across > 0 for _, across in waves) >= len(waves) // 10
 
 
 # ---- the benchmark problems ----------------------------------------------------

@@ -4,15 +4,14 @@ import pytest
 from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      ParameterValidationError, ResourceLimitError,
                      StabilityCertificate, SynthesisParams, abstraction,
-                     accessible_part,
-                     backprop_blocking, baseline_artifacts,
+                     accessible_part, baseline_artifacts,
                      baseline_memory_units, check_bisimulation,
                      controller_to_system, dynamics, integrated_memory_units,
                      is_deterministic, nonblocking_part, parse_expression,
                      synthesis, synthesize_baseline, synthesize_integrated)
-from symctrl.synthesis import BAD, CONTROLLED, UNSEEN
 
 from _systems import linear_pair, toy_pair
+from test_pruning import BAD, CONTROLLED, UNSEEN, backprop_blocking
 
 
 # ---- back-propagation of blocking states ------------------------------------

@@ -12,10 +12,9 @@ from .loop import (ClosedLoopTrace, ConformanceReport, UncontrolledStateError,
 from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
                        ValidationReport, validate_parameters)
 from .synthesis import (Controller, Metrics, ParameterValidationError,
-                        backprop_blocking, baseline_artifacts,
-                        baseline_memory_units, controller_to_system,
-                        integrated_memory_units, synthesize_baseline,
-                        synthesize_integrated)
+                        baseline_artifacts, baseline_memory_units,
+                        controller_to_system, integrated_memory_units,
+                        synthesize_baseline, synthesize_integrated)
 from .tsys import (FiniteSystem, accessible_part, check_bisimulation,
                    check_simulation, compose, is_deterministic,
                    nonblocking_part, subsystem)
@@ -26,9 +25,9 @@ __all__ = [
     "EvalDomainError", "ExprSyntaxError", "FiniteSystem", "Lattice",
     "Metrics", "ParameterValidationError", "ResourceLimitError",
     "StabilityCertificate", "SynthesisParams", "UncontrolledStateError",
-    "ValidationReport", "accessible_part", "backprop_blocking",
-    "baseline_artifacts", "baseline_memory_units", "build_abstraction",
-    "check_bisimulation", "check_simulation", "compose",
+    "ValidationReport", "accessible_part", "baseline_artifacts",
+    "baseline_memory_units", "build_abstraction", "check_bisimulation",
+    "check_simulation", "compose",
     "conformance_report", "controller_to_system", "evaluate", "flow",
     "flow_many", "format_expression", "integrated_memory_units",
     "is_deterministic", "nonblocking_part", "parse_expression",

@@ -60,18 +60,29 @@ def _section(doc: dict, name: str) -> dict:
     return doc[name]
 
 
-def _number(sec: dict, name: str, where: str) -> float:
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number (json reads NaN, Infinity)."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _number(sec: dict, name: str, where: str,
+            default: Optional[float] = None) -> float:
     if name not in sec:
+        if default is not None:
+            return default
         raise ConfigError(f"missing '{name}' in {where}")
     value = sec[name]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"'{name}' in {where} must be a number")
+    if not _finite(value):
+        raise ConfigError(f"'{name}' in {where} must be a finite number")
     return float(value)
 
 
 def _integer(value, name: str, where: str) -> int:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
+    if not _finite(value) or not float(value).is_integer():
         raise ConfigError(f"'{name}' in {where} must be an integer")
     return int(value)
 
@@ -82,8 +93,7 @@ def _box(sec: dict, name: str, where: str, expected_len: int) -> list:
     box = sec[name]
     if (not isinstance(box, list) or len(box) != expected_len
             or any(not isinstance(iv, list) or len(iv) != 2
-                   or not all(isinstance(v, (int, float)) and math.isfinite(v)
-                              for v in iv) for iv in box)):
+                   or not all(_finite(v) for v in iv) for iv in box)):
         raise ConfigError(f"'{name}' in {where} must be {expected_len} "
                           f"[lo, hi] pairs of finite numbers")
     return box
@@ -97,9 +107,9 @@ def _certificate(sec: dict, where: str) -> StabilityCertificate:
         return StabilityCertificate(
             beta_c=_number(cert, "beta_c", where),
             beta_lambda=_number(cert, "beta_lambda", where),
-            gamma_a=float(cert.get("gamma_a", 0.0)),
-            gamma_p=float(cert.get("gamma_p", 1.0)))
-    except (TypeError, ValueError) as exc:
+            gamma_a=_number(cert, "gamma_a", where, 0.0),
+            gamma_p=_number(cert, "gamma_p", where, 1.0))
+    except ValueError as exc:
         raise ConfigError(f"bad certificate in {where}: {exc}")
 
 
@@ -164,10 +174,12 @@ def load_config(path: str) -> ProblemConfig:
     if not isinstance(options, dict):
         raise ConfigError("'options' must be a JSON object")
     cap = options.get("transition_cap", DEFAULT_TRANSITION_CAP)
+    override = options.get("override_validation", False)
+    if not isinstance(override, bool):
+        raise ConfigError("'override_validation' must be true or false")
     return ProblemConfig(
         plant=plant, specification=specification, params=params,
-        substeps=substeps,
-        override_validation=bool(options.get("override_validation", False)),
+        substeps=substeps, override_validation=override,
         transition_cap=None if cap in (None, 0)
         else _integer(cap, "transition_cap", "options"))
 
@@ -325,6 +337,9 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps < 0:
+        print(f"--steps must be 0 or more, not {args.steps}", file=sys.stderr)
+        return EXIT_USAGE
     cfg = load_config(args.config)
     ctrl = read_controller_file(args.controller)
     st_lat, in_lat, _ = shared_lattices(cfg.plant, cfg.specification,

@@ -147,7 +147,7 @@ class Lattice:
 class SynthesisParams:
     """Quantization parameters: target precision epsilon, abstraction
     precisions theta_p/theta_q, sampling time tau, state quantization eta and
-    input quantization mu.  All strictly positive."""
+    input quantization mu.  All strictly positive and finite."""
 
     epsilon: float
     theta_p: float
@@ -158,8 +158,9 @@ class SynthesisParams:
 
     def __post_init__(self):
         for name in ("epsilon", "theta_p", "theta_q", "tau", "eta", "mu"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,11 +27,9 @@ from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
                        ValidationReport, validate_parameters)
 from .tsys import FiniteSystem, compose, nonblocking_part, subsystem
 
-# plant rows flowed per group of the integrated input scan, counted over
-# both of its passes (the coarse inputs, then the fine inputs the growth bound
-# keeps).  Groups are sized from the rows the groups before them flowed per
-# state.  On the benchmark problems, before pruning, 8K ran as fast as 16K
-# and 32K, which added 4-7 MiB of peak RSS
+# coarse plant rows per chunk of the integrated input scan: a chunk holds
+# _SCAN_ROWS // (coarse inputs) states.  On the benchmark problems, before
+# pruning, 8K ran as fast as 16K and 32K, which added 4-7 MiB of peak RSS
 _SCAN_ROWS = TILE_ROWS // 4
 # rounding margin of the growth-bound tests, relative to 1 + |value|.  The
 # bound is that of the RK4 map in exact arithmetic, while the kernel rounds
@@ -44,10 +41,10 @@ _MARGIN = 1e-9
 # tries at a region that holds the stage points of every pruned row
 _REGION_ROUNDS = 4
 
-# per-state status of the integrated route
-UNSEEN, QUEUED, CONTROLLED, BAD = 0, 1, 2, 3
-# input scan results: no admissible input, and not scanned yet
-NO_INPUT, UNSCANNED = -1, -2
+# input scan result of a state where no input lands
+NO_INPUT = -1
+# fail time of a state never marked bad (see _fail_times)
+NEVER = np.iinfo(np.int64).max
 
 
 class ParameterValidationError(ValueError):
@@ -254,35 +251,6 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
         rows_flowed=sp.n_states * sp.n_inputs + sq.n_states * sq.n_inputs)
     return ctrl, metrics, (sp, sq, cstar, nb)
-
-
-def backprop_blocking(status: np.ndarray, trans: Dict[int, Tuple[int, int]],
-                      preds: Dict[int, List[int]], x: int) -> int:
-    """Mark the blocking state x BAD and back-propagate it; returns the
-    number of steps taken.
-
-    trans maps each controlled source to its single (input, target) and
-    preds maps a target to the sources recorded into it.  Starting from the
-    worklist {x}, repeatedly take a state y, mark it BAD, delete every
-    transition still entering it and enqueue its source, which the deletion
-    leaves blocking.  Each newly bad state and each deleted transition is
-    one step.  status, trans and preds are updated in place.
-    """
-    steps = 0
-    work = deque([x])
-    while work:
-        y = work.popleft()
-        if status[y] == BAD:
-            continue
-        status[y] = BAD
-        steps += 1
-        for z in preds.pop(y, ()):
-            rec = trans.get(z)
-            if rec is not None and rec[1] == y:
-                del trans[z]
-                steps += 1
-                work.append(z)
-    return steps
 
 
 class _InputSplit:
@@ -533,6 +501,26 @@ def _scan_inputs(plant: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,
     return choice, flowed
 
 
+def _fail_times(turn: np.ndarray, target: np.ndarray,
+                blocked: np.ndarray) -> np.ndarray:
+    """The turn at which the sequential integrated loop marks each state bad;
+    NEVER for states without a turn yet (turn NEVER) and for those it never
+    marks.
+
+    A state fails at its own turn when it is `blocked` (its target is off
+    the lattice, or no input lands there), else when its target fails, but
+    not before its own turn: the greatest fixpoint of fail = where(blocked,
+    turn, max(turn, fail[target])), so a cycle of transitions that reaches
+    no blocked state never fails.
+    """
+    fail = np.full(turn.size, NEVER)
+    while True:
+        nxt = np.where(blocked, turn, np.maximum(turn, fail[target]))
+        if np.array_equal(nxt, fail):
+            return fail
+        fail = nxt
+
+
 def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
                           params: SynthesisParams,
                           substeps: int = DEFAULT_SUBSTEPS, *,
@@ -541,15 +529,19 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
                           ) -> Tuple[Controller, Metrics]:
     """On-the-fly synthesis over the shared state lattice.
 
-    Breadth-first over the quantized initial set: for each frontier state x,
-    quantize the specification successor y; unless y is known blocking, scan
-    the input lattice for inputs whose plant flow lands in y's cell, keeping
-    the most centered landing.  Matches append (x, u, y) and enqueue y;
-    failures back-propagate x through the transitions built so far.  Every
-    lattice state is processed at most once.  The input scans of a wave's
-    states are flowed in groups; which input each state keeps does not
-    depend on the grouping, nor on the inputs the scan prunes (see
-    _scan_inputs).
+    The sequential algorithm goes breadth-first over the quantized initial
+    set: for each state x of a wave, quantize the specification successor
+    y; unless y is off the lattice or bad, scan the input lattice for inputs
+    whose plant flow lands in y's cell, keeping the most centered landing.
+    A match records (x, u, y) and queues y if it was never queued; a failure
+    marks x bad and back-propagates through the recorded transitions.
+
+    This runs it a wave at a time, on fail times (_fail_times): x is scanned
+    exactly when y does not fail before x's turn.  Counting the wave's own
+    scans as landing only delays fail times, so the states that may be
+    scanned are known before the scan, which flows them in fixed chunks;
+    the fail times are then recomputed from its results.  The input a state
+    keeps depends neither on the chunks nor on the pruning (_scan_inputs).
     """
     _require_valid(plant, specification, params, force)
     t0 = time.perf_counter()
@@ -567,73 +559,63 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     split = _InputSplit(in_lat, u_pts)
     bound = (_GrowthBound(plant, u_pts, params.tau, substeps, split.reach)
              if split.fine.size else None)
+    chunk = max(1, _SCAN_ROWS // split.coarse.size)
 
-    # rows flowed: specification, plant, and the plant's per scanned state
-    spec_rows = plant_rows = scanned = 0
-    status = np.full(st_lat.n_points, UNSEEN, dtype=np.int8)
-    trans: Dict[int, Tuple[int, int]] = {}
-    preds: Dict[int, List[int]] = {}
-    steps = 0
+    n = st_lat.n_points
+    turn = np.full(n, NEVER)  # position in the processing order
+    target = np.full(n, -1)  # specification successor, -1 off the lattice
+    blocked = np.zeros(n, dtype=bool)
+    choice = np.full(n, NO_INPUT)
+    fail = np.full(n, NEVER)
+    spec_rows = plant_rows = 0  # rows flowed
+
+    def scanned(xs):
+        # fail[-1] is read for the targets off the lattice, then masked
+        return (target[xs] >= 0) & (fail[target[xs]] >= turn[xs])
 
     x0_indices = initial_indices(st_lat, init_box)
     wave = x0_indices
-    status[x0_indices] = QUEUED
     while wave.size:
+        turn[wave] = spec_rows + np.arange(wave.size)
         spec_rows += wave.size
         spec_z = np.vstack(map_tiles(
             lambda a, b: _flow_tile(specification, st_pts[wave[a:b]],
                                     np.zeros((b - a, specification.m)),
                                     params.tau, substeps), wave.size))
-        targets = st_lat.quantize_many(spec_z)
-        # chosen input per wave position: UNSCANNED until its group is scanned
-        choice = np.full(wave.size, UNSCANNED, dtype=np.int64)
-        next_wave: List[int] = []
-        for pos, x in enumerate(wave.tolist()):
-            if status[x] != QUEUED:
-                continue
-            steps += 1  # specification successor of x
-            y = int(targets[pos])
-            if y < 0 or status[y] == BAD:
-                steps += backprop_blocking(status, trans, preds, x)
-                continue
-            if choice[pos] == UNSCANNED:
-                # scan x together with the next states of the wave that may
-                # still need an input; none of them was scanned yet, since
-                # groups are taken in wave order.  A state's input depends
-                # only on (x, y), so grouping leaves this pass unchanged
-                rest = slice(pos, None)
-                pending = ((status[wave[rest]] == QUEUED)
-                           & (targets[rest] >= 0))
-                pending &= status[np.maximum(targets[rest], 0)] != BAD
-                per_state = -(-plant_rows // scanned) if scanned else n_u
-                group = pos + np.flatnonzero(pending)[
-                    :max(1, _SCAN_ROWS // per_state)]
-                choice[group], flowed = _scan_inputs(
-                    plant, st_lat, u_pts, split, bound, wave[group],
-                    targets[group], params.tau, substeps)
-                plant_rows += flowed
-                scanned += group.size
-            steps += n_u
-            found = int(choice[pos])
-            if found == NO_INPUT:
-                steps += backprop_blocking(status, trans, preds, x)
-                continue
-            trans[x] = (found, y)
-            preds.setdefault(y, []).append(x)
-            status[x] = CONTROLLED
-            if status[y] == UNSEEN:
-                status[y] = QUEUED
-                next_wave.append(y)
-        wave = np.asarray(next_wave, dtype=np.int64)
+        target[wave] = st_lat.quantize_many(spec_z)
+        blocked[wave] = target[wave] < 0  # the wave's scans count as landing
+        fail = _fail_times(turn, target, blocked)
+        may = wave[scanned(wave)]
+        for a in range(0, may.size, chunk):
+            part = may[a:a + chunk]
+            choice[part], flowed = _scan_inputs(
+                plant, st_lat, u_pts, split, bound, part, target[part],
+                params.tau, substeps)
+            plant_rows += flowed
+        blocked[may] = choice[may] == NO_INPUT
+        fail = _fail_times(turn, target, blocked)
+        # the next wave: the targets the wave recorded that were never
+        # queued, in recording order
+        ys, first = np.unique(target[wave[scanned(wave) & ~blocked[wave]]],
+                              return_index=True)
+        unseen = turn[ys] == NEVER
+        wave = ys[unseen][np.argsort(first[unseen])]
 
-    rows = np.asarray([(x, u, y) for x, (u, y) in trans.items()],
-                      dtype=np.int64).reshape(-1, 3)
-    initials = x0_indices[status[x0_indices] == CONTROLLED]
-    bad_states = np.flatnonzero(status == BAD)
-    ctrl = Controller(rows, initials, bad_states, st_lat, in_lat)
+    processed = turn < NEVER
+    scan = scanned(np.arange(n))  # false where not processed
+    bad = processed & (fail < NEVER)
+    recorded = scan & ~blocked
+    alive = recorded & ~bad
+    kept = np.flatnonzero(alive)
+    bad_states = np.flatnonzero(bad)
+    ctrl = Controller(np.column_stack([kept, choice[kept], target[kept]]),
+                      x0_indices[alive[x0_indices]], bad_states, st_lat,
+                      in_lat)
+    steps = int(processed.sum() + n_u * scan.sum() + bad.sum()
+                + (recorded & bad).sum())
     metrics = Metrics(
-        states=len(trans), transitions=len(trans),
-        memory_units=integrated_memory_units(len(trans), bad_states.size),
+        states=kept.size, transitions=kept.size,
+        memory_units=integrated_memory_units(kept.size, bad_states.size),
         steps=steps, wall_time_ms=(time.perf_counter() - t0) * 1e3,
         rows_flowed=spec_rows + plant_rows)
     return ctrl, metrics

@@ -2,6 +2,7 @@
 structural guarantees end to end, one criterion per test, each printing a
 PASS/FAIL line (run with -s to see them)."""
 
+import hashlib
 import resource
 import time
 
@@ -25,6 +26,42 @@ NONLINEAR_EXPECTED = {
     "nb_states": 21894, "nb_transitions": 1265217,
     "integrated_states": 3152,
 }
+
+# the integrated route on the nine published instances, exactly: states,
+# bad states, memory units, steps and the sha256 of the transition rows as
+# little-endian int64
+INTEGRATED_PINS = {
+    1: (239, 490, 1207, 1095809,
+        "9336993d7a98699430cbb0e6894085456228eec5c76b92a3156481fe120b7382"),
+    2: (281, 448, 1291, 1185789,
+        "b8c7ef793a19c93a2d1743de83b0f07349e36612b8843cf77f2560ed14ef0cb2"),
+    3: (199, 530, 1127, 1133830,
+        "9a8f0153c380de23bc4d61c9e8d73180eb71d950aea225e19ea9730f0fbdb079"),
+    4: (277, 452, 1283, 1173872,
+        "8cb2464911c490b1c3c58ad18f29022c5edea2a72603aa0f734f850a7042fd49"),
+    5: (99, 630, 927, 919868,
+        "d25d78244c565af6ba337b58eaa687b9aaaba5645643ddb29db56310d5a05593"),
+    6: (109, 620, 947, 917837,
+        "2b60d10923258c3dd5c66c5e0ab582df63526de1fdeeeee6d650742abb3cd609"),
+    7: (81, 648, 891, 818001,
+        "1e153d7582e5619f96ba2f3e20029a1992515e581e322742ca82d9af049c53cf"),
+    8: (53, 676, 835, 867874,
+        "221d2daba5950f91209a4d91741d1cb26f1ac29d51c58296c74748cfd3c4406e"),
+    "nonlinear": (
+        3069, 1027, 10234, 4105219,
+        "383563c719b8264f9a8e260d6df7a6a9d6edb6eda5de3828a02f2c386820d972"),
+}
+
+
+def _pin_problems(name, r) -> list:
+    """Differences between an instance's integrated result and its pin."""
+    ctrl, m = r["ctrl_i"], r["m_i"]
+    rows = np.ascontiguousarray(ctrl.transitions, dtype="<i8")
+    got = (m.states, int(ctrl.bad.size), m.memory_units, m.steps,
+           hashlib.sha256(rows.tobytes()).hexdigest())
+    return ([] if got == INTEGRATED_PINS[name]
+            else [f"#{name} integrated {got[:4]} != pinned "
+                  f"{INTEGRATED_PINS[name][:4]} (or digest differs)"])
 
 
 def _criterion(num, ok: bool, detail: str) -> None:
@@ -133,6 +170,7 @@ def test_criterion_4_linear_example_synthesis(linear_results):
             problems.append(f"#{k} integrated transitions != states")
         if r["elapsed"] > 60.0:
             problems.append(f"#{k} took {r['elapsed']:.0f}s > 60s")
+        problems += _pin_problems(k, r)
     # state-count ratios of the published comparison table
     for k, expected_ratio in ((1, 0.59), (7, 0.53)):
         r = linear_results[k]
@@ -163,6 +201,7 @@ def test_criterion_5_nonlinear_synthesis(nonlinear_results):
         problems.append(f"states ratio {ratio:.3f}")
     if r["t_baseline"] > 1800.0:
         problems.append(f"baseline took {r['t_baseline']:.0f}s")
+    problems += _pin_problems("nonlinear", r)
     _criterion(5, not problems,
                (f"integrated {r['m_i'].states} (3152 +-5%), baseline "
                 f"{r['nb_states']}/{r['nb_transitions']} "

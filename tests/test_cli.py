@@ -81,9 +81,24 @@ def test_malformed_config_exit1(tmp_path, capsys):
         "n_fraction": edited("plant", "n", 1.5),
         "field_number": edited("plant", "field", [5]),
         "box_null": edited("plant", "state_box", [[None, 1.0]]),
+        "box_huge_integer": edited("plant", "state_box", [[-1, 10 ** 400]]),
         "certificate_list": edited("plant", "certificate",
                                    {"beta_c": 1.0, "beta_lambda": 1.0,
                                     "gamma_a": [1]}),
+        "certificate_text": edited("plant", "certificate",
+                                   {"beta_c": 1.0, "beta_lambda": 1.0,
+                                    "gamma_a": "0.5"}),
+        "certificate_infinite": edited("plant", "certificate",
+                                       {"beta_c": float("inf"),
+                                        "beta_lambda": 1.0}),
+        "gamma_nan": edited("specification", "certificate",
+                            {"beta_c": 1.0, "beta_lambda": 1.0,
+                             "gamma_p": float("nan")}),
+        "tau_infinite": edited("params", "tau", float("inf")),
+        "eta_nan": edited("params", "eta", float("nan")),
+        "override_text": edited("options", "override_validation", "false"),
+        "override_list": edited("options", "override_validation", [1]),
+        "override_number": edited("options", "override_validation", 1),
     }
     for name, doc in broken.items():
         capsys.readouterr()
@@ -347,6 +362,13 @@ def test_simulate_malformed_x0_exit1(tmp_path, capsys):
     main(["synthesize", TOY, "--method", "integrated", "--out", str(ctrl_path)])
     capsys.readouterr()
     assert main(["simulate", TOY, str(ctrl_path), "--x0", "a,b"]) == 1
+    # a negative step count runs no period, so it is refused
+    capsys.readouterr()
+    assert main(["simulate", TOY, str(ctrl_path), "--x0", "-0.25",
+                 "--steps", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--steps" in captured.err and "[pass]" not in captured.out
 
 
 def test_compare_reports_ratios_and_bisimilarity(capsys):

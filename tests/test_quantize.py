@@ -159,3 +159,7 @@ def test_params_must_be_positive():
         SynthesisParams(epsilon=0.0, theta_p=1, theta_q=1, tau=1, eta=1, mu=1)
     with pytest.raises(ValueError):
         SynthesisParams(epsilon=1, theta_p=1, theta_q=1, tau=-1, eta=1, mu=1)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            SynthesisParams(epsilon=1, theta_p=1, theta_q=1, tau=value, eta=1,
+                            mu=1)

@@ -72,6 +72,17 @@ def test_backprop_preserves_unrelated():
     assert steps == 2 + 1
 
 
+def test_fail_times_follow_targets_to_the_first_failure():
+    # 0 -> 1 -> 2, blocked at time 5; 3 <-> 4 and 7 -> 7 reach no blocked
+    # state; 5 -> 6, not processed; 8 reaches 2 after 2 failed
+    never = synthesis.NEVER
+    time = np.array([0, 1, 5, 2, 3, 4, never, 6, 7])
+    target = np.array([1, 2, -1, 4, 3, 6, 0, 7, 2])
+    blocked = np.arange(9) == 2
+    fail = synthesis._fail_times(time, target, blocked)
+    assert fail.tolist() == [5, 5, 5, never, never, never, never, never, 7]
+
+
 # ---- memory-unit arithmetic --------------------------------------------------
 
 def test_baseline_memory_nonlinear_benchmark():

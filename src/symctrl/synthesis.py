@@ -43,7 +43,7 @@ _REGION_ROUNDS = 4
 
 # input scan result of a state where no input lands
 NO_INPUT = -1
-# fail time of a state never marked bad (see _fail_times)
+# turn of a state not processed, fail time of one never marked bad
 NEVER = np.iinfo(np.int64).max
 
 
@@ -511,7 +511,7 @@ def _fail_times(turn: np.ndarray, target: np.ndarray,
     the lattice, or no input lands there), else when its target fails, but
     not before its own turn: the greatest fixpoint of fail = where(blocked,
     turn, max(turn, fail[target])), so a cycle of transitions that reaches
-    no blocked state never fails.
+    no blocked state never fails.  A blocked state's target may be -1.
     """
     fail = np.full(turn.size, NEVER)
     while True:

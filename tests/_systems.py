@@ -1,6 +1,8 @@
 """Reference systems shared across the test suite: the 3-D nonlinear
 tracking pair, the eight 2-D linear benchmark pairs, a small 1-D toy
-pair for fast tests, and a 4-D field that uses every operator.
+pair for fast tests, a 4-D field that uses every operator, and the
+hypothesis strategy `problems` of random small plant and specification
+pairs.
 
 Two entries of the published linear benchmark table carry typos that
 independent count fingerprints pin down: example 3's plant matrix prints
@@ -13,6 +15,8 @@ used here; with them every published count reproduces exactly.
 """
 
 import math
+
+from hypothesis import strategies as st
 
 from symctrl import (ControlSystem, StabilityCertificate, SynthesisParams,
                      parse_expression)
@@ -145,3 +149,95 @@ def every_operator_system():
     return ControlSystem(n=4, m=1, state_box=[[0.5, 1]] * 4,
                          init_box=[[0.5, 1]] * 4, input_box=[[-1, 1]],
                          field=field)
+
+
+# ---- random problems ----------------------------------------------------------
+
+def _constant():
+    return st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: repr(round(v, 3)))
+
+
+def terms(names):
+    """Expression text over `names`: the four operators, the five functions
+    and integer and fractional powers.  Division, sqrt and the powers -1
+    and 0.5 are drawn less often: near 0 their derivatives are unbounded,
+    so the scan keeps every input of the states that reach there."""
+    leaf = st.one_of(st.sampled_from(names), _constant())
+
+    def grow(kids):
+        return st.one_of(
+            st.tuples(kids, st.sampled_from("++--**/"), kids).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(("sin", "cos", "exp", "abs") * 2
+                                      + ("sqrt",)),
+                      kids).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(kids, st.sampled_from(("2", "3") * 2 + ("-1", "0.5"))
+                      ).map(lambda t: f"({t[0]})^{t[1]}"))
+    return st.recursive(leaf, grow, max_leaves=4)
+
+
+# terms that blow up, leave the domain or stiffen the flow on parts of the
+# box; "0" is drawn two times in three
+BLOW_UPS = ("0",) * 12 + ("4*x1^3", "exp(5*x1)", "1/(x1 - 0.3)",
+                          "sqrt(x1 + 0.4)", "-20*x1", "abs(x1)^0.5")
+
+# state points per axis: 2k + 1 for k up to STATE_HALF[n]; input points per
+# axis: 2k + 1 for k from 2 up to INPUT_HALF[m]
+STATE_HALF = {1: 12, 2: 5, 3: 3}
+INPUT_HALF = {1: 40, 2: 5}
+# draws whose specification drifts across the state box
+MULTI_WAVE_DRAWS = 100
+
+
+@st.composite
+def problems(draw, drifting=False):
+    """A random plant and specification pair; with `drifting`, the initial
+    box is a corner sub-box and the specification contracts toward a centre
+    outside it, so that synthesis runs over several waves."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    xs = [f"x{i + 1}" for i in range(n)]
+    us = [f"u{j + 1}" for j in range(m)]
+    w = draw(st.floats(0.5, 1.5))
+    eta = w / draw(st.integers(2, STATE_HALF[n])) / 2.0
+    r = draw(st.floats(0.5, 2.0))
+    mu = r / draw(st.integers(2, INPUT_HALF[m])) / 2.0
+    tau = draw(st.floats(0.2, 1.0))
+    substeps = draw(st.sampled_from((1, 2) + (5, 10) * 3))
+    spec_field, plant_field = [], []
+    if drifting:
+        # per axis, the initial box is the low or the high quarter of the
+        # state box and the centre lies in the other half
+        sides = [draw(st.sampled_from((-1, 1))) for _ in range(n)]
+        centre = [-side * draw(st.floats(0.0, 0.8 * w)) for side in sides]
+    for i in range(n):
+        a = draw(st.floats(0.5, 3.0))
+        b = draw(st.floats(-0.5, 0.5))
+        spec_i = f"{-a}*x{i + 1} + {b}*{draw(terms(xs))}"
+        if drifting:
+            spec_i += f" + {a * centre[i]}"
+        gains = " + ".join(
+            f"{draw(st.sampled_from((-1, 1))) * draw(st.floats(0.5, 2.0))}*{u}"
+            for u in us)
+        d = draw(st.floats(-0.2, 0.2))
+        blow = draw(st.sampled_from(BLOW_UPS))
+        # the plant may be unstable where the specification is not: there
+        # RK4's higher-order terms raise the growth above the first-order one
+        k = draw(st.floats(0.0, 3.0))
+        plant_field.append(f"{spec_i} + {k}*x{i + 1} + {gains} + "
+                           f"{d}*{draw(terms(xs + us))} + {blow}")
+        spec_field.append(spec_i)
+    box = [[-w, w]] * n
+    init = ([sorted((side * w / 2, side * w)) for side in sides] if drifting
+            else [[-w / 2, draw(st.floats(0.0, w / 2))]] * n)
+    plant = ControlSystem(
+        n=n, m=m, state_box=box, init_box=init, input_box=[[-r, r]] * m,
+        field=tuple(parse_expression(t, n, m) for t in plant_field),
+        certificate=StabilityCertificate(1.0, 1.0, 1.0, 1.0))
+    spec = ControlSystem(
+        n=n, m=0, state_box=box, init_box=init, input_box=[],
+        field=tuple(parse_expression(t, n, 0) for t in spec_field),
+        certificate=StabilityCertificate(1.0, 1.0))
+    params = SynthesisParams(epsilon=1.0, theta_p=0.5, theta_q=0.5, tau=tau,
+                             eta=eta, mu=mu)
+    return plant, spec, params, substeps

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      ParameterValidationError, ResourceLimitError,
@@ -10,7 +11,7 @@ from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      is_deterministic, nonblocking_part, parse_expression,
                      synthesis, synthesize_baseline, synthesize_integrated)
 
-from _systems import linear_pair, toy_pair
+from _systems import linear_pair, problems, toy_pair
 from test_pruning import BAD, CONTROLLED, UNSEEN, backprop_blocking
 
 
@@ -337,6 +338,42 @@ def test_random_small_pairs_routes_stay_bisimilar():
             assert rel is not None
         assert m_i.memory_units <= m_b.memory_units
 
+
+
+def route_outcome(route, problem):
+    """The controller of one route, or the type of the exception it
+    raised."""
+    plant, spec, params, substeps = problem
+    try:
+        return route(plant, spec, params, substeps, force=True)[0]
+    except Exception as exc:  # compared across the routes below
+        return type(exc)
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+def test_routes_agree_on_random_problems(drifting):
+    # both routes synthesize over the same lattices: their controllers must
+    # be exactly bisimilar, or both must fail alike
+    seen = {"examples": 0, "controlled": 0}
+
+    @settings(derandomize=True, max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(problems(drifting=drifting))
+    def check(problem):
+        ctrl_i = route_outcome(synthesize_integrated, problem)
+        ctrl_b = route_outcome(synthesize_baseline, problem)
+        seen["examples"] += 1
+        if isinstance(ctrl_i, type) or isinstance(ctrl_b, type):
+            assert ctrl_i is ctrl_b
+            return
+        assert check_bisimulation(controller_to_system(ctrl_i),
+                                  controller_to_system(ctrl_b),
+                                  0.0) is not None
+        seen["controlled"] += ctrl_i.n_transitions > 0
+
+    check()
+    assert seen["controlled"] >= seen["examples"] // 3
 
 def test_baseline_steps_count_exact_output_matches():
     # the plant box reaches past the spec box: plant cells outside the shared

@@ -103,12 +103,11 @@ def _certificate(sec: dict, where: str) -> StabilityCertificate:
     cert = sec.get("certificate")
     if not isinstance(cert, dict):
         raise ConfigError(f"missing 'certificate' in {where}")
+    constants = {name: _number(cert, name, where, default)
+                 for name, default in (("beta_c", None), ("beta_lambda", None),
+                                       ("gamma_a", 0.0), ("gamma_p", 1.0))}
     try:
-        return StabilityCertificate(
-            beta_c=_number(cert, "beta_c", where),
-            beta_lambda=_number(cert, "beta_lambda", where),
-            gamma_a=_number(cert, "gamma_a", where, 0.0),
-            gamma_p=_number(cert, "gamma_p", where, 1.0))
+        return StabilityCertificate(**constants)
     except ValueError as exc:
         raise ConfigError(f"bad certificate in {where}: {exc}")
 
@@ -124,15 +123,14 @@ def _system(sec: dict, where: str, n_inputs: int) -> ControlSystem:
         field = tuple(parse_expression(text, n, n_inputs) for text in field_src)
     except ExprSyntaxError as exc:
         raise ConfigError(f"bad field expression in {where}: {exc}")
+    state_box = _box(sec, "state_box", where, n)
+    init_box = _box(sec, "init_box", where, n)
+    input_box = _box(sec, "input_box", where, n_inputs) if n_inputs else []
+    certificate = _certificate(sec, where)
     try:
-        return ControlSystem(
-            n=n, m=n_inputs,
-            state_box=_box(sec, "state_box", where, n),
-            init_box=_box(sec, "init_box", where, n),
-            input_box=_box(sec, "input_box", where, n_inputs) if n_inputs
-            else [],
-            field=field,
-            certificate=_certificate(sec, where))
+        return ControlSystem(n=n, m=n_inputs, state_box=state_box,
+                             init_box=init_box, input_box=input_box,
+                             field=field, certificate=certificate)
     except ValueError as exc:
         raise ConfigError(f"bad {where}: {exc}")
 

@@ -64,12 +64,19 @@ def thread_count(requested: Optional[int] = None) -> int:
 
 def map_tiles(fn: Callable[[int, int], object], n_rows: int,
               threads: Optional[int] = None) -> list:
-    """[fn(a, b)] for each TILE_ROWS-row tile [a, b) of range(n_rows), in
-    tile order.  Several tiles run on a pool of thread_count(threads)
-    workers, so fn must be safe to call from several threads at once."""
+    """[fn(a, b)] for each tile [a, b) of range(n_rows), in tile order.
+
+    The tiles are of equal length (to a row), at most TILE_ROWS, and when
+    there are several, their count is a multiple of the workers, so that
+    no worker idles through a short last tile.  Several tiles run on a pool
+    of thread_count(threads) workers, so fn must be safe to call from
+    several threads at once."""
     nworkers = thread_count(threads)
-    tiles = [(a, min(a + TILE_ROWS, n_rows))
-             for a in range(0, n_rows, TILE_ROWS)]
+    count = -(-n_rows // TILE_ROWS)
+    if count > 1:
+        count = -(-count // nworkers) * nworkers
+    tiles = [(n_rows * i // count, n_rows * (i + 1) // count)
+             for i in range(count)]
     if nworkers <= 1 or len(tiles) <= 1:
         return [fn(a, b) for a, b in tiles]
     with ThreadPoolExecutor(max_workers=nworkers) as pool:

@@ -10,7 +10,6 @@ per state, which is where its space advantage comes from.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -18,11 +17,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .abstraction import (DEFAULT_TRANSITION_CAP, AbstractionSpec,
-                          ResourceLimitError, build_abstraction,
-                          initial_indices, input_points)
+                          ResourceLimitError, _fine_to_flow, _GrowthBound,
+                          _InputSplit, build_abstraction, initial_indices,
+                          input_points)
 from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
-from .expr import Var, derivative, enclose
 from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
                        ValidationReport, validate_parameters)
 from .tsys import FiniteSystem, compose, nonblocking_part, subsystem
@@ -31,15 +30,6 @@ from .tsys import FiniteSystem, compose, nonblocking_part, subsystem
 # _SCAN_ROWS // (coarse inputs) states.  On the benchmark problems, before
 # pruning, 8K ran as fast as 16K and 32K, which added 4-7 MiB of peak RSS
 _SCAN_ROWS = TILE_ROWS // 4
-# rounding margin of the growth-bound tests, relative to 1 + |value|.  The
-# bound is that of the RK4 map in exact arithmetic, while the kernel rounds
-# each of its few hundred operations per row to nearest and the interval
-# enclosures are not rounded outward.  Those errors, near 1e-14 relative,
-# stay far below this margin while the flow amplifies them less than about
-# 1e4-fold over tau
-_MARGIN = 1e-9
-# tries at a region that holds the stage points of every pruned row
-_REGION_ROUNDS = 4
 
 # input scan result of a state where no input lands
 NO_INPUT = -1
@@ -103,7 +93,8 @@ class Metrics:
     pruning operations) as the paper does: n_u per input scan of the
     integrated route.  rows_flowed counts the (state, input) rows of the
     plant and the specification a route actually flowed, which is the work
-    it did: the integrated route prunes inputs it can prove miss.
+    it did: both routes prune the inputs they can prove miss, a target cell
+    (integrated) or every cell (baseline).
     wall_time_ms is informational only.
     """
 
@@ -249,202 +240,8 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
                                            cstar.n_transitions),
         steps=steps,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        rows_flowed=sp.n_states * sp.n_inputs + sq.n_states * sq.n_inputs)
+        rows_flowed=sp.rows_flowed + sq.rows_flowed)
     return ctrl, metrics, (sp, sq, cstar, nb)
-
-
-class _InputSplit:
-    """The inputs the scan flows first and, for each other input, the first
-    ones it is compared with.
-
-    Per input axis of c points, every isqrt(c)-th point and the last one are
-    coarse; an input coarse on every axis is coarse.  Each other (fine)
-    input has 2^m corners: per axis, the nearest coarse index at or below
-    its own and the nearest at or above.  corner[f, q] is the position in
-    `coarse` of corner q of fine input f, du[f, q] the per-axis distance
-    between the two inputs, and reach the largest such distance per axis.
-    With few points per axis every input is coarse; an autonomous plant has
-    the one zero input.
-    """
-
-    def __init__(self, in_lat: Optional[Lattice], u_pts: np.ndarray):
-        n_u = u_pts.shape[0]
-        if in_lat is None:
-            grids, k = [], np.zeros((n_u, 0), dtype=np.int64)
-        else:
-            grids = [np.unique(np.r_[np.arange(0, c, max(1, math.isqrt(c))),
-                                     c - 1]) for c in in_lat.counts]
-            k = (np.arange(n_u)[:, None] // in_lat.strides) % in_lat.counts
-        coarse = np.ones(n_u, dtype=bool)
-        for ax, grid in enumerate(grids):
-            coarse &= np.isin(k[:, ax], grid)
-        self.coarse = np.flatnonzero(coarse)
-        self.fine = np.flatnonzero(~coarse)
-        # positions in self.coarse, mixed-radix over the grids
-        radix = np.ones(len(grids), dtype=np.int64)
-        for ax in range(len(grids) - 2, -1, -1):
-            radix[ax] = radix[ax + 1] * grids[ax + 1].size
-        kf = k[self.fine]
-        corners = []
-        for q in range(1 << len(grids)):
-            pos = np.zeros(self.fine.size, dtype=np.int64)
-            for ax, grid in enumerate(grids):
-                if (q >> ax) & 1:  # the nearest coarse index above
-                    pos += np.searchsorted(grid, kf[:, ax], "left") * radix[ax]
-                else:  # below
-                    pos += (np.searchsorted(grid, kf[:, ax], "right")
-                            - 1) * radix[ax]
-            corners.append(pos)
-        self.corner = np.stack(corners, axis=1)
-        self.du = np.abs(u_pts[self.fine][:, None, :]
-                         - u_pts[self.coarse][self.corner])
-        self.reach = (self.du.max(axis=(0, 1)) if self.fine.size
-                      else np.zeros(u_pts.shape[1]))
-
-
-class _GrowthBound:
-    """A bound on how far the plant's RK4 endpoint moves with its input.
-
-    For two rows from the same state with inputs du apart, it bounds the
-    endpoint distance componentwise by G |du|.  G bounds the map the
-    kernel runs, substep by substep, not the exact flow.  Let h = tau /
-    substeps, and over a box D of states times the input hull take J, the
-    interval Jacobian df/dx, with L its Metzler bound (sup J_ii on the
-    diagonal, sup |J_ij| off it), M = sup |J| and W = sup |df/du|.  While
-    both rows' stage points lie in D, the mean value theorem (row by row,
-    on segments inside the box D) writes each stage difference as
-    dk_s = J_s dy_s + W_s du, with dy_1 = dx, dy_2 = dx + h/2 dk_1,
-    dy_3 = dx + h/2 dk_2, dy_4 = dx + h dk_3.  Expanding
-    dx+ = dx + h/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4):
-
-    - order h: (I + h Jbar) dx with Jbar = (J_1 + 2 J_2 + 2 J_3 + J_4) / 6,
-      a convex mix of Jacobians in J.  So |I + h Jbar| <= I + h L entrywise
-      when 1 + h inf J_ii >= 0, and the contraction is kept;
-    - order h^2: h/6 * h (J_2 J_1 + J_3 J_2 + J_4 J_3) dx, at most
-      (hM)^2 / 2 |dx|;
-    - order h^3: h/6 * h^2 (J_3 J_2 J_1 / 2 + J_4 J_3 J_2 / 2) dx, at most
-      (hM)^3 / 6 |dx|;
-    - order h^4: h/6 * h^3 J_4 J_3 J_2 J_1 / 4 dx, at most (hM)^4 / 24 |dx|;
-    - the input terms, likewise: h/6 (W_1 + 2 W_2 + 2 W_3 + W_4) du, then
-      h/6 * h (J_2 W_1 + J_3 W_2 + J_4 W_3) du, h/6 * h^2 (J_3 J_2 W_1 / 2
-      + J_4 J_3 W_2 / 2) du and h/6 * h^3 J_4 J_3 J_2 W_1 / 4 du, at most
-      h (W + hM W / 2 + (hM)^2 W / 6 + (hM)^3 W / 24) |du|.
-
-    So |dx+| <= A |dx| + B |du| with A = I + hL + (hM)^2/2 + (hM)^3/6 +
-    (hM)^4/24 and B = h (W + hM W/2 + (hM)^2 W/6 + (hM)^3 W/24), and from
-    dx = 0, G is B iterated `substeps` times through A.
-
-    D is the hull of the stage points the coarse rows of a state visited,
-    grown by g.  The bound holds if the stage points of every row compared
-    with them stay within g: from |dx| <= R |du| (R the largest G before a
-    substep), |dy_2| <= R + h/2 (M R + W), |dy_3| <= R + h/2 (M dy_2 + W),
-    |dy_4| <= R + h (M dy_3 + W), each times the reach.  Induction over the
-    stages shows that then no stage point leaves D, so g is accepted when
-    this growth is at most g.  Both D and the miss test get a rounding
-    margin of _MARGIN (1 + |value|).  A box is refused (every input kept)
-    when an enclosure is unbounded or undefined, when 1 + h inf J_ii < 0,
-    or when no g is accepted within _REGION_ROUNDS tries.
-    """
-
-    def __init__(self, plant: ControlSystem, u_pts: np.ndarray, tau: float,
-                 substeps: int, reach: np.ndarray):
-        n, m = plant.n, plant.m
-        wrt = [Var("x", i) for i in range(n)] + [Var("u", j) for j in range(m)]
-        # the field itself too: the mean value theorem needs it defined on D
-        self.exprs = list(plant.field) + [derivative(f, v) for f in plant.field
-                                          for v in wrt]
-        self.u = list(zip(u_pts.min(axis=0), u_pts.max(axis=0)))
-        self.n, self.m = n, m
-        self.h, self.substeps, self.reach = tau / substeps, substeps, reach
-
-    def _at(self, lo: np.ndarray, hi: np.ndarray):
-        """(G, growth, ok) over the boxes [lo, hi] (rows); G and growth may
-        be one value for all boxes when the Jacobian is constant."""
-        n, m, h = self.n, self.m, self.h
-        ivs, ok = enclose(self.exprs, list(zip(lo.T, hi.T)), self.u)
-        jac = ivs[n:]
-        shape = np.broadcast_shapes(*(np.shape(b) for iv in jac for b in iv))
-        Jlo, Jhi = (np.stack([np.broadcast_to(iv[e], shape) for iv in jac],
-                             axis=-1).reshape(*shape, n, n + m) for e in (0, 1))
-        with np.errstate(all="ignore"):
-            mag = np.maximum(np.abs(Jlo), np.abs(Jhi))
-            M, W = mag[..., :n], mag[..., n:]
-            d = np.arange(n)
-            L = M.copy()
-            L[..., d, d] = Jhi[..., d, d]
-            ok = ok & np.all(1.0 + h * Jlo[..., d, d] >= 0.0, axis=-1)
-            hM = h * M
-            P2 = hM @ hM
-            P3 = P2 @ hM
-            A = np.eye(n) + h * L + P2 / 2 + P3 / 6 + P3 @ hM / 24
-            B = h * (W + hM @ W / 2 + P2 @ W / 6 + P3 @ W / 24)
-            G, R = np.zeros_like(B), np.zeros_like(B)
-            for _ in range(self.substeps):
-                np.maximum(R, G, out=R)
-                G = np.einsum("...ij,...jk->...ik", A, G) + B
-            Y2 = R + h / 2 * (M @ R + W)
-            Y3 = R + h / 2 * (M @ Y2 + W)
-            Y4 = R + h * (M @ Y3 + W)
-            growth = np.maximum(np.maximum(R, Y2), np.maximum(Y3, Y4)) @ self.reach
-        return G, growth, ok & np.all(np.isfinite(growth), axis=-1)
-
-    def gains(self, lo: np.ndarray, hi: np.ndarray):
-        """(G, sure) per stage-point hull [lo[s], hi[s]]: G[s] bounds the
-        endpoint distance per unit of input where sure[s] holds."""
-        S = lo.shape[0]
-        G = np.zeros((S, self.n, self.m))
-        sure = np.zeros(S, dtype=bool)
-        open_ = np.ones(S, dtype=bool)
-        g = np.zeros((S, self.n))
-        pad0 = _MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        for _ in range(_REGION_ROUNDS):
-            Gk, growth, ok = self._at(lo - g - pad0, hi + g + pad0)
-            growth = np.broadcast_to(growth, g.shape)
-            fits = open_ & ok & np.all(growth <= g, axis=1)
-            G[fits] = np.broadcast_to(Gk, G.shape)[fits]
-            sure |= fits
-            # a refused box stays refused on any larger one
-            open_ &= ok & ~fits
-            if not open_.any():
-                break
-            # grow past the need, which grows with the region
-            g = np.where(open_[:, None], 1.5 * growth, g)
-        return G, sure
-
-
-def _fine_to_flow(split: _InputSplit, bound: _GrowthBound, Z, lo, hi,
-                  P: np.ndarray, half: float) -> np.ndarray:
-    """keep[s, f]: whether fine input split.fine[f] of state s may still land
-    in the cell of P[s] (half-width `half`), given the coarse rows' endpoints
-    Z and stage-point hulls lo, hi, each (state, coarse input, axis).
-
-    Corner c proves that f misses when, on some axis, Z[s, c] is farther
-    from the cell than G |du| plus the margin.  A corner whose row is not
-    finite proves nothing, and neither does a state without a sure bound.
-    """
-    fin = (np.isfinite(Z).all(axis=2) & np.isfinite(lo).all(axis=2)
-           & np.isfinite(hi).all(axis=2))
-    S, n = P.shape
-    G = np.zeros((S, n, split.du.shape[2]))
-    sure = np.zeros(S, dtype=bool)
-    has = fin.any(axis=1)
-    if has.any():
-        G[has], sure[has] = bound.gains(
-            np.where(fin[..., None], lo, np.inf).min(axis=1)[has],
-            np.where(fin[..., None], hi, -np.inf).max(axis=1)[has])
-    with np.errstate(invalid="ignore"):
-        gap = np.abs(Z - P[:, None, :]) - half - _MARGIN * (1.0 + np.abs(Z))
-    gap[~(fin & sure[:, None])] = -np.inf
-    keep = np.ones((S, split.fine.size), dtype=bool)
-    # a few states at a time, so that the temporaries stay small
-    step = max(1, _SCAN_ROWS // max(1, split.fine.size))
-    for a in range(0, S, step):
-        part = keep[a:a + step]
-        for q in range(split.corner.shape[1]):
-            for i in range(n):
-                part &= (G[a:a + step, i, :] @ split.du[:, q, :].T
-                         >= gap[a:a + step, split.corner[:, q], i])
-    return keep
 
 
 def _scan_inputs(plant: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,
@@ -485,7 +282,7 @@ def _scan_inputs(plant: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,
         land(src, cols, Z)
         keep = _fine_to_flow(split, bound,
                              *(a.reshape(S, n_c, -1) for a in (Z, lo, hi)),
-                             P, st_lat.spacing / 2.0)
+                             P, np.full(st_lat.dim, st_lat.spacing / 2.0))
         src, fine = np.nonzero(keep)
         if src.size:
             land(src, split.fine[fine],

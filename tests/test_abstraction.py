@@ -1,13 +1,43 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
                      StabilityCertificate, build_abstraction,
-                     check_bisimulation, dynamics, is_deterministic,
-                     parse_expression)
+                     check_bisimulation, dynamics, flow_many,
+                     is_deterministic, parse_expression)
+from symctrl.abstraction import input_points, state_lattice
 from symctrl.dynamics import TILE_ROWS
 
-from _systems import toy_pair
+from _systems import linear_pair, problems, toy_pair
+
+
+def full_sweep(sys, spec):
+    """The abstraction's transitions from a sweep of every (state, input)
+    row, in lexicographic order, with no pruning."""
+    st_lat = state_lattice(sys, spec.eta)
+    inputs = input_points(sys, spec.mu)
+    n_u = inputs.shape[0]
+    pair = np.arange(st_lat.n_points * n_u, dtype=np.int64)
+    src, uix = pair // n_u, pair % n_u
+    Z = flow_many(sys, st_lat.points()[src], inputs[uix], spec.tau,
+                  spec.substeps, check_finite=False)
+    # the membership rule: an endpoint must fall in the half-open cell of
+    # some lattice point; endpoints farther out, non-finite ones included,
+    # give no transition
+    dst = st_lat.quantize_many(Z)
+    keep = dst >= 0
+    return np.column_stack([src[keep], uix[keep], dst[keep]]).astype(np.int32)
+
+
+def assert_matches_full_sweep(sys, spec):
+    """Asserts the abstraction equals the full sweep; returns it."""
+    fs = build_abstraction(sys, spec)
+    assert np.array_equal(fs.transitions, full_sweep(sys, spec))
+    assert fs.rows_flowed <= fs.n_states * fs.n_inputs
+    return fs
 
 
 def test_zero_field_gives_self_loops_per_input():
@@ -94,6 +124,25 @@ def test_thread_count_invariance(monkeypatch):
             assert build_abstraction(plant, spec).same_as(ref)
 
 
+def test_pruned_sweep_under_thread_stress(monkeypatch):
+    # the workers of both passes write disjoint entries of one successor
+    # array: with more workers than cores, short tiles and frequent thread
+    # switches, a lost or misplaced write would change the model
+    plant, _, params = linear_pair(1)
+    spec = AbstractionSpec(params.tau, 0.05, 0.05, 10)
+    ref = full_sweep(plant, spec)
+    monkeypatch.setattr(dynamics, "TILE_ROWS", 97)
+    monkeypatch.setenv("SYMCTRL_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fs = build_abstraction(plant, spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert fs.rows_flowed < fs.n_states * fs.n_inputs
+    assert np.array_equal(fs.transitions, ref)
+
+
 def test_transition_cap_enforced():
     plant, _, params = toy_pair()
     with pytest.raises(ResourceLimitError):
@@ -116,3 +165,39 @@ def test_coarse_abstraction_bisimilar_to_fine_reference():
     coarse = build_abstraction(sys, AbstractionSpec(tau, eta, mu))
     fine = build_abstraction(sys, AbstractionSpec(tau, eta / 8.0, mu))
     assert check_bisimulation(coarse, fine, theta) is not None
+
+
+# ---- rows proved to leave the cover are not flowed ----------------------------
+
+def test_abstraction_equals_full_sweep_on_random_problems():
+    seen = {"examples": 0, "pruned": 0}
+    for drifting in (False, True):
+        @settings(derandomize=True, max_examples=50, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow,
+                                         HealthCheck.data_too_large])
+        @given(problems(drifting=drifting))
+        def check(problem):
+            plant, spec, params, substeps = problem
+            fs = assert_matches_full_sweep(
+                plant, AbstractionSpec(params.tau, params.eta, params.mu,
+                                       substeps))
+            # the specification has no inputs to prune
+            fq = assert_matches_full_sweep(
+                spec, AbstractionSpec(params.tau, params.eta, None, substeps))
+            assert fq.rows_flowed == fq.n_states
+            seen["examples"] += 1
+            seen["pruned"] += fs.rows_flowed < fs.n_states * fs.n_inputs
+
+        check()
+    # the draws must exercise the pruning: many of them leave the cover only
+    # through blow-ups, or are too stiff for a sure bound
+    assert seen["pruned"] >= seen["examples"] // 5
+
+
+def test_abstraction_equals_full_sweep_on_linear_1():
+    # the linear-pair benchmark plant: 201 inputs, and about half of its
+    # rows leave the cover
+    plant, _, params = linear_pair(1)
+    fs = assert_matches_full_sweep(
+        plant, AbstractionSpec(params.tau, params.eta, 0.01, 50))
+    assert fs.rows_flowed * 3 < fs.n_states * fs.n_inputs * 2

@@ -91,6 +91,11 @@ def test_malformed_config_exit1(tmp_path, capsys):
         "certificate_infinite": edited("plant", "certificate",
                                        {"beta_c": float("inf"),
                                         "beta_lambda": 1.0}),
+        "certificate_negative": edited("plant", "certificate",
+                                       {"beta_c": -1.0, "beta_lambda": 1.0}),
+        "certificate_missing": dict(toy_doc(), plant={
+            key: value for key, value in toy_doc()["plant"].items()
+            if key != "certificate"}),
         "gamma_nan": edited("specification", "certificate",
                             {"beta_c": 1.0, "beta_lambda": 1.0,
                              "gamma_p": float("nan")}),
@@ -106,6 +111,9 @@ def test_malformed_config_exit1(tmp_path, capsys):
         assert main(["validate-params", path]) == 1, name
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and "config error" in err, name
+        if name.startswith("certificate") or name == "gamma_nan":
+            # the message names the section once, not once per wrapper
+            assert err.count("plant") + err.count("specification") == 1, err
     with pytest.raises(ConfigError, match="substeps"):
         load_config(write_json(tmp_path / "s.json",
                                broken["substeps_fraction"]))

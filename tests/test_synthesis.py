@@ -238,7 +238,9 @@ def test_rows_flowed_counts_the_flowed_rows(monkeypatch):
         rows[0] = 0
         _, m = route(plant, spec, params, 20, force=True)
         assert m.rows_flowed == rows[0] > 0
-    assert m.rows_flowed == 11 * 11 * 101 + 11 * 11  # every state and input
+    # the baseline's plant rows proved to leave the state box are not
+    # flowed either
+    assert m.rows_flowed < 11 * 11 * 101 + 11 * 11
     _, m = synthesize_integrated(plant, spec, params, 20, force=True)
     assert m.rows_flowed < m.steps
 

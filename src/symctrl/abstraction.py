@@ -9,18 +9,19 @@ transition.  Because the cells are disjoint, the result is deterministic:
 each (state, input) has at most one successor.
 
 Rows that a growth bound proves to leave a box are not flowed.  The
-abstraction flows a coarse input sub-lattice first, with the hulls of the
-RK4 stage points (_InputSplit), bounds how far an endpoint moves with its
-input (_GrowthBound), and flows only the fine inputs that no coarse
-neighbour proves to land outside the cover (_fine_to_flow).  The integrated
-route of `synthesis` runs the same proof against a target cell.
+abstraction flows a coarse input sub-lattice first (_InputSplit), takes
+the hulls of the RK4 stage points of the states it may prove something
+for, bounds how far an endpoint moves with its input (_GrowthBound), and
+flows only the fine inputs that no coarse neighbour proves to land outside
+the cover (_fine_to_flow).  The integrated route of `synthesis` runs the
+same proof against a target cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -255,36 +256,44 @@ class _GrowthBound:
         return G, sure
 
 
-def _fine_to_flow(split: _InputSplit, bound: _GrowthBound, Z, lo, hi,
+def _fine_to_flow(split: _InputSplit, bound: _GrowthBound, Z: np.ndarray,
+                  hulls: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                   P: np.ndarray, half: np.ndarray) -> np.ndarray:
     """keep[s, f]: whether fine input split.fine[f] of state s may still land
     in the box of centre P[s] and per-axis half-widths `half` (a target
     cell, or the cover of a lattice's cells), given the coarse rows'
-    endpoints Z and stage-point hulls lo, hi, each (state, coarse input,
-    axis).
+    endpoints Z, (state, coarse input, axis).  hulls(states) gives the
+    stage-point hulls lo, hi of those states' coarse rows, shaped like
+    Z[states]; it is called only for the states that may be proved
+    something.
 
     Corner c proves that f misses when, on some axis, Z[s, c] is farther
     from the box than G |du| plus the margin.  A corner whose row is not
     finite proves nothing, and neither does a state without a sure bound.
     A state none of whose finite corners lies that far outside the box at
-    G = 0 cannot be proved anything, so its bound is not computed.
+    G = 0 cannot be proved anything: it needs no hull and no bound.
     """
     # allocated before the temporaries, so that freeing them leaves no hole
     # under it in the heap
     keep = np.ones((P.shape[0], split.fine.size), dtype=bool)
-    fin = (np.isfinite(Z).all(axis=2) & np.isfinite(lo).all(axis=2)
-           & np.isfinite(hi).all(axis=2))
+    fin = np.isfinite(Z).all(axis=2)
     with np.errstate(invalid="ignore"):
         gap = np.abs(Z - P[:, None, :]) - half - _MARGIN * (1.0 + np.abs(Z))
     gap[~fin] = -np.inf
     states = np.flatnonzero((gap > 0.0).any(axis=(1, 2)))
     if not states.size:
         return keep
-    fin, gap = fin[states], gap[states]
-    G, sure = bound.gains(
-        np.where(fin[..., None], lo[states], np.inf).min(axis=1),
-        np.where(fin[..., None], hi[states], -np.inf).max(axis=1))
-    gap[~sure] = -np.inf
+    lo, hi = hulls(states)
+    fin = fin[states] & np.isfinite(lo).all(axis=2) & np.isfinite(hi).all(axis=2)
+    G = np.zeros((states.size, P.shape[1], split.du.shape[2]))
+    sure = np.zeros(states.size, dtype=bool)
+    has = fin.any(axis=1)
+    if has.any():
+        G[has], sure[has] = bound.gains(
+            np.where(fin[..., None], lo, np.inf).min(axis=1)[has],
+            np.where(fin[..., None], hi, -np.inf).max(axis=1)[has])
+    gap = gap[states]
+    gap[~(fin & sure[:, None])] = -np.inf
     # a few states at a time, so that the temporaries stay small
     step = max(1, _PROOF_ROWS // max(1, split.fine.size))
     for a in range(0, states.size, step):
@@ -305,40 +314,53 @@ def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
     input u, -1 where it leaves the cells' cover or is proved to; rows is
     the number of rows flowed.
 
-    The first pass flows every coarse input, through the hull kernel when
-    there is a bound (a system without fine inputs has none, and flows
-    every row there).  The second flows only the fine inputs that no
-    coarse corner proves to land outside the cover (_fine_to_flow): a
-    pruned row would have given no transition.
+    The first pass flows every coarse input (a system without fine inputs
+    has no bound, and flows every row there).  The states with a coarse
+    endpoint outside the cover flow their coarse rows again, through the
+    hull kernel, for the bound; where no row leaves the cover, as on
+    contracting problems, no hull is computed.  The last pass flows only
+    the fine inputs that no coarse corner proves to land outside the cover
+    (_fine_to_flow): a pruned row would have given no transition.
     """
-    S, n_c, hull = X.shape[0], split.coarse.size, bound is not None
-    # the coarse rows' cells and, for the bound, their endpoints and
-    # stage-point hulls
+    S, n_c, n = X.shape[0], split.coarse.size, X.shape[1]
+    # the coarse rows' cells and, for the bound, their endpoints
     coarse_cell = np.empty(S * n_c, dtype=np.int32)
-    coarse_rows = ([np.empty((S * n_c, X.shape[1])) for _ in range(3)]
-                   if hull else [])
+    Z = np.empty((S * n_c, n)) if bound is not None else None
 
     def coarse(a, b):
         row = np.arange(a, b)
         out = _flow_tile(sys, X[row // n_c], inputs[split.coarse[row % n_c]],
-                         spec.tau, spec.substeps, hull=hull)
-        if hull:
-            for whole, part in zip(coarse_rows, out):
-                whole[a:b] = part
-            out = out[0]
+                         spec.tau, spec.substeps)
+        if Z is not None:
+            Z[a:b] = out
         coarse_cell[a:b] = st_lat.quantize_many(out)
 
     map_tiles(coarse, S * n_c)
     succ = np.full((S, inputs.shape[0]), -1, dtype=np.int32)
     succ[:, split.coarse] = coarse_cell.reshape(S, n_c)
-    if not hull:
+    if bound is None:
         return succ, S * n_c
+    hull_rows = []
+
+    def hulls(states):
+        lo, hi = (np.empty((states.size * n_c, n)) for _ in range(2))
+
+        def tile(a, b):
+            row = np.arange(a, b)
+            _, lo[a:b], hi[a:b] = _flow_tile(
+                sys, X[states[row // n_c]], inputs[split.coarse[row % n_c]],
+                spec.tau, spec.substeps, hull=True)
+
+        map_tiles(tile, states.size * n_c)
+        hull_rows.append(states.size * n_c)
+        return lo.reshape(-1, n_c, n), hi.reshape(-1, n_c, n)
+
     s = st_lat.spacing
     keep = _fine_to_flow(
-        split, bound, *(whole.reshape(S, n_c, -1) for whole in coarse_rows),
+        split, bound, Z.reshape(S, n_c, n), hulls,
         np.broadcast_to((st_lat.kmin + st_lat.kmax) * (s / 2.0), X.shape),
         st_lat.counts * (s / 2.0))
-    del coarse_rows
+    del Z
     # rows of the fine pass before each state's, and in all
     offset = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
 
@@ -354,7 +376,7 @@ def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
             sys, X[src], inputs[cols], spec.tau, spec.substeps))
 
     map_tiles(fine, int(offset[-1]))
-    return succ, S * n_c + int(offset[-1])
+    return succ, S * n_c + sum(hull_rows) + int(offset[-1])
 
 
 def _transitions(succ: np.ndarray, first: int) -> np.ndarray:

@@ -280,8 +280,9 @@ def _scan_inputs(plant: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,
     else:
         Z, lo, hi = (np.vstack(part) for part in zip(*flow(src, cols, True)))
         land(src, cols, Z)
-        keep = _fine_to_flow(split, bound,
-                             *(a.reshape(S, n_c, -1) for a in (Z, lo, hi)),
+        Z, lo, hi = (a.reshape(S, n_c, -1) for a in (Z, lo, hi))
+        keep = _fine_to_flow(split, bound, Z,
+                             lambda states: (lo[states], hi[states]),
                              P, np.full(st_lat.dim, st_lat.spacing / 2.0))
         src, fine = np.nonzero(keep)
         if src.size:

@@ -284,7 +284,8 @@ def _fine_to_flow(split: _InputSplit, bound: _GrowthBound, Z: np.ndarray,
     if not states.size:
         return keep
     lo, hi = hulls(states)
-    fin = fin[states] & np.isfinite(lo).all(axis=2) & np.isfinite(hi).all(axis=2)
+    fin = (fin[states] & np.isfinite(lo).all(axis=2)
+           & np.isfinite(hi).all(axis=2))
     G = np.zeros((states.size, P.shape[1], split.du.shape[2]))
     sure = np.zeros(states.size, dtype=bool)
     has = fin.any(axis=1)
@@ -340,10 +341,12 @@ def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
     succ[:, split.coarse] = coarse_cell.reshape(S, n_c)
     if bound is None:
         return succ, S * n_c
-    hull_rows = []
+    hulled = 0  # coarse rows flowed again through the hull kernel
 
     def hulls(states):
-        lo, hi = (np.empty((states.size * n_c, n)) for _ in range(2))
+        nonlocal hulled
+        hulled = states.size * n_c
+        lo, hi = (np.empty((hulled, n)) for _ in range(2))
 
         def tile(a, b):
             row = np.arange(a, b)
@@ -351,8 +354,7 @@ def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
                 sys, X[states[row // n_c]], inputs[split.coarse[row % n_c]],
                 spec.tau, spec.substeps, hull=True)
 
-        map_tiles(tile, states.size * n_c)
-        hull_rows.append(states.size * n_c)
+        map_tiles(tile, hulled)
         return lo.reshape(-1, n_c, n), hi.reshape(-1, n_c, n)
 
     s = st_lat.spacing
@@ -376,7 +378,7 @@ def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
             sys, X[src], inputs[cols], spec.tau, spec.substeps))
 
     map_tiles(fine, int(offset[-1]))
-    return succ, S * n_c + sum(hull_rows) + int(offset[-1])
+    return succ, S * n_c + hulled + int(offset[-1])
 
 
 def _transitions(succ: np.ndarray, first: int) -> np.ndarray:

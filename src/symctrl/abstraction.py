@@ -310,10 +310,11 @@ def _fine_to_flow(split: _InputSplit, bound: _GrowthBound, Z: np.ndarray,
 
 def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
            inputs: np.ndarray, split: _InputSplit,
-           bound: Optional[_GrowthBound], X: np.ndarray):
-    """(succ, rows): succ[s, u] is the cell of the flow from X[s] under
-    input u, -1 where it leaves the cells' cover or is proved to; rows is
-    the number of rows flowed.
+           bound: Optional[_GrowthBound], X: np.ndarray,
+           succ: np.ndarray) -> int:
+    """Fills succ[s, u] with the cell of the flow from X[s] under input u,
+    -1 where it leaves the cells' cover or is proved to; returns the number
+    of rows flowed.
 
     The first pass flows every coarse input (a system without fine inputs
     has no bound, and flows every row there).  The states with a coarse
@@ -337,10 +338,10 @@ def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
         coarse_cell[a:b] = st_lat.quantize_many(out)
 
     map_tiles(coarse, S * n_c)
-    succ = np.full((S, inputs.shape[0]), -1, dtype=np.int32)
+    succ.fill(-1)
     succ[:, split.coarse] = coarse_cell.reshape(S, n_c)
     if bound is None:
-        return succ, S * n_c
+        return S * n_c
     hulled = 0  # coarse rows flowed again through the hull kernel
 
     def hulls(states):
@@ -378,7 +379,7 @@ def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
             sys, X[src], inputs[cols], spec.tau, spec.substeps))
 
     map_tiles(fine, int(offset[-1]))
-    return succ, S * n_c + hulled + int(offset[-1])
+    return S * n_c + hulled + int(offset[-1])
 
 
 def _transitions(succ: np.ndarray, first: int) -> np.ndarray:
@@ -392,6 +393,21 @@ def _transitions(succ: np.ndarray, first: int) -> np.ndarray:
                               succ.shape)[hit]
     t[:, 2] = succ[hit]
     return t
+
+
+def _join(parts: list) -> np.ndarray:
+    """The (source, input, target) rows of `parts`, in order.  Each part is
+    released once it is copied, so that the parts and their copy are never
+    both held in full; a single part is returned as it is."""
+    if len(parts) == 1:
+        return parts.pop()
+    out = np.empty((sum(p.shape[0] for p in parts), 3), dtype=np.int32)
+    at = 0
+    while parts:
+        part = parts.pop(0)
+        out[at:at + part.shape[0]] = part
+        at += part.shape[0]
+    return out
 
 
 def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
@@ -419,13 +435,18 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     bound = (_GrowthBound(sys, inputs, spec.tau, spec.substeps, split.reach)
              if split.fine.size else None)
     step = max(1, _SWEEP_ROWS // inputs.shape[0])
+    # one successor array for every chunk: a new one per chunk fragments
+    # the heap between the chunks' transitions
+    succ = np.empty((min(step, st_lat.n_points), inputs.shape[0]),
+                    dtype=np.int32)
     parts, rows = [], 0
     for a in range(0, st_lat.n_points, step):
-        succ, flowed = _sweep(sys, spec, st_lat, inputs, split, bound,
-                              pts[a:a + step])
-        parts.append(_transitions(succ, a))
-        rows += flowed
+        X = pts[a:a + step]
+        rows += _sweep(sys, spec, st_lat, inputs, split, bound, X,
+                       succ[:X.shape[0]])
+        parts.append(_transitions(succ[:X.shape[0]], a))
+    del succ
     fs = FiniteSystem(pts, initial_indices(st_lat, sys.init_box), inputs,
-                      parts[0] if len(parts) == 1 else np.vstack(parts))
+                      _join(parts))
     fs.rows_flowed = rows
     return fs

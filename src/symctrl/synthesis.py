@@ -94,7 +94,8 @@ class Metrics:
     integrated route.  rows_flowed counts the (state, input) rows of the
     plant and the specification a route actually flowed, which is the work
     it did: both routes prune the inputs they can prove miss, a target cell
-    (integrated) or every cell (baseline).
+    (integrated) or every cell (baseline), and a coarse row the baseline
+    flows again for its stage-point hull counts twice.
     wall_time_ms is informational only.
     """
 

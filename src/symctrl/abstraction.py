@@ -1,4 +1,5 @@
-"""Quantized symbolic models of sampled control systems.
+"""Quantized symbolic models of sampled control systems, and the row engine
+both synthesis routes flow their plant rows through.
 
 The abstraction of a system places one symbolic state on every point of the
 state lattice (spacing 2*eta) and one symbolic input on every point of the
@@ -8,13 +9,13 @@ point y; endpoints outside the cells' cover of the state box produce no
 transition.  Because the cells are disjoint, the result is deterministic:
 each (state, input) has at most one successor.
 
-Rows that a growth bound proves to leave a box are not flowed.  The
-abstraction flows a coarse input sub-lattice first (_InputSplit), takes
-the hulls of the RK4 stage points of the states it may prove something
-for, bounds how far an endpoint moves with its input (_GrowthBound), and
-flows only the fine inputs that no coarse neighbour proves to land outside
-the cover (_fine_to_flow).  The integrated route of `synthesis` runs the
-same proof against a target cell.
+RowEngine does not flow the rows a growth bound proves to miss a box: it
+flows a coarse input sub-lattice first (_InputSplit), takes the hulls of the
+RK4 stage points of the states it may prove something for, bounds how far
+an endpoint moves with its input (_GrowthBound), and flows only the fine
+inputs that no coarse neighbour proves to land outside the box
+(_fine_to_flow).  The box is the cells' cover for the abstraction, and each
+state's target cell for the integrated route of `synthesis`.
 """
 
 from __future__ import annotations
@@ -72,29 +73,6 @@ class AbstractionSpec:
             raise ValueError("mu must be positive when present")
         if self.substeps < 1:
             raise ValueError("substeps must be a positive integer")
-
-
-def state_lattice(sys: ControlSystem, eta: float) -> Lattice:
-    return Lattice(sys.state_box, 2.0 * eta)
-
-
-def input_points(sys: ControlSystem, mu: Optional[float]) -> np.ndarray:
-    """Input lattice points, or the single zero input for autonomous systems."""
-    if sys.m == 0:
-        return np.zeros((1, 0))
-    if mu is None:
-        raise ValueError("mu is required for systems with inputs")
-    return Lattice(sys.input_box, 2.0 * mu).points()
-
-
-def initial_indices(lattice: Lattice, init_box) -> np.ndarray:
-    """Flat indices of the lattice points covering the initial box.
-
-    The per-axis index range rounds outward, so an initial box whose edge
-    falls strictly between two lattice points also claims the straddling
-    points; edges aligned with the grid add nothing.
-    """
-    return lattice.outer_range_indices(init_box)
 
 
 class _InputSplit:
@@ -308,78 +286,106 @@ def _fine_to_flow(split: _InputSplit, bound: _GrowthBound, Z: np.ndarray,
     return keep
 
 
-def _sweep(sys: ControlSystem, spec: AbstractionSpec, st_lat: Lattice,
-           inputs: np.ndarray, split: _InputSplit,
-           bound: Optional[_GrowthBound], X: np.ndarray,
-           succ: np.ndarray) -> int:
-    """Fills succ[s, u] with the cell of the flow from X[s] under input u,
-    -1 where it leaves the cells' cover or is proved to; returns the number
-    of rows flowed.
+class RowEngine:
+    """The (state, input) rows of one system, flowed where they may land in
+    a box, and their cells of a state lattice.  Built once per system, state
+    lattice, input lattice (None for an autonomous system, whose one input
+    is the constant zero), tau and substeps, it holds the inputs, their
+    split and, when there are fine inputs, the growth bound."""
 
-    The first pass flows every coarse input (a system without fine inputs
-    has no bound, and flows every row there).  The states with a coarse
-    endpoint outside the cover flow their coarse rows again, through the
-    hull kernel, for the bound; where no row leaves the cover, as on
-    contracting problems, no hull is computed.  The last pass flows only
-    the fine inputs that no coarse corner proves to land outside the cover
-    (_fine_to_flow): a pruned row would have given no transition.
-    """
-    S, n_c, n = X.shape[0], split.coarse.size, X.shape[1]
-    # the coarse rows' cells and, for the bound, their endpoints
-    coarse_cell = np.empty(S * n_c, dtype=np.int32)
-    Z = np.empty((S * n_c, n)) if bound is not None else None
+    def __init__(self, sys: ControlSystem, st_lat: Lattice,
+                 in_lat: Optional[Lattice], tau: float, substeps: int):
+        self.sys, self.st_lat, self.tau, self.substeps = (sys, st_lat, tau,
+                                                          substeps)
+        self.inputs = np.zeros((1, 0)) if in_lat is None else in_lat.points()
+        self.split = _InputSplit(in_lat, self.inputs)
+        self.bound = (_GrowthBound(sys, self.inputs, tau, substeps,
+                                   self.split.reach)
+                      if self.split.fine.size else None)
 
-    def coarse(a, b):
-        row = np.arange(a, b)
-        out = _flow_tile(sys, X[row // n_c], inputs[split.coarse[row % n_c]],
-                         spec.tau, spec.substeps)
-        if Z is not None:
-            Z[a:b] = out
-        coarse_cell[a:b] = st_lat.quantize_many(out)
+    def _flow(self, X, src, cols, hull=False):
+        return _flow_tile(self.sys, X[src], self.inputs[cols], self.tau,
+                          self.substeps, hull=hull)
 
-    map_tiles(coarse, S * n_c)
-    succ.fill(-1)
-    succ[:, split.coarse] = coarse_cell.reshape(S, n_c)
-    if bound is None:
-        return S * n_c
-    hulled = 0  # coarse rows flowed again through the hull kernel
+    def run(self, X: np.ndarray, P: np.ndarray, half: np.ndarray,
+            visit: Callable[..., None], hull_first: bool) -> int:
+        """Flows the rows of the states X that may land in the box of centre
+        P[s] and per-axis half-widths `half`; returns how many it flowed.
+        Each flowed tile goes to visit(src, cols, Z, cells): its rows'
+        positions in X, input indices, endpoints and cells (-1 off the
+        lattice).  Tiles are disjoint and run on the flow workers, so visit
+        must be safe to call from several threads at once.
 
-    def hulls(states):
-        nonlocal hulled
-        hulled = states.size * n_c
-        lo, hi = (np.empty((hulled, n)) for _ in range(2))
+        1. Every coarse input; without fine inputs, every row.
+        2. The coarse rows' stage-point hulls: with `hull_first`, the first
+           pass flows through the hull kernel, for every state; otherwise
+           only the states with a coarse endpoint outside the box (the
+           others cannot be proved anything) flow their coarse rows again,
+           which count twice.  The one costs the hull where no state needs
+           it, the other a second flow where every state does.
+        3. The miss test (_fine_to_flow).
+        4. Only the kept fine rows, each tile finding its rows in the
+           keep-mask: a pruned row would not have landed in the box.
+        """
+        S, n = X.shape
+        coarse, fine = self.split.coarse, self.split.fine
+        n_c = coarse.size
+        hull = hull_first and self.bound is not None
+        # the coarse rows' endpoints and hulls, kept for the proof
+        Z = np.empty((S * n_c, n)) if self.bound is not None else None
+        lo, hi = ((np.empty((S * n_c, n)) for _ in range(2)) if hull
+                  else (None, None))
 
-        def tile(a, b):
+        def first(a, b):
             row = np.arange(a, b)
-            _, lo[a:b], hi[a:b] = _flow_tile(
-                sys, X[states[row // n_c]], inputs[split.coarse[row % n_c]],
-                spec.tau, spec.substeps, hull=True)
+            src, cols = row // n_c, coarse[row % n_c]
+            out = self._flow(X, src, cols, hull)
+            if hull:
+                out, lo[a:b], hi[a:b] = out
+            if Z is not None:
+                Z[a:b] = out
+            visit(src, cols, out, self.st_lat.quantize_many(out))
 
-        map_tiles(tile, hulled)
-        return lo.reshape(-1, n_c, n), hi.reshape(-1, n_c, n)
+        map_tiles(first, S * n_c)
+        if self.bound is None:
+            return S * n_c
+        hulled = 0  # coarse rows flowed again through the hull kernel
 
-    s = st_lat.spacing
-    keep = _fine_to_flow(
-        split, bound, Z.reshape(S, n_c, n), hulls,
-        np.broadcast_to((st_lat.kmin + st_lat.kmax) * (s / 2.0), X.shape),
-        st_lat.counts * (s / 2.0))
-    del Z
-    # rows of the fine pass before each state's, and in all
-    offset = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        def hulls(states):
+            if hull:
+                return (lo.reshape(S, n_c, n)[states],
+                        hi.reshape(S, n_c, n)[states])
+            nonlocal hulled
+            hulled = states.size * n_c
+            lo_s, hi_s = (np.empty((hulled, n)) for _ in range(2))
 
-    def fine(a, b):
-        # the kept (state, fine input) rows a..b, from the mask
-        s0 = np.searchsorted(offset, a, "right") - 1
-        s1 = np.searchsorted(offset, b, "left")
-        src, f = np.nonzero(keep[s0:s1])
-        skip = a - offset[s0]
-        src = src[skip:skip + b - a] + s0
-        cols = split.fine[f[skip:skip + b - a]]
-        succ[src, cols] = st_lat.quantize_many(_flow_tile(
-            sys, X[src], inputs[cols], spec.tau, spec.substeps))
+            def tile(a, b):
+                row = np.arange(a, b)
+                _, lo_s[a:b], hi_s[a:b] = self._flow(
+                    X, states[row // n_c], coarse[row % n_c], True)
 
-    map_tiles(fine, int(offset[-1]))
-    return S * n_c + hulled + int(offset[-1])
+            map_tiles(tile, hulled)
+            return lo_s.reshape(-1, n_c, n), hi_s.reshape(-1, n_c, n)
+
+        keep = _fine_to_flow(self.split, self.bound, Z.reshape(S, n_c, n),
+                             hulls, P, half)
+        del Z, lo, hi
+        # rows of the fine pass before each state's, and in all
+        offset = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+
+        def last(a, b):
+            # the kept (state, fine input) rows a..b, from the mask
+            s0 = np.searchsorted(offset, a, "right") - 1
+            s1 = np.searchsorted(offset, b, "left")
+            src, f = np.nonzero(keep[s0:s1])
+            skip = a - offset[s0]
+            src = src[skip:skip + b - a] + s0
+            cols = fine[f[skip:skip + b - a]]
+            out = self._flow(X, src, cols)
+            visit(src, cols, out, self.st_lat.quantize_many(out))
+
+        map_tiles(last, int(offset[-1]))
+        return S * n_c + hulled + int(offset[-1])
 
 
 def _transitions(succ: np.ndarray, first: int) -> np.ndarray:
@@ -418,35 +424,44 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     States are embedded at their own lattice coordinates; initial states come
     from the outward-rounded lattice range of the initial box.  Flows leaving
     the cells covering the state box produce no transition, and the rows a
-    growth bound proves to leave them are not flowed (_sweep); the system's
+    growth bound proves to leave them are not flowed (RowEngine, hulling
+    again only the states that may be proved something); the system's
     `rows_flowed` counts the rows that were.  Transitions come out in
     lexicographic order, so they are reproducible regardless of chunk, tile
     and worker count.
     """
-    st_lat = state_lattice(sys, spec.eta)
-    inputs = input_points(sys, spec.mu)
-    pts = st_lat.points()
-    n_pairs = st_lat.n_points * inputs.shape[0]
-    if transition_cap is not None and n_pairs > transition_cap:
-        raise ResourceLimitError(
-            f"{n_pairs} candidate transitions exceed the cap {transition_cap}")
-    split = _InputSplit(Lattice(sys.input_box, 2.0 * spec.mu) if sys.m
-                        else None, inputs)
-    bound = (_GrowthBound(sys, inputs, spec.tau, spec.substeps, split.reach)
-             if split.fine.size else None)
-    step = max(1, _SWEEP_ROWS // inputs.shape[0])
+    if sys.m and spec.mu is None:
+        raise ValueError("mu is required for systems with inputs")
+    st_lat = Lattice(sys.state_box, 2.0 * spec.eta)
+    in_lat = Lattice(sys.input_box, 2.0 * spec.mu) if sys.m else None
+    n_u = in_lat.n_points if in_lat is not None else 1
+    if transition_cap is not None and st_lat.n_points * n_u > transition_cap:
+        raise ResourceLimitError(f"{st_lat.n_points * n_u} candidate "
+                                 f"transitions exceed the cap {transition_cap}")
+    engine = RowEngine(sys, st_lat, in_lat, spec.tau, spec.substeps)
+    pts, s = st_lat.points(), st_lat.spacing
+    # the box the cells cover
+    centre = (st_lat.kmin + st_lat.kmax) * (s / 2.0)
+    half = st_lat.counts * (s / 2.0)
+    step = max(1, _SWEEP_ROWS // n_u)
     # one successor array for every chunk: a new one per chunk fragments
     # the heap between the chunks' transitions
-    succ = np.empty((min(step, st_lat.n_points), inputs.shape[0]),
-                    dtype=np.int32)
+    succ = np.empty((min(step, st_lat.n_points), n_u), dtype=np.int32)
     parts, rows = [], 0
     for a in range(0, st_lat.n_points, step):
         X = pts[a:a + step]
-        rows += _sweep(sys, spec, st_lat, inputs, split, bound, X,
-                       succ[:X.shape[0]])
-        parts.append(_transitions(succ[:X.shape[0]], a))
-    del succ
-    fs = FiniteSystem(pts, initial_indices(st_lat, sys.init_box), inputs,
-                      _join(parts))
+        out = succ[:X.shape[0]]
+        # -1 where a row leaves the cover or is proved to
+        out.fill(-1)
+
+        def write(src, cols, Z, cells):
+            out[src, cols] = cells
+
+        rows += engine.run(X, np.broadcast_to(centre, X.shape), half, write,
+                           hull_first=False)
+        parts.append(_transitions(out, a))
+    del succ, out
+    fs = FiniteSystem(pts, st_lat.outer_range_indices(sys.init_box),
+                      engine.inputs, _join(parts))
     fs.rows_flowed = rows
     return fs

@@ -9,8 +9,8 @@ over the floats of a single row; they run the same operations, so a row's
 endpoint does not depend on the batch it is flowed in.  A row on which the
 field leaves its domain ends at NaN.  A third kernel, generated on first
 use, is the tile kernel that also records the hull of every point at which
-it evaluates the field; the integrated route flows its plant's coarse
-inputs through it.
+it evaluates the field; both synthesis routes flow their plant's coarse
+rows through it for the growth bound (abstraction.RowEngine).
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ class ControlSystem:
 
     def _hull_kernel(self) -> Callable:
         # the tile kernel that also records stage-point hulls, generated on
-        # first use: only the integrated route's plant flows through it
+        # first use: only plant rows flow through it, for the growth bound
         if self._hull_tile is None:
             self._hull_tile = compile_source(
                 _rk4_source(FieldCode(self.field), self.n, self.m, "array",

@@ -17,9 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .abstraction import (DEFAULT_TRANSITION_CAP, AbstractionSpec,
-                          ResourceLimitError, _fine_to_flow, _GrowthBound,
-                          _InputSplit, build_abstraction, initial_indices,
-                          input_points)
+                          ResourceLimitError, RowEngine, build_abstraction)
 from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
 from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
@@ -245,57 +243,35 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
     return ctrl, metrics, (sp, sq, cstar, nb)
 
 
-def _scan_inputs(plant: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,
-                 split: _InputSplit, bound: Optional[_GrowthBound],
-                 xs: np.ndarray, ys: np.ndarray, tau: float,
-                 substeps: int) -> Tuple[np.ndarray, int]:
+def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
+                 ys: np.ndarray) -> Tuple[np.ndarray, int]:
     """For each state xs[i], the index of the input whose plant flow lands in
     the cell of ys[i] closest to its center (the lowest such index on ties),
     or NO_INPUT when no input lands there; and the number of rows flowed.
     Any landing input yields the same controller sets, but the centered
     landing maximizes the closed loop's quantization margin.
 
-    The scan flows the coarse inputs of every state, then only the fine
-    inputs that `bound` cannot prove to miss ys[i]'s cell.  A pruned input
-    would not have landed, so the choice is that of a scan of every input.
+    The engine flows only the inputs it cannot prove to miss ys[i]'s cell,
+    hulling every coarse row in its first pass.  A pruned input would not
+    have landed, so the choice is that of a scan of every input.
     """
-    S, n_c = xs.size, split.coarse.size
-    st_pts = st_lat.points()
-    X, P = st_pts[xs], st_pts[ys]
+    P = st_pts[ys]
     hits = []  # (state, input, distance to the center) of the landing rows
 
-    def flow(src, cols, hull=False):
-        return map_tiles(lambda a, b: _flow_tile(
-            plant, X[src[a:b]], u_pts[cols[a:b]], tau, substeps, hull=hull),
-            src.size)
-
-    def land(src, cols, Z):
-        hit = st_lat.quantize_many(Z) == ys[src]
+    def land(src, cols, Z, cells):
+        hit = cells == ys[src]
         hits.append((src[hit], cols[hit],
                      np.max(np.abs(Z[hit] - P[src[hit]]), axis=1)))
 
-    src, cols = np.repeat(np.arange(S), n_c), np.tile(split.coarse, S)
-    flowed = src.size
-    if bound is None:
-        land(src, cols, np.vstack(flow(src, cols)))
-    else:
-        Z, lo, hi = (np.vstack(part) for part in zip(*flow(src, cols, True)))
-        land(src, cols, Z)
-        Z, lo, hi = (a.reshape(S, n_c, -1) for a in (Z, lo, hi))
-        keep = _fine_to_flow(split, bound, Z,
-                             lambda states: (lo[states], hi[states]),
-                             P, np.full(st_lat.dim, st_lat.spacing / 2.0))
-        src, fine = np.nonzero(keep)
-        if src.size:
-            land(src, split.fine[fine],
-                 np.vstack(flow(src, split.fine[fine])))
-        flowed += src.size
-    # per state, the landing row nearest the center, then the lowest input
+    half = np.full(st_pts.shape[1], engine.st_lat.spacing / 2.0)
+    flowed = engine.run(st_pts[xs], P, half, land, hull_first=True)
+    # per state, the landing row nearest the center, then the lowest input;
+    # the tiles' order does not matter
     src, cols, d = (np.concatenate(a) for a in zip(*hits))
     order = np.lexsort((cols, d, src))
     src, cols = src[order], cols[order]
     first = np.diff(src, prepend=-1) != 0
-    choice = np.full(S, NO_INPUT, dtype=np.int64)
+    choice = np.full(xs.size, NO_INPUT, dtype=np.int64)
     choice[src[first]] = cols[first]
     return choice, flowed
 
@@ -348,17 +324,14 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     if init_box is None:
         ctrl = Controller([], [], [], st_lat, in_lat)
         return ctrl, Metrics(0, 0, 0, 0, (time.perf_counter() - t0) * 1e3)
-    u_pts = input_points(plant, params.mu if plant.m else None)
-    n_u = u_pts.shape[0]
+    n_u = in_lat.n_points if in_lat is not None else 1
     if transition_cap is not None and st_lat.n_points * n_u > transition_cap:
         raise ResourceLimitError(
             f"{st_lat.n_points * n_u} candidate transitions exceed the cap "
             f"{transition_cap}")
     st_pts = st_lat.points()
-    split = _InputSplit(in_lat, u_pts)
-    bound = (_GrowthBound(plant, u_pts, params.tau, substeps, split.reach)
-             if split.fine.size else None)
-    chunk = max(1, _SCAN_ROWS // split.coarse.size)
+    engine = RowEngine(plant, st_lat, in_lat, params.tau, substeps)
+    chunk = max(1, _SCAN_ROWS // engine.split.coarse.size)
 
     n = st_lat.n_points
     turn = np.full(n, NEVER)  # position in the processing order
@@ -372,7 +345,7 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
         # fail[-1] is read for the targets off the lattice, then masked
         return (target[xs] >= 0) & (fail[target[xs]] >= turn[xs])
 
-    x0_indices = initial_indices(st_lat, init_box)
+    x0_indices = st_lat.outer_range_indices(init_box)
     wave = x0_indices
     while wave.size:
         turn[wave] = spec_rows + np.arange(wave.size)
@@ -387,9 +360,8 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
         may = wave[scanned(wave)]
         for a in range(0, may.size, chunk):
             part = may[a:a + chunk]
-            choice[part], flowed = _scan_inputs(
-                plant, st_lat, u_pts, split, bound, part, target[part],
-                params.tau, substeps)
+            choice[part], flowed = _scan_inputs(engine, st_pts, part,
+                                                target[part])
             plant_rows += flowed
         blocked[may] = choice[may] == NO_INPUT
         fail = _fail_times(turn, target, blocked)

@@ -32,6 +32,10 @@ from typing import Optional, Set, Tuple
 
 import numpy as np
 
+# transitions per slice of the sortedness check, whose differences and masks
+# take about 20 bytes a row
+_SORTED_CHECK_ROWS = 1 << 16
+
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     """CSR row pointers of n rows over entries sorted by their row."""
@@ -87,12 +91,16 @@ def _greatest_fixpoint(n_nodes: int, owner: np.ndarray, wit_ob: np.ndarray,
 
 def _rows_strictly_sorted(t: np.ndarray) -> bool:
     """True when the (src, input, dst) rows are strictly increasing, i.e.
-    already canonically sorted and duplicate-free."""
-    d0 = np.diff(t[:, 0])
-    d1 = np.diff(t[:, 1])
-    d2 = np.diff(t[:, 2])
-    return bool(np.all((d0 > 0) | ((d0 == 0) & ((d1 > 0) | ((d1 == 0)
-                                                            & (d2 > 0))))))
+    already canonically sorted and duplicate-free.  Checked in slices of
+    rows that overlap by one, so that the differences and their masks stay
+    small on large systems."""
+    for a in range(0, t.shape[0] - 1, _SORTED_CHECK_ROWS):
+        part = t[a:a + _SORTED_CHECK_ROWS + 1]
+        d0, d1, d2 = (np.diff(part[:, k]) for k in range(3))
+        if not np.all((d0 > 0) | ((d0 == 0) & ((d1 > 0)
+                                              | ((d1 == 0) & (d2 > 0))))):
+            return False
+    return True
 
 
 class FiniteSystem:

@@ -8,8 +8,8 @@ from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
                      StabilityCertificate, abstraction, build_abstraction,
                      check_bisimulation, dynamics, flow_many,
                      is_deterministic, parse_expression)
-from symctrl.abstraction import input_points, state_lattice
 from symctrl.dynamics import TILE_ROWS
+from symctrl.quantize import Lattice
 
 from _systems import linear_pair, problems, toy_pair
 
@@ -17,8 +17,9 @@ from _systems import linear_pair, problems, toy_pair
 def full_sweep(sys, spec):
     """The abstraction's transitions from a sweep of every (state, input)
     row, in lexicographic order, with no pruning."""
-    st_lat = state_lattice(sys, spec.eta)
-    inputs = input_points(sys, spec.mu)
+    st_lat = Lattice(sys.state_box, 2.0 * spec.eta)
+    inputs = (Lattice(sys.input_box, 2.0 * spec.mu).points() if sys.m
+              else np.zeros((1, 0)))
     n_u = inputs.shape[0]
     pair = np.arange(st_lat.n_points * n_u, dtype=np.int64)
     src, uix = pair // n_u, pair % n_u
@@ -209,3 +210,57 @@ def test_abstraction_equals_full_sweep_on_linear_1():
     fs = assert_matches_full_sweep(
         plant, AbstractionSpec(params.tau, params.eta, 0.01, 50))
     assert fs.rows_flowed * 4 < fs.n_states * fs.n_inputs * 3
+
+
+def test_hull_first_changes_only_the_rows_flowed(monkeypatch):
+    # hulling every coarse row in the first pass (the integrated route's
+    # choice) and hulling again only the states that may be proved something
+    # (the baseline's) flow the same fine rows, against the cover and
+    # against each state's own cell; their row counts differ by exactly the
+    # coarse rows flowed again
+    hull_rows = [0]
+    flow_tile = abstraction._flow_tile
+
+    def counting(sys, X, U, tau, substeps, hull=False):
+        hull_rows[0] += X.shape[0] if hull else 0
+        return flow_tile(sys, X, U, tau, substeps, hull=hull)
+
+    monkeypatch.setattr(abstraction, "_flow_tile", counting)
+    seen = {"examples": 0, "rehulled": 0}
+
+    @settings(derandomize=True, max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(problems())
+    def check(problem):
+        plant, _, params, substeps = problem
+        st_lat = Lattice(plant.state_box, 2.0 * params.eta)
+        engine = abstraction.RowEngine(
+            plant, st_lat, Lattice(plant.input_box, 2.0 * params.mu),
+            params.tau, substeps)
+        X, s = st_lat.points(), st_lat.spacing
+        boxes = [(np.broadcast_to((st_lat.kmin + st_lat.kmax) * (s / 2.0),
+                                  X.shape), st_lat.counts * (s / 2.0)),
+                 (X, np.full(X.shape[1], s / 2.0))]
+        for P, half in boxes:
+            succ, rows, hulled = [], [], []
+            for hull_first in (False, True):
+                out = np.full((X.shape[0], engine.inputs.shape[0]), -2)
+
+                def write(src, cols, Z, cells):
+                    out[src, cols] = cells
+
+                hull_rows[0] = 0
+                rows.append(engine.run(X, P, half, write, hull_first))
+                succ.append(out)
+                hulled.append(hull_rows[0])
+            assert np.array_equal(succ[0], succ[1])
+            assert rows[0] - rows[1] == hulled[0]
+            coarse_rows = X.shape[0] * engine.split.coarse.size
+            assert hulled[1] == (coarse_rows if engine.bound else 0)
+            seen["rehulled"] += 0 < hulled[0] < coarse_rows
+        seen["examples"] += 1
+
+    check()
+    # some draws must hull again only a part of their states
+    assert seen["rehulled"] >= seen["examples"] // 4

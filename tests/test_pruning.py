@@ -10,6 +10,7 @@ fields are drawn from the expression grammar (blow-ups and domain exits
 included), and on the benchmark problems.
 """
 
+import sys
 from collections import deque
 
 import numpy as np
@@ -17,9 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from symctrl import (ControlSystem, Controller, StabilityCertificate,
-                     SynthesisParams, flow_many, parse_expression, synthesis,
-                     synthesize_integrated)
-from symctrl.abstraction import initial_indices, input_points
+                     SynthesisParams, abstraction, dynamics, flow_many,
+                     parse_expression, synthesize_integrated)
 from symctrl.synthesis import integrated_memory_units, shared_lattices
 
 from _systems import (MULTI_WAVE_DRAWS, linear_pair, nonlinear_pair,
@@ -65,13 +65,13 @@ def full_scan_reference(plant, spec, params, substeps, stats=None):
     st_lat, in_lat, init_box = shared_lattices(plant, spec, params)
     if init_box is None:
         return Controller([], [], [], st_lat, in_lat), 0, 0, 0
-    u_pts = input_points(plant, params.mu if plant.m else None)
+    u_pts = in_lat.points() if in_lat is not None else np.zeros((1, 0))
     n_u = u_pts.shape[0]
     st_pts = st_lat.points()
     status = np.full(st_lat.n_points, UNSEEN, dtype=np.int8)
     trans, preds = {}, {}
     steps = 0
-    x0 = initial_indices(st_lat, init_box)
+    x0 = st_lat.outer_range_indices(init_box)
     wave = x0
     status[wave] = QUEUED
     waves = across = 0
@@ -132,14 +132,14 @@ def assert_matches_full_scan(plant, spec, params, substeps, stats=None):
 
 def test_pruned_scan_equals_full_scan_on_random_problems(monkeypatch):
     seen = {"examples": 0, "pruned": 0, "controlled": 0, "pruning": False}
-    fine_to_flow = synthesis._fine_to_flow
+    fine_to_flow = abstraction._fine_to_flow
 
     def counting(*args):
         keep = fine_to_flow(*args)
         seen["pruning"] |= not keep.all()
         return keep
 
-    monkeypatch.setattr(synthesis, "_fine_to_flow", counting)
+    monkeypatch.setattr(abstraction, "_fine_to_flow", counting)
 
     @settings(derandomize=True, max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -197,6 +197,25 @@ def test_pruned_scan_equals_full_scan_on_nonlinear():
     assert m.rows_flowed * 2 < m.steps  # steps: 201 per scanned state
 
 
+def test_pruned_scan_under_thread_stress(monkeypatch):
+    # the scan's workers hand their landing rows over from several threads
+    # at once: with more workers than cores, short tiles and frequent thread
+    # switches, a lost or misplaced row would change the controller
+    plant, spec, params = linear_pair(1)
+    params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
+                             theta_q=params.theta_q, tau=params.tau,
+                             eta=0.05, mu=0.05)
+    monkeypatch.setattr(dynamics, "TILE_ROWS", 97)
+    monkeypatch.setenv("SYMCTRL_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ctrl, m = assert_matches_full_scan(plant, spec, params, 10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ctrl.n_transitions > 0 and m.rows_flowed < m.steps
+
+
 def one_dimensional_pair(plant_text, spec_text, r, eta, mu, tau):
     plant = ControlSystem(
         n=1, m=1, state_box=[[-1, 1]], init_box=[[-0.5, 0.5]],
@@ -228,8 +247,8 @@ def test_unbounded_derivative_keeps_every_input(monkeypatch):
     # state has a sure bound, so every input is flowed, and the result
     # still equals the full scan
     kept = []
-    fine_to_flow = synthesis._fine_to_flow
-    monkeypatch.setattr(synthesis, "_fine_to_flow",
+    fine_to_flow = abstraction._fine_to_flow
+    monkeypatch.setattr(abstraction, "_fine_to_flow",
                         lambda *args: kept.append(fine_to_flow(*args))
                         or kept[-1])
     plant, spec, params = one_dimensional_pair(
@@ -244,7 +263,7 @@ def test_growth_bound_holds_on_sampled_rows():
     # bound is close to the largest distance seen on linear #1
     plant, spec, params = linear_pair(1)
     u_pts = np.linspace(-2.0, 2.0, 201)[:, None]
-    bound = synthesis._GrowthBound(plant, u_pts, params.tau, 50,
+    bound = abstraction._GrowthBound(plant, u_pts, params.tau, 50,
                                    np.array([0.2]))
     rng = np.random.default_rng(2)
     X = np.repeat(rng.uniform(-0.5, 0.5, (20, 2)), 201, axis=0)

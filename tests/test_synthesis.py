@@ -11,7 +11,7 @@ from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      is_deterministic, nonblocking_part, parse_expression,
                      synthesis, synthesize_baseline, synthesize_integrated)
 
-from _systems import linear_pair, problems, toy_pair
+from _systems import linear_pair, nonlinear_pair, problems, toy_pair
 from test_pruning import BAD, CONTROLLED, UNSEEN, backprop_blocking
 
 
@@ -243,6 +243,24 @@ def test_rows_flowed_counts_the_flowed_rows(monkeypatch):
     assert m.rows_flowed < 11 * 11 * 101 + 11 * 11
     _, m = synthesize_integrated(plant, spec, params, 20, force=True)
     assert m.rows_flowed < m.steps
+
+
+@pytest.mark.parametrize("pair, eta, integrated, baseline", [
+    (lambda: linear_pair(1), None, 13_496, 337_939),
+    (nonlinear_pair, 1 / 15, 15_920, 344_250)],
+    ids=["linear-pair", "nonlinear-pair"])
+def test_rows_flowed_on_the_benchmark_problems(pair, eta, integrated,
+                                               baseline):
+    # the benchmark's timed problems: mu = 0.01, and 15 points per axis on
+    # the nonlinear one
+    plant, spec, params = pair()
+    params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
+                             theta_q=params.theta_q, tau=params.tau,
+                             eta=eta or params.eta, mu=0.01)
+    for route, rows in ((synthesize_integrated, integrated),
+                        (synthesize_baseline, baseline)):
+        _, m = route(plant, spec, params, 50, force=True)
+        assert m.rows_flowed == rows
 
 
 def test_synthesis_reproducible():

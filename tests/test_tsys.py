@@ -4,7 +4,7 @@ import numpy as np
 
 from symctrl import (FiniteSystem, accessible_part, check_bisimulation,
                      check_simulation, compose, is_deterministic,
-                     nonblocking_part, subsystem)
+                     nonblocking_part, subsystem, tsys)
 
 
 def make_system(outputs, initials, n_inputs, transitions, input_dim=1):
@@ -404,3 +404,32 @@ def test_empty_system_is_legal():
     assert is_deterministic(s)
     c = compose(s, s, 0.0)
     assert c.n_states == 0
+
+
+def test_sortedness_check_in_slices_equals_whole_array_check(monkeypatch):
+    # slices of 4 rows, overlapping by one: a violation between the last row
+    # of a slice and the first of the next must still be caught
+    def whole(t):
+        d0, d1, d2 = (np.diff(t[:, k]) for k in range(3))
+        return bool(np.all((d0 > 0) | ((d0 == 0) & ((d1 > 0)
+                                                   | ((d1 == 0) & (d2 > 0))))))
+
+    monkeypatch.setattr(tsys, "_SORTED_CHECK_ROWS", 4)
+    rng = np.random.default_rng(11)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        t = np.unique(rng.integers(0, 4, (int(rng.integers(0, 30)), 3)),
+                      axis=0).astype(np.int32)
+        if trial % 4 and t.shape[0] > 4:
+            # rows i - 1 and i out of order or equal, with i mostly on a
+            # slice boundary
+            i = (4 * int(rng.integers(1, (t.shape[0] - 1) // 4 + 1))
+                 if trial % 4 != 3 else int(rng.integers(1, t.shape[0])))
+            if rng.integers(2):
+                t[i] = t[i - 1]
+            else:
+                t[[i - 1, i]] = t[[i, i - 1]]
+        got = tsys._rows_strictly_sorted(t)
+        assert got == whole(t), t
+        seen[got] += 1
+    assert min(seen.values()) > 100

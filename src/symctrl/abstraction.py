@@ -435,9 +435,10 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     st_lat = Lattice(sys.state_box, 2.0 * spec.eta)
     in_lat = Lattice(sys.input_box, 2.0 * spec.mu) if sys.m else None
     n_u = in_lat.n_points if in_lat is not None else 1
-    if transition_cap is not None and st_lat.n_points * n_u > transition_cap:
-        raise ResourceLimitError(f"{st_lat.n_points * n_u} candidate "
-                                 f"transitions exceed the cap {transition_cap}")
+    n_pairs = st_lat.n_points * n_u
+    if transition_cap is not None and n_pairs > transition_cap:
+        raise ResourceLimitError(
+            f"{n_pairs} candidate transitions exceed the cap {transition_cap}")
     engine = RowEngine(sys, st_lat, in_lat, spec.tau, spec.substeps)
     pts, s = st_lat.points(), st_lat.spacing
     # the box the cells cover

@@ -265,8 +265,8 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
 
     half = np.full(st_pts.shape[1], engine.st_lat.spacing / 2.0)
     flowed = engine.run(st_pts[xs], P, half, land, hull_first=True)
-    # per state, the landing row nearest the center, then the lowest input;
-    # the tiles' order does not matter
+    # per state, the landing row nearest the center, then the lowest input,
+    # in whatever order the workers handed the tiles over
     src, cols, d = (np.concatenate(a) for a in zip(*hits))
     order = np.lexsort((cols, d, src))
     src, cols = src[order], cols[order]

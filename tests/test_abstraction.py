@@ -257,7 +257,8 @@ def test_hull_first_changes_only_the_rows_flowed(monkeypatch):
             assert np.array_equal(succ[0], succ[1])
             assert rows[0] - rows[1] == hulled[0]
             coarse_rows = X.shape[0] * engine.split.coarse.size
-            assert hulled[1] == (coarse_rows if engine.bound else 0)
+            assert hulled[1] == (coarse_rows if engine.bound is not None
+                                 else 0)
             seen["rehulled"] += 0 < hulled[0] < coarse_rows
         seen["examples"] += 1
 

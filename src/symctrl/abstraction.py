@@ -331,30 +331,33 @@ class RowEngine:
         coarse, fine = self.split.coarse, self.split.fine
         n_c = coarse.size
         hull = hull_first and self.bound is not None
-        # the coarse rows' endpoints and hulls, kept for the proof
-        Z = np.empty((S * n_c, n)) if self.bound is not None else None
-        lo, hi = ((np.empty((S * n_c, n)) for _ in range(2)) if hull
-                  else (None, None))
+        # the coarse rows' endpoints for the proof, in one array so that no
+        # worker's output outlives its tile; with `hull` the tiles hand them
+        # back with their hulls, so that no array adds to the kernel's peak
+        Z = (np.empty((S * n_c, n)) if self.bound is not None and not hull
+             else None)
 
         def first(a, b):
-            row = np.arange(a, b)
-            src, cols = row // n_c, coarse[row % n_c]
+            src, cols = np.divmod(np.arange(a, b), n_c)
+            cols = coarse[cols]
             out = self._flow(X, src, cols, hull)
-            if hull:
-                out, lo[a:b], hi[a:b] = out
+            end = out[0] if hull else out
             if Z is not None:
-                Z[a:b] = out
-            visit(src, cols, out, self.st_lat.quantize_many(out))
+                Z[a:b] = end
+            visit(src, cols, end, self.st_lat.quantize_many(end))
+            return out if hull else None
 
-        map_tiles(first, S * n_c)
+        parts = map_tiles(first, S * n_c)
         if self.bound is None:
             return S * n_c
+        if hull:
+            Z, *kept = (np.concatenate(k) for k in zip(*parts))
+        del parts
         hulled = 0  # coarse rows flowed again through the hull kernel
 
         def hulls(states):
             if hull:
-                return (lo.reshape(S, n_c, n)[states],
-                        hi.reshape(S, n_c, n)[states])
+                return tuple(b.reshape(S, n_c, n)[states] for b in kept)
             nonlocal hulled
             hulled = states.size * n_c
             lo_s, hi_s = (np.empty((hulled, n)) for _ in range(2))
@@ -369,7 +372,7 @@ class RowEngine:
 
         keep = _fine_to_flow(self.split, self.bound, Z.reshape(S, n_c, n),
                              hulls, P, half)
-        del Z, lo, hi
+        del Z
         # rows of the fine pass before each state's, and in all
         offset = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
 

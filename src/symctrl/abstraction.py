@@ -333,7 +333,7 @@ class RowEngine:
         hull = hull_first and self.bound is not None
         # the coarse rows' endpoints for the proof, in one array so that no
         # worker's output outlives its tile; with `hull` the tiles hand them
-        # back with their hulls, so that no array adds to the kernel's peak
+        # back with their hulls, so that no buffer adds to the kernel's peak
         Z = (np.empty((S * n_c, n)) if self.bound is not None and not hull
              else None)
 

@@ -9,13 +9,18 @@ point y; endpoints outside the cells' cover of the state box produce no
 transition.  Because the cells are disjoint, the result is deterministic:
 each (state, input) has at most one successor.
 
-RowEngine does not flow the rows a growth bound proves to miss a box: it
-flows a coarse input sub-lattice first (_InputSplit), takes the hulls of the
-RK4 stage points of the states it may prove something for, bounds how far
-an endpoint moves with its input (_GrowthBound), and flows only the fine
-inputs that no coarse neighbour proves to land outside the box
-(_fine_to_flow).  The box is the cells' cover for the abstraction, and each
-state's target cell for the integrated route of `synthesis`.
+RowEngine flows only the rows that no proof decides.  It flows a coarse
+input sub-lattice first, through the kernel that also records the hulls of
+the RK4 stage points, and bounds from those hulls how far an endpoint moves
+with its input (_GrowthBound).  Then, over nested input levels of finer and
+finer strides (_InputSplit), it decides each level's rows from the endpoints
+the earlier levels flowed: a row misses the box when a known neighbour's
+endpoint is too far outside it, and lands in a cell when the bound keeps
+the row in the neighbour's cell (_radii, _decide).  It flows what is left,
+and the next level may use those endpoints in turn.  The box is the cells'
+cover for the abstraction, which takes a row proved to land as its cell,
+and each state's target cell for the integrated route of `synthesis`,
+which flows such rows for their endpoints.
 """
 
 from __future__ import annotations
@@ -35,11 +40,18 @@ from .tsys import FiniteSystem
 DEFAULT_TRANSITION_CAP = 100_000_000
 
 # (state, input) rows per chunk of the abstraction's sweep.  A chunk holds an
-# int32 successor per row and a keep-mask over its fine inputs, 5 bytes a
-# row; the benchmark problems' lattices fit in one chunk
+# int32 successor per row and, a level at a time, a keep-mask and an int32
+# landing cell per row of the level; the benchmark problems' lattices fit
+# in one chunk
 _SWEEP_ROWS = 1 << 20
-# (state, fine input) entries per slice of the miss test's temporaries
-_PROOF_ROWS = TILE_ROWS // 4
+# rows per slice of the proofs' temporaries
+_PROOF_ROWS = TILE_ROWS // 8
+# rows a level must keep to be flowed in a pass of its own; fewer are
+# flowed with the next level's, to whose proofs they then prove nothing.
+# A pass costs the RK4 kernel's fixed cost, some 40 ufunc calls for each of
+# 50 substeps: on the benchmark problems, about 3.5 ms, or a few thousand
+# rows
+_PASS_ROWS = TILE_ROWS // 4
 # rounding margin of the growth-bound tests, relative to 1 + |value|.  The
 # bound is that of the RK4 map in exact arithmetic, while the kernel rounds
 # each of its few hundred operations per row to nearest and the interval
@@ -75,53 +87,87 @@ class AbstractionSpec:
             raise ValueError("substeps must be a positive integer")
 
 
-class _InputSplit:
-    """The inputs flowed first and, for each other input, the first ones it
-    is compared with.
+@dataclass(frozen=True)
+class _Level:
+    """The inputs of one level past the first.  corner[j][f, q] is the
+    position among the known endpoints (see _InputSplit) of corner q of
+    input inputs[f] on earlier level j, and dist[j][f, q] the largest
+    distance between the two inputs on an input axis."""
 
-    Per input axis of c points, every isqrt(c)-th point and the last one are
-    coarse; an input coarse on every axis is coarse.  Each other (fine)
-    input has 2^m corners: per axis, the nearest coarse index at or below
-    its own and the nearest at or above.  corner[f, q] is the position in
-    `coarse` of corner q of fine input f, du[f, q] the per-axis distance
-    between the two inputs, and reach the largest such distance per axis.
-    With few points per axis every input is coarse; an autonomous plant has
-    the one zero input.
+    inputs: np.ndarray
+    corner: list
+    dist: list
+
+
+class _InputSplit:
+    """The inputs flowed at each level, and the ones each input past the
+    first level is compared with.
+
+    Per input axis of c points, the strides are s_0 = isqrt(c), then
+    s_(k+1) = isqrt(s_k) down to 1 (101 points: 10, 3, 1), and grid k holds
+    the multiples of s_0, ..., s_k and the last point; an axis with fewer
+    strides than another holds every point past its last one.  An input
+    belongs to the first level whose grid holds it on every axis: level 0
+    is the coarse inputs.  An input of level k has, on every earlier level
+    j, 2^m corners: per axis, the nearest index of grid j at or below its
+    own and the nearest at or above.  pos[u] is the position of input u
+    among the known endpoints, those of every level but the last, in level
+    order (-1 on the last level).  reach is the largest distance, per axis,
+    between an input and one of its coarse corners.  With few points per
+    axis every input is coarse; an autonomous plant has the one zero input.
     """
 
     def __init__(self, in_lat: Optional[Lattice], u_pts: np.ndarray):
-        n_u = u_pts.shape[0]
-        if in_lat is None:
-            grids, k = [], np.zeros((n_u, 0), dtype=np.int64)
-        else:
-            grids = [np.unique(np.r_[np.arange(0, c, max(1, math.isqrt(c))),
-                                     c - 1]) for c in in_lat.counts]
-            k = (np.arange(n_u)[:, None] // in_lat.strides) % in_lat.counts
-        coarse = np.ones(n_u, dtype=bool)
-        for ax, grid in enumerate(grids):
-            coarse &= np.isin(k[:, ax], grid)
-        self.coarse = np.flatnonzero(coarse)
-        self.fine = np.flatnonzero(~coarse)
-        # positions in self.coarse, mixed-radix over the grids
-        radix = np.ones(len(grids), dtype=np.int64)
-        for ax in range(len(grids) - 2, -1, -1):
-            radix[ax] = radix[ax + 1] * grids[ax + 1].size
-        kf = k[self.fine]
-        corners = []
-        for q in range(1 << len(grids)):
-            pos = np.zeros(self.fine.size, dtype=np.int64)
-            for ax, grid in enumerate(grids):
-                if (q >> ax) & 1:  # the nearest coarse index above
-                    pos += np.searchsorted(grid, kf[:, ax], "left") * radix[ax]
-                else:  # below
-                    pos += (np.searchsorted(grid, kf[:, ax], "right")
-                            - 1) * radix[ax]
-            corners.append(pos)
-        self.corner = np.stack(corners, axis=1)
-        self.du = np.abs(u_pts[self.fine][:, None, :]
-                         - u_pts[self.coarse][self.corner])
-        self.reach = (self.du.max(axis=(0, 1)) if self.fine.size
-                      else np.zeros(u_pts.shape[1]))
+        n_u, m = u_pts.shape
+        counts = [] if in_lat is None else in_lat.counts
+        strides = []
+        for c in counts:
+            s = [max(1, math.isqrt(c))]
+            while s[-1] > 1:
+                s.append(math.isqrt(s[-1]))
+            strides.append(s)
+        n_levels = max(map(len, strides), default=1)
+        # grids[lv][ax]: the indices on axis ax of grid lv
+        grids = [[np.unique(np.concatenate([np.arange(0, c, t)
+                                            for t in s[:lv + 1]] + [[c - 1]]))
+                  for s, c in zip(strides, counts)]
+                 for lv in range(n_levels)]
+        k = (np.arange(n_u)[:, None] // in_lat.strides % counts if m
+             else np.zeros((n_u, 0), dtype=np.int64))
+        level = np.zeros(n_u, dtype=np.int64)
+        for lv in range(n_levels - 1, -1, -1):
+            inside = np.ones(n_u, dtype=bool)
+            for ax, grid in enumerate(grids[lv]):
+                inside &= np.isin(k[:, ax], grid)
+            level[inside] = lv
+
+        def nearest(kf, grid):
+            # input indices of the 2^m nearest points of `grid` around kf
+            out = np.zeros((kf.shape[0], 1 << m), dtype=np.int64)
+            for q in range(1 << m):
+                for ax, g in enumerate(grid):
+                    if (q >> ax) & 1:  # the nearest index above
+                        j = np.searchsorted(g, kf[:, ax], "left")
+                    else:  # below
+                        j = np.searchsorted(g, kf[:, ax], "right") - 1
+                    out[:, q] += g[j] * in_lat.strides[ax]
+            return out
+
+        self.coarse = np.flatnonzero(level == 0)
+        known = np.flatnonzero(level < n_levels - 1)
+        known = known[np.argsort(level[known], kind="stable")]
+        self.pos = np.full(n_u, -1, dtype=np.int64)
+        self.pos[known] = np.arange(known.size)
+        self.n_known = known.size
+        self.levels = []
+        self.reach = np.zeros(m)
+        for lv in range(1, n_levels):
+            inputs = np.flatnonzero(level == lv)
+            corner = [nearest(k[inputs], grids[j]) for j in range(lv)]
+            du = [np.abs(u_pts[inputs][:, None, :] - u_pts[c]) for c in corner]
+            self.reach = np.maximum(self.reach, du[0].max(axis=(0, 1)))
+            self.levels.append(_Level(inputs, [self.pos[c] for c in corner],
+                                      [d.max(axis=2) for d in du]))
 
 
 class _GrowthBound:
@@ -156,16 +202,23 @@ class _GrowthBound:
     (hM)^4/24 and B = h (W + hM W/2 + (hM)^2 W/6 + (hM)^3 W/24), and from
     dx = 0, G is B iterated `substeps` times through A.
 
-    D is the hull of the stage points the coarse rows of a state visited,
-    grown by g.  The bound holds if the stage points of every row compared
-    with them stay within g: from |dx| <= R |du| (R the largest G before a
-    substep), |dy_2| <= R + h/2 (M R + W), |dy_3| <= R + h/2 (M dy_2 + W),
-    |dy_4| <= R + h (M dy_3 + W), each times the reach.  Induction over the
-    stages shows that then no stage point leaves D, so g is accepted when
-    this growth is at most g.  Both D and the miss test get a rounding
+    D is the hull of the stage points the finite coarse rows of a state
+    visited, grown by g.  The bound holds if the stage points of every row
+    compared with them stay within g: from |dx| <= R |du| (R the largest G
+    before a substep), |dy_2| <= R + h/2 (M R + W), |dy_3| <= R + h/2 (M dy_2
+    + W), |dy_4| <= R + h (M dy_3 + W), each times the reach.  Induction over
+    the stages shows that then no stage point leaves D, so g is accepted
+    when this growth is at most g.  Both D and the proofs get a rounding
     margin of _MARGIN (1 + |value|).  A box is refused (every input kept)
     when an enclosure is unbounded or undefined, when 1 + h inf J_ii < 0,
     or when no g is accepted within _REGION_ROUNDS tries.
+
+    G holds between rows of any two levels of _InputSplit, not only between
+    a row and its coarse corners.  Every input lies within the reach of each
+    of its coarse corners, so the stage points of a row with a finite coarse
+    corner lie in D, at every level.  D is a box, so the segments between
+    the stage points of two such rows lie in it too, which is all the mean
+    value theorem above needs.
     """
 
     def __init__(self, plant: ControlSystem, u_pts: np.ndarray, tau: float,
@@ -212,78 +265,150 @@ class _GrowthBound:
 
     def gains(self, lo: np.ndarray, hi: np.ndarray):
         """(G, sure) per stage-point hull [lo[s], hi[s]]: G[s] bounds the
-        endpoint distance per unit of input where sure[s] holds."""
+        endpoint distance per unit of input where sure[s] holds.  Each box
+        is decided on its own, so a subset of the boxes gets the same rows
+        of G and sure."""
         S = lo.shape[0]
         G = np.zeros((S, self.n, self.m))
         sure = np.zeros(S, dtype=bool)
-        open_ = np.ones(S, dtype=bool)
         g = np.zeros((S, self.n))
         pad0 = _MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        open_ = np.arange(S)  # the boxes not yet decided
         for _ in range(_REGION_ROUNDS):
-            Gk, growth, ok = self._at(lo - g - pad0, hi + g + pad0)
-            growth = np.broadcast_to(growth, g.shape)
-            fits = open_ & ok & np.all(growth <= g, axis=1)
-            G[fits] = np.broadcast_to(Gk, G.shape)[fits]
-            sure |= fits
-            # a refused box stays refused on any larger one
-            open_ &= ok & ~fits
-            if not open_.any():
+            Gk, growth, ok = self._at(lo[open_] - g[open_] - pad0[open_],
+                                      hi[open_] + g[open_] + pad0[open_])
+            growth = np.broadcast_to(growth, (open_.size, self.n))
+            ok = np.broadcast_to(ok, open_.shape)
+            fits = ok & np.all(growth <= g[open_], axis=1)
+            G[open_[fits]] = np.broadcast_to(
+                Gk, (open_.size, self.n, self.m))[fits]
+            sure[open_[fits]] = True
+            # a refused box stays refused on any larger one; grow past the
+            # need, which grows with the region
+            left = ok & ~fits
+            g[open_[left]] = 1.5 * growth[left]
+            open_ = open_[left]
+            if not open_.size:
                 break
-            # grow past the need, which grows with the region
-            g = np.where(open_[:, None], 1.5 * growth, g)
         return G, sure
 
 
-def _fine_to_flow(split: _InputSplit, bound: _GrowthBound, Z: np.ndarray,
-                  hulls: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
-                  P: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """keep[s, f]: whether fine input split.fine[f] of state s may still land
-    in the box of centre P[s] and per-axis half-widths `half` (a target
-    cell, or the cover of a lattice's cells), given the coarse rows'
-    endpoints Z, (state, coarse input, axis).  hulls(states) gives the
-    stage-point hulls lo, hi of those states' coarse rows, shaped like
-    Z[states]; it is called only for the states that may be proved
-    something.
+def _radii(Z: np.ndarray, cells: np.ndarray, P: np.ndarray,
+           half: np.ndarray, g: np.ndarray, lat: Lattice, land: bool):
+    """(miss, lands): what the endpoint Z[r] of a flowed row proves of the
+    rows from the same state, with P[r] the centre of the state's box and
+    g[r] the row sums of its growth bound.  A row whose input differs by
+    at most d on every axis has its endpoint within G |du| <= g d of Z, up
+    to rounding, which the margin pad = _MARGIN (1 + |Z|) covers.  So it
+    misses the box when d < miss[r]: on some axis, Z is farther than g d
+    plus the margin from the box.  With `land`, it lands in Z's cell,
+    cells[r], when d <= lands[r]: on every axis, g d is within the room of
+    Z.  NaN proves nothing; lands is None without `land`.
 
-    Corner c proves that f misses when, on some axis, Z[s, c] is farther
-    from the box than G |du| plus the margin.  A corner whose row is not
-    finite proves nothing, and neither does a state without a sure bound.
-    A state none of whose finite corners lies that far outside the box at
-    G = 0 cannot be proved anything: it needs no hull and no bound.
+    The room is how far an endpoint may be from Z, before the margin is
+    added, and still quantize as Z does.  It is checked at the lattice's own
+    floor((z + s/2) / s): that puts both corners of the box Z -+ (room +
+    pad) in Z's cell, and the map is monotone, so every point between them
+    is in the cell too.  For one input axis, g d is G |du| itself; for more,
+    it bounds it.  Dividing by g rounds by far less than the margin.
     """
-    # allocated before the temporaries, so that freeing them leaves no hole
-    # under it in the heap
-    keep = np.ones((P.shape[0], split.fine.size), dtype=bool)
-    fin = np.isfinite(Z).all(axis=2)
-    with np.errstate(invalid="ignore"):
-        gap = np.abs(Z - P[:, None, :]) - half - _MARGIN * (1.0 + np.abs(Z))
-    gap[~fin] = -np.inf
-    states = np.flatnonzero((gap > 0.0).any(axis=(1, 2)))
-    if not states.size:
-        return keep
-    lo, hi = hulls(states)
-    fin = (fin[states] & np.isfinite(lo).all(axis=2)
-           & np.isfinite(hi).all(axis=2))
-    G = np.zeros((states.size, P.shape[1], split.du.shape[2]))
-    sure = np.zeros(states.size, dtype=bool)
-    has = fin.any(axis=1)
-    if has.any():
-        G[has], sure[has] = bound.gains(
-            np.where(fin[..., None], lo, np.inf).min(axis=1)[has],
-            np.where(fin[..., None], hi, -np.inf).max(axis=1)[has])
-    gap = gap[states]
-    gap[~(fin & sure[:, None])] = -np.inf
-    # a few states at a time, so that the temporaries stay small
-    step = max(1, _PROOF_ROWS // max(1, split.fine.size))
-    for a in range(0, states.size, step):
-        part = np.ones((min(step, states.size - a), split.fine.size),
-                       dtype=bool)
-        for q in range(split.corner.shape[1]):
-            for i in range(P.shape[1]):
-                part &= (G[a:a + step, i, :] @ split.du[:, q, :].T
-                         >= gap[a:a + step, split.corner[:, q], i])
-        keep[states[a:a + step]] = part
-    return keep
+    miss = np.empty(Z.shape[0])
+    lands = np.empty(Z.shape[0]) if land else None
+    # a slice of rows at a time, so that the temporaries stay small
+    for a in range(0, Z.shape[0], _PROOF_ROWS):
+        rows = slice(a, a + _PROOF_ROWS)
+        _radii_of(Z[rows], cells[rows], P[rows], half, g[rows], lat,
+                  miss[rows], None if lands is None else lands[rows])
+    return miss, lands
+
+
+def _radii_of(Z, cells, P, half, g, lat, miss, lands):
+    # _radii of a few rows, into miss and lands
+    h, sp = lat.spacing / 2.0, lat.spacing
+    # over the axes first, so that each axis is one contiguous run
+    Z, g = np.ascontiguousarray(Z.T), np.ascontiguousarray(g.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pad = np.abs(Z)
+        pad += 1.0
+        pad *= _MARGIN
+        # g = 0 gives +-inf, or NaN for 0 / 0
+        gap = Z - P.T
+        np.abs(gap, out=gap)
+        gap -= half[:, None]
+        gap -= pad
+        gap /= g
+        np.fmax.reduce(gap, axis=0, out=miss)
+        if lands is not None:
+            t = Z + h
+            K = np.floor(t / sp)
+            edge = K * sp
+            # the distances to the cell's edges, less the margin twice:
+            # once for the row, once for the rounding of these differences
+            below = t - edge
+            below -= pad
+            below -= pad
+            above = edge + sp
+            above -= t
+            above -= pad
+            above -= pad
+            for room, side in ((below, -1.0), (above, 1.0)):
+                x = room + pad
+                x *= side
+                x += Z
+                x += h
+                x /= sp
+                room[np.floor(x, out=x) != K] = np.nan
+            room = np.minimum(below, above, out=below)
+            room[room < 0.0] = np.nan
+            room /= g
+            np.minimum.reduce(room, axis=0, out=lands)
+            lands[cells < 0] = np.nan
+    bad = ~np.isfinite(Z).all(axis=0)
+    miss[bad] = np.nan
+    if lands is not None:
+        lands[bad] = np.nan
+
+
+def _decide(level: _Level, groups: list, MISS: np.ndarray,
+            LANDS: Optional[np.ndarray], C: Optional[np.ndarray],
+            inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(keep, cell) over the rows (state s, level.inputs[f]): keep whether
+    the row may still land in its state's box, and cell the lattice cell it
+    is proved to land in (-1 if none).  A row proved to land is not kept.
+    MISS[p, s], LANDS[p, s] and C[p, s] are the radii (_radii) and cells of
+    the known endpoints, NaN where a corner proves nothing; LANDS and C are
+    None when no landing is proved.  inside[s, f] is whether the row's
+    stage points lie in the growth bound's region.  Only the corners on the
+    earlier levels in `groups` are compared with: the others are not
+    known."""
+    n_k = level.inputs.size
+    S = inside.shape[0]
+    keep = np.ones((S, n_k), dtype=bool)
+    cell = np.full((S, n_k), -1, dtype=np.int32)
+
+    # a few states at a time, so that the temporaries stay small; the
+    # arrays run over the states last, so that a corner's row is contiguous
+    step = max(1, TILE_ROWS // n_k)
+    for a in range(0, S, step):
+        s = slice(a, min(S, a + step))
+        size = s.stop - s.start
+        miss = np.zeros((n_k, size), dtype=bool)
+        by = np.full((n_k, size), -1, dtype=np.intp)  # the landing corner
+        misses = bool((MISS[:, s] > 0.0).any())
+        for j in groups:
+            for p, d in zip(level.corner[j].T, level.dist[j].T):
+                d = d[:, None]
+                if misses:
+                    miss |= MISS[p, s] > d
+                if LANDS is not None:
+                    np.copyto(by, p[:, None], where=LANDS[p, s] >= d)
+        ok = inside[s].T
+        keep[s] = ~(ok & (miss | (by >= 0))).T
+        if LANDS is not None:
+            hit = ok & ~miss & (by >= 0)
+            cell[s] = np.where(hit, np.take_along_axis(
+                C[:, s], np.maximum(by, 0), axis=0), -1).T
+    return keep, cell
 
 
 class RowEngine:
@@ -291,7 +416,8 @@ class RowEngine:
     a box, and their cells of a state lattice.  Built once per system, state
     lattice, input lattice (None for an autonomous system, whose one input
     is the constant zero), tau and substeps, it holds the inputs, their
-    split and, when there are fine inputs, the growth bound."""
+    split and, when there are inputs past the coarse ones, the growth
+    bound."""
 
     def __init__(self, sys: ControlSystem, st_lat: Lattice,
                  in_lat: Optional[Lattice], tau: float, substeps: int):
@@ -301,94 +427,161 @@ class RowEngine:
         self.split = _InputSplit(in_lat, self.inputs)
         self.bound = (_GrowthBound(sys, self.inputs, tau, substeps,
                                    self.split.reach)
-                      if self.split.fine.size else None)
+                      if self.split.levels else None)
 
     def _flow(self, X, src, cols, hull=False):
         return _flow_tile(self.sys, X[src], self.inputs[cols], self.tau,
                           self.substeps, hull=hull)
 
-    def run(self, X: np.ndarray, P: np.ndarray, half: np.ndarray,
-            visit: Callable[..., None], hull_first: bool) -> int:
-        """Flows the rows of the states X that may land in the box of centre
-        P[s] and per-axis half-widths `half`; returns how many it flowed.
-        Each flowed tile goes to visit(src, cols, Z, cells): its rows'
-        positions in X, input indices, endpoints and cells (-1 off the
-        lattice).  Tiles are disjoint and run on the flow workers, so visit
-        must be safe to call from several threads at once.
+    def _flow_kept(self, X, keep, inputs, on_tile) -> int:
+        """Flows the rows (s, inputs[f]) where keep[s, f], each tile finding
+        its rows in the mask, and hands each tile to on_tile(src, f, Z,
+        cells); returns how many it flowed."""
+        # rows before each state's, and in all
+        offset = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
 
-        1. Every coarse input; without fine inputs, every row.
-        2. The coarse rows' stage-point hulls: with `hull_first`, the first
-           pass flows through the hull kernel, for every state; otherwise
-           only the states with a coarse endpoint outside the box (the
-           others cannot be proved anything) flow their coarse rows again,
-           which count twice.  The one costs the hull where no state needs
-           it, the other a second flow where every state does.
-        3. The miss test (_fine_to_flow).
-        4. Only the kept fine rows, each tile finding its rows in the
-           keep-mask: a pruned row would not have landed in the box.
+        def tile(a, b):
+            s0 = np.searchsorted(offset, a, "right") - 1
+            s1 = np.searchsorted(offset, b, "left")
+            src, f = np.nonzero(keep[s0:s1])
+            skip = a - offset[s0]
+            src, f = src[skip:skip + b - a] + s0, f[skip:skip + b - a]
+            Z = self._flow(X, src, inputs[f])
+            on_tile(src, f, Z, self.st_lat.quantize_many(Z))
+
+        map_tiles(tile, int(offset[-1]))
+        return int(offset[-1])
+
+    def run(self, X: np.ndarray, P: np.ndarray, half: np.ndarray,
+            visit: Callable[..., None], cells_suffice: bool
+            ) -> Tuple[int, int]:
+        """Decides every row of the states X that may land in the box of
+        centre P[s] and per-axis half-widths `half`, flowing the rows no
+        proof decides; returns how many rows it flowed and how many it
+        proved to land without flowing them.  Each flowed tile goes to
+        visit(src, cols, Z, cells): its rows' positions in X, input indices,
+        endpoints and cells (-1 off the lattice).  With `cells_suffice`,
+        visit also gets the rows proved to land, with Z None; without, those
+        rows are flowed.  Tiles are disjoint and run on the flow workers, so
+        visit must be safe to call from several threads at once.
+
+        1. Every coarse input, through the kernel that also records the
+           stage-point hulls; without other inputs, every row, through the
+           plain kernel, and nothing more.
+        2. The growth bound of each state that may be proved something:
+           with `cells_suffice` every state with a finite coarse row,
+           otherwise those with such a row's endpoint outside the box.
+        3. The radii (_radii) of the coarse endpoints of the states with a
+           sure bound.
+        4. Level by level (_InputSplit), the proofs (_decide) against the
+           known endpoints of the earlier levels, then a flow of the rows
+           they leave undecided, each tile finding its rows in the
+           keep-mask and taking the radii of its own.  Only a flowed row's
+           endpoint is known to the later levels: a decided row proves
+           nothing.  A level that keeps fewer than _PASS_ROWS rows is
+           flowed with the next one instead, and proves nothing to it.
+        A row proved to miss would not have landed in the box, and one
+        proved to land lands in the cell it is handed over with.  With
+        `cells_suffice`, the box must be a union of the lattice's cells.
         """
         S, n = X.shape
-        coarse, fine = self.split.coarse, self.split.fine
-        n_c = coarse.size
-        hull = hull_first and self.bound is not None
-        # the coarse rows' endpoints for the proof, in one array so that no
-        # worker's output outlives its tile; with `hull` the tiles hand them
-        # back with their hulls, so that no buffer adds to the kernel's peak
-        Z = (np.empty((S * n_c, n)) if self.bound is not None and not hull
-             else None)
+        coarse, n_c = self.split.coarse, self.split.coarse.size
+        hull = self.bound is not None
 
         def first(a, b):
             src, cols = np.divmod(np.arange(a, b), n_c)
             cols = coarse[cols]
             out = self._flow(X, src, cols, hull)
             end = out[0] if hull else out
-            if Z is not None:
-                Z[a:b] = end
-            visit(src, cols, end, self.st_lat.quantize_many(end))
-            return out if hull else None
+            cells = self.st_lat.quantize_many(end)
+            visit(src, cols, end, cells)
+            # handed back, so that no buffer adds to the kernel's peak
+            return out + (cells,) if hull else None
 
         parts = map_tiles(first, S * n_c)
-        if self.bound is None:
-            return S * n_c
-        if hull:
-            Z, *kept = (np.concatenate(k) for k in zip(*parts))
+        if not hull:
+            return S * n_c, 0
+        Z, lo, hi, cells = (np.concatenate(k) for k in zip(*parts))
         del parts
-        hulled = 0  # coarse rows flowed again through the hull kernel
+        fin = (np.isfinite(Z).all(axis=1) & np.isfinite(lo).all(axis=1)
+               & np.isfinite(hi).all(axis=1)).reshape(S, n_c)
+        src = np.arange(S * n_c) // n_c
+        if cells_suffice:
+            states = np.flatnonzero(fin.any(axis=1))
+        else:
+            # a state none of whose finite coarse endpoints lies outside the
+            # box at G = 0 can be proved nothing
+            with np.errstate(invalid="ignore"):
+                gap = (np.abs(Z - P[src]) - half
+                       - _MARGIN * (1.0 + np.abs(Z)) > 0.0).any(axis=1)
+            states = np.flatnonzero((fin & gap.reshape(S, n_c)).any(axis=1))
+            del gap
+        G = np.zeros((S, n, self.bound.m))
+        sure = np.zeros(S, dtype=bool)
+        if states.size:
+            f = fin[states][..., None]
+            lo, hi = lo.reshape(S, n_c, n), hi.reshape(S, n_c, n)
+            G[states], sure[states] = self.bound.gains(
+                np.where(f, lo[states], np.inf).min(axis=1),
+                np.where(f, hi[states], -np.inf).max(axis=1))
+        del lo, hi
+        g = G.sum(axis=2)
+        # the known endpoints' radii and cells, over the states last; the
+        # workers of a level fill in its flowed rows
+        MISS = np.full((self.split.n_known, S), np.nan)
+        LANDS = C = None
+        miss, lands = _radii(Z, cells, P[src], half, g[src], self.st_lat,
+                             cells_suffice)
+        proves = (sure[:, None] & fin).T
+        MISS[:n_c][proves] = miss.reshape(S, n_c).T[proves]
+        if cells_suffice:
+            LANDS = np.full((self.split.n_known, S), np.nan)
+            LANDS[:n_c][proves] = lands.reshape(S, n_c).T[proves]
+            C = np.full((self.split.n_known, S), -1, dtype=np.int32)
+            C[:n_c] = cells.reshape(S, n_c).T
+        del Z, cells, src, miss, lands
+        flowed, landed = S * n_c, 0
+        pos = self.split.pos
+        known = [0]  # the levels whose rows were flowed
+        # a level too small to pay a pass of its own, flowed with the next
+        carried = []
+        for k, level in enumerate(self.split.levels, 1):
+            inside = sure[:, None] & fin[:, level.corner[0]].any(axis=2)
+            keep, cell = _decide(level, known, MISS, LANDS, C, inside)
+            src, f = np.nonzero(cell >= 0)
+            if src.size:
+                visit(src, level.inputs[f], None, cell[src, f])
+                landed += src.size
+            del cell, src, f
+            carried.append((k, level.inputs, keep, inside))
+            # the last level is always flowed
+            if (k < len(self.split.levels)
+                    and sum(int(c[2].sum()) for c in carried) < _PASS_ROWS):
+                continue
+            levels, inputs, keep, inside = (
+                [c[j] for c in carried] for j in range(4))
+            inputs, keep, inside = (np.concatenate(inputs),
+                                    np.hstack(keep), np.hstack(inside))
+            carried = []
 
-        def hulls(states):
-            if hull:
-                return tuple(b.reshape(S, n_c, n)[states] for b in kept)
-            nonlocal hulled
-            hulled = states.size * n_c
-            lo_s, hi_s = (np.empty((hulled, n)) for _ in range(2))
+            def on_tile(src, f, Z, cells, inputs=inputs, inside=inside):
+                visit(src, inputs[f], Z, cells)
+                # a row proves something to the later levels only with its
+                # stage points in the region
+                at = pos[inputs[f]]
+                w = (at >= 0) & inside[src, f]
+                if w.any():
+                    miss, lands = _radii(Z[w], cells[w], P[src[w]], half,
+                                         g[src[w]], self.st_lat,
+                                         cells_suffice)
+                    MISS[at[w], src[w]] = miss
+                    if LANDS is not None:
+                        LANDS[at[w], src[w]] = lands
+                        C[at[w], src[w]] = cells[w]
 
-            def tile(a, b):
-                row = np.arange(a, b)
-                _, lo_s[a:b], hi_s[a:b] = self._flow(
-                    X, states[row // n_c], coarse[row % n_c], True)
-
-            map_tiles(tile, hulled)
-            return lo_s.reshape(-1, n_c, n), hi_s.reshape(-1, n_c, n)
-
-        keep = _fine_to_flow(self.split, self.bound, Z.reshape(S, n_c, n),
-                             hulls, P, half)
-        del Z
-        # rows of the fine pass before each state's, and in all
-        offset = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-
-        def last(a, b):
-            # the kept (state, fine input) rows a..b, from the mask
-            s0 = np.searchsorted(offset, a, "right") - 1
-            s1 = np.searchsorted(offset, b, "left")
-            src, f = np.nonzero(keep[s0:s1])
-            skip = a - offset[s0]
-            src = src[skip:skip + b - a] + s0
-            cols = fine[f[skip:skip + b - a]]
-            out = self._flow(X, src, cols)
-            visit(src, cols, out, self.st_lat.quantize_many(out))
-
-        map_tiles(last, int(offset[-1]))
-        return S * n_c + hulled + int(offset[-1])
+            flowed += self._flow_kept(X, keep, inputs, on_tile)
+            known += levels
+        return flowed, landed
 
 
 def _transitions(succ: np.ndarray, first: int) -> np.ndarray:
@@ -426,10 +619,10 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
 
     States are embedded at their own lattice coordinates; initial states come
     from the outward-rounded lattice range of the initial box.  Flows leaving
-    the cells covering the state box produce no transition, and the rows a
-    growth bound proves to leave them are not flowed (RowEngine, hulling
-    again only the states that may be proved something); the system's
-    `rows_flowed` counts the rows that were.  Transitions come out in
+    the cells covering the state box produce no transition.  The rows a
+    growth bound proves to leave them, or to land in a cell, are not flowed
+    (RowEngine); the system's `rows_flowed` counts the rows that were, and
+    `rows_landed` those proved to land.  Transitions come out in
     lexicographic order, so they are reproducible regardless of chunk, tile
     and worker count.
     """
@@ -451,7 +644,7 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     # one successor array for every chunk: a new one per chunk fragments
     # the heap between the chunks' transitions
     succ = np.empty((min(step, st_lat.n_points), n_u), dtype=np.int32)
-    parts, rows = [], 0
+    parts, rows, rows_landed = [], 0, 0
     for a in range(0, st_lat.n_points, step):
         X = pts[a:a + step]
         out = succ[:X.shape[0]]
@@ -461,11 +654,13 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
         def write(src, cols, Z, cells):
             out[src, cols] = cells
 
-        rows += engine.run(X, np.broadcast_to(centre, X.shape), half, write,
-                           hull_first=False)
+        flowed, landed = engine.run(X, np.broadcast_to(centre, X.shape),
+                                    half, write, cells_suffice=True)
+        rows += flowed
+        rows_landed += landed
         parts.append(_transitions(out, a))
     del succ, out
     fs = FiniteSystem(pts, st_lat.outer_range_indices(sys.init_box),
                       engine.inputs, _join(parts))
-    fs.rows_flowed = rows
+    fs.rows_flowed, fs.rows_landed = rows, rows_landed
     return fs

@@ -392,6 +392,7 @@ def _cmd_compare(args) -> int:
         ("memory_units", int_metrics.memory_units, base_metrics.memory_units),
         ("steps", int_metrics.steps, base_metrics.steps),
         ("rows_flowed", int_metrics.rows_flowed, base_metrics.rows_flowed),
+        ("rows_landed", int_metrics.rows_landed, base_metrics.rows_landed),
     ]
     print(f"{'quantity':<14}{'integrated':>14}{'baseline':>14}{'ratio':>10}")
     for name, iv, bv in rows:

@@ -9,8 +9,10 @@ is part of it, so ``x1^-2`` has the integer exponent -2.
 
 Nothing walks the AST while evaluating.  `FieldCode` lowers the components
 of a field to one list of operations: each distinct subexpression once,
-subexpressions of constants folded to literals, and the operations on the
-inputs alone set apart, to run once per call instead of once per use.  Each
+subexpressions of constants folded to literals, products by 1 and -1 and
+sums of negations rewritten to the operations they equal bit for bit, and
+the operations on the inputs alone set apart, to run once per call instead
+of once per use.  Each
 operation is rendered as Python source in one of two forms: a numpy ufunc
 writing through ``out=`` into a preallocated buffer, or the same operation
 on Python floats (the same IEEE ``+ - * /`` and negation, the same numpy
@@ -333,6 +335,17 @@ def compile_source(lines: Sequence[str], name: str, **names):
     return namespace[name]
 
 
+def _negated(e: Expr):
+    """a when e is -a, -1 * a or a * -1, else None."""
+    if isinstance(e, Neg):
+        return e.operand
+    if isinstance(e, Bin) and e.op == "*":
+        for minus_one, a in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(minus_one, Num) and float(minus_one.value) == -1.0:
+                return a
+    return None
+
+
 class FieldCode:
     """Straight-line code for the components of a vector field.
 
@@ -413,6 +426,23 @@ class FieldCode:
             if e.func == "sqrt":
                 self._check(e, _SQRT_CHECK, a)
             return self._emit(e.func, a)
+        if isinstance(e, Bin) and e.op in "+-":
+            # a + -b is a - b, a - -b is a + b and -a + b is b - a, exactly
+            a, b = _negated(e.left), _negated(e.right)
+            if b is not None:
+                return self._emit("sub" if e.op == "+" else "add",
+                                  self._lower(e.left), self._lower(b))
+            if a is not None and e.op == "+":
+                a = self._lower(a)
+                return self._emit("sub", self._lower(e.right), a)
+        if isinstance(e, Bin) and e.op == "*":
+            # 1 * a is a and -1 * a is -a, exactly
+            for one, a in ((e.left, e.right), (e.right, e.left)):
+                if isinstance(one, Num) and float(one.value) == 1.0:
+                    return self._lower(a)
+            a = _negated(e)
+            if a is not None:
+                return self._emit("neg", self._lower(a))
         if isinstance(e, Bin):
             a, b = self._lower(e.left), self._lower(e.right)
             if e.op != "^":

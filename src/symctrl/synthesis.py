@@ -92,8 +92,8 @@ class Metrics:
     integrated route.  rows_flowed counts the (state, input) rows of the
     plant and the specification a route actually flowed, which is the work
     it did: both routes prune the inputs they can prove miss, a target cell
-    (integrated) or every cell (baseline), and a coarse row the baseline
-    flows again for its stage-point hull counts twice.
+    (integrated) or every cell (baseline).  rows_landed counts the rows the
+    baseline proved to land in a cell and did not flow.
     wall_time_ms is informational only.
     """
 
@@ -103,11 +103,13 @@ class Metrics:
     steps: int
     wall_time_ms: float = 0.0
     rows_flowed: int = 0
+    rows_landed: int = 0
 
     def as_dict(self) -> dict:
         return {"states": self.states, "transitions": self.transitions,
                 "memory_units": self.memory_units, "steps": self.steps,
                 "rows_flowed": self.rows_flowed,
+                "rows_landed": self.rows_landed,
                 "wall_time_ms": round(self.wall_time_ms, 3)}
 
 
@@ -239,7 +241,8 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
                                            cstar.n_transitions),
         steps=steps,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        rows_flowed=sp.rows_flowed + sq.rows_flowed)
+        rows_flowed=sp.rows_flowed + sq.rows_flowed,
+        rows_landed=sp.rows_landed + sq.rows_landed)
     return ctrl, metrics, (sp, sq, cstar, nb)
 
 
@@ -251,9 +254,10 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
     Any landing input yields the same controller sets, but the centered
     landing maximizes the closed loop's quantization margin.
 
-    The engine flows only the inputs it cannot prove to miss ys[i]'s cell,
-    hulling every coarse row in its first pass.  A pruned input would not
-    have landed, so the choice is that of a scan of every input.
+    The engine flows only the inputs it cannot prove to miss ys[i]'s cell;
+    it flows those it proves to land too, since the choice needs their
+    endpoints.  A pruned input would not have landed, so the choice is that
+    of a scan of every input.
     """
     P = st_pts[ys]
     hits = []  # (state, input, distance to the center) of the landing rows
@@ -264,7 +268,7 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
                      np.max(np.abs(Z[hit] - P[src[hit]]), axis=1)))
 
     half = np.full(st_pts.shape[1], engine.st_lat.spacing / 2.0)
-    flowed = engine.run(st_pts[xs], P, half, land, hull_first=True)
+    flowed, _ = engine.run(st_pts[xs], P, half, land, cells_suffice=False)
     # per state, the landing row nearest the center, then the lowest input,
     # in whatever order the workers handed the tiles over
     src, cols, d = (np.concatenate(a) for a in zip(*hits))

@@ -125,12 +125,16 @@ def test_thread_count_invariance(monkeypatch):
 
 
 def test_pruned_sweep_under_thread_stress(monkeypatch):
-    # the workers of both passes write disjoint entries of one successor
-    # array: with more workers than cores, short tiles and frequent thread
-    # switches, a lost or misplaced write would change the model
+    # the workers of every pass write disjoint entries of one successor
+    # array and of the known endpoints' radii: with more workers than cores,
+    # short tiles and frequent thread switches, a lost or misplaced write
+    # would change the model
     plant, _, params = linear_pair(1)
     spec = AbstractionSpec(params.tau, 0.05, 0.05, 10)
     ref = full_sweep(plant, spec)
+    # every level in a pass of its own, so that the workers' endpoints are
+    # read by the later levels
+    monkeypatch.setattr(abstraction, "_PASS_ROWS", 0)
     monkeypatch.setattr(dynamics, "TILE_ROWS", 97)
     monkeypatch.setenv("SYMCTRL_THREADS", "4")
     interval = sys.getswitchinterval()
@@ -170,63 +174,66 @@ def test_coarse_abstraction_bisimilar_to_fine_reference():
 # ---- rows proved to leave the cover are not flowed ----------------------------
 
 def test_abstraction_equals_full_sweep_on_random_problems(monkeypatch):
-    seen = {"examples": 0, "pruned": 0, "pruning": False}
-    fine_to_flow = abstraction._fine_to_flow
+    seen = {"examples": 0, "pruned": 0, "landed": 0, "pruning": False,
+            "landing": False}
+    decide = abstraction._decide
 
     def counting(*args):
-        keep = fine_to_flow(*args)
+        keep, cell = decide(*args)
         seen["pruning"] |= not keep.all()
-        return keep
+        seen["landing"] |= bool((cell >= 0).any())
+        return keep, cell
 
-    monkeypatch.setattr(abstraction, "_fine_to_flow", counting)
+    monkeypatch.setattr(abstraction, "_decide", counting)
+    # every level in a pass of its own, however few rows it keeps, so that
+    # the later levels' proofs use its endpoints
+    monkeypatch.setattr(abstraction, "_PASS_ROWS", 0)
     for drifting in (False, True):
         @settings(derandomize=True, max_examples=50, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow,
                                          HealthCheck.data_too_large])
         @given(problems(drifting=drifting))
         def check(problem):
-            seen["pruning"] = False
+            seen["pruning"] = seen["landing"] = False
             plant, spec, params, substeps = problem
-            assert_matches_full_sweep(
+            fp = assert_matches_full_sweep(
                 plant, AbstractionSpec(params.tau, params.eta, params.mu,
                                        substeps))
+            assert (fp.rows_landed > 0) == seen["landing"]
             # the specification has no inputs to prune
             fq = assert_matches_full_sweep(
                 spec, AbstractionSpec(params.tau, params.eta, None, substeps))
-            assert fq.rows_flowed == fq.n_states
+            assert fq.rows_flowed == fq.n_states and fq.rows_landed == 0
             seen["examples"] += 1
             seen["pruned"] += seen["pruning"]
+            seen["landed"] += seen["landing"]
 
         check()
-    # the draws must exercise the pruning; many of them leave the cover only
-    # through blow-ups, or are too stiff for a sure bound
+    # the draws must exercise the pruning, and the landing proofs among it;
+    # many of them leave the cover only through blow-ups, or are too stiff
+    # for a sure bound
     assert seen["pruned"] >= seen["examples"] // 4
+    assert seen["landed"] >= seen["examples"] // 4
 
 
 def test_abstraction_equals_full_sweep_on_linear_1():
     # the linear-pair benchmark plant: 201 inputs, and about half of its
-    # rows leave the cover
+    # rows leave the cover; some of the others are proved to land
     plant, _, params = linear_pair(1)
     fs = assert_matches_full_sweep(
         plant, AbstractionSpec(params.tau, params.eta, 0.01, 50))
     assert fs.rows_flowed * 4 < fs.n_states * fs.n_inputs * 3
+    assert fs.rows_landed > 0
 
 
-def test_hull_first_changes_only_the_rows_flowed(monkeypatch):
-    # hulling every coarse row in the first pass (the integrated route's
-    # choice) and hulling again only the states that may be proved something
-    # (the baseline's) flow the same fine rows, against the cover and
-    # against each state's own cell; their row counts differ by exactly the
-    # coarse rows flowed again
-    hull_rows = [0]
-    flow_tile = abstraction._flow_tile
-
-    def counting(sys, X, U, tau, substeps, hull=False):
-        hull_rows[0] += X.shape[0] if hull else 0
-        return flow_tile(sys, X, U, tau, substeps, hull=hull)
-
-    monkeypatch.setattr(abstraction, "_flow_tile", counting)
-    seen = {"examples": 0, "rehulled": 0}
+@pytest.mark.parametrize("pass_rows", [0, abstraction._PASS_ROWS])
+def test_cells_suffice_changes_only_the_rows_flowed(monkeypatch, pass_rows):
+    # handing the rows proved to land over as cells (the baseline's choice)
+    # and flowing them (the integrated route's) give the same successors in
+    # the box, against the cover and against each state's own cell, with
+    # every level flowed on its own and with the small ones carried
+    monkeypatch.setattr(abstraction, "_PASS_ROWS", pass_rows)
+    seen = {"examples": 0, "landed": 0}
 
     @settings(derandomize=True, max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -239,29 +246,33 @@ def test_hull_first_changes_only_the_rows_flowed(monkeypatch):
             plant, st_lat, Lattice(plant.input_box, 2.0 * params.mu),
             params.tau, substeps)
         X, s = st_lat.points(), st_lat.spacing
+        own, hit = np.arange(X.shape[0]), False
         boxes = [(np.broadcast_to((st_lat.kmin + st_lat.kmax) * (s / 2.0),
-                                  X.shape), st_lat.counts * (s / 2.0)),
-                 (X, np.full(X.shape[1], s / 2.0))]
-        for P, half in boxes:
-            succ, rows, hulled = [], [], []
-            for hull_first in (False, True):
-                out = np.full((X.shape[0], engine.inputs.shape[0]), -2)
+                                  X.shape), st_lat.counts * (s / 2.0), None),
+                 (X, np.full(X.shape[1], s / 2.0), own)]
+        for P, half, target in boxes:
+            succ, landed = [], []
+            for cells_suffice in (False, True):
+                out = np.full((X.shape[0], engine.inputs.shape[0]), -1)
+                bare = [0]
 
                 def write(src, cols, Z, cells):
-                    out[src, cols] = cells
+                    if Z is None:
+                        bare[0] += src.size
+                    inside = (cells >= 0 if target is None
+                              else cells == target[src])
+                    out[src[inside], cols[inside]] = cells[inside]
 
-                hull_rows[0] = 0
-                rows.append(engine.run(X, P, half, write, hull_first))
+                _, rows_landed = engine.run(X, P, half, write, cells_suffice)
+                assert rows_landed == bare[0]
                 succ.append(out)
-                hulled.append(hull_rows[0])
+                landed.append(rows_landed)
             assert np.array_equal(succ[0], succ[1])
-            assert rows[0] - rows[1] == hulled[0]
-            coarse_rows = X.shape[0] * engine.split.coarse.size
-            assert hulled[1] == (coarse_rows if engine.bound is not None
-                                 else 0)
-            seen["rehulled"] += 0 < hulled[0] < coarse_rows
+            assert landed[0] == 0
+            hit |= landed[1] > 0
         seen["examples"] += 1
+        seen["landed"] += hit
 
     check()
-    # some draws must hull again only a part of their states
-    assert seen["rehulled"] >= seen["examples"] // 4
+    # the landing proofs must decide rows in some draws
+    assert seen["landed"] >= seen["examples"] // 4

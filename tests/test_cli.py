@@ -132,7 +132,7 @@ def test_synthesize_writes_controller_and_metrics(tmp_path, capsys):
     assert code == 0
     metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(metrics) == {"states", "transitions", "memory_units", "steps",
-                            "rows_flowed", "wall_time_ms"}
+                            "rows_flowed", "rows_landed", "wall_time_ms"}
     assert metrics["states"] > 0
     assert metrics["states"] == metrics["transitions"]
     assert out.exists()
@@ -384,5 +384,5 @@ def test_compare_reports_ratios_and_bisimilarity(capsys):
     out = capsys.readouterr().out
     assert "exactly bisimilar" in out
     for name in ("states", "transitions", "memory_units", "steps",
-                 "rows_flowed"):
+                 "rows_flowed", "rows_landed"):
         assert name in out

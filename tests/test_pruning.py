@@ -132,14 +132,14 @@ def assert_matches_full_scan(plant, spec, params, substeps, stats=None):
 
 def test_pruned_scan_equals_full_scan_on_random_problems(monkeypatch):
     seen = {"examples": 0, "pruned": 0, "controlled": 0, "pruning": False}
-    fine_to_flow = abstraction._fine_to_flow
+    decide = abstraction._decide
 
     def counting(*args):
-        keep = fine_to_flow(*args)
+        keep, cell = decide(*args)
         seen["pruning"] |= not keep.all()
-        return keep
+        return keep, cell
 
-    monkeypatch.setattr(abstraction, "_fine_to_flow", counting)
+    monkeypatch.setattr(abstraction, "_decide", counting)
 
     @settings(derandomize=True, max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -250,15 +250,14 @@ def test_unbounded_derivative_keeps_every_input(monkeypatch):
     # state has a sure bound, so every input is flowed, and the result
     # still equals the full scan
     kept = []
-    fine_to_flow = abstraction._fine_to_flow
-    monkeypatch.setattr(abstraction, "_fine_to_flow",
-                        lambda *args: kept.append(fine_to_flow(*args))
-                        or kept[-1])
+    decide = abstraction._decide
+    monkeypatch.setattr(abstraction, "_decide",
+                        lambda *args: kept.append(decide(*args)) or kept[-1])
     plant, spec, params = one_dimensional_pair(
         "-x1 + u1 + 0.1*sqrt(abs(u1))", "-x1", 0.5, 0.05, 0.02, 0.5)
     ctrl, _ = assert_matches_full_scan(plant, spec, params, 10)
     assert ctrl.n_transitions > 0
-    assert kept and all(keep.all() for keep in kept)
+    assert kept and all(keep.all() for keep, _ in kept)
 
 
 def test_growth_bound_holds_on_sampled_rows():
@@ -278,3 +277,23 @@ def test_growth_bound_holds_on_sampled_rows():
     seen = np.max(np.abs(np.diff(Z, axis=1)), axis=(0, 1)) / step
     assert np.all(seen <= G[0, :, 0])
     assert np.all(G[0, :, 0] <= 1.5 * seen)
+
+
+def test_gains_on_a_subset_equal_the_rows_of_gains_on_all():
+    # each box is decided on its own, over as many rounds as it needs: the
+    # gains of any subset of the boxes are the matching rows of the gains
+    # of all of them, bit for bit
+    plant, _, params = nonlinear_pair()
+    u_pts = np.linspace(*plant.input_box[0], 101)[:, None]
+    bound = abstraction._GrowthBound(plant, u_pts, params.tau, 50,
+                                   np.array([0.1]))
+    rng = np.random.default_rng(5)
+    box = plant.state_box
+    centre = rng.uniform(box[:, 0], box[:, 1], (400, 3))
+    width = rng.uniform(0.0, 0.6, (400, 3))
+    G, sure = bound.gains(centre - width, centre + width)
+    assert 0 < sure.sum() < 400
+    for size in (1, 37, 200):
+        sub = rng.choice(400, size, replace=False)
+        Gs, ss = bound.gains(centre[sub] - width[sub], centre[sub] + width[sub])
+        assert np.array_equal(Gs, G[sub]) and np.array_equal(ss, sure[sub])

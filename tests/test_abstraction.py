@@ -226,7 +226,8 @@ def test_abstraction_equals_full_sweep_on_linear_1():
     assert fs.rows_landed > 0
 
 
-@pytest.mark.parametrize("pass_rows", [0, abstraction._PASS_ROWS])
+@pytest.mark.parametrize("pass_rows", [0, abstraction._PASS_ROWS],
+                         ids=["own-passes", "carried"])
 def test_cells_suffice_changes_only_the_rows_flowed(monkeypatch, pass_rows):
     # handing the rows proved to land over as cells (the baseline's choice)
     # and flowing them (the integrated route's) give the same successors in

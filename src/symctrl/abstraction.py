@@ -10,8 +10,8 @@ transition.  Because the cells are disjoint, the result is deterministic:
 each (state, input) has at most one successor.
 
 RowEngine flows only the rows that no proof decides.  It flows a coarse
-input sub-lattice first, through the kernel that also records the hulls of
-the RK4 stage points, and bounds from those hulls how far an endpoint moves
+input sub-lattice first, recording the hulls of the RK4 stage points
+(dynamics._flow_tile), and bounds from those hulls how far an endpoint moves
 with its input (_GrowthBound).  Then, over nested input levels of finer and
 finer strides (_InputSplit), it decides each level's rows from the endpoints
 the earlier levels flowed: a row misses the box when a known neighbour's
@@ -465,12 +465,10 @@ class RowEngine:
         rows are flowed.  Tiles are disjoint and run on the flow workers, so
         visit must be safe to call from several threads at once.
 
-        1. Every coarse input, through the kernel that also records the
-           stage-point hulls; without other inputs, every row, through the
-           plain kernel, and nothing more.
-        2. The growth bound of each state that may be proved something:
-           with `cells_suffice` every state with a finite coarse row,
-           otherwise those with such a row's endpoint outside the box.
+        1. Every coarse input, flowed with the hulls of its stage points;
+           without other inputs, every row, flowed without them, and
+           nothing more.
+        2. The growth bound of each state with a finite coarse row.
         3. The radii (_radii) of the coarse endpoints of the states with a
            sure bound.
         4. Level by level (_InputSplit), the proofs (_decide) against the
@@ -506,16 +504,7 @@ class RowEngine:
         fin = (np.isfinite(Z).all(axis=1) & np.isfinite(lo).all(axis=1)
                & np.isfinite(hi).all(axis=1)).reshape(S, n_c)
         src = np.arange(S * n_c) // n_c
-        if cells_suffice:
-            states = np.flatnonzero(fin.any(axis=1))
-        else:
-            # a state none of whose finite coarse endpoints lies outside the
-            # box at G = 0 can be proved nothing
-            with np.errstate(invalid="ignore"):
-                gap = (np.abs(Z - P[src]) - half
-                       - _MARGIN * (1.0 + np.abs(Z)) > 0.0).any(axis=1)
-            states = np.flatnonzero((fin & gap.reshape(S, n_c)).any(axis=1))
-            del gap
+        states = np.flatnonzero(fin.any(axis=1))
         G = np.zeros((S, n, self.bound.m))
         sure = np.zeros(S, dtype=bool)
         if states.size:

@@ -25,7 +25,8 @@ from .dynamics import (DEFAULT_SUBSTEPS, ControlSystem, DivergenceError,
                        StabilityCertificate, thread_count)
 from .expr import EvalDomainError, ExprSyntaxError, parse_expression
 from .loop import UncontrolledStateError, conformance_report, simulate_closed_loop
-from .quantize import Lattice, SynthesisParams, validate_parameters
+from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
+                       validate_parameters)
 from .synthesis import (Controller, ParameterValidationError,
                         controller_to_system, shared_lattices,
                         synthesize_baseline, synthesize_integrated)
@@ -114,6 +115,8 @@ def _certificate(sec: dict, where: str) -> StabilityCertificate:
 
 def _system(sec: dict, where: str, n_inputs: int) -> ControlSystem:
     n = _integer(_number(sec, "n", where), "n", where)
+    if n < 1:
+        raise ConfigError(f"'n' in {where} must be a positive integer")
     field_src = sec.get("field")
     if (not isinstance(field_src, list) or len(field_src) != n
             or not all(isinstance(text, str) for text in field_src)):
@@ -172,14 +175,16 @@ def load_config(path: str) -> ProblemConfig:
     if not isinstance(options, dict):
         raise ConfigError("'options' must be a JSON object")
     cap = options.get("transition_cap", DEFAULT_TRANSITION_CAP)
+    cap = None if cap in (None, 0) else _integer(cap, "transition_cap",
+                                                 "options")
+    if cap is not None and cap < 0:
+        raise ConfigError("'transition_cap' in options must not be negative")
     override = options.get("override_validation", False)
     if not isinstance(override, bool):
         raise ConfigError("'override_validation' must be true or false")
     return ProblemConfig(
         plant=plant, specification=specification, params=params,
-        substeps=substeps, override_validation=override,
-        transition_cap=None if cap in (None, 0)
-        else _integer(cap, "transition_cap", "options"))
+        substeps=substeps, override_validation=override, transition_cap=cap)
 
 
 def _fmt_floats(values) -> str:
@@ -452,7 +457,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EmptyLatticeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParameterValidationError as exc:

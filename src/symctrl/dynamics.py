@@ -3,14 +3,14 @@
 A plant is a box-bounded ODE ``dx/dt = f(x, u)`` with the input held constant
 over each sampling period (zero-order hold).  Flows are computed with a fixed
 step classical RK4 scheme so that transition relations built from them are
-reproducible bit-for-bit on a given platform.  Each system generates two RK4
-kernels from its field once, one over the arrays of a tile of rows and one
-over the floats of a single row; they run the same operations, so a row's
-endpoint does not depend on the batch it is flowed in.  A row on which the
-field leaves its domain ends at NaN.  A third kernel, generated on first
-use, is the tile kernel that also records the hull of every point at which
-it evaluates the field; both synthesis routes flow their plant's coarse
-rows through it for the growth bound (abstraction.RowEngine).
+reproducible bit-for-bit on a given platform.  Each system lowers its field
+once (expr.FieldCode) and generates two RK4 kernels from it, one over the
+arrays of a tile of rows and one over the floats of a single row; they run
+the same operations, so a row's endpoint does not depend on the batch it is
+flowed in.  A row on which the field leaves its domain ends at NaN.  Asked
+for it, the tile kernel also records the hull of every point at which it
+evaluates the field; both synthesis routes flow their plant's coarse rows
+that way, for the growth bound (abstraction.RowEngine).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -147,11 +148,6 @@ class ControlSystem:
     input_box: np.ndarray
     field: tuple
     certificate: Optional[StabilityCertificate] = None
-    # not __init__ arguments, so that dataclasses.replace compiles anew
-    _compiled: Optional[tuple] = field(default=None, init=False, repr=False,
-                                       compare=False)
-    _hull_tile: Optional[Callable] = field(default=None, init=False,
-                                           repr=False, compare=False)
 
     def __post_init__(self):
         self.state_box = _as_box(self.state_box, "state_box")
@@ -168,45 +164,45 @@ class ControlSystem:
             raise ValueError("init_box must be contained in state_box")
         self.field = tuple(self.field)
 
-    @property
-    def compiled_field(self):
-        """One f(xcols, ucols) per component (expr.compile_expression)."""
-        return self._compile()[0]
+    # cached on the instance, not fields, so that dataclasses.replace
+    # compiles anew
+    @cached_property
+    def compiled_field(self) -> list:
+        """One f(xcols, ucols) per component (expr.compile_expression),
+        compiled on first use; no flow runs them.  Reading it compiles the
+        RK4 kernels too, so that no later flow compiles anything."""
+        self._kernels
+        return [compile_expression(e) for e in self.field]
 
-    def _compile(self) -> tuple:
-        # the components and the RK4 kernels of _flow_tile, generated once
-        if self._compiled is None:
-            self._compiled = ([compile_expression(e) for e in self.field],
-                              *_rk4_kernels(self.field, self.n, self.m))
-        return self._compiled
-
-    def _hull_kernel(self) -> Callable:
-        # the tile kernel that also records stage-point hulls, generated on
-        # first use: only plant rows flow through it, for the growth bound
-        if self._hull_tile is None:
-            self._hull_tile = compile_source(
-                _rk4_source(FieldCode(self.field), self.n, self.m, "array",
-                            hull=True), "tile")
-        return self._hull_tile
+    @cached_property
+    def _kernels(self) -> tuple:
+        # the tile and row RK4 kernels of _flow_tile, from one lowering;
+        # flow workers that race here compile the same kernels twice
+        code = FieldCode(self.field)
+        return (compile_source(_rk4_source(code, self.n, self.m, "array"),
+                               "tile"),
+                compile_source(_rk4_source(code, self.n, self.m, "float"),
+                               "row"))
 
 
-def _rk4_source(code: FieldCode, n: int, m: int, form: str,
-                hull: bool = False) -> list:
-    """Source of an RK4 kernel f(X, U, h, substeps) over one tile: "tile"
-    over arrays, writing through ``out=`` into buffers allocated once per
-    tile, or "row" over the Python floats of a one-row tile.  Both run the
-    same operations in the same order, those of the classical step
+def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
+    """Source of an RK4 kernel over one tile: "tile" over arrays, writing
+    through ``out=`` into buffers allocated once per tile, or "row" over the
+    Python floats of a one-row tile.  Both run the same operations in the
+    same order, those of the classical step
     x + (2 * (k2 + k3) + k1 + k4) * (h / 6), so their endpoints agree.
 
-    With `hull` (arrays only) the kernel returns (endpoints, lo, hi), where
-    lo and hi bound, per row and component, every point at which it
-    evaluated the field; the endpoints are those of the plain kernel."""
+    The row kernel is row(X, U, h, substeps).  The tile kernel is
+    tile(X, U, h, substeps, hull); with `hull` it returns (endpoints, lo,
+    hi), where lo and hi bound, per row and component, every point at which
+    it evaluated the field; the endpoints do not depend on `hull`."""
     x, xt = [f"x{i}" for i in range(n)], [f"xt{i}" for i in range(n)]
     k1, k2, k3 = [[f"k{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
     # a row that leaves the field's domain ends at NaN
     fail = f"return np.full((1, {n}), nan)"
     if form == "array":
-        lines = ["def tile(X, U, h, substeps):", "    rows = X.shape[0]"]
+        lines = ["def tile(X, U, h, substeps, hull):",
+                 "    rows = X.shape[0]"]
         lines += [f"    x{i} = np.array(X[:, {i}], dtype=float)"
                   for i in range(n)]
         lines += [f"    u{j} = np.ascontiguousarray(U[:, {j}], dtype=float)"
@@ -215,9 +211,9 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str,
         lines += [f"    t{r} = np.empty(rows)" for r in range(code.n_registers)]
         if code.checks:
             lines.append("    bad = np.zeros(rows, dtype=bool)")
-        if hull:
-            lines += [f"    {b}{i} = np.array(x{i})"
-                      for b in ("lo", "hi") for i in range(n)]
+        lines.append("    if hull:")
+        lines += [f"        {b}{i} = np.array(x{i})"
+                  for b in ("lo", "hi") for i in range(n)]
     else:
         lines = ["def row(X, U, h, substeps):"]
         lines += [f"    x{i} = float(X[0, {i}])" for i in range(n)]
@@ -230,8 +226,10 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str,
         lines.append("        " + render(form, fn, args, dest))
 
     def stage(xs, ks):
-        if hull:  # the stage point, before the field is evaluated there
-            lines.extend(f"        np.{fn}({b}{i}, {xs}{i}, out={b}{i})"
+        if form == "array":
+            # the stage point, before the field is evaluated there
+            lines.append("        if hull:")
+            lines.extend(f"            np.{fn}({b}{i}, {xs}{i}, out={b}{i})"
                          for fn, b in (("minimum", "lo"), ("maximum", "hi"))
                          for i in range(n))
         lines.extend("        " + ln
@@ -263,32 +261,23 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str,
         lines += ["    if bad.any():"] + [f"        {v}[bad] = nan" for v in x]
     lines.append(f"    out = np.empty((rows, {n}))")
     lines += [f"    out[:, {i}] = x{i}" for i in range(n)]
-    if not hull:
-        return lines + ["    return out"]
     lo, hi = (", ".join(f"{b}{i}" for i in range(n)) for b in ("lo", "hi"))
-    return lines + [f"    return out, np.column_stack([{lo}]), "
-                    f"np.column_stack([{hi}])"]
-
-
-def _rk4_kernels(field: tuple, n: int, m: int) -> tuple:
-    code = FieldCode(field)
-    return (compile_source(_rk4_source(code, n, m, "array"), "tile"),
-            compile_source(_rk4_source(code, n, m, "float"), "row"))
+    return lines + ["    if hull:",
+                    f"        return out, np.column_stack([{lo}]), "
+                    f"np.column_stack([{hi}])", "    return out"]
 
 
 def _flow_tile(sys: ControlSystem, X: np.ndarray, U: np.ndarray,
                tau: float, substeps: int, hull: bool = False):
     """Endpoints of one tile of rows; with `hull`, (endpoints, lo, hi) where
     lo and hi bound each row's RK4 stage points (see _rk4_source)."""
-    # a lone row (the closed loop) flows as Python floats: the same
-    # operations, bit for bit, without the cost of 1-element arrays
-    _, tile, row = sys._compile()
-    if hull:
-        kernel = sys._hull_kernel()
-    else:
-        kernel = row if X.shape[0] == 1 else tile
+    tile, row = sys._kernels
     with np.errstate(all="ignore"):
-        return kernel(X, U, tau / substeps, substeps)
+        # a lone row (the closed loop) flows as Python floats: the same
+        # operations, bit for bit, without the cost of 1-element arrays
+        if X.shape[0] == 1 and not hull:
+            return row(X, U, tau / substeps, substeps)
+        return tile(X, U, tau / substeps, substeps, hull)
 
 
 def flow_many(sys: ControlSystem, X, U, tau: float,

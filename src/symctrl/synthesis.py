@@ -147,18 +147,32 @@ def shared_lattices(plant: ControlSystem, specification: ControlSystem,
     initial box is the intersection of the two initial boxes.  When the state
     intersection holds no lattice point, the state lattice falls back to the
     plant's state box; then, as when the initial boxes are disjoint, the
-    initial box is None and the controller is empty.
+    initial box is None and the controller is empty.  A plant state or input
+    box or a specification state box without lattice points, which neither
+    route can abstract, raises EmptyLatticeError.
     """
     def intersection(a, b):
         return np.column_stack([np.maximum(a[:, 0], b[:, 0]),
                                 np.minimum(a[:, 1], b[:, 1])])
 
-    in_lat = Lattice(plant.input_box, 2.0 * params.mu) if plant.m else None
+    def lattice(box, spacing, what):
+        try:
+            return Lattice(box, spacing)
+        except EmptyLatticeError as exc:
+            raise EmptyLatticeError(f"the {what} holds no lattice point: "
+                                    f"{exc}") from None
+
+    # each system's own lattices, as the baseline abstracts them
+    plant_lat = lattice(plant.state_box, 2.0 * params.eta, "plant's state box")
+    lattice(specification.state_box, 2.0 * params.eta,
+            "specification's state box")
+    in_lat = (lattice(plant.input_box, 2.0 * params.mu, "plant's input box")
+              if plant.m else None)
     try:
         st_lat = Lattice(intersection(plant.state_box, specification.state_box),
                          2.0 * params.eta)
     except EmptyLatticeError:
-        return Lattice(plant.state_box, 2.0 * params.eta), in_lat, None
+        return plant_lat, in_lat, None
     init_box = intersection(plant.init_box, specification.init_box)
     if np.any(init_box[:, 0] > init_box[:, 1]):
         return st_lat, in_lat, None
@@ -196,6 +210,7 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
     systems = (plant model, spec model, composition, non-blocking part)."""
     _require_valid(plant, specification, params, force)
     t0 = time.perf_counter()
+    st_lat, in_lat, _ = shared_lattices(plant, specification, params)
     sp = build_abstraction(
         plant, AbstractionSpec(params.tau, params.eta,
                                params.mu if plant.m else None, substeps),
@@ -212,7 +227,6 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
             f"{transition_cap}")
     nb = nonblocking_part(cstar)
 
-    st_lat, in_lat, _ = shared_lattices(plant, specification, params)
     if sq.n_inputs != 1:
         raise ValueError("specification must expose a single (zero) input")
     flat = st_lat.quantize_many(nb.outputs)

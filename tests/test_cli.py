@@ -6,7 +6,8 @@ import pytest
 
 from symctrl.cli import (ConfigError, load_config, main, read_controller_file,
                          write_controller_file)
-from symctrl import synthesize_integrated, synthesize_baseline
+from symctrl import (abstraction, synthesis, synthesize_integrated,
+                     synthesize_baseline)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 TOY = os.path.join(CONFIGS, "toy_tracking.json")
@@ -77,8 +78,13 @@ def test_malformed_config_exit1(tmp_path, capsys):
         "substeps_text": edited("params", "substeps", "abc"),
         "substeps_fraction": edited("params", "substeps", 2.7),
         "cap_text": edited("options", "transition_cap", "many"),
+        "cap_negative": edited("options", "transition_cap", -1),
         "options_list": dict(toy_doc(), options=[1]),
         "n_fraction": edited("plant", "n", 1.5),
+        "n_zero": dict(toy_doc(), **{
+            section: dict(toy_doc()[section], n=0, field=[], state_box=[],
+                          init_box=[])
+            for section in ("plant", "specification")}),
         "field_number": edited("plant", "field", [5]),
         "box_null": edited("plant", "state_box", [[None, 1.0]]),
         "box_huge_integer": edited("plant", "state_box", [[-1, 10 ** 400]]),
@@ -117,6 +123,35 @@ def test_malformed_config_exit1(tmp_path, capsys):
     with pytest.raises(ConfigError, match="substeps"):
         load_config(write_json(tmp_path / "s.json",
                                broken["substeps_fraction"]))
+
+
+@pytest.mark.parametrize("box", [("plant", "state_box"),
+                                 ("plant", "input_box"),
+                                 ("specification", "state_box")],
+                         ids=lambda box: "-".join(box))
+def test_box_without_lattice_points_exit1(tmp_path, capsys, monkeypatch,
+                                         box):
+    # no multiple of 2 eta = 2 mu = 0.05 lies in the box: both routes, and
+    # compare, refuse the config before they flow anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("flowed a row")
+
+    for module in (abstraction, synthesis):
+        monkeypatch.setattr(module, "_flow_tile", refuse)
+    doc = toy_doc()
+    section, key = box
+    doc[section][key] = [[0.001, 0.002]]
+    if key == "state_box":
+        doc[section]["init_box"] = [[0.001, 0.002]]
+    path = write_json(tmp_path / "empty.json", doc)
+    for argv in (["synthesize", path, "--method", "integrated"],
+                 ["synthesize", path, "--method", "baseline"],
+                 ["compare", path]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err, err
+        assert f"{section}'s {key.replace('_', ' ')}" in err, err
 
 
 def test_bad_field_expression_exit1(tmp_path):

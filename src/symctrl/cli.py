@@ -175,8 +175,8 @@ def load_config(path: str) -> ProblemConfig:
     if not isinstance(options, dict):
         raise ConfigError("'options' must be a JSON object")
     cap = options.get("transition_cap", DEFAULT_TRANSITION_CAP)
-    cap = None if cap in (None, 0) else _integer(cap, "transition_cap",
-                                                 "options")
+    if cap is not None:  # _integer refuses booleans; 0 means no cap
+        cap = _integer(cap, "transition_cap", "options") or None
     if cap is not None and cap < 0:
         raise ConfigError("'transition_cap' in options must not be negative")
     override = options.get("override_validation", False)
@@ -315,6 +315,7 @@ def write_trace_csv(path: str, trace, n: int, m: int) -> None:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
+    shared_lattices(cfg.plant, cfg.specification, cfg.params)
     report = validate_parameters(cfg.plant.certificate,
                                  cfg.specification.certificate, cfg.params)
     print(report.describe())

@@ -41,13 +41,6 @@ import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 
-_NUMPY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "abs": np.abs,
-}
-
 
 class ExprSyntaxError(ValueError):
     """Raised for malformed expression text; carries the character position."""
@@ -157,12 +150,6 @@ class _Parser:
     def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected '{kind}'", tok[2])
         return tok
 
     # expr := term (('+'|'-') term)*

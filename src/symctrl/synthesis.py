@@ -4,7 +4,7 @@ compare them.
 
 Both routes produce a controller over the same state/input lattices and are
 exactly bisimilar by construction; the integrated route explores only the
-states reachable from the quantized initial set and keeps a single transition
+states reachable from the shared initial cells and keeps a single transition
 per state, which is where its space advantage comes from.
 """
 
@@ -139,22 +139,19 @@ def _require_valid(plant: ControlSystem, specification: ControlSystem,
 
 def shared_lattices(plant: ControlSystem, specification: ControlSystem,
                     params: SynthesisParams
-                    ) -> Tuple[Lattice, Optional[Lattice], Optional[np.ndarray]]:
-    """The state lattice, the input lattice and the initial box both routes
-    synthesize over.
+                    ) -> Tuple[Lattice, Optional[Lattice], np.ndarray]:
+    """The state lattice, the input lattice and the initial cells both routes
+    synthesize over, or a refusal of what neither route can synthesize.
 
-    The state lattice covers the intersection of the two state boxes and the
-    initial box is the intersection of the two initial boxes.  When the state
+    The state lattice covers the intersection of the two state boxes.  The
+    initial cells are the states the composition starts from: the lattice
+    points in both systems' outward-rounded initial ranges.  When the state
     intersection holds no lattice point, the state lattice falls back to the
-    plant's state box; then, as when the initial boxes are disjoint, the
-    initial box is None and the controller is empty.  A plant state or input
-    box or a specification state box without lattice points, which neither
-    route can abstract, raises EmptyLatticeError.
+    plant's state box and there is no initial cell, so the controller is
+    empty.  A plant state or input box or a specification state box without
+    lattice points raises EmptyLatticeError, and a specification with inputs
+    ValueError.
     """
-    def intersection(a, b):
-        return np.column_stack([np.maximum(a[:, 0], b[:, 0]),
-                                np.minimum(a[:, 1], b[:, 1])])
-
     def lattice(box, spacing, what):
         try:
             return Lattice(box, spacing)
@@ -162,21 +159,25 @@ def shared_lattices(plant: ControlSystem, specification: ControlSystem,
             raise EmptyLatticeError(f"the {what} holds no lattice point: "
                                     f"{exc}") from None
 
+    if specification.m:
+        raise ValueError("specification must expose a single (zero) input")
     # each system's own lattices, as the baseline abstracts them
     plant_lat = lattice(plant.state_box, 2.0 * params.eta, "plant's state box")
     lattice(specification.state_box, 2.0 * params.eta,
             "specification's state box")
     in_lat = (lattice(plant.input_box, 2.0 * params.mu, "plant's input box")
               if plant.m else None)
+    box = np.column_stack([
+        np.maximum(plant.state_box[:, 0], specification.state_box[:, 0]),
+        np.minimum(plant.state_box[:, 1], specification.state_box[:, 1])])
     try:
-        st_lat = Lattice(intersection(plant.state_box, specification.state_box),
-                         2.0 * params.eta)
+        st_lat = Lattice(box, 2.0 * params.eta)
     except EmptyLatticeError:
-        return plant_lat, in_lat, None
-    init_box = intersection(plant.init_box, specification.init_box)
-    if np.any(init_box[:, 0] > init_box[:, 1]):
-        return st_lat, in_lat, None
-    return st_lat, in_lat, init_box
+        return plant_lat, in_lat, np.zeros(0, dtype=np.int64)
+    initials = np.intersect1d(
+        st_lat.outer_range_indices(plant.init_box),
+        st_lat.outer_range_indices(specification.init_box))
+    return st_lat, in_lat, initials
 
 
 def controller_to_system(ctrl: Controller) -> FiniteSystem:
@@ -211,24 +212,17 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
     _require_valid(plant, specification, params, force)
     t0 = time.perf_counter()
     st_lat, in_lat, _ = shared_lattices(plant, specification, params)
-    sp = build_abstraction(
-        plant, AbstractionSpec(params.tau, params.eta,
-                               params.mu if plant.m else None, substeps),
-        transition_cap=transition_cap)
-    sq = build_abstraction(
-        specification, AbstractionSpec(params.tau, params.eta,
-                                       params.mu if specification.m else None,
-                                       substeps),
-        transition_cap=transition_cap)
+    # build_abstraction ignores mu for the specification, which has no input
+    quant = AbstractionSpec(params.tau, params.eta, params.mu, substeps)
+    sp = build_abstraction(plant, quant, transition_cap=transition_cap)
+    sq = build_abstraction(specification, quant,
+                           transition_cap=transition_cap)
     cstar = compose(sp, sq, 0.0)
     if transition_cap is not None and cstar.n_transitions > transition_cap:
         raise ResourceLimitError(
             f"composition has {cstar.n_transitions} transitions, cap "
             f"{transition_cap}")
     nb = nonblocking_part(cstar)
-
-    if sq.n_inputs != 1:
-        raise ValueError("specification must expose a single (zero) input")
     flat = st_lat.quantize_many(nb.outputs)
     t = nb.transitions
     rows = np.column_stack([flat[t[:, 0]],
@@ -322,12 +316,14 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
                           ) -> Tuple[Controller, Metrics]:
     """On-the-fly synthesis over the shared state lattice.
 
-    The sequential algorithm goes breadth-first over the quantized initial
-    set: for each state x of a wave, quantize the specification successor
-    y; unless y is off the lattice or bad, scan the input lattice for inputs
-    whose plant flow lands in y's cell, keeping the most centered landing.
-    A match records (x, u, y) and queues y if it was never queued; a failure
-    marks x bad and back-propagates through the recorded transitions.
+    The sequential algorithm goes breadth-first from the initial cells of
+    shared_lattices, the states the composition starts from (with none, it
+    flows nothing and the controller is empty): for each state x of a wave,
+    quantize the specification successor y; unless y is off the lattice or
+    bad, scan the input lattice for inputs whose plant flow lands in y's
+    cell, keeping the most centered landing.  A match records (x, u, y) and
+    queues y if it was never queued; a failure marks x bad and
+    back-propagates through the recorded transitions.
 
     This runs it a wave at a time, on fail times (_fail_times): x is scanned
     exactly when y does not fail before x's turn.  Counting the wave's own
@@ -338,10 +334,8 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     """
     _require_valid(plant, specification, params, force)
     t0 = time.perf_counter()
-    st_lat, in_lat, init_box = shared_lattices(plant, specification, params)
-    if init_box is None:
-        ctrl = Controller([], [], [], st_lat, in_lat)
-        return ctrl, Metrics(0, 0, 0, 0, (time.perf_counter() - t0) * 1e3)
+    st_lat, in_lat, x0_indices = shared_lattices(plant, specification,
+                                                 params)
     n_u = in_lat.n_points if in_lat is not None else 1
     if transition_cap is not None and st_lat.n_points * n_u > transition_cap:
         raise ResourceLimitError(
@@ -363,7 +357,6 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
         # fail[-1] is read for the targets off the lattice, then masked
         return (target[xs] >= 0) & (fail[target[xs]] >= turn[xs])
 
-    x0_indices = st_lat.outer_range_indices(init_box)
     wave = x0_indices
     while wave.size:
         turn[wave] = spec_rows + np.arange(wave.size)

@@ -190,10 +190,13 @@ MULTI_WAVE_DRAWS = 100
 
 
 @st.composite
-def problems(draw, drifting=False):
+def problems(draw, drifting=False, shifted=False):
     """A random plant and specification pair; with `drifting`, the initial
     box is a corner sub-box and the specification contracts toward a centre
-    outside it, so that synthesis runs over several waves."""
+    outside it, so that synthesis runs over several waves.  With `shifted`,
+    the plant's initial box is at most one cell wide and the
+    specification's is the plant's shifted by up to one cell per axis, so
+    that the two may be disjoint and still share outward-rounded cells."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2))
     xs = [f"x{i + 1}" for i in range(n)]
@@ -228,14 +231,22 @@ def problems(draw, drifting=False):
                            f"{d}*{draw(terms(xs + us))} + {blow}")
         spec_field.append(spec_i)
     box = [[-w, w]] * n
-    init = ([sorted((side * w / 2, side * w)) for side in sides] if drifting
-            else [[-w / 2, draw(st.floats(0.0, w / 2))]] * n)
+    if drifting:
+        init = spec_init = [sorted((side * w / 2, side * w)) for side in sides]
+    elif shifted:
+        # one cell, 2 eta, is at most w / 2: both boxes stay inside the box
+        lo = draw(st.floats(-w / 2, 0.0))
+        init = [[lo, lo + draw(st.floats(0.0, 2 * eta))]] * n
+        spec_init = [[a + s, b + s] for a, b in init
+                     for s in [draw(st.floats(-2 * eta, 2 * eta))]]
+    else:
+        init = spec_init = [[-w / 2, draw(st.floats(0.0, w / 2))]] * n
     plant = ControlSystem(
         n=n, m=m, state_box=box, init_box=init, input_box=[[-r, r]] * m,
         field=tuple(parse_expression(t, n, m) for t in plant_field),
         certificate=StabilityCertificate(1.0, 1.0, 1.0, 1.0))
     spec = ControlSystem(
-        n=n, m=0, state_box=box, init_box=init, input_box=[],
+        n=n, m=0, state_box=box, init_box=spec_init, input_box=[],
         field=tuple(parse_expression(t, n, 0) for t in spec_field),
         certificate=StabilityCertificate(1.0, 1.0))
     params = SynthesisParams(epsilon=1.0, theta_p=0.5, theta_q=0.5, tau=tau,

@@ -124,6 +124,20 @@ def test_thread_count_invariance(monkeypatch):
             assert build_abstraction(plant, spec).same_as(ref)
 
 
+def test_sweep_chunks_change_nothing(monkeypatch):
+    # 13 sweep chunks of 10 states, the last of one, give the model and the
+    # counters of one chunk
+    plant, _, params = linear_pair(1)
+    spec = AbstractionSpec(params.tau, 0.05, 0.01, 20)
+    ref = build_abstraction(plant, spec)
+    assert ref.rows_landed > 0
+    monkeypatch.setattr(abstraction, "_SWEEP_ROWS", 10 * 201)
+    fs = build_abstraction(plant, spec)
+    assert fs.same_as(ref)
+    assert ((fs.rows_flowed, fs.rows_landed)
+            == (ref.rows_flowed, ref.rows_landed))
+
+
 def test_pruned_sweep_under_thread_stress(monkeypatch):
     # the workers of every pass write disjoint entries of one successor
     # array and of the known endpoints' radii: with more workers than cores,

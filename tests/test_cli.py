@@ -79,6 +79,7 @@ def test_malformed_config_exit1(tmp_path, capsys):
         "substeps_fraction": edited("params", "substeps", 2.7),
         "cap_text": edited("options", "transition_cap", "many"),
         "cap_negative": edited("options", "transition_cap", -1),
+        "cap_false": edited("options", "transition_cap", False),
         "options_list": dict(toy_doc(), options=[1]),
         "n_fraction": edited("plant", "n", 1.5),
         "n_zero": dict(toy_doc(), **{
@@ -131,8 +132,9 @@ def test_malformed_config_exit1(tmp_path, capsys):
                          ids=lambda box: "-".join(box))
 def test_box_without_lattice_points_exit1(tmp_path, capsys, monkeypatch,
                                          box):
-    # no multiple of 2 eta = 2 mu = 0.05 lies in the box: both routes, and
-    # compare, refuse the config before they flow anything
+    # no multiple of 2 eta = 2 mu = 0.05 lies in the box: both routes,
+    # compare and validate-params refuse the config before they flow
+    # anything
     def refuse(*args, **kwargs):
         raise AssertionError("flowed a row")
 
@@ -146,7 +148,7 @@ def test_box_without_lattice_points_exit1(tmp_path, capsys, monkeypatch,
     path = write_json(tmp_path / "empty.json", doc)
     for argv in (["synthesize", path, "--method", "integrated"],
                  ["synthesize", path, "--method", "baseline"],
-                 ["compare", path]):
+                 ["compare", path], ["validate-params", path]):
         capsys.readouterr()
         assert main(argv) == 1, argv
         err = capsys.readouterr().err.strip()
@@ -207,6 +209,54 @@ def test_synthesize_empty_intersection_exit3(tmp_path, capsys):
     code = main(["synthesize", path, "--method", "integrated",
                  "--out", str(tmp_path / "e.ctrl")])
     assert code == 3
+
+
+def test_compare_near_disjoint_initial_boxes(tmp_path, capsys):
+    # disjoint initial boxes whose outward-rounded ranges share the cell of
+    # 0.0: both routes start from it
+    doc = toy_doc()
+    doc["plant"]["init_box"] = [[0.0, 0.01]]
+    doc["specification"]["init_box"] = [[0.04, 0.05]]
+    path = write_json(tmp_path / "near.json", doc)
+    assert main(["compare", path]) == 0
+    assert "controllers: exactly bisimilar" in capsys.readouterr().out
+
+
+def test_compare_baseline_over_the_cap_exit4(tmp_path, capsys):
+    # the specification's state box is half the plant's: the integrated
+    # route's 21 * 11 candidate rows fit under the cap, the plant
+    # abstraction's 41 * 11 do not
+    doc = toy_doc()
+    doc["specification"]["state_box"] = [[-0.5, 0.5]]
+    doc["options"]["transition_cap"] = 300
+    path = write_json(tmp_path / "half.json", doc)
+    assert main(["compare", path]) == 4
+    captured = capsys.readouterr()
+    label, _, metrics = captured.out.strip().partition(" ")
+    assert label == "integrated:" and json.loads(metrics)["states"] > 0
+    assert "baseline leg aborted" in captured.err
+
+
+@pytest.mark.parametrize("key, value, differs", [
+    ("eta", 0.0125, "eta"),
+    ("state_box", [[-0.5, 0.5]], "state box"),
+    ("mu", 0.0125, "input lattice")])
+def test_simulate_with_another_lattice_exit1(tmp_path, capsys, key, value,
+                                             differs):
+    # a controller synthesized for another lattice than the config's
+    doc = toy_doc()
+    if key == "state_box":
+        for section in ("plant", "specification"):
+            doc[section]["state_box"] = value
+    else:
+        doc["params"][key] = value
+    ctrl_path = str(tmp_path / "other.ctrl")
+    assert main(["synthesize", write_json(tmp_path / "other.json", doc),
+                 "--force", "--out", ctrl_path]) == 0
+    capsys.readouterr()
+    assert main(["simulate", TOY, ctrl_path, "--x0", "-0.25"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and f"({differs} differs)" in err
 
 
 def test_resource_cap_exit4(tmp_path, capsys):

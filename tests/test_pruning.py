@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from symctrl import (ControlSystem, Controller, StabilityCertificate,
-                     SynthesisParams, abstraction, dynamics, flow_many,
-                     parse_expression, synthesize_integrated)
+from symctrl import (ControlSystem, Controller, Lattice,
+                     StabilityCertificate, SynthesisParams, abstraction,
+                     dynamics, flow_many, parse_expression,
+                     synthesize_integrated)
 from symctrl.synthesis import integrated_memory_units, shared_lattices
 
 from _systems import (MULTI_WAVE_DRAWS, linear_pair, nonlinear_pair,
@@ -62,16 +63,24 @@ def full_scan_reference(plant, spec, params, substeps, stats=None):
     flowing every input of every scanned state.  `stats`, if given, gets
     the number of waves and of transitions deleted in a later wave than
     the one that recorded them."""
-    st_lat, in_lat, init_box = shared_lattices(plant, spec, params)
-    if init_box is None:
-        return Controller([], [], [], st_lat, in_lat), 0, 0, 0
+    st_lat, in_lat, _ = shared_lattices(plant, spec, params)
+
+    def initial_cells(sys):
+        # the outward-rounded initial range on the system's own lattice, as
+        # cells of the shared one (-1 outside it)
+        lat = Lattice(sys.state_box, 2.0 * params.eta)
+        return st_lat.quantize_many(
+            lat.points()[lat.outer_range_indices(sys.init_box)])
+
+    # the composition's initial states: the points both ranges hold
+    x0 = np.intersect1d(initial_cells(plant), initial_cells(spec))
+    x0 = x0[x0 >= 0]
     u_pts = in_lat.points() if in_lat is not None else np.zeros((1, 0))
     n_u = u_pts.shape[0]
     st_pts = st_lat.points()
     status = np.full(st_lat.n_points, UNSEEN, dtype=np.int8)
     trans, preds = {}, {}
     steps = 0
-    x0 = st_lat.outer_range_indices(init_box)
     wave = x0
     status[wave] = QUEUED
     waves = across = 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +12,7 @@ from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      controller_to_system, dynamics, integrated_memory_units,
                      is_deterministic, nonblocking_part, parse_expression,
                      synthesis, synthesize_baseline, synthesize_integrated)
+from symctrl.synthesis import shared_lattices
 
 from _systems import linear_pair, nonlinear_pair, problems, toy_pair
 from test_pruning import BAD, CONTROLLED, UNSEEN, backprop_blocking
@@ -371,20 +374,32 @@ def route_outcome(route, problem):
         return type(exc)
 
 
-@pytest.mark.parametrize("drifting", [False, True])
-def test_routes_agree_on_random_problems(drifting):
-    # both routes synthesize over the same lattices: their controllers must
-    # be exactly bisimilar, or both must fail alike
-    seen = {"examples": 0, "controlled": 0}
+def disjoint_sharing_cells(plant, spec, params):
+    """Whether the two initial boxes are disjoint while their outward-rounded
+    ranges share a lattice point."""
+    lo = np.maximum(plant.init_box[:, 0], spec.init_box[:, 0])
+    hi = np.minimum(plant.init_box[:, 1], spec.init_box[:, 1])
+    return bool(np.any(lo > hi)) and shared_lattices(plant, spec,
+                                                     params)[2].size > 0
+
+
+@pytest.mark.parametrize("drifting, shifted",
+                         [(False, False), (True, False), (False, True)],
+                         ids=["False", "True", "shifted"])
+def test_routes_agree_on_random_problems(drifting, shifted):
+    # both routes synthesize over the same lattices and initial cells: their
+    # controllers must be exactly bisimilar, or both must fail alike
+    seen = {"examples": 0, "controlled": 0, "disjoint": 0}
 
     @settings(derandomize=True, max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
-    @given(problems(drifting=drifting))
+    @given(problems(drifting=drifting, shifted=shifted))
     def check(problem):
         ctrl_i = route_outcome(synthesize_integrated, problem)
         ctrl_b = route_outcome(synthesize_baseline, problem)
         seen["examples"] += 1
+        seen["disjoint"] += disjoint_sharing_cells(*problem[:3])
         if isinstance(ctrl_i, type) or isinstance(ctrl_b, type):
             assert ctrl_i is ctrl_b
             return
@@ -395,6 +410,46 @@ def test_routes_agree_on_random_problems(drifting):
 
     check()
     assert seen["controlled"] >= seen["examples"] // 3
+    # 24 of the 50 shifted draws have disjoint boxes that share cells
+    assert seen["disjoint"] >= (seen["examples"] // 5 if shifted else 0)
+
+
+def test_routes_agree_on_random_initial_boxes():
+    # linear #1 with initial boxes at most one cell wide, the
+    # specification's the plant's shifted by up to one cell per axis
+    plant, spec, params = linear_pair(1)
+    params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
+                             theta_q=params.theta_q, tau=params.tau,
+                             eta=0.05, mu=0.05)
+    rng = np.random.default_rng(15)
+    disjoint = 0
+    for _ in range(40):
+        lo = rng.uniform(-0.4, 0.3, 2)
+        box = np.column_stack([lo, lo + rng.uniform(0.0, 0.1, 2)])
+        plant = dataclasses.replace(plant, init_box=box)
+        spec = dataclasses.replace(
+            spec, init_box=box + rng.uniform(-0.1, 0.1, (2, 1)))
+        disjoint += disjoint_sharing_cells(plant, spec, params)
+        ctrl_i, _ = synthesize_integrated(plant, spec, params, force=True)
+        ctrl_b, _ = synthesize_baseline(plant, spec, params, force=True)
+        assert check_bisimulation(controller_to_system(ctrl_i),
+                                  controller_to_system(ctrl_b),
+                                  0.0) is not None
+    # 30 of the 40 draws; at a set-up that intersected the boxes, 26 of the
+    # 40 controllers were not bisimilar
+    assert disjoint >= 20
+
+
+def test_specification_with_inputs_is_refused_before_any_flow(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("flowed a row")
+
+    for module in (abstraction, synthesis):
+        monkeypatch.setattr(module, "_flow_tile", refuse)
+    plant, _, params = toy_pair()
+    for route in (synthesize_integrated, synthesize_baseline):
+        with pytest.raises(ValueError, match=r"single \(zero\) input"):
+            route(plant, plant, params, force=True)
 
 def test_baseline_steps_count_exact_output_matches():
     # the plant box reaches past the spec box: plant cells outside the shared

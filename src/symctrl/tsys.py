@@ -3,10 +3,12 @@ approximate composition, non-blocking part, accessible part, and the
 approximate (bi)simulation relation checkers.
 
 States, inputs and transitions are index-based and array-backed so that
-systems with tens of millions of transitions stay affordable; the distance
-between outputs is the infinity norm.
+systems with tens of millions of transitions stay affordable: a pass over
+transition rows (the row check, `_indptr`'s counts, `compose`'s join) holds
+`_SLICE_ROWS` of them at a time, never a copy of the whole array.  The
+distance between outputs is the infinity norm.
 
-Every operator is array code on two helpers, and only fixpoint waves loop:
+Operators are array code on two helpers; only fixpoint waves and slices loop:
 
 - one CSR index: `_indptr` gives row pointers over entries sorted by row,
   and `_ranges` the flattened entries of a batch of rows.  Transitions are
@@ -20,10 +22,11 @@ Every operator is array code on two helpers, and only fixpoint waves loop:
 
 The non-blocking part is that fixpoint with one obligation per state,
 witnessed by its transitions.  The (bi)simulation checkers run it over
-output-compatible state pairs: a pair owes one obligation per transition of
-its first state (and, for bisimulation, of its second), witnessed by the
-pairs the other state's transitions reach.  The accessible part is a
-forward wave, and output-compatible pairs come from one sorted-key join.
+output-compatible state pairs on the systems' distinct (src, dst) edges,
+since they ignore input labels: a pair owes one obligation per edge of its
+first state (and, for bisimulation, of its second), witnessed by the pairs
+the other state's edges reach.  The accessible part is a forward wave, and
+output-compatible pairs come from one sorted-key join.
 """
 
 from __future__ import annotations
@@ -32,15 +35,17 @@ from typing import Optional, Set, Tuple
 
 import numpy as np
 
-# transitions per slice of the sortedness check, whose differences and masks
-# take about 20 bytes a row
-_SORTED_CHECK_ROWS = 1 << 16
+# rows a pass over transitions holds at once
+_SLICE_ROWS = 1 << 16
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointers of n rows over entries sorted by their row."""
+    """CSR row pointers of n rows over entries sorted by their row.  The
+    counts add up slice by slice, since bincount casts its input to intp."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    for a in range(0, rows.size, _SLICE_ROWS):
+        indptr[1:] += np.bincount(rows[a:a + _SLICE_ROWS], minlength=n)
+    np.cumsum(indptr, out=indptr)
     return indptr
 
 
@@ -89,18 +94,21 @@ def _greatest_fixpoint(n_nodes: int, owner: np.ndarray, wit_ob: np.ndarray,
     return alive
 
 
-def _rows_strictly_sorted(t: np.ndarray) -> bool:
-    """True when the (src, input, dst) rows are strictly increasing, i.e.
-    already canonically sorted and duplicate-free.  Checked in slices of
-    rows that overlap by one, so that the differences and their masks stay
-    small on large systems."""
-    for a in range(0, t.shape[0] - 1, _SORTED_CHECK_ROWS):
-        part = t[a:a + _SORTED_CHECK_ROWS + 1]
-        d0, d1, d2 = (np.diff(part[:, k]) for k in range(3))
-        if not np.all((d0 > 0) | ((d0 == 0) & ((d1 > 0)
-                                              | ((d1 == 0) & (d2 > 0))))):
-            return False
-    return True
+def _check_rows(t: np.ndarray, ns: int, ni: int) -> bool:
+    """True when the (src, input, dst) rows cast to int32 strictly increase,
+    i.e. are sorted and unique.  Raises ValueError on an endpoint outside
+    [0, ns) or an input outside [0, ni), NaN included.  Slices overlap by 1."""
+    ordered = True
+    for a in range(0, t.shape[0], _SLICE_ROWS):
+        part = t[a:a + _SLICE_ROWS + 1]
+        if not (part[:, ::2].min() >= 0 and part[:, ::2].max() < ns):
+            raise ValueError("transition endpoint out of range")
+        if not (part[:, 1].min() >= 0 and part[:, 1].max() < ni):
+            raise ValueError("transition input out of range")
+        d0, d1, d2 = (np.diff(part[:, k].astype(np.int32)) for k in range(3))
+        ordered &= bool(np.all((d0 > 0) | ((d0 == 0) & (
+            (d1 > 0) | ((d1 == 0) & (d2 > 0))))))
+    return ordered
 
 
 class FiniteSystem:
@@ -122,26 +130,18 @@ class FiniteSystem:
             raise ValueError("inputs must be a (I, mi) array")
         initials = np.unique(np.asarray(initials, dtype=np.int64).reshape(-1))
         transitions = np.asarray(transitions).reshape(-1, 3)
-        if transitions.dtype != np.int32:
-            if transitions.size and (transitions.max() > np.iinfo(np.int32).max
-                                     or transitions.min() < 0):
-                raise ValueError("transition indices out of int32 range")
-            transitions = transitions.astype(np.int32)
-        if transitions.shape[0] > 1 and not _rows_strictly_sorted(transitions):
+        ns, ni = outputs.shape[0], inputs.shape[0]
+        ordered = _check_rows(transitions, ns, ni)
+        transitions = transitions.astype(np.int32, copy=False)
+        if not ordered:
             order = np.lexsort((transitions[:, 2], transitions[:, 1],
                                 transitions[:, 0]))
             transitions = transitions[order]
             keep = np.ones(transitions.shape[0], dtype=bool)
             keep[1:] = np.any(np.diff(transitions, axis=0) != 0, axis=1)
             transitions = transitions[keep]
-        ns, ni = outputs.shape[0], inputs.shape[0]
         if initials.size and (initials[0] < 0 or initials[-1] >= ns):
             raise ValueError("initial state index out of range")
-        if transitions.shape[0]:
-            if transitions[:, [0, 2]].min() < 0 or transitions[:, [0, 2]].max() >= ns:
-                raise ValueError("transition endpoint out of range")
-            if transitions[:, 1].min() < 0 or transitions[:, 1].max() >= ni:
-                raise ValueError("transition input out of range")
         self.outputs = outputs
         self.initials = initials
         self.inputs = inputs
@@ -273,7 +273,7 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
     pairs_by_i = _indptr(pair_i, s1.n_states)
     t1, t2 = s1.transitions, s2.transitions
     widest = int(np.diff(pairs_by_i).max(initial=1))
-    chunk = max(1, 4_000_000 // max(1, widest))
+    chunk = max(1, _SLICE_ROWS // widest)
     trans_chunks = []
     for a in range(0, t1.shape[0], chunk):
         rows = t1[a:a + chunk]
@@ -311,13 +311,24 @@ def accessible_part(s: FiniteSystem) -> FiniteSystem:
     return subsystem(s, np.flatnonzero(seen))
 
 
+def _label_free(s: FiniteSystem) -> FiniteSystem:
+    """s with its input labels dropped: one input, and one transition per
+    distinct (src, dst) edge."""
+    n = np.int64(s.n_states)
+    code = np.unique(s.transitions[:, 0] * n + s.transitions[:, 2])
+    return FiniteSystem(s.outputs, s.initials, np.zeros((1, 0)),
+                        np.column_stack([code // n, 0 * code, code % n]))
+
+
 def _relation(s1: FiniteSystem, s2: FiniteSystem, eps: float,
               symmetric: bool) -> Optional[Set[Tuple[int, int]]]:
     """Maximal eps-approximate simulation relation from s1 to s2 (both ways
     when symmetric), or None when some initial state is unrelated to every
-    initial state of the other side (s2's side only when symmetric)."""
+    initial state of the other side (s2's side only when symmetric).  The
+    relations ignore input labels, so they run over distinct edges."""
     if s1.output_dim != s2.output_dim:
         raise ValueError("systems must share the output space")
+    s1, s2 = _label_free(s1), _label_free(s2)
     pair_i, pair_j = _pair_candidates(s1, s2, eps)
     n2 = np.int64(s2.n_states)
     pair_code = pair_i * n2 + pair_j

@@ -5,6 +5,7 @@ PASS/FAIL line (run with -s to see them)."""
 import hashlib
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,22 @@ def test_criterion_6_exact_bisimilarity(linear_results, nonlinear_results):
     _criterion(6, not problems,
                ("all 9 instances exactly bisimilar and minimal"
                 if not problems else "; ".join(problems)))
+
+
+@pytest.mark.slow
+def test_published_baseline_controller_is_bisimilar_to_itself(
+        nonlinear_results):
+    # one distinct target per state: over transitions this check held 85M
+    # witnesses per side and ran out of 8 GB, over distinct edges one a pair
+    sb = controller_to_system(nonlinear_results["ctrl_b"])
+    tracemalloc.start()
+    try:
+        rel = check_bisimulation(sb, sb, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel == {(i, i) for i in range(sb.n_states)}
+    assert peak < 64 * 2 ** 20, peak
 
 
 @pytest.mark.slow

@@ -1,6 +1,8 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
+import pytest
 
 from symctrl import (FiniteSystem, accessible_part, check_bisimulation,
                      check_simulation, compose, is_deterministic,
@@ -354,6 +356,13 @@ def test_bisimulation_relation_is_simulation_both_ways():
                            for ra in s1.successors(a))
 
 
+def relabel(s):
+    """s's transitions, each moved to the next input."""
+    t = s.transitions.copy()
+    t[:, 1] = (t[:, 1] + 1) % s.n_inputs
+    return t
+
+
 def test_relations_equal_brute_force_maximal_relation():
     # each draw is checked as drawn and with no initial states, where the
     # initial-state conditions hold and the whole fixpoint is returned
@@ -364,8 +373,12 @@ def test_relations_equal_brute_force_maximal_relation():
                             min_initials=0 if n % 3 == 0 else 1)
         bare = tuple(FiniteSystem(s.outputs, [], s.inputs, s.transitions)
                      for s in drawn)
+        # every edge repeated under another input, which changes no relation
+        repeated = tuple(FiniteSystem(s.outputs, s.initials, s.inputs,
+                                      np.vstack([s.transitions, relabel(s)]))
+                         for s in drawn)
         eps = float(rng.choice([0.0, 0.5, 1.0]))
-        for s1, s2 in (drawn, bare):
+        for s1, s2 in (drawn, bare, repeated):
             compatible = sum(
                 np.max(np.abs(s1.outputs[i] - s2.outputs[j])) <= eps
                 for i in range(s1.n_states) for j in range(s2.n_states))
@@ -408,13 +421,14 @@ def test_empty_system_is_legal():
 
 def test_sortedness_check_in_slices_equals_whole_array_check(monkeypatch):
     # slices of 4 rows, overlapping by one: a violation between the last row
-    # of a slice and the first of the next must still be caught
+    # of a slice and the first of the next must still be caught, and so must
+    # a row out of range only in a later slice
     def whole(t):
         d0, d1, d2 = (np.diff(t[:, k]) for k in range(3))
         return bool(np.all((d0 > 0) | ((d0 == 0) & ((d1 > 0)
                                                    | ((d1 == 0) & (d2 > 0))))))
 
-    monkeypatch.setattr(tsys, "_SORTED_CHECK_ROWS", 4)
+    monkeypatch.setattr(tsys, "_SLICE_ROWS", 4)
     rng = np.random.default_rng(11)
     seen = {True: 0, False: 0}
     for trial in range(400):
@@ -429,7 +443,129 @@ def test_sortedness_check_in_slices_equals_whole_array_check(monkeypatch):
                 t[i] = t[i - 1]
             else:
                 t[[i - 1, i]] = t[[i, i - 1]]
-        got = tsys._rows_strictly_sorted(t)
+        got = tsys._check_rows(t, 4, 4)
         assert got == whole(t), t
         seen[got] += 1
+        if t.shape[0] > 5:
+            bad = t.copy()
+            bad[int(rng.integers(5, t.shape[0])), int(rng.choice([0, 2]))] = 4
+            with pytest.raises(ValueError, match="endpoint out of range"):
+                tsys._check_rows(bad, 4, 4)
+            bad = t.copy()
+            bad[int(rng.integers(5, t.shape[0])), 1] = 4
+            with pytest.raises(ValueError, match="input out of range"):
+                tsys._check_rows(bad, 4, 4)
     assert min(seen.values()) > 100
+
+
+def test_slices_change_no_result(monkeypatch):
+    # compose and _indptr in slices of 4 rows equal their results at the
+    # default size, which holds each of these systems in one slice
+    rng = np.random.default_rng(12)
+    draws = [(random_pair(rng), float(rng.choice([0.0, 0.5, 1.0])))
+             for _ in range(80)]
+    composed = [compose(s1, s2, eps) for (s1, s2), eps in draws]
+    rows = [rng.integers(0, 20, int(rng.integers(0, 60))) for _ in range(40)]
+    pointers = [tsys._indptr(r, 20) for r in rows]
+    monkeypatch.setattr(tsys, "_SLICE_ROWS", 4)
+    for ((s1, s2), eps), c in zip(draws, composed):
+        assert compose(s1, s2, eps).same_as(c)
+    for r, indptr in zip(rows, pointers):
+        assert np.array_equal(tsys._indptr(r, 20), indptr)
+    # most first systems span several slices of their rows
+    assert sum(s1.n_transitions > 4 for (s1, _), _ in draws) > 40
+
+
+_GOOD_ROWS = [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
+
+
+def _rows_with(row, col, value, dtype=np.int64):
+    t = np.array(_GOOD_ROWS, dtype=dtype)
+    t[row, col] = value
+    return t
+
+
+def _bad_in_second_slice():
+    t = np.tile(np.array([[0, 0, 1]], dtype=np.int64),
+                (tsys._SLICE_ROWS + 5, 1))
+    t[-1, 2] = 3
+    return t
+
+
+@pytest.mark.parametrize("rows, refusal", [
+    (_rows_with(1, 2, -1), "endpoint"),
+    (_rows_with(1, 2, 3), "endpoint"),
+    (_rows_with(2, 0, 3), "endpoint"),
+    (_rows_with(0, 1, 2), "input"),
+    (_rows_with(0, 1, -1), "input"),
+    (_rows_with(1, 2, 2 ** 31), "endpoint"),
+    (_rows_with(1, 2, np.nan, float), "endpoint"),
+    (_rows_with(1, 2, 1.5, float), None),
+    (np.array([[0, 0, 1.2], [0, 0, 1.5]]), None),
+    (_bad_in_second_slice(), "endpoint"),
+    (np.zeros((0, 3)), None),
+], ids=["dst-1", "dst-ns", "src-ns", "input-ni", "input-1", "int64-2^31",
+        "nan", "fraction", "equal-once-truncated", "second-slice",
+        "empty-float"])
+def test_malformed_rows(rows, refusal):
+    # 3 states and 2 inputs; a fraction is truncated, as by a cast to int32,
+    # and rows that become equal then are one row
+    def build():
+        return FiniteSystem(np.zeros((3, 1)), [0], np.zeros((2, 1)), rows)
+
+    if refusal is None:
+        s = build()
+        assert s.transitions.dtype == np.int32
+        assert np.array_equal(s.transitions, np.unique(
+            np.trunc(rows).astype(np.int32), axis=0))
+    else:
+        with pytest.raises(ValueError, match=f"{refusal} out of range"):
+            build()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _million_rows():
+    """A deterministic system of 10,000 states x 100 inputs: 1M sorted
+    int32 rows."""
+    ns, ni = 10_000, 100
+    rng = np.random.default_rng(13)
+    src, u = np.divmod(np.arange(ns * ni), ni)
+    rows = np.column_stack([src, u, rng.integers(0, ns, ns * ni)]
+                           ).astype(np.int32)
+    outputs = np.arange(ns, dtype=float).reshape(-1, 1)
+    return outputs, np.arange(ni, dtype=float).reshape(-1, 1), rows
+
+
+def test_row_passes_hold_slices_not_copies():
+    # traced peaks as a fraction of the rows' bytes; a whole-array copy of
+    # one int32 column is a third, and its intp cast two thirds
+    outputs, inputs, rows = _million_rows()
+    size = rows.nbytes
+    assert _traced_peak(lambda: FiniteSystem(outputs, [0], inputs, rows)
+                        ) < 0.4 * size
+    s = FiniteSystem(outputs, [0], inputs, rows)
+    assert _traced_peak(s.out_degree) < 0.2 * size
+    ns = outputs.shape[0]
+    partner = FiniteSystem(outputs, [0], np.zeros((1, 0)), np.column_stack(
+        [np.arange(ns), np.zeros(ns, dtype=int), (np.arange(ns) + 1) % ns]))
+    assert _traced_peak(lambda: compose(s, partner, 0.0)) < 2 * size
+
+
+def test_relation_over_repeated_edges_stays_small():
+    # 400 states whose 100 inputs all lead to one successor: one witness
+    # per pair, not 100 x 100
+    ns, ni = 400, 100
+    src, u = np.divmod(np.arange(ns * ni), ni)
+    s = make_system(np.arange(ns), [0], ni,
+                    np.column_stack([src, u, (src + 1) % ns]))
+    peak = _traced_peak(lambda: check_bisimulation(s, s, 0.0))
+    assert peak < 16 * 2 ** 20
+    assert check_bisimulation(s, s, 0.0) == {(i, i) for i in range(ns)}

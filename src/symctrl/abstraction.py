@@ -35,7 +35,7 @@ from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
 from .expr import Var, derivative, enclose
 from .quantize import Lattice
-from .tsys import FiniteSystem
+from .tsys import FiniteSystem, _join, _rows
 
 DEFAULT_TRANSITION_CAP = 100_000_000
 
@@ -573,34 +573,6 @@ class RowEngine:
         return flowed, landed
 
 
-def _transitions(succ: np.ndarray, first: int) -> np.ndarray:
-    """(source, input, target) int32 rows of the successors succ of states
-    first, first + 1, ..., in lexicographic order."""
-    hit = succ >= 0
-    t = np.empty((np.count_nonzero(hit), 3), dtype=np.int32)
-    t[:, 0] = np.repeat(np.arange(first, first + succ.shape[0],
-                                  dtype=np.int32), hit.sum(axis=1))
-    t[:, 1] = np.broadcast_to(np.arange(succ.shape[1], dtype=np.int32),
-                              succ.shape)[hit]
-    t[:, 2] = succ[hit]
-    return t
-
-
-def _join(parts: list) -> np.ndarray:
-    """The (source, input, target) rows of `parts`, in order.  Each part is
-    released once it is copied, so that the parts and their copy are never
-    both held in full; a single part is returned as it is."""
-    if len(parts) == 1:
-        return parts.pop()
-    out = np.empty((sum(p.shape[0] for p in parts), 3), dtype=np.int32)
-    at = 0
-    while parts:
-        part = parts.pop(0)
-        out[at:at + part.shape[0]] = part
-        at += part.shape[0]
-    return out
-
-
 def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
                       transition_cap: Optional[int] = DEFAULT_TRANSITION_CAP
                       ) -> FiniteSystem:
@@ -647,8 +619,13 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
                                     half, write, cells_suffice=True)
         rows += flowed
         rows_landed += landed
-        parts.append(_transitions(out, a))
-    del succ, out
+        hit = out >= 0  # the chunk's rows, by source, then by input
+        parts.append(_rows(
+            np.repeat(np.arange(a, a + out.shape[0], dtype=np.int32),
+                      np.count_nonzero(hit, axis=1)),
+            np.broadcast_to(np.arange(n_u, dtype=np.int32), out.shape)[hit],
+            out[hit]))
+    del succ, out, hit
     fs = FiniteSystem(pts, st_lat.outer_range_indices(sys.init_box),
                       engine.inputs, _join(parts))
     fs.rows_flowed, fs.rows_landed = rows, rows_landed

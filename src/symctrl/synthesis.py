@@ -22,7 +22,7 @@ from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
 from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
                        ValidationReport, validate_parameters)
-from .tsys import FiniteSystem, compose, nonblocking_part, subsystem
+from .tsys import FiniteSystem, _rows, compose, nonblocking_part, subsystem
 
 # coarse plant rows per chunk of the integrated input scan: a chunk holds
 # _SCAN_ROWS // (coarse inputs) states.  On the benchmark problems, before
@@ -223,11 +223,9 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
             f"composition has {cstar.n_transitions} transitions, cap "
             f"{transition_cap}")
     nb = nonblocking_part(cstar)
-    flat = st_lat.quantize_many(nb.outputs)
+    flat = st_lat.quantize_many(nb.outputs).astype(np.int32)
     t = nb.transitions
-    rows = np.column_stack([flat[t[:, 0]],
-                            t[:, 1],  # v = u_plant * 1 + 0
-                            flat[t[:, 2]]])
+    rows = _rows(flat[t[:, 0]], t[:, 1], flat[t[:, 2]])  # v = u_plant * 1 + 0
     ctrl = Controller(rows, flat[nb.initials], [], st_lat, in_lat)
 
     def cell_degrees(sys: FiniteSystem) -> np.ndarray:
@@ -390,7 +388,7 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     alive = recorded & ~bad
     kept = np.flatnonzero(alive)
     bad_states = np.flatnonzero(bad)
-    ctrl = Controller(np.column_stack([kept, choice[kept], target[kept]]),
+    ctrl = Controller(_rows(kept, choice[kept], target[kept]),
                       x0_indices[alive[x0_indices]], bad_states, st_lat,
                       in_lat)
     steps = int(processed.sum() + n_u * scan.sum() + bad.sum()

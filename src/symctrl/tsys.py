@@ -3,10 +3,11 @@ approximate composition, non-blocking part, accessible part, and the
 approximate (bi)simulation relation checkers.
 
 States, inputs and transitions are index-based and array-backed so that
-systems with tens of millions of transitions stay affordable: a pass over
-transition rows (the row check, `_indptr`'s counts, `compose`'s join) holds
-`_SLICE_ROWS` of them at a time, never a copy of the whole array.  The
-distance between outputs is the infinity norm.
+systems with tens of millions of transitions stay affordable.  Transitions
+are (T, 3) int32 (source, input, target) rows that every producer, in any
+module, fills in place with `_rows` and joins with `_join`.  A pass over
+rows (the row check, `_indptr`'s counts, `compose`'s join, `subsystem`'s
+remap) holds `_SLICE_ROWS` of them at a time.  Distances are infinity norms.
 
 Operators are array code on two helpers; only fixpoint waves and slices loop:
 
@@ -94,6 +95,26 @@ def _greatest_fixpoint(n_nodes: int, owner: np.ndarray, wit_ob: np.ndarray,
     return alive
 
 
+def _rows(src, inp, dst) -> np.ndarray:
+    """(T, 3) int32 rows from T-entry arrays or scalars, column by column.
+    The casts do not check: a system has at most 2^31 states and inputs."""
+    t = np.empty((np.broadcast(src, inp, dst).size, 3), dtype=np.int32)
+    t[:, 0], t[:, 1], t[:, 2] = src, inp, dst
+    return t
+
+
+def _join(parts: list) -> np.ndarray:
+    """The int32 rows of `parts` in order, releasing each part once it is
+    copied (a lone part is returned as it is); empties the list."""
+    if len(parts) == 1:
+        return parts.pop()
+    ends = np.cumsum([0] + [len(p) for p in parts])
+    out = np.empty((ends[-1], 3), dtype=np.int32)
+    for a, b in zip(ends[:-1], ends[1:]):
+        out[a:b] = parts.pop(0)
+    return out
+
+
 def _check_rows(t: np.ndarray, ns: int, ni: int) -> bool:
     """True when the (src, input, dst) rows cast to int32 strictly increase,
     i.e. are sorted and unique.  Raises ValueError on an endpoint outside
@@ -118,7 +139,7 @@ class FiniteSystem:
     initials      sorted int array of initial-state indices
     inputs        (I, mi) float array of input points (mi may be 0)
     transitions   (T, 3) int32 array of (source, input, target), kept sorted
-                  lexicographically and deduplicated
+                  lexicographically and deduplicated; S, I <= 2^31
     """
 
     def __init__(self, outputs, initials, inputs, transitions):
@@ -131,6 +152,8 @@ class FiniteSystem:
         initials = np.unique(np.asarray(initials, dtype=np.int64).reshape(-1))
         transitions = np.asarray(transitions).reshape(-1, 3)
         ns, ni = outputs.shape[0], inputs.shape[0]
+        if max(ns, ni) > 2 ** 31:
+            raise ValueError("more than 2^31 states or inputs")
         ordered = _check_rows(transitions, ns, ni)
         transitions = transitions.astype(np.int32, copy=False)
         if not ordered:
@@ -198,10 +221,13 @@ def subsystem(s: FiniteSystem, keep_states) -> FiniteSystem:
     transitions whose endpoints survive.  State order is preserved."""
     alive = _mask(s.n_states, np.asarray(keep_states, dtype=np.int64))
     remap = np.cumsum(alive) - 1  # new index of each kept state
-    t = s.transitions[alive[s.transitions[:, 0]] & alive[s.transitions[:, 2]]]
+    parts = []
+    for a in range(0, s.n_transitions, _SLICE_ROWS):
+        t = s.transitions[a:a + _SLICE_ROWS]
+        t = t[alive[t[:, 0]] & alive[t[:, 2]]]
+        parts.append(_rows(remap[t[:, 0]], t[:, 1], remap[t[:, 2]]))
     return FiniteSystem(s.outputs[alive], remap[s.initials[alive[s.initials]]],
-                        s.inputs, np.column_stack([remap[t[:, 0]], t[:, 1],
-                                                   remap[t[:, 2]]]))
+                        s.inputs, _join(parts))
 
 
 def _row_codes(keys: np.ndarray) -> np.ndarray:
@@ -274,7 +300,7 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
     t1, t2 = s1.transitions, s2.transitions
     widest = int(np.diff(pairs_by_i).max(initial=1))
     chunk = max(1, _SLICE_ROWS // widest)
-    trans_chunks = []
+    parts = []
     for a in range(0, t1.shape[0], chunk):
         rows = t1[a:a + chunk]
         r, k = _ranges(pairs_by_i, rows[:, 0])
@@ -282,11 +308,9 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
         r, k = r[q], k[q]
         dst = _find(pair_code, rows[r, 2] * n2 + t2[e2, 2])
         ok = dst >= 0
-        trans_chunks.append(np.column_stack(
-            [k[ok], rows[r[ok], 1] * i2 + t2[e2[ok], 1], dst[ok]]))
-    transitions = (np.vstack(trans_chunks) if trans_chunks
-                   else np.zeros((0, 3), dtype=np.int64))
-    return FiniteSystem(s1.outputs[pair_i], initials, inputs, transitions)
+        parts.append(_rows(k[ok], rows[r[ok], 1] * i2 + t2[e2[ok], 1],
+                           dst[ok]))
+    return FiniteSystem(s1.outputs[pair_i], initials, inputs, _join(parts))
 
 
 def nonblocking_part(s: FiniteSystem) -> FiniteSystem:
@@ -317,7 +341,7 @@ def _label_free(s: FiniteSystem) -> FiniteSystem:
     n = np.int64(s.n_states)
     code = np.unique(s.transitions[:, 0] * n + s.transitions[:, 2])
     return FiniteSystem(s.outputs, s.initials, np.zeros((1, 0)),
-                        np.column_stack([code // n, 0 * code, code % n]))
+                        _rows(code // n, 0, code % n))
 
 
 def _relation(s1: FiniteSystem, s2: FiniteSystem, eps: float,

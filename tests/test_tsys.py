@@ -459,21 +459,43 @@ def test_sortedness_check_in_slices_equals_whole_array_check(monkeypatch):
 
 
 def test_slices_change_no_result(monkeypatch):
-    # compose and _indptr in slices of 4 rows equal their results at the
-    # default size, which holds each of these systems in one slice
+    # compose, the sub-systems of its results and _indptr in slices of 4
+    # rows equal their results at the default size, which holds each of
+    # these systems in one slice
     rng = np.random.default_rng(12)
     draws = [(random_pair(rng), float(rng.choice([0.0, 0.5, 1.0])))
              for _ in range(80)]
     composed = [compose(s1, s2, eps) for (s1, s2), eps in draws]
+    keeps = [np.flatnonzero(rng.random(c.n_states) < 0.7) for c in composed]
+    parts = [(subsystem(c, keep), nonblocking_part(c), accessible_part(c))
+             for c, keep in zip(composed, keeps)]
     rows = [rng.integers(0, 20, int(rng.integers(0, 60))) for _ in range(40)]
     pointers = [tsys._indptr(r, 20) for r in rows]
     monkeypatch.setattr(tsys, "_SLICE_ROWS", 4)
     for ((s1, s2), eps), c in zip(draws, composed):
         assert compose(s1, s2, eps).same_as(c)
+    for c, keep, (sub, nb, acc) in zip(composed, keeps, parts):
+        assert subsystem(c, keep).same_as(sub)
+        assert nonblocking_part(c).same_as(nb)
+        assert accessible_part(c).same_as(acc)
     for r, indptr in zip(rows, pointers):
         assert np.array_equal(tsys._indptr(r, 20), indptr)
-    # most first systems span several slices of their rows
+    # most first systems, and many compositions, span several slices
     assert sum(s1.n_transitions > 4 for (s1, _), _ in draws) > 40
+    assert sum(c.n_transitions > 4 for c in composed) > 20
+
+
+def test_join_copies_parts_in_order_and_empties_the_list():
+    rng = np.random.default_rng(14)
+    parts = [rng.integers(0, 9, (n, 3)).astype(np.int32) for n in (3, 0, 5)]
+    whole = np.concatenate(parts)
+    got = tsys._join(parts)
+    assert got.dtype == np.int32 and np.array_equal(got, whole)
+    assert parts == []
+    one = [whole]
+    assert tsys._join(one) is whole and one == []
+    none = tsys._join([])
+    assert none.dtype == np.int32 and none.shape == (0, 3)
 
 
 _GOOD_ROWS = [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
@@ -523,6 +545,29 @@ def test_malformed_rows(rows, refusal):
             build()
 
 
+_TOP = 2 ** 31 - 1
+
+
+@pytest.mark.parametrize("states, inputs, row, refused", [
+    (2 ** 31 + 2, 1, [2 ** 31, 0, 0], True),
+    (3, 2 ** 31 + 2, [0, 2 ** 31 + 1, 0], True),
+    (2 ** 31, 2 ** 31, [_TOP, _TOP, 0], False),
+], ids=["states", "inputs", "2^31-both"])
+def test_int32_rows_index_every_state_and_input(states, inputs, row, refused):
+    # zero-width outputs and inputs hold no memory; past 2^31 states or
+    # inputs, the row is in range but an int32 row would wrap its index
+    def build():
+        return FiniteSystem(np.zeros((states, 0)), [], np.zeros((inputs, 0)),
+                            np.array([row]))
+
+    if refused:
+        with pytest.raises(ValueError,
+                           match=r"more than 2\^31 states or inputs"):
+            build()
+    else:
+        assert build().transitions.tolist() == [row]
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -557,6 +602,17 @@ def test_row_passes_hold_slices_not_copies():
     partner = FiniteSystem(outputs, [0], np.zeros((1, 0)), np.column_stack(
         [np.arange(ns), np.zeros(ns, dtype=int), (np.arange(ns) + 1) % ns]))
     assert _traced_peak(lambda: compose(s, partner, 0.0)) < 2 * size
+    # rows that all go to their source's successor, as in the partner, so
+    # that all 1M compose: the result and its parts, but no int64 staging
+    # copy of them, fit under 2.5 times the rows' bytes, and so does the
+    # non-blocking part, which keeps every row
+    rows[:, 2] = (rows[:, 0] + 1) % ns
+    s = FiniteSystem(outputs, [0], inputs, rows)
+    assert _traced_peak(lambda: compose(s, partner, 0.0)) < 2.5 * size
+    c = compose(s, partner, 0.0)
+    assert c.n_transitions == rows.shape[0]
+    assert _traced_peak(lambda: nonblocking_part(c)) < 2.5 * size
+    assert nonblocking_part(c).same_as(c)
 
 
 def test_relation_over_repeated_edges_stays_small():

@@ -233,14 +233,13 @@ class _GrowthBound:
         self.h, self.substeps, self.reach = tau / substeps, substeps, reach
 
     def _at(self, lo: np.ndarray, hi: np.ndarray):
-        """(G, growth, ok) over the boxes [lo, hi] (rows); G and growth may
-        be one value for all boxes when the Jacobian is constant."""
+        """(G, growth, ok) over the boxes [lo, hi] (rows), one row per box,
+        a constant Jacobian included."""
         n, m, h = self.n, self.m, self.h
         ivs, ok = enclose(self.exprs, list(zip(lo.T, hi.T)), self.u)
-        jac = ivs[n:]
-        shape = np.broadcast_shapes(*(np.shape(b) for iv in jac for b in iv))
-        Jlo, Jhi = (np.stack([np.broadcast_to(iv[e], shape) for iv in jac],
-                             axis=-1).reshape(*shape, n, n + m) for e in (0, 1))
+        k = lo.shape[0]
+        Jlo, Jhi = (np.stack([np.broadcast_to(iv[e], k) for iv in ivs[n:]],
+                             axis=-1).reshape(k, n, n + m) for e in (0, 1))
         with np.errstate(all="ignore"):
             mag = np.maximum(np.abs(Jlo), np.abs(Jhi))
             M, W = mag[..., :n], mag[..., n:]
@@ -277,11 +276,8 @@ class _GrowthBound:
         for _ in range(_REGION_ROUNDS):
             Gk, growth, ok = self._at(lo[open_] - g[open_] - pad0[open_],
                                       hi[open_] + g[open_] + pad0[open_])
-            growth = np.broadcast_to(growth, (open_.size, self.n))
-            ok = np.broadcast_to(ok, open_.shape)
             fits = ok & np.all(growth <= g[open_], axis=1)
-            G[open_[fits]] = np.broadcast_to(
-                Gk, (open_.size, self.n, self.m))[fits]
+            G[open_[fits]] = Gk[fits]
             sure[open_[fits]] = True
             # a refused box stays refused on any larger one; grow past the
             # need, which grows with the region
@@ -429,14 +425,10 @@ class RowEngine:
                                    self.split.reach)
                       if self.split.levels else None)
 
-    def _flow(self, X, src, cols, hull=False):
-        return _flow_tile(self.sys, X[src], self.inputs[cols], self.tau,
-                          self.substeps, hull=hull)
-
-    def _flow_kept(self, X, keep, inputs, on_tile) -> int:
-        """Flows the rows (s, inputs[f]) where keep[s, f], each tile finding
-        its rows in the mask, and hands each tile to on_tile(src, f, Z,
-        cells); returns how many it flowed."""
+    def _flow_kept(self, X, keep, inputs, on_tile, hull=False) -> list:
+        """[on_tile(src, f, Z, cells)] per tile of the rows (s, inputs[f])
+        where keep[s, f], each tile finding its rows in the mask; with
+        `hull`, on_tile also gets the stage-point hulls lo and hi."""
         # rows before each state's, and in all
         offset = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
 
@@ -446,11 +438,12 @@ class RowEngine:
             src, f = np.nonzero(keep[s0:s1])
             skip = a - offset[s0]
             src, f = src[skip:skip + b - a] + s0, f[skip:skip + b - a]
-            Z = self._flow(X, src, inputs[f])
-            on_tile(src, f, Z, self.st_lat.quantize_many(Z))
+            out = _flow_tile(self.sys, X[src], self.inputs[inputs[f]],
+                             self.tau, self.substeps, hull=hull)
+            Z, hulls = (out[0], out[1:]) if hull else (out, ())
+            return on_tile(src, f, Z, self.st_lat.quantize_many(Z), *hulls)
 
-        map_tiles(tile, int(offset[-1]))
-        return int(offset[-1])
+        return map_tiles(tile, int(offset[-1]))
 
     def run(self, X: np.ndarray, P: np.ndarray, half: np.ndarray,
             visit: Callable[..., None], cells_suffice: bool
@@ -465,9 +458,9 @@ class RowEngine:
         rows are flowed.  Tiles are disjoint and run on the flow workers, so
         visit must be safe to call from several threads at once.
 
-        1. Every coarse input, flowed with the hulls of its stage points;
-           without other inputs, every row, flowed without them, and
-           nothing more.
+        1. Every coarse input, flowed under a mask that keeps every row,
+           with the hulls of its stage points; without other inputs, every
+           row, flowed without them, and nothing more.
         2. The growth bound of each state with a finite coarse row.
         3. The radii (_radii) of the coarse endpoints of the states with a
            sure bound.
@@ -486,17 +479,13 @@ class RowEngine:
         coarse, n_c = self.split.coarse, self.split.coarse.size
         hull = self.bound is not None
 
-        def first(a, b):
-            src, cols = np.divmod(np.arange(a, b), n_c)
-            cols = coarse[cols]
-            out = self._flow(X, src, cols, hull)
-            end = out[0] if hull else out
-            cells = self.st_lat.quantize_many(end)
-            visit(src, cols, end, cells)
+        def first(src, f, Z, cells, *hulls):
+            visit(src, coarse[f], Z, cells)
             # handed back, so that no buffer adds to the kernel's peak
-            return out + (cells,) if hull else None
+            return (Z,) + hulls + (cells,) if hull else None
 
-        parts = map_tiles(first, S * n_c)
+        parts = self._flow_kept(X, np.ones((S, n_c), dtype=bool), coarse,
+                                first, hull)
         if not hull:
             return S * n_c, 0
         Z, lo, hi, cells = (np.concatenate(k) for k in zip(*parts))
@@ -507,12 +496,11 @@ class RowEngine:
         states = np.flatnonzero(fin.any(axis=1))
         G = np.zeros((S, n, self.bound.m))
         sure = np.zeros(S, dtype=bool)
-        if states.size:
-            f = fin[states][..., None]
-            lo, hi = lo.reshape(S, n_c, n), hi.reshape(S, n_c, n)
-            G[states], sure[states] = self.bound.gains(
-                np.where(f, lo[states], np.inf).min(axis=1),
-                np.where(f, hi[states], -np.inf).max(axis=1))
+        f = fin[states][..., None]
+        lo, hi = lo.reshape(S, n_c, n), hi.reshape(S, n_c, n)
+        G[states], sure[states] = self.bound.gains(
+            np.where(f, lo[states], np.inf).min(axis=1),
+            np.where(f, hi[states], -np.inf).max(axis=1))
         del lo, hi
         g = G.sum(axis=2)
         # the known endpoints' radii and cells, over the states last; the
@@ -568,7 +556,8 @@ class RowEngine:
                         LANDS[at[w], src[w]] = lands
                         C[at[w], src[w]] = cells[w]
 
-            flowed += self._flow_kept(X, keep, inputs, on_tile)
+            self._flow_kept(X, keep, inputs, on_tile)
+            flowed += int(keep.sum())
             known += levels
         return flowed, landed
 

@@ -25,7 +25,7 @@ from .dynamics import (DEFAULT_SUBSTEPS, ControlSystem, DivergenceError,
                        StabilityCertificate, thread_count)
 from .expr import EvalDomainError, ExprSyntaxError, parse_expression
 from .loop import UncontrolledStateError, conformance_report, simulate_closed_loop
-from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
+from .quantize import (Lattice, LatticeError, SynthesisParams,
                        validate_parameters)
 from .synthesis import (Controller, ParameterValidationError,
                         controller_to_system, shared_lattices,
@@ -247,8 +247,8 @@ def _transition_rows(lines: List[str], header: dict) -> np.ndarray:
             _header_line(line, header)
         elif line:
             try:
-                src, uix, dst = map(int, line.split())
-            except ValueError:
+                src, uix, dst = map(np.int64, line.split())
+            except (ValueError, OverflowError):  # not 3 int64 values
                 raise ConfigError(f"bad transition line: {line!r}") from None
             rows.append([src, uix, dst])
     return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
@@ -287,7 +287,7 @@ def read_controller_file(path: str) -> Controller:
         in_lat = (Lattice(np.asarray(ib, dtype=float).reshape(-1, 2), 2.0 * mu)
                   if mu > 0.0 else None)
         return Controller(rows, initials, bad, st_lat, in_lat)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad controller file: {exc}")
 
 
@@ -458,7 +458,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, EmptyLatticeError) as exc:
+    except (ConfigError, LatticeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParameterValidationError as exc:

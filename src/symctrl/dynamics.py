@@ -69,9 +69,9 @@ def map_tiles(fn: Callable[[int, int], object], n_rows: int,
 
     The tiles are of equal length (to a row), at most TILE_ROWS, and when
     there are several, their count is a multiple of the workers, so that
-    no worker idles through a short last tile.  Several tiles run on a pool
-    of thread_count(threads) workers, so fn must be safe to call from
-    several threads at once."""
+    no worker idles through a short last tile.  Several tiles run on
+    thread_count(threads) workers, the calling thread among them, so fn
+    must be safe to call from several threads at once."""
     nworkers = thread_count(threads)
     count = -(-n_rows // TILE_ROWS)
     if count > 1:
@@ -80,8 +80,14 @@ def map_tiles(fn: Callable[[int, int], object], n_rows: int,
              for i in range(count)]
     if nworkers <= 1 or len(tiles) <= 1:
         return [fn(a, b) for a, b in tiles]
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(lambda tile: fn(*tile), tiles))
+
+    def work(w):  # tiles w, w + nworkers, ...
+        return [fn(a, b) for a, b in tiles[w::nworkers]]
+    # worker 0 is this thread: one thread heap fewer holds freed tile buffers
+    with ThreadPoolExecutor(max_workers=nworkers - 1) as pool:
+        others = pool.map(work, range(1, nworkers))
+        parts = [work(0), *others]
+    return [parts[i % nworkers][i // nworkers] for i in range(count)]
 
 
 @dataclass(frozen=True)

@@ -645,9 +645,10 @@ def _mul_iv(a, b):
 
 
 def _recip_iv(a):
-    # undefined (NaN) where the interval holds 0
+    # NaN where the interval holds 0; np.divide, as 1.0 / 0.0 raises on floats
     hole = (a[0] <= 0.0) & (a[1] >= 0.0)
-    return np.where(hole, np.nan, 1.0 / a[1]), np.where(hole, np.nan, 1.0 / a[0])
+    return (np.where(hole, np.nan, np.divide(1.0, a[1])),
+            np.where(hole, np.nan, np.divide(1.0, a[0])))
 
 
 def _pow_iv(a, p: float):

@@ -21,7 +21,11 @@ from .dynamics import StabilityCertificate
 _REL_TOL = 1e-9
 
 
-class EmptyLatticeError(ValueError):
+class LatticeError(ValueError):
+    """A box without a finite index range, or with more than 2^31 points."""
+
+
+class EmptyLatticeError(LatticeError):
     """No multiple of the spacing falls inside some axis interval."""
 
 
@@ -43,23 +47,27 @@ class Lattice:
         self.dim = box.shape[0]
         kmin, kmax = [], []
         for ax in range(self.dim):
-            lo, hi = box[ax]
+            lo, hi = box[ax].tolist()  # floats, which overflow quietly
             tol = _REL_TOL * max(1.0, abs(lo / spacing), abs(hi / spacing))
-            k0 = math.ceil(lo / spacing - tol)
-            k1 = math.floor(hi / spacing + tol)
-            if k0 > k1:
+            a, b = lo / spacing - tol, hi / spacing + tol
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise LatticeError(f"[{lo}, {hi}] over the spacing {spacing} "
+                                   f"is no finite index range (axis {ax})")
+            kmin.append(math.ceil(a))
+            kmax.append(math.floor(b))
+            if kmin[-1] > kmax[-1]:
                 raise EmptyLatticeError(
                     f"no multiple of {spacing} inside [{lo}, {hi}] (axis {ax})")
-            kmin.append(k0)
-            kmax.append(k1)
+        # counted in Python ints, which do not wrap
+        counts = [k1 - k0 + 1 for k0, k1 in zip(kmin, kmax)]
+        self.n_points = math.prod(counts)
+        if self.n_points > 2 ** 31:
+            raise LatticeError(f"more than 2^31 points at spacing {spacing}")
         self.kmin = np.asarray(kmin, dtype=np.int64)
         self.kmax = np.asarray(kmax, dtype=np.int64)
-        self.counts = self.kmax - self.kmin + 1
-        strides = np.ones(self.dim, dtype=np.int64)
-        for ax in range(self.dim - 2, -1, -1):
-            strides[ax] = strides[ax + 1] * self.counts[ax + 1]
-        self.strides = strides
-        self.n_points = int(np.prod(self.counts))
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.strides = np.asarray([math.prod(counts[ax + 1:])
+                                   for ax in range(self.dim)], dtype=np.int64)
         self._points: Optional[np.ndarray] = None
 
     def __eq__(self, other):
@@ -93,7 +101,9 @@ class Lattice:
         straddling points on both sides; grid-aligned edges add nothing.
         """
         box = np.asarray(box, dtype=float)
-        los, his = [], []
+        # axis by axis, the most significant first, so that the indices come
+        # out sorted without a sort and without a grid per axis
+        flat = np.zeros(1, dtype=np.int64)
         for ax in range(self.dim):
             lo, hi = box[ax]
             tol = _REL_TOL * max(1.0, abs(lo / self.spacing),
@@ -102,15 +112,9 @@ class Lattice:
             k1 = min(math.ceil(hi / self.spacing - tol), int(self.kmax[ax]))
             if k0 > k1:
                 return np.zeros(0, dtype=np.int64)
-            los.append(k0)
-            his.append(k1)
-        axes = [np.arange(los[ax], his[ax] + 1, dtype=np.int64) - self.kmin[ax]
-                for ax in range(self.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        flat = np.zeros(grids[0].size, dtype=np.int64)
-        for ax in range(self.dim):
-            flat += grids[ax].reshape(-1) * self.strides[ax]
-        return np.sort(flat)
+            k = np.arange(k0 - self.kmin[ax], k1 - self.kmin[ax] + 1)
+            flat = (flat[:, None] + k * self.strides[ax]).reshape(-1)
+        return flat
 
     def quantize_many(self, X) -> np.ndarray:
         """Flat indices of the cells containing each row of X; -1 if the cell

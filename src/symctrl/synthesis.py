@@ -20,8 +20,8 @@ from .abstraction import (DEFAULT_TRANSITION_CAP, AbstractionSpec,
                           ResourceLimitError, RowEngine, build_abstraction)
 from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
-from .quantize import (EmptyLatticeError, Lattice, SynthesisParams,
-                       ValidationReport, validate_parameters)
+from .quantize import (EmptyLatticeError, Lattice, LatticeError,
+                       SynthesisParams, ValidationReport, validate_parameters)
 from .tsys import FiniteSystem, _rows, compose, nonblocking_part, subsystem
 
 # coarse plant rows per chunk of the integrated input scan: a chunk holds
@@ -148,16 +148,15 @@ def shared_lattices(plant: ControlSystem, specification: ControlSystem,
     points in both systems' outward-rounded initial ranges.  When the state
     intersection holds no lattice point, the state lattice falls back to the
     plant's state box and there is no initial cell, so the controller is
-    empty.  A plant state or input box or a specification state box without
-    lattice points raises EmptyLatticeError, and a specification with inputs
-    ValueError.
+    empty.  A plant state or input box or a specification state box whose
+    lattice cannot be built raises LatticeError (EmptyLatticeError without
+    lattice points), and a specification with inputs ValueError.
     """
     def lattice(box, spacing, what):
         try:
             return Lattice(box, spacing)
-        except EmptyLatticeError as exc:
-            raise EmptyLatticeError(f"the {what} holds no lattice point: "
-                                    f"{exc}") from None
+        except LatticeError as exc:
+            raise type(exc)(f"the {what}: {exc}") from None
 
     if specification.m:
         raise ValueError("specification must expose a single (zero) input")

@@ -80,7 +80,7 @@ def _greatest_fixpoint(n_nodes: int, owner: np.ndarray, wit_ob: np.ndarray,
     """Alive mask of the largest node set in which every obligation of a
     live node keeps a live witness.  Obligation o belongs to node owner[o];
     witness w discharges obligation wit_ob[w] while node wit_node[w] lives."""
-    live = np.bincount(wit_ob, minlength=owner.size)
+    live = np.diff(_indptr(wit_ob, owner.size))
     order = np.argsort(wit_node, kind="stable")
     by_node = _indptr(wit_node, n_nodes)
     alive = np.ones(n_nodes, dtype=bool)

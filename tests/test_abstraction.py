@@ -52,6 +52,16 @@ def test_zero_field_gives_self_loops_per_input():
     assert np.array_equal(t[:, 0], t[:, 2])
 
 
+def test_no_finite_coarse_row_gives_no_transition():
+    # the growth bound is asked of no box, and its Jacobian's constant
+    # divisor 0 must not raise
+    sys = ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
+                        input_box=[[-1, 1]],
+                        field=(parse_expression("x1 / 0 + u1", 1, 1),))
+    fs = build_abstraction(sys, AbstractionSpec(tau=1.0, eta=0.25, mu=0.05))
+    assert fs.n_transitions == 0 and fs.rows_flowed == 5 * 21
+
+
 def test_abstraction_is_deterministic_on_random_systems():
     rng = np.random.default_rng(31)
     for _ in range(50):

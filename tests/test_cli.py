@@ -26,6 +26,35 @@ def toy_doc():
         return json.load(fh)
 
 
+def oversized_docs():
+    """Configs whose lattices have more than 2^31 points or no finite index
+    range, by name."""
+    def nonlinear(eta, box=None):
+        with open(NONLINEAR) as fh:
+            doc = json.load(fh)
+        doc["params"]["eta"] = eta
+        if box is not None:
+            for section in ("plant", "specification"):
+                doc[section]["state_box"] = [[-box, box]] * 3
+                doc[section]["init_box"] = [[0.0, 0.0]] * 3
+        return doc
+
+    def toy(section, key, value):
+        doc = toy_doc()
+        doc[section][key] = value
+        return doc
+
+    return {
+        # 3.7e28 points, which wrapped to a negative count in int64
+        "lattice_wraps": nonlinear(3e-4, box=1e6),
+        "lattice_too_broad": nonlinear(5e-8),
+        # 10001^3 points, 5001^3 of them initial cells
+        "lattice_initials": nonlinear(1e-4),
+        "lattice_box_1e300": toy("plant", "state_box", [[-1e300, 1e300]]),
+        "lattice_eta_1e-300": toy("params", "eta", 1e-300),
+    }
+
+
 def test_load_config_roundtrip():
     cfg = load_config(TOY)
     assert cfg.plant.n == 1 and cfg.plant.m == 1
@@ -111,6 +140,7 @@ def test_malformed_config_exit1(tmp_path, capsys):
         "override_text": edited("options", "override_validation", "false"),
         "override_list": edited("options", "override_validation", [1]),
         "override_number": edited("options", "override_validation", 1),
+        **oversized_docs(),
     }
     for name, doc in broken.items():
         capsys.readouterr()
@@ -154,6 +184,30 @@ def test_box_without_lattice_points_exit1(tmp_path, capsys, monkeypatch,
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error:") and "\n" not in err, err
         assert f"{section}'s {key.replace('_', ' ')}" in err, err
+
+
+def test_oversized_lattice_exit1(tmp_path, capsys, monkeypatch):
+    # every command refuses a lattice of more than 2^31 points with one
+    # line, before it flows anything
+    ctrl_path = str(tmp_path / "toy.ctrl")
+    assert main(["synthesize", TOY, "--out", ctrl_path]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flowed a row")
+
+    for module in (abstraction, synthesis):
+        monkeypatch.setattr(module, "_flow_tile", refuse)
+    path = write_json(tmp_path / "wraps.json",
+                      oversized_docs()["lattice_wraps"])
+    for argv in (["synthesize", path, "--method", "integrated"],
+                 ["synthesize", path, "--method", "baseline"],
+                 ["compare", path], ["validate-params", path],
+                 ["simulate", path, ctrl_path, "--x0", "0,0,0"]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err, err
+        assert "plant's state box" in err and "2^31" in err, err
 
 
 def test_bad_field_expression_exit1(tmp_path):
@@ -319,6 +373,12 @@ def test_controller_file_bad_contents_exit1(tmp_path, capsys):
         "bad": replaced("bad", "#bad -1"),
         "eta": replaced("eta", "#eta 0.0"),
         "input_box": replaced("input_box", "#input_box"),
+        # values beyond int64 or the float range
+        "target_huge": good + ["0 0 99999999999999999999"],
+        "initial_huge": replaced("initials", "#initials 99999999999999999999"),
+        "bad_huge": replaced("bad", "#bad 99999999999999999999"),
+        "state_box_infinite": replaced("state_box", "#state_box -inf 1.0"),
+        "eta_subnormal": replaced("eta", "#eta 1e-320"),
     }
     for name, lines in corrupt.items():
         path = tmp_path / f"{name}.ctrl"

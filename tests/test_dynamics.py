@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from symctrl import (ControlSystem, DivergenceError, StabilityCertificate,
-                     flow, flow_many, parse_expression)
+                     dynamics, flow, flow_many, parse_expression)
 
 from _systems import every_operator_system, linear_pair, nonlinear_pair
 
@@ -97,6 +98,31 @@ def test_flow_thread_count_does_not_change_result():
     a = flow_many(plant, X, U, 0.5, 50, threads=1)
     b = flow_many(plant, X, U, 0.5, 50, threads=2)
     assert np.array_equal(a, b)
+
+
+def test_map_tiles_keeps_order_and_runs_on_the_caller(monkeypatch):
+    # 10 rows a tile give 12 tiles on 3 workers; they come back in tile
+    # order, the calling thread runs tiles 0, 3, 6 and 9, and an exception
+    # of a tile on another worker reaches the caller
+    monkeypatch.setattr(dynamics, "TILE_ROWS", 10)
+    monkeypatch.setenv("SYMCTRL_THREADS", "3")
+    ran = {}
+
+    def fn(a, b):
+        ran[a] = threading.get_ident()
+        return a, b
+
+    tiles = [(95 * i // 12, 95 * (i + 1) // 12) for i in range(12)]
+    assert dynamics.map_tiles(fn, 95, threads=3) == tiles
+    assert [a for a, _ in tiles if ran[a] == threading.get_ident()] == [
+        tiles[i][0] for i in (0, 3, 6, 9)]
+
+    def fail(a, b):
+        if a == tiles[1][0]:
+            raise ValueError("tile 1")
+
+    with pytest.raises(ValueError, match="tile 1"):
+        dynamics.map_tiles(fail, 95, threads=3)
 
 
 def test_replaced_field_is_compiled_anew():

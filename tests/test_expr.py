@@ -257,6 +257,11 @@ def test_enclosure_flags_unbounded_and_undefined(text, box):
     assert list(ok) == [False, True]
 
 
+def test_enclosure_flags_a_constant_zero_divisor():
+    (_, ok) = enclose([parse_expression("x1 + 1 / 0", 1, 0)], [(0.0, 1.0)], [])
+    assert not ok
+
+
 def test_derivative_of_sqrt_is_unbounded_at_zero():
     e = parse_expression("sqrt(x1)", 1, 0)
     d = derivative(e, Var("x", 0))

@@ -7,10 +7,12 @@ reproducible bit-for-bit on a given platform.  Each system lowers its field
 once (expr.FieldCode) and generates two RK4 kernels from it, one over the
 arrays of a tile of rows and one over the floats of a single row; they run
 the same operations, so a row's endpoint does not depend on the batch it is
-flowed in.  A row on which the field leaves its domain ends at NaN.  Asked
-for it, the tile kernel also records the hull of every point at which it
-evaluates the field; both synthesis routes flow their plant's coarse rows
-that way, for the growth bound (abstraction.RowEngine).
+flowed in.  A tile of at most ROW_TILE rows flows through the row kernel,
+one row at a time; a longer one through the tile kernel.  A row on which
+the field leaves its domain ends at NaN.  Asked for it, the tile kernel also
+records the hull of every point at which it evaluates the field; both
+synthesis routes flow their plant's coarse rows that way, for the growth
+bound (abstraction.RowEngine).
 """
 
 from __future__ import annotations
@@ -37,6 +39,22 @@ DEFAULT_SUBSTEPS = 50
 # 402K on 1), as they were for linear example #1's plant (944K, 646K on 1).
 # Endpoints do not depend on the tile size
 TILE_ROWS = 1 << 15
+
+# tiles of at most this many rows flow one row at a time over Python floats.
+# A call of the tile kernel costs 1.2 ms (linear #1) to 2 ms (nonlinear) at
+# any small size, nearly all of it ufunc-call overhead.  Time of the row
+# kernel, row by row, over that of the tile kernel, on one thread of a
+# 2-core x86-64 machine (Python 3.11, numpy 2.4):
+#
+#     rows                         8          16         24         32
+#     nonlinear plant              0.33       0.64       0.92       1.29
+#     nonlinear spec (np.power)    1.08       1.95       2.84       3.55
+#     linear #1 plant and spec     0.17-0.20  0.34-0.38  0.53-0.58  0.63-0.78
+#
+# The closed loop flows a relational cell's 2-16 options as one tile and
+# never flows the specification more than one row at a time; both synthesis
+# routes flow their specification in waves of hundreds of rows
+ROW_TILE = 16
 
 
 class DivergenceError(ArithmeticError):
@@ -72,6 +90,8 @@ def map_tiles(fn: Callable[[int, int], object], n_rows: int,
     no worker idles through a short last tile.  Several tiles run on
     thread_count(threads) workers, the calling thread among them, so fn
     must be safe to call from several threads at once."""
+    if n_rows <= TILE_ROWS:  # one tile or none, on this thread
+        return [fn(0, n_rows)] if n_rows else []
     nworkers = thread_count(threads)
     count = -(-n_rows // TILE_ROWS)
     if count > 1:
@@ -192,20 +212,23 @@ class ControlSystem:
 
 
 def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
-    """Source of an RK4 kernel over one tile: "tile" over arrays, writing
-    through ``out=`` into buffers allocated once per tile, or "row" over the
-    Python floats of a one-row tile.  Both run the same operations in the
+    """Source of an RK4 kernel: "tile" over the arrays of a tile of rows,
+    writing through ``out=`` into buffers allocated once per tile, or "row"
+    over the Python floats of one row.  Both run the same operations in the
     same order, those of the classical step
     x + (2 * (k2 + k3) + k1 + k4) * (h / 6), so their endpoints agree.
 
-    The row kernel is row(X, U, h, substeps).  The tile kernel is
-    tile(X, U, h, substeps, hull); with `hull` it returns (endpoints, lo,
-    hi), where lo and hi bound, per row and component, every point at which
-    it evaluated the field; the endpoints do not depend on `hull`."""
+    The row kernel is row(x, u, h, substeps), over one row's state and input
+    as sequences of floats; it returns the endpoint as a tuple.  The tile
+    kernel is tile(X, U, h, substeps, hull); with `hull` it returns
+    (endpoints, lo, hi), where lo and hi bound, per row and component, every
+    point at which it evaluated the field; the endpoints do not depend on
+    `hull`."""
     x, xt = [f"x{i}" for i in range(n)], [f"xt{i}" for i in range(n)]
     k1, k2, k3 = [[f"k{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
-    # a row that leaves the field's domain ends at NaN
-    fail = f"return np.full((1, {n}), nan)"
+    # a row that leaves the field's domain ends at NaN (over arrays, the
+    # rows marked in `bad`)
+    fail = "return (" + "nan, " * n + ")"
     if form == "array":
         lines = ["def tile(X, U, h, substeps, hull):",
                  "    rows = X.shape[0]"]
@@ -221,9 +244,11 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
         lines += [f"        {b}{i} = np.array(x{i})"
                   for b in ("lo", "hi") for i in range(n)]
     else:
-        lines = ["def row(X, U, h, substeps):"]
-        lines += [f"    x{i} = float(X[0, {i}])" for i in range(n)]
-        lines += [f"    u{j} = float(U[0, {j}])" for j in range(m)]
+        lines = ["def row(x, u, h, substeps):"]
+        if n:
+            lines.append(f"    {''.join(v + ', ' for v in x)}= x")
+        if m:
+            lines.append(f"    {''.join(f'u{j}, ' for j in range(m))}= u")
     lines += ["    hh = h / 2.0", "    h6 = h / 6.0"]
     lines += ["    " + ln for ln in code.prologue_lines(form, fail)]
     lines.append("    for _ in range(substeps):")
@@ -262,7 +287,7 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
         op("mul", k2[i], k2[i], "h6")
         op("add", x[i], x[i], k2[i])
     if form == "float":
-        return lines + [f"    return np.array([[{', '.join(x)}]])"]
+        return lines + ["    return (" + "".join(v + ", " for v in x) + ")"]
     if code.checks:
         lines += ["    if bad.any():"] + [f"        {v}[bad] = nan" for v in x]
     lines.append(f"    out = np.empty((rows, {n}))")
@@ -278,12 +303,17 @@ def _flow_tile(sys: ControlSystem, X: np.ndarray, U: np.ndarray,
     """Endpoints of one tile of rows; with `hull`, (endpoints, lo, hi) where
     lo and hi bound each row's RK4 stage points (see _rk4_source)."""
     tile, row = sys._kernels
+    h = float(tau / substeps)  # the row kernel's arithmetic stays on floats
     with np.errstate(all="ignore"):
-        # a lone row (the closed loop) flows as Python floats: the same
-        # operations, bit for bit, without the cost of 1-element arrays
-        if X.shape[0] == 1 and not hull:
-            return row(X, U, tau / substeps, substeps)
-        return tile(X, U, tau / substeps, substeps, hull)
+        # a tile of a few rows (the closed loop's) flows row by row as
+        # Python floats: the same operations, bit for bit, without the
+        # thousands of ufunc calls the tile kernel makes at any size
+        if X.shape[0] <= ROW_TILE and not hull:
+            rows = [row(x, u, h, substeps) for x, u in
+                    zip(X.astype(float, copy=False).tolist(),
+                        U.astype(float, copy=False).tolist())]
+            return np.array(rows, dtype=float).reshape(X.shape[0], sys.n)
+        return tile(X, U, h, substeps, hull)
 
 
 def flow_many(sys: ControlSystem, X, U, tau: float,
@@ -309,7 +339,8 @@ def flow_many(sys: ControlSystem, X, U, tau: float,
     parts = map_tiles(
         lambda a, b: _flow_tile(sys, X[a:b], U[a:b], tau, substeps),
         X.shape[0], threads)
-    out = np.vstack(parts) if parts else np.empty((0, sys.n))
+    out = (parts[0] if len(parts) == 1 else np.vstack(parts) if parts
+           else np.empty((0, sys.n)))
     if check_finite and not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(out), axis=1))[0])
         raise DivergenceError(X[bad], U[bad])

@@ -15,11 +15,13 @@ the operations on the inputs alone set apart, to run once per call instead
 of once per use.  Each
 operation is rendered as Python source in one of two forms: a numpy ufunc
 writing through ``out=`` into a preallocated buffer, or the same operation
-on Python floats (the same IEEE ``+ - * /`` and negation, the same numpy
-function for powers and the five functions, never Python's ``**`` or
-``math``, whose results can differ in the last bit).  So one point and a
-batch agree bit for bit.  `compile_expression` and `evaluate` compile one
-expression; `dynamics` builds its RK4 kernels from the same operations.
+on Python floats (the same IEEE ``+ - * /`` and negation, and for powers
+and the five functions the same numpy function with its result turned back
+into a float, never Python's ``**`` or ``math``, whose results can differ
+in the last bit).  So one point and a batch agree bit for bit, and a point's
+arithmetic stays on Python floats, not numpy scalars.  `compile_expression`
+and `evaluate` compile one expression; `dynamics` builds its RK4 kernels
+from the same operations.
 
 Domain checks (a negative radicand, a zero divisor, zero to a negative
 power, a negative base to a fractional power) are operations too.  Over
@@ -260,19 +262,23 @@ def format_expression(expr: Expr) -> str:
 
 # operation -> (numpy ufunc, the same operation on Python floats); the float
 # form runs the same IEEE operation (+ - * / and negation) or calls the same
-# numpy function, so both forms give the same bits
+# numpy function, so both forms give the same bits.  A numpy function's
+# np.float64 result is turned back into a float, the same bits: arithmetic
+# on np.float64 runs through numpy's scalar machinery at about twice the
+# cost of a float's.  A division never meets a zero divisor on floats, which
+# would raise: the domain check before it (_DIV_CHECK) ends the row first
 _OPS = {
     "add": (np.add, "{0} + {1}"),
     "sub": (np.subtract, "{0} - {1}"),
     "mul": (np.multiply, "{0} * {1}"),
     "div": (np.divide, "{0} / {1}"),
     "neg": (np.negative, "-{0}"),
-    "pow": (np.power, "np.power({0}, {1})"),
-    "sin": (np.sin, "np.sin({0})"),
-    "cos": (np.cos, "np.cos({0})"),
-    "exp": (np.exp, "np.exp({0})"),
-    "sqrt": (np.sqrt, "np.sqrt({0})"),
-    "abs": (np.abs, "np.abs({0})"),
+    "pow": (np.power, "float(np.power({0}, {1}))"),
+    "sin": (np.sin, "float(np.sin({0}))"),
+    "cos": (np.cos, "float(np.cos({0}))"),
+    "exp": (np.exp, "float(np.exp({0}))"),
+    "sqrt": (np.sqrt, "float(np.sqrt({0}))"),
+    "abs": (np.abs, "float(np.abs({0}))"),
 }
 _BIN_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 # correctly rounded operations, whose every numpy loop gives the same bits,

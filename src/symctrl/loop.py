@@ -94,7 +94,7 @@ def simulate_closed_loop(plant: ControlSystem, specification: ControlSystem,
     q0 = ctrl.state_lattice.quantize_index(x0)
     if q0 is None:
         raise ValueError("x0 quantizes outside the controller lattice")
-    if int(q0) not in set(int(i) for i in ctrl.initials):
+    if not np.any(ctrl.initials == q0):
         raise ValueError("x0 does not quantize to a controller initial state")
 
     u_values = ctrl.input_values()

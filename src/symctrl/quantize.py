@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -100,19 +100,33 @@ class Lattice:
         a box whose edge falls between two lattice points picks up the
         straddling points on both sides; grid-aligned edges add nothing.
         """
+        return self._range_indices(*self._outer_range(box))
+
+    def _outer_range(self, box) -> Tuple[List[int], List[int]]:
+        """Per axis, the first and last index (from kmin) of the range of
+        outer_range_indices; first > last on an axis the range misses."""
         box = np.asarray(box, dtype=float)
-        # axis by axis, the most significant first, so that the indices come
-        # out sorted without a sort and without a grid per axis
-        flat = np.zeros(1, dtype=np.int64)
+        first, last = [], []
         for ax in range(self.dim):
             lo, hi = box[ax]
             tol = _REL_TOL * max(1.0, abs(lo / self.spacing),
                                  abs(hi / self.spacing))
-            k0 = max(math.floor(lo / self.spacing + tol), int(self.kmin[ax]))
-            k1 = min(math.ceil(hi / self.spacing - tol), int(self.kmax[ax]))
-            if k0 > k1:
-                return np.zeros(0, dtype=np.int64)
-            k = np.arange(k0 - self.kmin[ax], k1 - self.kmin[ax] + 1)
+            first.append(max(math.floor(lo / self.spacing + tol),
+                             int(self.kmin[ax])) - int(self.kmin[ax]))
+            last.append(min(math.ceil(hi / self.spacing - tol),
+                            int(self.kmax[ax])) - int(self.kmin[ax]))
+        return first, last
+
+    def _range_indices(self, first, last) -> np.ndarray:
+        """Sorted flat indices of the points whose index on each axis lies
+        in [first, last] (counted from kmin)."""
+        if any(a > b for a, b in zip(first, last)):
+            return np.zeros(0, dtype=np.int64)
+        # axis by axis, the most significant first, so that the indices come
+        # out sorted without a sort and without a grid per axis
+        flat = np.zeros(1, dtype=np.int64)
+        for ax in range(self.dim):
+            k = np.arange(first[ax], last[ax] + 1)
             flat = (flat[:, None] + k * self.strides[ax]).reshape(-1)
         return flat
 

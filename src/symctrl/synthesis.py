@@ -173,9 +173,12 @@ def shared_lattices(plant: ControlSystem, specification: ControlSystem,
         st_lat = Lattice(box, 2.0 * params.eta)
     except EmptyLatticeError:
         return plant_lat, in_lat, np.zeros(0, dtype=np.int64)
-    initials = np.intersect1d(
-        st_lat.outer_range_indices(plant.init_box),
-        st_lat.outer_range_indices(specification.init_box))
+    # the index ranges, not the boxes, are intersected: disjoint initial
+    # boxes within one cell of each other still share cells
+    (p_first, p_last), (s_first, s_last) = (
+        st_lat._outer_range(sys.init_box) for sys in (plant, specification))
+    initials = st_lat._range_indices(list(map(max, p_first, s_first)),
+                                     list(map(min, p_last, s_last)))
     return st_lat, in_lat, initials
 
 

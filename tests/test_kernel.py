@@ -13,7 +13,7 @@ import pytest
 
 from symctrl import (ControlSystem, DivergenceError, flow, flow_many,
                      parse_expression)
-from symctrl.dynamics import TILE_ROWS, _flow_tile
+from symctrl.dynamics import ROW_TILE, TILE_ROWS, _flow_tile
 from symctrl.expr import Call, EvalDomainError, Neg, Num, Var
 
 from _systems import every_operator_system, linear_pair, nonlinear_pair
@@ -155,8 +155,8 @@ def test_kernel_matches_closure_rk4(case, monkeypatch):
     ref = reference_flow_tile(sys, X, U, tau, substeps)
     assert np.all(np.isfinite(ref))
     # one tile runs on the calling thread; the row count alone picks the
-    # kernel, over arrays or, for one row, over floats
-    for size in (7, 256, TILE_ROWS):
+    # kernel, over floats row by row up to ROW_TILE rows, else over arrays
+    for size in (2, 7, ROW_TILE, ROW_TILE + 1, 256, TILE_ROWS):
         assert np.array_equal(_flow_tile(sys, X[:size], U[:size], tau,
                                          substeps), ref[:size]), size
     for i in range(0, rows, 2053):
@@ -201,10 +201,14 @@ def domain_system(text):
 
 @pytest.mark.parametrize("text", ["sqrt(x1) + u1", "0.1/x1 - u1",
                                   "0.1*x1^-1 - u1", "x1^0.5 + u1",
-                                  "(x1 + 0.5)^x1 + u1", "sqrt(0 - 1) + x1"])
+                                  "(x1 + 0.5)^x1 + u1", "sqrt(0 - 1) + x1",
+                                  "x1 - 0.1/u1"])
 def test_rows_leaving_the_domain_end_at_nan(text):
     # a row ends at NaN exactly when the reference, run on that row alone,
-    # raises EvalDomainError; every other row keeps its endpoint
+    # raises EvalDomainError; every other row keeps its endpoint, whether it
+    # flows in a long tile (over arrays), in a ROW_TILE-row tile (row by row
+    # over floats) or alone.  x1 - 0.1/u1 divides in the prologue, where a
+    # zero divisor would raise over floats
     sys = domain_system(text)
     rng = np.random.default_rng(23)
     X = np.concatenate([[[0.0], [-0.0], [0.3], [-0.3]],
@@ -212,15 +216,17 @@ def test_rows_leaving_the_domain_end_at_nan(text):
     U = np.concatenate([[[0.0], [0.1], [-0.5], [0.5]],
                         rng.uniform(-0.5, 0.5, size=(96, 1))])
     batch = _flow_tile(sys, X, U, 1.0, 5)
+    small = _flow_tile(sys, X[:ROW_TILE], U[:ROW_TILE], 1.0, 5)
     for i in range(X.shape[0]):
         alone = _flow_tile(sys, X[i:i + 1], U[i:i + 1], 1.0, 5)
+        flowed = [batch[i:i + 1], alone] + ([small[i:i + 1]]
+                                            if i < ROW_TILE else [])
         try:
             ref = reference_flow_tile(sys, X[i:i + 1], U[i:i + 1], 1.0, 5)
         except EvalDomainError:
-            assert np.all(np.isnan(batch[i])) and np.all(np.isnan(alone)), i
+            assert all(np.all(np.isnan(z)) for z in flowed), i
         else:
-            assert np.array_equal(batch[i:i + 1], ref), i
-            assert np.array_equal(alone, ref), i
+            assert all(np.array_equal(z, ref) for z in flowed), i
 
 
 def test_flow_raises_on_leaving_the_domain():

@@ -7,8 +7,9 @@ from symctrl import (ClosedLoopTrace, UncontrolledStateError, Controller,
                      conformance_report, flow_many, loop,
                      simulate_closed_loop, synthesize_baseline,
                      synthesize_integrated)
+from symctrl.dynamics import DEFAULT_SUBSTEPS, ROW_TILE, _flow_tile
 
-from _systems import linear_pair, toy_pair
+from _systems import linear_pair, nonlinear_pair, toy_pair
 
 
 def toy_controller():
@@ -129,9 +130,11 @@ def test_closed_loop_conformance_over_initial_cells():
             assert conformance_report(trace, params.epsilon).passed
 
 
-def recomputing_loop(plant, spec, ctrl, x0, steps, params):
-    """The closed loop with the landing argmin recomputed at every step;
-    returns the states, spec states, inputs and visited symbolic states."""
+def recomputing_loop(plant, spec, ctrl, x0, steps, params,
+                     landings_of=flow_many):
+    """The closed loop with the landing argmin recomputed at every step,
+    from the landings `landings_of` flows; returns the states, spec states,
+    inputs and visited symbolic states."""
     lattice, u_values = ctrl.state_lattice, ctrl.input_values()
     c = int(lattice.quantize_index(x0))
     x, s = x0, lattice.point(c)
@@ -140,7 +143,8 @@ def recomputing_loop(plant, spec, ctrl, x0, steps, params):
         cells.append(c)
         options = ctrl.options(c)
         cell = np.repeat(lattice.point(c).reshape(1, -1), len(options), 0)
-        landings = flow_many(plant, cell, u_values[options[:, 0]], params.tau)
+        landings = landings_of(plant, cell, u_values[options[:, 0]],
+                               params.tau)
         miss = np.max(np.abs(landings - lattice.points()[options[:, 1]]),
                       axis=1)
         uix, c = (int(v) for v in options[int(np.argmin(miss))])
@@ -179,3 +183,29 @@ def test_relational_choice_made_once_per_cell(monkeypatch):
         # one-row plant and spec flows every step, one landing flow per cell
         assert calls.count(1) == 2 * steps
         assert sum(rows > 1 for rows in calls) == len(set(cells))
+
+
+def test_relational_nonlinear_loop_matches_the_array_kernel():
+    # the benchmark's nonlinear-pair problem: a relational cell of its
+    # baseline controller has 2 to 16 options, whose landings the loop flows
+    # row by row over floats; the tile kernel over arrays must give the same
+    # trace (its endpoints do not depend on `hull`, which forces it)
+    plant, spec, params = nonlinear_pair()
+    params = dataclasses.replace(params, eta=1.0 / 15.0, mu=0.01)
+    ctrl, _ = synthesize_baseline(plant, spec, params, force=True)
+    src, count = np.unique(ctrl.transitions[:, 0], return_counts=True)
+    relational = np.intersect1d(src[count > 1], ctrl.initials)
+    assert relational.size >= 6 and count.max() <= ROW_TILE
+
+    def array_landings(sys, X, U, tau):
+        return _flow_tile(sys, X, U, tau, DEFAULT_SUBSTEPS, hull=True)[0]
+
+    for idx in relational[::relational.size // 6][:6]:
+        x0 = ctrl.state_lattice.point(int(idx))
+        xs, ss, us, cells = recomputing_loop(plant, spec, ctrl, x0, 20,
+                                             params, array_landings)
+        assert ctrl.options(cells[0]).shape[0] > 1
+        trace = simulate_closed_loop(plant, spec, ctrl, x0, 20, params)
+        assert np.array_equal(trace.states, xs)
+        assert np.array_equal(trace.spec_states, ss)
+        assert np.array_equal(trace.inputs, us)

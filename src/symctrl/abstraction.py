@@ -15,12 +15,13 @@ input sub-lattice first, recording the hulls of the RK4 stage points
 with its input (_GrowthBound).  Then, over nested input levels of finer and
 finer strides (_InputSplit), it decides each level's rows from the endpoints
 the earlier levels flowed: a row misses the box when a known neighbour's
-endpoint is too far outside it, and lands in a cell when the bound keeps
-the row in the neighbour's cell (_radii, _decide).  It flows what is left,
-and the next level may use those endpoints in turn.  The box is the cells'
-cover for the abstraction, which takes a row proved to land as its cell,
-and each state's target cell for the integrated route of `synthesis`,
-which flows such rows for their endpoints.
+endpoint is too far outside it (_radii), and lands in a cell when the boxes
+the bound draws around its known neighbours' endpoints intersect in that
+cell (_decide).  It flows what is left, and the next level may use those
+endpoints in turn.  The box is the cells' cover for the abstraction, which
+takes a row proved to land as its cell, and each state's target cell for
+the integrated route of `synthesis`, which flows such rows for their
+endpoints.
 """
 
 from __future__ import annotations
@@ -289,121 +290,116 @@ class _GrowthBound:
         return G, sure
 
 
-def _radii(Z: np.ndarray, cells: np.ndarray, P: np.ndarray,
-           half: np.ndarray, g: np.ndarray, lat: Lattice, land: bool):
-    """(miss, lands): what the endpoint Z[r] of a flowed row proves of the
-    rows from the same state, with P[r] the centre of the state's box and
-    g[r] the row sums of its growth bound.  A row whose input differs by
-    at most d on every axis has its endpoint within G |du| <= g d of Z, up
-    to rounding, which the margin pad = _MARGIN (1 + |Z|) covers.  So it
-    misses the box when d < miss[r]: on some axis, Z is farther than g d
-    plus the margin from the box.  With `land`, it lands in Z's cell,
-    cells[r], when d <= lands[r]: on every axis, g d is within the room of
-    Z.  NaN proves nothing; lands is None without `land`.
-
-    The room is how far an endpoint may be from Z, before the margin is
-    added, and still quantize as Z does.  It is checked at the lattice's own
-    floor((z + s/2) / s): that puts both corners of the box Z -+ (room +
-    pad) in Z's cell, and the map is monotone, so every point between them
-    is in the cell too.  For one input axis, g d is G |du| itself; for more,
-    it bounds it.  Dividing by g rounds by far less than the margin.
+def _radii(Z: np.ndarray, P: np.ndarray, half: np.ndarray,
+           g: np.ndarray) -> np.ndarray:
+    """What the endpoint Z[r] of a flowed row proves of the rows from the
+    same state, with P[r] the centre of the state's box and g[r] the row
+    sums of its growth bound.  A row whose input differs by at most d on
+    every axis ends within G |du| <= g d of Z (g d is G |du| for one input
+    axis), up to rounding, which the margin _MARGIN (1 + |Z|) covers.  So
+    it misses the box when d < miss[r]: on some axis, Z is farther than g d
+    plus the margin from the box.  NaN proves nothing.
     """
     miss = np.empty(Z.shape[0])
-    lands = np.empty(Z.shape[0]) if land else None
-    # a slice of rows at a time, so that the temporaries stay small
+    # a slice of rows at a time, so that the temporaries stay small, and
+    # over the axes first, so that each axis is one contiguous run
     for a in range(0, Z.shape[0], _PROOF_ROWS):
         rows = slice(a, a + _PROOF_ROWS)
-        _radii_of(Z[rows], cells[rows], P[rows], half, g[rows], lat,
-                  miss[rows], None if lands is None else lands[rows])
-    return miss, lands
-
-
-def _radii_of(Z, cells, P, half, g, lat, miss, lands):
-    # _radii of a few rows, into miss and lands
-    h, sp = lat.spacing / 2.0, lat.spacing
-    # over the axes first, so that each axis is one contiguous run
-    Z, g = np.ascontiguousarray(Z.T), np.ascontiguousarray(g.T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pad = np.abs(Z)
-        pad += 1.0
-        pad *= _MARGIN
-        # g = 0 gives +-inf, or NaN for 0 / 0
-        gap = Z - P.T
-        np.abs(gap, out=gap)
-        gap -= half[:, None]
-        gap -= pad
-        gap /= g
-        np.fmax.reduce(gap, axis=0, out=miss)
-        if lands is not None:
-            t = Z + h
-            K = np.floor(t / sp)
-            edge = K * sp
-            # the distances to the cell's edges, less the margin twice:
-            # once for the row, once for the rounding of these differences
-            below = t - edge
-            below -= pad
-            below -= pad
-            above = edge + sp
-            above -= t
-            above -= pad
-            above -= pad
-            for room, side in ((below, -1.0), (above, 1.0)):
-                x = room + pad
-                x *= side
-                x += Z
-                x += h
-                x /= sp
-                room[np.floor(x, out=x) != K] = np.nan
-            room = np.minimum(below, above, out=below)
-            room[room < 0.0] = np.nan
-            room /= g
-            np.minimum.reduce(room, axis=0, out=lands)
-            lands[cells < 0] = np.nan
-    bad = ~np.isfinite(Z).all(axis=0)
-    miss[bad] = np.nan
-    if lands is not None:
-        lands[bad] = np.nan
+        z, gr = (np.ascontiguousarray(v[rows].T) for v in (Z, g))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pad = np.abs(z)
+            pad += 1.0
+            pad *= _MARGIN
+            # g = 0 gives +-inf, or NaN for 0 / 0
+            gap = z - P[rows].T
+            np.abs(gap, out=gap)
+            gap -= half[:, None]
+            gap -= pad
+            gap /= gr
+            np.fmax.reduce(gap, axis=0, out=miss[rows])
+        miss[rows][~np.isfinite(z).all(axis=0)] = np.nan
+    return miss
 
 
 def _decide(level: _Level, groups: list, MISS: np.ndarray,
-            LANDS: Optional[np.ndarray], C: Optional[np.ndarray],
+            E: Optional[list], tops: list, g: np.ndarray, lat: Lattice,
             inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(keep, cell) over the rows (state s, level.inputs[f]): keep whether
     the row may still land in its state's box, and cell the lattice cell it
     is proved to land in (-1 if none).  A row proved to land is not kept.
-    MISS[p, s], LANDS[p, s] and C[p, s] are the radii (_radii) and cells of
-    the known endpoints, NaN where a corner proves nothing; LANDS and C are
-    None when no landing is proved.  inside[s, f] is whether the row's
-    stage points lie in the growth bound's region.  Only the corners on the
-    earlier levels in `groups` are compared with: the others are not
-    known."""
-    n_k = level.inputs.size
-    S = inside.shape[0]
+    MISS[p, s] are the radii (_radii) of the known endpoints and E[ax][p, s]
+    their coordinates, NaN where a corner proves nothing; E is None when no
+    landing is proved, and the largest of tops bounds |E[ax]| per axis.
+    g[ax, s] is the row sum of state s's growth bound, and inside[s, f]
+    whether the row's stage points lie in its region.  The corners compared
+    with are those on the earlier levels in `groups`.
+
+    A row misses when a corner's radius exceeds its input distance d.  It
+    lands when the box the corners bound it to, [max (Z - g d), min (Z + g
+    d)] per axis, padded twice by _MARGIN (1 + that bound, or the cells' on
+    |z| if larger), for the row and for the box's rounding, has both ends in
+    one cell at the lattice's monotone floor((z + s/2) / s).  Per axis the
+    box's ends are some corner's, so it proves no miss one corner does not.
+    """
+    S, n_k = inside.shape
     keep = np.ones((S, n_k), dtype=bool)
     cell = np.full((S, n_k), -1, dtype=np.int32)
+    corners = [(p, d[:, None]) for j in groups
+               for p, d in zip(level.corner[j].T, level.dist[j].T)]
+    if E is not None:
+        sp = lat.spacing
+        reach = (np.maximum(-lat.kmin, lat.kmax) + 0.5) * sp  # of the cells
+        pad = _MARGIN * (1.0 + np.maximum(np.max(tops, axis=0), reach))
+        # the corners' few distances, and each corner's place among them
+        dist, at_d = np.unique([d for j in groups for d in level.dist[j].T],
+                               return_inverse=True)
+        at_d = at_d.reshape(len(corners), n_k)
 
     # a few states at a time, so that the temporaries stay small; the
     # arrays run over the states last, so that a corner's row is contiguous
     step = max(1, TILE_ROWS // n_k)
     for a in range(0, S, step):
         s = slice(a, min(S, a + step))
-        size = s.stop - s.start
-        miss = np.zeros((n_k, size), dtype=bool)
-        by = np.full((n_k, size), -1, dtype=np.intp)  # the landing corner
-        misses = bool((MISS[:, s] > 0.0).any())
-        for j in groups:
-            for p, d in zip(level.corner[j].T, level.dist[j].T):
-                d = d[:, None]
-                if misses:
-                    miss |= MISS[p, s] > d
-                if LANDS is not None:
-                    np.copyto(by, p[:, None], where=LANDS[p, s] >= d)
+        done = np.zeros((n_k, s.stop - a), dtype=bool)
+        if (MISS[:, s] > 0.0).any():
+            for p, d in corners:
+                done |= MISS[p, s] > d
         ok = inside[s].T
-        keep[s] = ~(ok & (miss | (by >= 0))).T
-        if LANDS is not None:
-            hit = ok & ~miss & (by >= 0)
-            cell[s] = np.where(hit, np.take_along_axis(
-                C[:, s], np.maximum(by, 0), axis=0), -1).T
+        if E is not None:
+            # the inputs with a row that may still land, their rows and cells
+            rows = np.flatnonzero((ok & ~done).any(axis=1))
+            live = ok[rows] & ~done[rows]
+            at = np.zeros(live.shape)
+            for ax, (e, ga, pd) in enumerate(zip(E, g[:, s], pad)):
+                w, t, lo, hi = (np.empty(live.shape) for _ in range(4))
+                # g d from a table of the few distances: row copies cost
+                # less than an outer product over short rows
+                gd = dist[:, None] * ga
+                for i, (p, _) in enumerate(corners):
+                    z = e[p[rows], s]
+                    np.take(gd, at_d[i][rows], axis=0, out=w, mode="clip")
+                    if i:
+                        np.fmin(hi, np.add(z, w, out=t), out=hi)
+                        np.fmax(lo, np.subtract(z, w, out=z), out=lo)
+                    else:
+                        np.add(z, w, out=hi)
+                        np.subtract(z, w, out=lo)
+                for end, side in ((lo, -1.0), (hi, 1.0)):
+                    end += sp / 2.0 + side * 2.0 * pd
+                    end /= sp
+                    np.floor(end, out=end)
+                # both ends in one cell, and that cell in range: an end
+                # past the range clips to a half index, which no floor is
+                live &= lo == np.clip(hi, lat.kmin[ax] - 0.5,
+                                      lat.kmax[ax] + 0.5, out=hi)
+                lo *= lat.strides[ax]
+                at += lo
+                # the next axis takes the inputs with a row still landing
+                sel = live.any(axis=1)
+                rows, live, at = rows[sel], live[sel], at[sel]
+            done[rows] |= live
+            cell[s, rows] = np.where(live, at - lat.kmin @ lat.strides, -1).T
+        keep[s] = ~(ok & done).T
     return keep, cell
 
 
@@ -455,22 +451,24 @@ class RowEngine:
         visit(src, cols, Z, cells): its rows' positions in X, input indices,
         endpoints and cells (-1 off the lattice).  With `cells_suffice`,
         visit also gets the rows proved to land, with Z None; without, those
-        rows are flowed.  Tiles are disjoint and run on the flow workers, so
-        visit must be safe to call from several threads at once.
+        rows are flowed and only misses are proved.  Tiles are disjoint and
+        run on the flow workers, so visit must be safe to call from several
+        threads at once.
 
         1. Every coarse input, flowed under a mask that keeps every row,
            with the hulls of its stage points; without other inputs, every
            row, flowed without them, and nothing more.
         2. The growth bound of each state with a finite coarse row.
         3. The radii (_radii) of the coarse endpoints of the states with a
-           sure bound.
+           sure bound and, with `cells_suffice`, their coordinates.
         4. Level by level (_InputSplit), the proofs (_decide) against the
            known endpoints of the earlier levels, then a flow of the rows
            they leave undecided, each tile finding its rows in the
-           keep-mask and taking the radii of its own.  Only a flowed row's
-           endpoint is known to the later levels: a decided row proves
-           nothing.  A level that keeps fewer than _PASS_ROWS rows is
-           flowed with the next one instead, and proves nothing to it.
+           keep-mask and keeping the radii and coordinates of its own.
+           Only a flowed row's endpoint is known to the later levels: a
+           decided row proves nothing.  A level that keeps fewer than
+           _PASS_ROWS rows is flowed with the next one instead, and proves
+           nothing to it.
         A row proved to miss would not have landed in the box, and one
         proved to land lands in the cell it is handed over with.  With
         `cells_suffice`, the box must be a union of the lattice's cells.
@@ -482,13 +480,13 @@ class RowEngine:
         def first(src, f, Z, cells, *hulls):
             visit(src, coarse[f], Z, cells)
             # handed back, so that no buffer adds to the kernel's peak
-            return (Z,) + hulls + (cells,) if hull else None
+            return (Z,) + hulls if hull else None
 
         parts = self._flow_kept(X, np.ones((S, n_c), dtype=bool), coarse,
                                 first, hull)
         if not hull:
             return S * n_c, 0
-        Z, lo, hi, cells = (np.concatenate(k) for k in zip(*parts))
+        Z, lo, hi = (np.concatenate(k) for k in zip(*parts))
         del parts
         fin = (np.isfinite(Z).all(axis=1) & np.isfinite(lo).all(axis=1)
                & np.isfinite(hi).all(axis=1)).reshape(S, n_c)
@@ -503,20 +501,21 @@ class RowEngine:
             np.where(f, hi[states], -np.inf).max(axis=1))
         del lo, hi
         g = G.sum(axis=2)
-        # the known endpoints' radii and cells, over the states last; the
-        # workers of a level fill in its flowed rows
+        # the known endpoints' radii and, with `cells_suffice`, coordinates
+        # (an array per axis: one block lifts glibc's mmap threshold past the
+        # row parts), over the states last; the workers fill in their rows
         MISS = np.full((self.split.n_known, S), np.nan)
-        LANDS = C = None
-        miss, lands = _radii(Z, cells, P[src], half, g[src], self.st_lat,
-                             cells_suffice)
+        E = ([np.full((self.split.n_known, S), np.nan) for _ in range(n)]
+             if cells_suffice else None)
         proves = (sure[:, None] & fin).T
-        MISS[:n_c][proves] = miss.reshape(S, n_c).T[proves]
-        if cells_suffice:
-            LANDS = np.full((self.split.n_known, S), np.nan)
-            LANDS[:n_c][proves] = lands.reshape(S, n_c).T[proves]
-            C = np.full((self.split.n_known, S), -1, dtype=np.int32)
-            C[:n_c] = cells.reshape(S, n_c).T
-        del Z, cells, src, miss, lands
+        MISS[:n_c][proves] = _radii(Z, P[src], half, g[src]).reshape(
+            S, n_c).T[proves]
+        for e, z in zip(E or (), Z.T):
+            e[:n_c][proves] = z.reshape(S, n_c).T[proves]
+        # per flowed tile, the largest |Z| per axis of the endpoints kept
+        tops = ([np.abs(Z[proves.T.ravel()]).max(axis=0, initial=0.0)]
+                if E else [])
+        del Z, src
         flowed, landed = S * n_c, 0
         pos = self.split.pos
         known = [0]  # the levels whose rows were flowed
@@ -524,7 +523,8 @@ class RowEngine:
         carried = []
         for k, level in enumerate(self.split.levels, 1):
             inside = sure[:, None] & fin[:, level.corner[0]].any(axis=2)
-            keep, cell = _decide(level, known, MISS, LANDS, C, inside)
+            keep, cell = _decide(level, known, MISS, E, tops, g.T.copy(),
+                                 self.st_lat, inside)
             src, f = np.nonzero(cell >= 0)
             if src.size:
                 visit(src, level.inputs[f], None, cell[src, f])
@@ -548,13 +548,13 @@ class RowEngine:
                 at = pos[inputs[f]]
                 w = (at >= 0) & inside[src, f]
                 if w.any():
-                    miss, lands = _radii(Z[w], cells[w], P[src[w]], half,
-                                         g[src[w]], self.st_lat,
-                                         cells_suffice)
-                    MISS[at[w], src[w]] = miss
-                    if LANDS is not None:
-                        LANDS[at[w], src[w]] = lands
-                        C[at[w], src[w]] = cells[w]
+                    MISS[at[w], src[w]] = _radii(Z[w], P[src[w]], half,
+                                                 g[src[w]])
+                if E and w.any():
+                    w &= np.isfinite(Z).all(axis=1)
+                    for e, z in zip(E, Z[w].T):
+                        e[at[w], src[w]] = z
+                    tops.append(np.abs(Z[w]).max(axis=0, initial=0.0))
 
             self._flow_kept(X, keep, inputs, on_tile)
             flowed += int(keep.sum())

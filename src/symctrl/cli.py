@@ -448,9 +448,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_x0(argv: List[str]) -> List[str]:
+    """argv with `--x0 V` written `--x0=V` where V starts with a minus
+    sign: argparse takes a V such as -0.1,0.0, which is no plain negative
+    number, for an option and leaves --x0 without a value."""
+    argv = list(argv)
+    for i in range(len(argv) - 1):
+        if argv[i] == "--x0" and re.match(r"-[\d.]", argv[i + 1]):
+            argv[i:i + 2] = [f"--x0={argv[i + 1]}"]
+            break
+    return argv
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_x0(sys.argv[1:] if argv is None
+                                        else argv))
     try:
         thread_count()  # a malformed SYMCTRL_THREADS fails before any work
     except ValueError as exc:

@@ -2,16 +2,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
-                     StabilityCertificate, abstraction, build_abstraction,
-                     check_bisimulation, dynamics, flow_many,
-                     is_deterministic, parse_expression)
+                     StabilityCertificate, SynthesisParams, abstraction,
+                     build_abstraction, check_bisimulation, dynamics,
+                     flow_many, is_deterministic, parse_expression)
 from symctrl.dynamics import TILE_ROWS
 from symctrl.quantize import Lattice
 
-from _systems import linear_pair, problems, toy_pair
+from _systems import linear_pair, nonlinear_pair, problems, toy_pair
 
 
 def full_sweep(sys, spec):
@@ -250,13 +250,67 @@ def test_abstraction_equals_full_sweep_on_linear_1():
     assert fs.rows_landed > 0
 
 
+def test_bracketing_corners_prove_a_landing_neither_proves_alone(
+        monkeypatch):
+    # a row lies in the intersection of its known corners' growth boxes; on
+    # an affine plant two corners on either side of its input shrink that
+    # to nearly a point, while each box alone crosses a cell edge
+    plant, _, params = linear_pair(1)
+    spec = AbstractionSpec(params.tau, 0.05, 0.01, 20)
+    seen = {"landed": 0, "bracketed": 0}
+    decide = abstraction._decide
+
+    def checking(level, groups, MISS, E, tops, g, lat, inside):
+        keep, cell = decide(level, groups, MISS, E, tops, g, lat, inside)
+        src, f = np.nonzero(cell >= 0)
+        alone = np.zeros(src.size, dtype=bool)
+        for j in groups:
+            for p, d in zip(level.corner[j].T, level.dist[j].T):
+                # the corner's own box, unpadded, within one cell per axis;
+                # a NaN corner fits nowhere
+                fits = np.ones(src.size, dtype=bool)
+                for e, ga in zip(E, g):
+                    z, w = e[p[f], src], ga[src] * d[f]
+                    k = np.floor((np.stack([z - w, z + w]) + lat.spacing / 2)
+                                 / lat.spacing)
+                    fits &= k[0] == k[1]
+                alone |= fits
+        seen["landed"] += src.size
+        seen["bracketed"] += int((~alone).sum())
+        return keep, cell
+
+    monkeypatch.setattr(abstraction, "_decide", checking)
+    fs = assert_matches_full_sweep(plant, spec)
+    assert fs.rows_landed == seen["landed"]
+    assert seen["bracketed"] > 0, seen
+
+
+def landing_problems():
+    """Fixed problems whose rows are proved to land, in the form of
+    `problems()`: the linear-pair plant and the nonlinear plant on coarse
+    lattices.  The nonlinear plant's growth bound needs 1 + h inf J_ii >= 0,
+    so 50 substeps."""
+    out = []
+    for pair, eta, mu, substeps in ((lambda: linear_pair(1), 0.05, 0.01, 20),
+                                    (nonlinear_pair, 0.2, 0.02, 50)):
+        plant, spec, params = pair()
+        out.append((plant, spec, SynthesisParams(
+            epsilon=params.epsilon, theta_p=params.theta_p,
+            theta_q=params.theta_q, tau=params.tau, eta=eta, mu=mu), substeps))
+    return out
+
+
+LANDING_PROBLEMS = landing_problems()
+
+
 @pytest.mark.parametrize("pass_rows", [0, abstraction._PASS_ROWS],
                          ids=["own-passes", "carried"])
 def test_cells_suffice_changes_only_the_rows_flowed(monkeypatch, pass_rows):
     # handing the rows proved to land over as cells (the baseline's choice)
     # and flowing them (the integrated route's) give the same successors in
     # the box, against the cover and against each state's own cell, with
-    # every level flowed on its own and with the small ones carried
+    # every level flowed on its own and with the small ones carried.  The
+    # fixed landing problems must land rows whatever the draws do
     monkeypatch.setattr(abstraction, "_PASS_ROWS", pass_rows)
     seen = {"examples": 0, "landed": 0}
 
@@ -264,6 +318,8 @@ def test_cells_suffice_changes_only_the_rows_flowed(monkeypatch, pass_rows):
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(problems())
+    @example(LANDING_PROBLEMS[0])
+    @example(LANDING_PROBLEMS[1])
     def check(problem):
         plant, _, params, substeps = problem
         st_lat = Lattice(plant.state_box, 2.0 * params.eta)
@@ -295,6 +351,7 @@ def test_cells_suffice_changes_only_the_rows_flowed(monkeypatch, pass_rows):
             assert np.array_equal(succ[0], succ[1])
             assert landed[0] == 0
             hit |= landed[1] > 0
+        assert hit or all(problem is not p for p in LANDING_PROBLEMS)
         seen["examples"] += 1
         seen["landed"] += hit
 

@@ -524,6 +524,27 @@ def test_simulate_malformed_x0_exit1(tmp_path, capsys):
     assert "--steps" in captured.err and "[pass]" not in captured.out
 
 
+def test_simulate_takes_a_negative_point_after_a_space(tmp_path, capsys):
+    # -0.1,0.0 is no plain negative number, so argparse took it for an
+    # option and left --x0 without a value; both spellings must run the
+    # same closed loop from a controlled initial cell of linear example 1
+    with open(LINEAR1) as fh:
+        doc = json.load(fh)
+    doc["params"]["mu"] = 0.01
+    path = write_json(tmp_path / "linear_1.json", doc)
+    ctrl_path = str(tmp_path / "linear_1.ctrl")
+    assert main(["synthesize", path, "--out", ctrl_path]) == 0
+    traces = []
+    for x0 in (["--x0", "-0.1,0.0"], ["--x0=-0.1,0.0"]):
+        out = tmp_path / f"trace{len(traces)}.csv"
+        capsys.readouterr()
+        assert main(["simulate", path, ctrl_path, *x0, "--steps", "5",
+                     "--out", str(out)]) == 0
+        assert "[pass]" in capsys.readouterr().out
+        traces.append(out.read_text())
+    assert traces[0] == traces[1]
+
+
 def test_compare_reports_ratios_and_bisimilarity(capsys):
     assert main(["compare", TOY]) == 0
     out = capsys.readouterr().out

@@ -249,8 +249,8 @@ def test_rows_flowed_counts_the_flowed_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("pair, eta, integrated, baseline, landed", [
-    (lambda: linear_pair(1), None, 13_496, 293_853, 1_954),
-    (nonlinear_pair, 1 / 15, 15_920, 211_476, 132_774)],
+    (lambda: linear_pair(1), None, 13_496, 184_504, 111_303),
+    (nonlinear_pair, 1 / 15, 15_920, 200_276, 143_974)],
     ids=["linear-pair", "nonlinear-pair"])
 def test_rows_flowed_on_the_benchmark_problems(pair, eta, integrated,
                                                baseline, landed):

@@ -17,7 +17,9 @@ finer strides (_InputSplit), it decides each level's rows from the endpoints
 the earlier levels flowed: a row misses the box when a known neighbour's
 endpoint is too far outside it (_radii), and lands in a cell when the boxes
 the bound draws around its known neighbours' endpoints intersect in that
-cell (_decide).  It flows what is left, and the next level may use those
+cell (_decide).  On a plant affine in (x, u) the chord of its coarse
+neighbours' endpoints is one more box, nearly a point, which decides nearly
+every row.  It flows what is left, and the next level may use those
 endpoints in turn.  The box is the cells' cover for the abstraction, which
 takes a row proved to land as its cell, and each state's target cell for
 the integrated route of `synthesis`, which flows such rows for their
@@ -34,7 +36,7 @@ import numpy as np
 
 from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
-from .expr import Var, derivative, enclose
+from .expr import Var, derivative, enclose, is_affine
 from .quantize import Lattice
 from .tsys import FiniteSystem, _join, _rows
 
@@ -93,11 +95,15 @@ class _Level:
     """The inputs of one level past the first.  corner[j][f, q] is the
     position among the known endpoints (see _InputSplit) of corner q of
     input inputs[f] on earlier level j, and dist[j][f, q] the largest
-    distance between the two inputs on an input axis."""
+    distance between the two inputs on an input axis.  weight[f, q], for
+    a plant whose field is affine (expr.is_affine), is corner q's
+    multilinear interpolation weight on level 0: the sum of the coarse
+    corners' inputs so weighted is inputs[f]; None otherwise."""
 
     inputs: np.ndarray
     corner: list
     dist: list
+    weight: Optional[np.ndarray]
 
 
 class _InputSplit:
@@ -114,11 +120,14 @@ class _InputSplit:
     own and the nearest at or above.  pos[u] is the position of input u
     among the known endpoints, those of every level but the last, in level
     order (-1 on the last level).  reach is the largest distance, per axis,
-    between an input and one of its coarse corners.  With few points per
-    axis every input is coarse; an autonomous plant has the one zero input.
+    between an input and one of its coarse corners.  With `chord`, each
+    level also holds its inputs' interpolation weights on level 0 (_Level).
+    With few points per axis every input is coarse; an autonomous plant has
+    the one zero input.
     """
 
-    def __init__(self, in_lat: Optional[Lattice], u_pts: np.ndarray):
+    def __init__(self, in_lat: Optional[Lattice], u_pts: np.ndarray,
+                 chord: bool):
         n_u, m = u_pts.shape
         counts = [] if in_lat is None else in_lat.counts
         strides = []
@@ -143,16 +152,20 @@ class _InputSplit:
             level[inside] = lv
 
         def nearest(kf, grid):
-            # input indices of the 2^m nearest points of `grid` around kf
+            # input indices of the 2^m nearest points of `grid` around kf,
+            # and their multilinear weights: per axis, t on the point above
+            # and 1 - t on the one below, t kf's fraction of the way up
             out = np.zeros((kf.shape[0], 1 << m), dtype=np.int64)
-            for q in range(1 << m):
-                for ax, g in enumerate(grid):
-                    if (q >> ax) & 1:  # the nearest index above
-                        j = np.searchsorted(g, kf[:, ax], "left")
-                    else:  # below
-                        j = np.searchsorted(g, kf[:, ax], "right") - 1
-                    out[:, q] += g[j] * in_lat.strides[ax]
-            return out
+            weight = np.ones((kf.shape[0], 1 << m))
+            for ax, g in enumerate(grid):
+                below = g[np.searchsorted(g, kf[:, ax], "right") - 1]
+                above = g[np.searchsorted(g, kf[:, ax], "left")]
+                t = (kf[:, ax] - below) / np.maximum(above - below, 1)
+                for q in range(1 << m):
+                    up = (q >> ax) & 1
+                    out[:, q] += (above if up else below) * in_lat.strides[ax]
+                    weight[:, q] *= t if up else 1.0 - t
+            return out, weight
 
         self.coarse = np.flatnonzero(level == 0)
         known = np.flatnonzero(level < n_levels - 1)
@@ -164,11 +177,13 @@ class _InputSplit:
         self.reach = np.zeros(m)
         for lv in range(1, n_levels):
             inputs = np.flatnonzero(level == lv)
-            corner = [nearest(k[inputs], grids[j]) for j in range(lv)]
+            corner, weight = zip(*(nearest(k[inputs], grids[j])
+                                   for j in range(lv)))
             du = [np.abs(u_pts[inputs][:, None, :] - u_pts[c]) for c in corner]
             self.reach = np.maximum(self.reach, du[0].max(axis=(0, 1)))
             self.levels.append(_Level(inputs, [self.pos[c] for c in corner],
-                                      [d.max(axis=2) for d in du]))
+                                      [d.max(axis=2) for d in du],
+                                      weight[0] if chord else None))
 
 
 class _GrowthBound:
@@ -321,6 +336,8 @@ def _radii(Z: np.ndarray, P: np.ndarray, half: np.ndarray,
     return miss
 
 
+# a box's ends far past the lattice may overflow to inf, as far outside it
+@np.errstate(over="ignore")
 def _decide(level: _Level, groups: list, MISS: np.ndarray,
             E: Optional[list], tops: list, g: np.ndarray, lat: Lattice,
             inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -340,6 +357,14 @@ def _decide(level: _Level, groups: list, MISS: np.ndarray,
     |z| if larger), for the row and for the box's rounding, has both ends in
     one cell at the lattice's monotone floor((z + s/2) / s).  Per axis the
     box's ends are some corner's, so it proves no miss one corner does not.
+
+    Where the plant is affine (level.weight), its RK4 endpoint is affine in
+    the input at a fixed state, in exact arithmetic, so a row's endpoint is
+    the chord of its coarse corners' endpoints, sum_q weight[f, q] Z_q, up
+    to the kernel's rounding, which the two pads cover as they cover the
+    corners'.  The chord is one more term of the intersection, and a box
+    that lies off the cells' cover on some axis proves a miss: the box
+    `run` is handed is a union of cells.
     """
     S, n_k = inside.shape
     keep = np.ones((S, n_k), dtype=bool)
@@ -354,6 +379,7 @@ def _decide(level: _Level, groups: list, MISS: np.ndarray,
         dist, at_d = np.unique([d for j in groups for d in level.dist[j].T],
                                return_inverse=True)
         at_d = at_d.reshape(len(corners), n_k)
+        chord, coarse = level.weight, level.corner[0]
 
     # a few states at a time, so that the temporaries stay small; the
     # arrays run over the states last, so that a corner's row is contiguous
@@ -384,10 +410,24 @@ def _decide(level: _Level, groups: list, MISS: np.ndarray,
                     else:
                         np.add(z, w, out=hi)
                         np.subtract(z, w, out=lo)
+                if chord is not None:
+                    # NaN, which fmin and fmax pass over, when a coarse
+                    # corner proves nothing
+                    np.multiply(e[coarse[rows, 0], s], chord[rows, :1], out=w)
+                    for q in range(1, chord.shape[1]):
+                        w += np.multiply(e[coarse[rows, q], s],
+                                         chord[rows, q:q + 1], out=t)
+                    np.fmax(lo, w, out=lo)
+                    np.fmin(hi, w, out=hi)
                 for end, side in ((lo, -1.0), (hi, 1.0)):
                     end += sp / 2.0 + side * 2.0 * pd
                     end /= sp
                     np.floor(end, out=end)
+                if chord is not None:
+                    # off the cover: a miss
+                    off = live & ((lo > lat.kmax[ax]) | (hi < lat.kmin[ax]))
+                    done[rows] |= off
+                    live &= ~off
                 # both ends in one cell, and that cell in range: an end
                 # past the range clips to a half index, which no floor is
                 live &= lo == np.clip(hi, lat.kmin[ax] - 0.5,
@@ -409,14 +449,17 @@ class RowEngine:
     lattice, input lattice (None for an autonomous system, whose one input
     is the constant zero), tau and substeps, it holds the inputs, their
     split and, when there are inputs past the coarse ones, the growth
-    bound."""
+    bound.  Whether the field is affine (expr.is_affine), and so whether
+    the landing proofs take the chord of the coarse corners (_decide), is
+    decided here once."""
 
     def __init__(self, sys: ControlSystem, st_lat: Lattice,
                  in_lat: Optional[Lattice], tau: float, substeps: int):
         self.sys, self.st_lat, self.tau, self.substeps = (sys, st_lat, tau,
                                                           substeps)
         self.inputs = np.zeros((1, 0)) if in_lat is None else in_lat.points()
-        self.split = _InputSplit(in_lat, self.inputs)
+        self.split = _InputSplit(in_lat, self.inputs,
+                                 chord=all(map(is_affine, sys.field)))
         self.bound = (_GrowthBound(sys, self.inputs, tau, substeps,
                                    self.split.reach)
                       if self.split.levels else None)
@@ -462,7 +505,9 @@ class RowEngine:
         3. The radii (_radii) of the coarse endpoints of the states with a
            sure bound and, with `cells_suffice`, their coordinates.
         4. Level by level (_InputSplit), the proofs (_decide) against the
-           known endpoints of the earlier levels, then a flow of the rows
+           known endpoints of the earlier levels (and, with
+           `cells_suffice` on an affine plant, the chord of the coarse
+           ones), then a flow of the rows
            they leave undecided, each tile finding its rows in the
            keep-mask and keeping the radii and coordinates of its own.
            Only a flowed row's endpoint is known to the later levels: a

@@ -29,8 +29,10 @@ arrays they mark the offending rows, whose results read NaN; over floats
 they run a given statement, which in `evaluate` raises EvalDomainError.
 
 `derivative` differentiates an AST symbolically and `enclose` bounds ASTs
-over boxes in interval arithmetic; the integrated route's growth bound is
-built from both.
+over boxes in interval arithmetic; the row engine's growth bound is built
+from both, and `is_affine` tells it which fields' flows are affine in the
+input.  The parser refuses an expression nested deeper than MAX_DEPTH, so
+that no walker over a tree runs out of Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
+
+# the deepest an expression may nest, in parentheses, function arguments,
+# signs and exponents as the parser reads it, and in levels of its tree.
+# The parser recurses about five calls per nesting, and every walker over a
+# tree (derivative, enclose, FieldCode, format_expression) one per level; a
+# derivative may be about three times as deep as its expression.  So both
+# stay well within Python's default limit of 1,000 frames
+MAX_DEPTH = 128
 
 
 class ExprSyntaxError(ValueError):
@@ -143,6 +153,7 @@ class _Parser:
     def __init__(self, tokens, n_states: int, n_inputs: int):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # the parse_unary calls open
         self.n_states = n_states
         self.n_inputs = n_inputs
 
@@ -170,18 +181,27 @@ class _Parser:
             node = Bin(op, node, self.parse_unary())
         return node
 
-    # unary := '-' unary | power; a negated literal is a negative literal
+    # unary := '-' unary | power; a negated literal is a negative literal.
+    # Every nesting (parenthesis, argument, sign, exponent) passes here
     def parse_unary(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.advance()
-            operand = self.parse_unary()
-            if isinstance(operand, Num):
-                return Num(-operand.value)
-            return Neg(operand)
-        if self.peek()[0] == "+":
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels",
+                self.peek()[2])
+        try:
+            if self.peek()[0] == "-":
+                self.advance()
+                operand = self.parse_unary()
+                if isinstance(operand, Num):
+                    return Num(-operand.value)
+                return Neg(operand)
+            if self.peek()[0] == "+":
+                self.advance()
+                return self.parse_unary()
+            return self.parse_power()
+        finally:
+            self.depth -= 1
 
     # power := atom ('^' unary)?   right-associative, exponent may be signed
     def parse_power(self) -> Expr:
@@ -235,7 +255,56 @@ def parse_expression(text: str, n_states: int, n_inputs: int) -> Expr:
     tok = parser.peek()
     if tok[0] != "end":
         raise ExprSyntaxError("trailing input", tok[2])
+    # a long sum or product nests its tree without nesting the parser
+    if _depth(node) > MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression nested deeper than {MAX_DEPTH} levels", 0)
     return node
+
+
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, Bin):
+        return (e.left, e.right)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
+
+
+def _depth(expr: Expr) -> int:
+    """The levels of a tree, counted without recursion."""
+    depth, stack = 0, [(expr, 1)]
+    while stack:
+        e, d = stack.pop()
+        depth = max(depth, d)
+        stack.extend((c, d + 1) for c in _children(e))
+    return depth
+
+
+def _has_variable(expr: Expr) -> bool:
+    return isinstance(expr, Var) or any(map(_has_variable, _children(expr)))
+
+
+def is_affine(expr: Expr) -> bool:
+    """Whether `expr` is affine in its variables by its structure: built of
+    literals, variables, signs, sums and differences, products with at most
+    one operand that holds a variable, quotients by a divisor without one,
+    and subexpressions without variables (a power, a function of
+    constants).  A field whose derivatives fold to constants is not enough:
+    x1 + 0*sqrt(x1 + 0.2) has a domain, so it is not affine."""
+    if not _has_variable(expr) or isinstance(expr, Var):
+        return True
+    if isinstance(expr, Neg):
+        return is_affine(expr.operand)
+    if isinstance(expr, Bin) and expr.op in "+-":
+        return is_affine(expr.left) and is_affine(expr.right)
+    if isinstance(expr, Bin) and expr.op == "*":
+        return ((not _has_variable(expr.left) and is_affine(expr.right))
+                or (not _has_variable(expr.right) and is_affine(expr.left)))
+    if isinstance(expr, Bin) and expr.op == "/":
+        return not _has_variable(expr.right) and is_affine(expr.left)
+    return False
 
 
 def format_expression(expr: Expr) -> str:

@@ -142,8 +142,10 @@ class Lattice:
             raise ValueError(f"points must be (N, {self.dim})")
         half = self.spacing / 2.0
         # range-check in float so that NaN, inf and values past int64 never
-        # reach the integer cast
-        K = np.floor((X + half) / self.spacing)
+        # reach the integer cast; a value far past the box may overflow to
+        # inf, which is as far outside it
+        with np.errstate(over="ignore"):
+            K = np.floor((X + half) / self.spacing)
         in_range = np.all((K >= self.kmin) & (K <= self.kmax), axis=1)
         K[~in_range] = self.kmin
         out = (K.astype(np.int64) - self.kmin) @ self.strides

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
                      StabilityCertificate, SynthesisParams, abstraction,
@@ -240,14 +241,115 @@ def test_abstraction_equals_full_sweep_on_random_problems(monkeypatch):
     assert seen["landed"] >= seen["examples"] // 4
 
 
+def engine_of(plant, spec):
+    return abstraction.RowEngine(
+        plant, Lattice(plant.state_box, 2.0 * spec.eta),
+        Lattice(plant.input_box, 2.0 * spec.mu), spec.tau, spec.substeps)
+
+
+def assert_flows_the_coarse_rows(example):
+    """Asserts that linear example `example`'s plant at mu = 0.01 equals the
+    full sweep and flows its coarse rows and at most a few more: its field
+    is affine, so a row's endpoint is the chord of its coarse corners',
+    and only a row whose chord lies within the margins of a cell face is
+    flowed.  Returns the model."""
+    plant, _, params = linear_pair(example)
+    spec = AbstractionSpec(params.tau, params.eta, 0.01, 50)
+    engine = engine_of(plant, spec)
+    assert all(level.weight is not None for level in engine.split.levels)
+    fs = assert_matches_full_sweep(plant, spec)
+    coarse = fs.n_states * engine.split.coarse.size
+    assert coarse <= fs.rows_flowed <= coarse + 8
+    return fs
+
+
 def test_abstraction_equals_full_sweep_on_linear_1():
     # the linear-pair benchmark plant: 201 inputs, and about half of its
     # rows leave the cover; some of the others are proved to land
-    plant, _, params = linear_pair(1)
-    fs = assert_matches_full_sweep(
-        plant, AbstractionSpec(params.tau, params.eta, 0.01, 50))
+    fs = assert_flows_the_coarse_rows(1)
     assert fs.rows_flowed * 4 < fs.n_states * fs.n_inputs * 3
     assert fs.rows_landed > 0
+
+
+@pytest.mark.parametrize("example", range(2, 9))
+def test_affine_plants_flow_their_coarse_rows(example):
+    # the other seven linear plants, on the linear-pair lattices
+    assert assert_flows_the_coarse_rows(example).rows_landed > 0
+
+
+def test_a_field_with_a_domain_takes_no_chord():
+    # the derivatives fold to constants, but the flows from below x1 = -0.2
+    # leave sqrt's domain and end at NaN; the field is not affine, and the
+    # model is the full sweep's
+    plant = ControlSystem(
+        n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
+        input_box=[[-1, 1]],
+        field=(parse_expression("-x1 + u1 + 0*sqrt(x1 + 0.2)", 1, 1),))
+    spec = AbstractionSpec(tau=0.5, eta=0.02, mu=0.01, substeps=10)
+    assert all(level.weight is None
+               for level in engine_of(plant, spec).split.levels)
+    fs = assert_matches_full_sweep(plant, spec)
+    assert fs.n_transitions > 0 and fs.rows_landed > 0
+
+
+@st.composite
+def affine_plants(draw):
+    """A random plant with an affine field, n and m of 1 or 2, and its
+    abstraction spec.  One input gain in four is huge, so that the flows
+    overflow for some inputs and not for others."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def coefficient(huge=False):
+        if huge and not draw(st.integers(0, 3)):
+            return draw(st.sampled_from((-1.0, 1.0))) * draw(
+                st.sampled_from((1e150, 1e307, 5e307, 1e308)))
+        return round(draw(st.floats(-3.0, 3.0)), 3)
+
+    field = tuple(parse_expression(" + ".join(
+        [f"{coefficient()!r}*x{i + 1}" for i in range(n)]
+        + [f"{coefficient(huge=True)!r}*u{j + 1}" for j in range(m)]
+        + [repr(coefficient())]), n, m) for _ in range(n))
+    w, r = draw(st.floats(0.5, 1.5)), draw(st.floats(0.5, 2.0))
+    plant = ControlSystem(n=n, m=m, state_box=[[-w, w]] * n,
+                          init_box=[[-w, w]] * n, input_box=[[-r, r]] * m,
+                          field=field)
+    spec = AbstractionSpec(
+        tau=draw(st.floats(0.2, 1.0)),
+        eta=w / draw(st.integers(2, (12, 5)[n - 1])) / 2.0,
+        mu=r / draw(st.integers(4, (40, 6)[m - 1])) / 2.0,
+        substeps=draw(st.sampled_from((1, 2, 5, 10))))
+    return plant, spec
+
+
+def test_affine_plants_equal_the_full_sweep():
+    # with one and two inputs, and where some corners overflow, so that
+    # their chords are NaN or huge
+    seen = {"examples": 0, "landed": 0, "overflowed": 0, "inputs": set()}
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(affine_plants())
+    def check(problem):
+        plant, spec = problem
+        assert all(level.weight is not None
+                   for level in engine_of(plant, spec).split.levels)
+        fs = assert_matches_full_sweep(plant, spec)
+        X = np.repeat(fs.outputs, fs.n_inputs, axis=0)
+        U = np.tile(fs.inputs, (fs.n_states, 1))
+        finite = np.isfinite(flow_many(plant, X, U, spec.tau, spec.substeps,
+                                       check_finite=False)).all(axis=1)
+        seen["examples"] += 1
+        seen["landed"] += fs.rows_landed > 0
+        # rows decided on a plant that overflows on some rows
+        seen["overflowed"] += (0 < finite.sum() < finite.size
+                               and fs.rows_flowed < finite.size)
+        seen["inputs"].add(plant.m)
+
+    check()
+    assert seen["inputs"] == {1, 2}
+    assert seen["landed"] >= seen["examples"] // 4
+    assert seen["overflowed"] > 0
 
 
 def test_bracketing_corners_prove_a_landing_neither_proves_alone(

@@ -156,6 +156,25 @@ def test_malformed_config_exit1(tmp_path, capsys):
                                broken["substeps_fraction"]))
 
 
+@pytest.mark.parametrize("command", ["validate-params", "synthesize",
+                                     "compare"])
+def test_too_deep_a_field_is_a_config_error(tmp_path, capsys, command):
+    # nested in the parser, and a tree nested by a long sum, which only the
+    # derivative's walker recursed through: Python's recursion limit once
+    # ended both in a traceback
+    deep = {"parentheses": "(" * 200 + "-x1 + u1" + ")" * 200,
+            "sum": " + ".join(["0.001*x1"] * 1000) + " + u1"}
+    for name, text in deep.items():
+        doc = toy_doc()
+        doc["plant"]["field"] = [text]
+        capsys.readouterr()
+        assert main([command, write_json(tmp_path / f"{name}.json",
+                                          doc)]) == 1, name
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err, err
+        assert "nested deeper" in err, err
+
+
 @pytest.mark.parametrize("box", [("plant", "state_box"),
                                  ("plant", "input_box"),
                                  ("specification", "state_box")],

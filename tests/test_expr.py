@@ -6,8 +6,8 @@ import pytest
 
 from symctrl import (EvalDomainError, ExprSyntaxError, evaluate,
                      format_expression, parse_expression)
-from symctrl.expr import (Bin, Neg, Num, Var, compile_expression, derivative,
-                          enclose)
+from symctrl.expr import (MAX_DEPTH, Bin, FieldCode, Neg, Num, Var,
+                          compile_expression, derivative, enclose, is_affine)
 
 
 def test_arithmetic_with_states_and_inputs():
@@ -275,3 +275,45 @@ def test_derivative_of_abs_is_its_subgradient():
     assert [enclose([d], [box], [])[0][0] for box in
             ((-1.0, 1.0), (0.0, 0.0), (0.5, 1.0), (-1.0, -0.5))] == \
         [(-1.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (-1.0, -1.0)]
+
+
+# expression text nested k levels deep, by shape: in the parser
+# (parentheses, signs, functions, exponents) or only in the tree (a long
+# sum or product, which the parser reads in a loop)
+DEEP = {
+    "parentheses": lambda k: "(" * (k - 1) + "x1" + ")" * (k - 1),
+    "signs": lambda k: "-" * (k - 1) + "x1",
+    "functions": lambda k: "sin(" * (k - 1) + "x1" + ")" * (k - 1),
+    "exponents": lambda k: "^".join(["x1"] * k),
+    "sum": lambda k: " + ".join(["x1"] * k),
+    "product": lambda k: "*".join(["x1"] * k),
+    "nested products": lambda k: "x1*(" * (k - 1) + "u1" + ")" * (k - 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_expressions_nest_at_most_max_depth(shape):
+    # at the limit every walker over the tree runs, the derivative (up to
+    # three times as deep) included; one level more is a syntax error
+    e = parse_expression(DEEP[shape](MAX_DEPTH), 1, 1)
+    for v in (Var("x", 0), Var("u", 0)):
+        d = derivative(e, v)
+        enclose([e, d], [(0.5, 0.75)], [(0.25, 0.5)])
+        format_expression(d)
+    FieldCode([e])
+    is_affine(e)
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse_expression(DEEP[shape](MAX_DEPTH + 1), 1, 1)
+
+
+@pytest.mark.parametrize("text, affine", [
+    ("x1", True), ("2.5", True), ("-x1 + 3*u2 - x2/4 + 1", True),
+    ("(x1 - u1) * (2 + 3)", True), ("2^0.5 * x1 + sin(1) * u1", True),
+    ("x1 / (1 - 3)", True), ("-(x1 + -(2*u1))", True),
+    ("x1 * x2", False), ("x1 * u1", False), ("x1^2", False),
+    ("2^x1", False), ("1 / x1", False), ("sin(x1)", False),
+    ("abs(u1)", False),
+    # the derivatives fold to constants, but the field has a domain
+    ("x1 + 0*sqrt(x1 + 0.2)", False), ("u1 + 0*(1/u1)", False)])
+def test_affinity_is_structural(text, affine):
+    assert is_affine(parse_expression(text, 2, 2)) is affine

@@ -17,7 +17,8 @@ finer strides (_InputSplit), it decides each level's rows from the endpoints
 the earlier levels flowed: a row misses the box when a known neighbour's
 endpoint is too far outside it (_radii), and lands in a cell when the boxes
 the bound draws around its known neighbours' endpoints intersect in that
-cell (_decide).  On a plant affine in (x, u) the chord of its coarse
+cell (_decide).  On a plant affine in (x, u) the bound is the same for
+every state, so no hull is recorded, and the chord of a row's coarse
 neighbours' endpoints is one more box, nearly a point, which decides nearly
 every row.  It flows what is left, and the next level may use those
 endpoints in turn.  The box is the cells' cover for the abstraction, which
@@ -38,14 +39,13 @@ from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
 from .expr import Var, derivative, enclose, is_affine
 from .quantize import Lattice
-from .tsys import FiniteSystem, _join, _rows
+from .tsys import FiniteSystem
 
 DEFAULT_TRANSITION_CAP = 100_000_000
 
-# (state, input) rows per chunk of the abstraction's sweep.  A chunk holds an
-# int32 successor per row and, a level at a time, a keep-mask and an int32
-# landing cell per row of the level; the benchmark problems' lattices fit
-# in one chunk
+# (state, input) rows per chunk of the abstraction's sweep.  A chunk holds,
+# a level at a time, a keep-mask and an int32 landing cell per row of the
+# level; the benchmark problems' lattices fit in one chunk
 _SWEEP_ROWS = 1 << 20
 # rows per slice of the proofs' temporaries
 _PROOF_ROWS = TILE_ROWS // 8
@@ -219,10 +219,11 @@ class _GrowthBound:
     dx = 0, G is B iterated `substeps` times through A.
 
     D is the hull of the stage points the finite coarse rows of a state
-    visited, grown by g.  The bound holds if the stage points of every row
-    compared with them stay within g: from |dx| <= R |du| (R the largest G
-    before a substep), |dy_2| <= R + h/2 (M R + W), |dy_3| <= R + h/2 (M dy_2
-    + W), |dy_4| <= R + h (M dy_3 + W), each times the reach.  Induction over
+    visited (RowEngine._gains), grown by g.  The bound holds if the stage
+    points of every row compared with them stay within g: from |dx| <= R
+    |du| (R the largest G before a substep), |dy_2| <= R + h/2 (M R + W),
+    |dy_3| <= R + h/2 (M dy_2 + W), |dy_4| <= R + h (M dy_3 + W), each
+    times the reach.  Induction over
     the stages shows that then no stage point leaves D, so g is accepted
     when this growth is at most g.  Both D and the proofs get a rounding
     margin of _MARGIN (1 + |value|).  A box is refused (every input kept)
@@ -450,16 +451,16 @@ class RowEngine:
     is the constant zero), tau and substeps, it holds the inputs, their
     split and, when there are inputs past the coarse ones, the growth
     bound.  Whether the field is affine (expr.is_affine), and so whether
-    the landing proofs take the chord of the coarse corners (_decide), is
-    decided here once."""
+    the landing proofs take the chord of the coarse corners (_decide) and
+    one growth bound serves every state (_gains), is decided here once."""
 
     def __init__(self, sys: ControlSystem, st_lat: Lattice,
                  in_lat: Optional[Lattice], tau: float, substeps: int):
         self.sys, self.st_lat, self.tau, self.substeps = (sys, st_lat, tau,
                                                           substeps)
         self.inputs = np.zeros((1, 0)) if in_lat is None else in_lat.points()
-        self.split = _InputSplit(in_lat, self.inputs,
-                                 chord=all(map(is_affine, sys.field)))
+        self.affine = all(map(is_affine, sys.field))
+        self.split = _InputSplit(in_lat, self.inputs, chord=self.affine)
         self.bound = (_GrowthBound(sys, self.inputs, tau, substeps,
                                    self.split.reach)
                       if self.split.levels else None)
@@ -484,6 +485,30 @@ class RowEngine:
 
         return map_tiles(tile, int(offset[-1]))
 
+    def _gains(self, fin: np.ndarray, lo: Optional[np.ndarray] = None,
+               hi: Optional[np.ndarray] = None):
+        """(G, sure) per state, from _GrowthBound.gains, for the states with
+        a finite coarse row (fin[s, c] whether coarse row c of state s is
+        finite), zero and false for the others.  Each such state's region is
+        the hull of its finite coarse rows' stage points, lo and hi per row.
+        An affine plant needs no hulls: its Jacobian is constant and its
+        field finite wherever its flows are, so one call, over the origin,
+        bounds the rows of every state."""
+        S, n_c = fin.shape
+        states = np.flatnonzero(fin.any(axis=1))
+        G = np.zeros((S, self.bound.n, self.bound.m))
+        sure = np.zeros(S, dtype=bool)
+        if lo is None:
+            origin = np.zeros((1, self.bound.n))
+            G[states], sure[states] = self.bound.gains(origin, origin)
+            return G, sure
+        f = fin[states][..., None]
+        lo, hi = lo.reshape(S, n_c, -1), hi.reshape(S, n_c, -1)
+        G[states], sure[states] = self.bound.gains(
+            np.where(f, lo[states], np.inf).min(axis=1),
+            np.where(f, hi[states], -np.inf).max(axis=1))
+        return G, sure
+
     def run(self, X: np.ndarray, P: np.ndarray, half: np.ndarray,
             visit: Callable[..., None], cells_suffice: bool
             ) -> Tuple[int, int]:
@@ -499,9 +524,15 @@ class RowEngine:
         threads at once.
 
         1. Every coarse input, flowed under a mask that keeps every row,
-           with the hulls of its stage points; without other inputs, every
-           row, flowed without them, and nothing more.
-        2. The growth bound of each state with a finite coarse row.
+           with the hulls of its stage points unless the plant is affine;
+           without other inputs, every row, flowed without them, and
+           nothing more.
+        2. The growth bound of each state with a finite coarse row (_gains),
+           a row being finite when its endpoint and hull are.  On an affine
+           plant the endpoint alone decides: RK4 adds every stage's field
+           value into the endpoint, and an affine field is non-finite only
+           at a non-finite point, so a non-finite stage point makes the
+           endpoint non-finite.
         3. The radii (_radii) of the coarse endpoints of the states with a
            sure bound and, with `cells_suffice`, their coordinates.
         4. Level by level (_InputSplit), the proofs (_decide) against the
@@ -520,31 +551,26 @@ class RowEngine:
         """
         S, n = X.shape
         coarse, n_c = self.split.coarse, self.split.coarse.size
-        hull = self.bound is not None
+        bounded = self.bound is not None
 
         def first(src, f, Z, cells, *hulls):
             visit(src, coarse[f], Z, cells)
             # handed back, so that no buffer adds to the kernel's peak
-            return (Z,) + hulls if hull else None
+            return (Z,) + hulls if bounded else None
 
         parts = self._flow_kept(X, np.ones((S, n_c), dtype=bool), coarse,
-                                first, hull)
-        if not hull:
+                                first, bounded and not self.affine)
+        if not bounded:
             return S * n_c, 0
-        Z, lo, hi = (np.concatenate(k) for k in zip(*parts))
+        Z, *hulls = (np.concatenate(k) for k in zip(*parts))
         del parts
-        fin = (np.isfinite(Z).all(axis=1) & np.isfinite(lo).all(axis=1)
-               & np.isfinite(hi).all(axis=1)).reshape(S, n_c)
+        fin = np.isfinite(Z).all(axis=1)
+        for h in hulls:
+            fin &= np.isfinite(h).all(axis=1)
+        fin = fin.reshape(S, n_c)
+        G, sure = self._gains(fin, *hulls)
+        del hulls
         src = np.arange(S * n_c) // n_c
-        states = np.flatnonzero(fin.any(axis=1))
-        G = np.zeros((S, n, self.bound.m))
-        sure = np.zeros(S, dtype=bool)
-        f = fin[states][..., None]
-        lo, hi = lo.reshape(S, n_c, n), hi.reshape(S, n_c, n)
-        G[states], sure[states] = self.bound.gains(
-            np.where(f, lo[states], np.inf).min(axis=1),
-            np.where(f, hi[states], -np.inf).max(axis=1))
-        del lo, hi
         g = G.sum(axis=2)
         # the known endpoints' radii and, with `cells_suffice`, coordinates
         # (an array per axis: one block lifts glibc's mmap threshold past the
@@ -617,9 +643,9 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     the cells covering the state box produce no transition.  The rows a
     growth bound proves to leave them, or to land in a cell, are not flowed
     (RowEngine); the system's `rows_flowed` counts the rows that were, and
-    `rows_landed` those proved to land.  Transitions come out in
-    lexicographic order, so they are reproducible regardless of chunk, tile
-    and worker count.
+    `rows_landed` those proved to land.  The model is held as its successor
+    matrix, filled a chunk of states at a time, so it is reproducible
+    regardless of chunk, tile and worker count.
     """
     if sys.m and spec.mu is None:
         raise ValueError("mu is required for systems with inputs")
@@ -636,15 +662,12 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
     centre = (st_lat.kmin + st_lat.kmax) * (s / 2.0)
     half = st_lat.counts * (s / 2.0)
     step = max(1, _SWEEP_ROWS // n_u)
-    # one successor array for every chunk: a new one per chunk fragments
-    # the heap between the chunks' transitions
-    succ = np.empty((min(step, st_lat.n_points), n_u), dtype=np.int32)
-    parts, rows, rows_landed = [], 0, 0
+    # -1 where a row leaves the cover or is proved to
+    succ = np.full((st_lat.n_points, n_u), -1, dtype=np.int32)
+    rows = rows_landed = 0
     for a in range(0, st_lat.n_points, step):
         X = pts[a:a + step]
-        out = succ[:X.shape[0]]
-        # -1 where a row leaves the cover or is proved to
-        out.fill(-1)
+        out = succ[a:a + step]
 
         def write(src, cols, Z, cells):
             out[src, cols] = cells
@@ -653,14 +676,7 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
                                     half, write, cells_suffice=True)
         rows += flowed
         rows_landed += landed
-        hit = out >= 0  # the chunk's rows, by source, then by input
-        parts.append(_rows(
-            np.repeat(np.arange(a, a + out.shape[0], dtype=np.int32),
-                      np.count_nonzero(hit, axis=1)),
-            np.broadcast_to(np.arange(n_u, dtype=np.int32), out.shape)[hit],
-            out[hit]))
-    del succ, out, hit
     fs = FiniteSystem(pts, st_lat.outer_range_indices(sys.init_box),
-                      engine.inputs, _join(parts))
+                      engine.inputs, successors=succ)
     fs.rows_flowed, fs.rows_landed = rows, rows_landed
     return fs

@@ -308,19 +308,29 @@ def is_affine(expr: Expr) -> bool:
 
 
 def format_expression(expr: Expr) -> str:
-    """Render an AST back to parseable text (fully parenthesized).  An
+    """Render an AST back to parseable text.  Sums, differences, products
+    and quotients are parenthesized; signs and powers take only the
+    parentheses the parser needs (a power's base is a variable, a call, a
+    literal >= 0 or parenthesized), so that the text nests no deeper than
+    the tree and every tree the parser accepts parses back from it.  An
     infinite literal renders as ``1e999``, which parses back to it; a NaN
     literal has no text form and raises ValueError."""
     if isinstance(expr, Num):
         if math.isnan(expr.value):
             raise ValueError("a NaN literal has no text form")
         if math.isinf(expr.value):
-            return "1e999" if expr.value > 0 else "(-1e999)"
-        return _literal(expr.value)
+            return "1e999" if expr.value > 0 else "-1e999"
+        return repr(float(expr.value))
     if isinstance(expr, Var):
         return f"{expr.kind}{expr.index + 1}"
     if isinstance(expr, Neg):
-        return f"(-{format_expression(expr.operand)})"
+        return f"-{format_expression(expr.operand)}"
+    if isinstance(expr, Bin) and expr.op == "^":
+        base = format_expression(expr.left)
+        if (base.startswith("-") or isinstance(expr.left, Neg)
+                or (isinstance(expr.left, Bin) and expr.left.op == "^")):
+            base = f"({base})"
+        return f"{base} ^ {format_expression(expr.right)}"
     if isinstance(expr, Bin):
         return (f"({format_expression(expr.left)} {expr.op} "
                 f"{format_expression(expr.right)})")
@@ -789,13 +799,15 @@ def enclose(exprs: Sequence[Expr], x: Sequence[tuple], u: Sequence[tuple]):
     Bounds are computed in round-to-nearest, not rounded outward: a caller
     relying on them must allow a margin of a few ulps.
     """
+    # keyed by node identity: a frozen dataclass hashes its whole subtree
+    # on every lookup.  The trees outlive the call, so no id is reused
     memo: dict = {}
     ok = np.array(True)
 
     def iv(e: Expr):
         nonlocal ok
-        if e in memo:
-            return memo[e]
+        if id(e) in memo:
+            return memo[id(e)]
         if isinstance(e, Num):
             r = (e.value, e.value)
         elif isinstance(e, Var):
@@ -822,7 +834,7 @@ def enclose(exprs: Sequence[Expr], x: Sequence[tuple], u: Sequence[tuple]):
             else:
                 r = _mul_iv(a, _recip_iv(b))
         ok = ok & np.isfinite(r[0]) & np.isfinite(r[1])
-        memo[e] = r
+        memo[id(e)] = r
         return r
 
     with np.errstate(all="ignore"):

@@ -22,7 +22,8 @@ from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
 from .quantize import (EmptyLatticeError, Lattice, LatticeError,
                        SynthesisParams, ValidationReport, validate_parameters)
-from .tsys import FiniteSystem, _rows, compose, nonblocking_part, subsystem
+from .tsys import (NEVER, FiniteSystem, _fail_times, _rows, compose,
+                   nonblocking_part, subsystem)
 
 # coarse plant rows per chunk of the integrated input scan: a chunk holds
 # _SCAN_ROWS // (coarse inputs) states.  On the benchmark problems, before
@@ -31,8 +32,6 @@ _SCAN_ROWS = TILE_ROWS // 4
 
 # input scan result of a state where no input lands
 NO_INPUT = -1
-# turn of a state not processed, fail time of one never marked bad
-NEVER = np.iinfo(np.int64).max
 
 
 class ParameterValidationError(ValueError):
@@ -288,26 +287,6 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
     return choice, flowed
 
 
-def _fail_times(turn: np.ndarray, target: np.ndarray,
-                blocked: np.ndarray) -> np.ndarray:
-    """The turn at which the sequential integrated loop marks each state bad;
-    NEVER for states without a turn yet (turn NEVER) and for those it never
-    marks.
-
-    A state fails at its own turn when it is `blocked` (its target is off
-    the lattice, or no input lands there), else when its target fails, but
-    not before its own turn: the greatest fixpoint of fail = where(blocked,
-    turn, max(turn, fail[target])), so a cycle of transitions that reaches
-    no blocked state never fails.  A blocked state's target may be -1.
-    """
-    fail = np.full(turn.size, NEVER)
-    while True:
-        nxt = np.where(blocked, turn, np.maximum(turn, fail[target]))
-        if np.array_equal(nxt, fail):
-            return fail
-        fail = nxt
-
-
 def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
                           params: SynthesisParams,
                           substeps: int = DEFAULT_SUBSTEPS, *,
@@ -325,12 +304,16 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     queues y if it was never queued; a failure marks x bad and
     back-propagates through the recorded transitions.
 
-    This runs it a wave at a time, on fail times (_fail_times): x is scanned
-    exactly when y does not fail before x's turn.  Counting the wave's own
-    scans as landing only delays fail times, so the states that may be
-    scanned are known before the scan, which flows them in fixed chunks;
-    the fail times are then recomputed from its results.  The input a state
-    keeps depends neither on the chunks nor on the pruning (_scan_inputs).
+    This runs it a wave at a time, on fail times (tsys._fail_times: a
+    state's turn is its place in the processing order, NEVER until it has
+    one, and it is blocked when its target is off the lattice or no input
+    lands there), the turns at which the sequential loop marks the states
+    bad: x is scanned exactly when y does not fail before x's turn.
+    Counting the wave's own scans as landing only delays fail times, so the
+    states that may be scanned are known before the scan, which flows them
+    in fixed chunks; the fail times are then recomputed from its results.
+    The input a state keeps depends neither on the chunks nor on the
+    pruning (_scan_inputs).
     """
     _require_valid(plant, specification, params, force)
     t0 = time.perf_counter()

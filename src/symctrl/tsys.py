@@ -5,9 +5,12 @@ approximate (bi)simulation relation checkers.
 States, inputs and transitions are index-based and array-backed so that
 systems with tens of millions of transitions stay affordable.  Transitions
 are (T, 3) int32 (source, input, target) rows that every producer, in any
-module, fills in place with `_rows` and joins with `_join`.  A pass over
-rows (the row check, `_indptr`'s counts, `compose`'s join, `subsystem`'s
-remap) holds `_SLICE_ROWS` of them at a time.  Distances are infinity norms.
+module, fills in place with `_rows` and joins with `_join`.  A deterministic
+system may instead be held as its (state x input) int32 successor matrix,
+-1 where a row has no successor; its rows are derived when first asked for.
+A pass over rows or matrix entries (the row check, `_indptr`'s counts,
+`compose`'s join and gathers, `subsystem`'s remap) holds `_SLICE_ROWS` of
+them at a time.  Distances are infinity norms.
 
 Operators are array code on two helpers; only fixpoint waves and slices loop:
 
@@ -22,8 +25,12 @@ Operators are array code on two helpers; only fixpoint waves and slices loop:
   Henzinger, Henzinger and Kopke for maximal simulations.
 
 The non-blocking part is that fixpoint with one obligation per state,
-witnessed by its transitions.  The (bi)simulation checkers run it over
-output-compatible state pairs on the systems' distinct (src, dst) edges,
+witnessed by its transitions, except on a successor matrix whose rows each
+lead to one state, a functional graph, which `compose` gives by two gathers
+per entry when each state of its first system has at most one partner:
+there it is the fail-time fixpoint of the integrated route, `_fail_times`,
+with every turn 0.  The (bi)simulation checkers run the greatest fixpoint
+over output-compatible state pairs on the systems' distinct (src, dst) edges,
 since they ignore input labels: a pair owes one obligation per edge of its
 first state (and, for bisimulation, of its second), witnessed by the pairs
 the other state's edges reach.  The accessible part is a forward wave, and
@@ -38,6 +45,8 @@ import numpy as np
 
 # rows a pass over transitions holds at once
 _SLICE_ROWS = 1 << 16
+# the fail time of a state never marked bad (_fail_times)
+NEVER = np.iinfo(np.int64).max
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -95,6 +104,32 @@ def _greatest_fixpoint(n_nodes: int, owner: np.ndarray, wit_ob: np.ndarray,
     return alive
 
 
+def _fail_times(turn: np.ndarray, target: np.ndarray,
+                blocked: np.ndarray) -> np.ndarray:
+    """Fail times on a functional graph, where state i leads to target[i]:
+    the greatest fixpoint of fail = where(blocked, turn, max(turn,
+    fail[target])).  A state fails at its own turn when it is `blocked`,
+    else when its target fails, but not before its own turn; a state whose
+    path reaches no blocked state, or a state without a turn (turn NEVER),
+    reads NEVER.  A blocked state's target may be -1.  With every turn 0,
+    the states that read NEVER are those whose path reaches no blocked
+    state."""
+    fail = np.full(turn.size, NEVER)
+    while True:
+        nxt = np.where(blocked, turn, np.maximum(turn, fail[target]))
+        if np.array_equal(nxt, fail):
+            return fail
+        fail = nxt
+
+
+def _blocks(matrix: np.ndarray):
+    """(first row, block) over the rows of a matrix, _SLICE_ROWS entries
+    at a time."""
+    step = max(1, _SLICE_ROWS // max(1, matrix.shape[1]))
+    for a in range(0, matrix.shape[0], step):
+        yield a, matrix[a:a + step]
+
+
 def _rows(src, inp, dst) -> np.ndarray:
     """(T, 3) int32 rows from T-entry arrays or scalars, column by column.
     The casts do not check: a system has at most 2^31 states and inputs."""
@@ -140,9 +175,15 @@ class FiniteSystem:
     inputs        (I, mi) float array of input points (mi may be 0)
     transitions   (T, 3) int32 array of (source, input, target), kept sorted
                   lexicographically and deduplicated; S, I <= 2^31
+    matrix        None, or for a deterministic system given by its
+                  `successors`, the (S, I) int32 successor matrix: entry
+                  (i, u) is the target of (i, u), -1 where there is none.
+                  Its transitions are derived when first asked for: they
+                  are its entries >= 0 in row-major order, so sorted.
     """
 
-    def __init__(self, outputs, initials, inputs, transitions):
+    def __init__(self, outputs, initials, inputs, transitions=None, *,
+                 successors=None):
         outputs = np.asarray(outputs, dtype=float)
         if outputs.ndim != 2:
             raise ValueError("outputs must be a (S, d) array")
@@ -150,26 +191,51 @@ class FiniteSystem:
         if inputs.ndim != 2:
             raise ValueError("inputs must be a (I, mi) array")
         initials = np.unique(np.asarray(initials, dtype=np.int64).reshape(-1))
-        transitions = np.asarray(transitions).reshape(-1, 3)
         ns, ni = outputs.shape[0], inputs.shape[0]
         if max(ns, ni) > 2 ** 31:
             raise ValueError("more than 2^31 states or inputs")
-        ordered = _check_rows(transitions, ns, ni)
-        transitions = transitions.astype(np.int32, copy=False)
-        if not ordered:
-            order = np.lexsort((transitions[:, 2], transitions[:, 1],
-                                transitions[:, 0]))
-            transitions = transitions[order]
-            keep = np.ones(transitions.shape[0], dtype=bool)
-            keep[1:] = np.any(np.diff(transitions, axis=0) != 0, axis=1)
-            transitions = transitions[keep]
+        if (transitions is None) == (successors is None):
+            raise ValueError("give either transitions or successors")
+        self.matrix: Optional[np.ndarray] = None
+        if successors is not None:
+            matrix = np.asarray(successors)
+            if matrix.shape != (ns, ni):
+                raise ValueError("successors must be a (S, I) matrix")
+            if matrix.size and not (matrix.min() >= -1
+                                    and matrix.max() < ns):
+                raise ValueError("successor out of range")
+            self.matrix = matrix.astype(np.int32, copy=False)
+        else:
+            transitions = np.asarray(transitions).reshape(-1, 3)
+            ordered = _check_rows(transitions, ns, ni)
+            transitions = transitions.astype(np.int32, copy=False)
+            if not ordered:
+                order = np.lexsort((transitions[:, 2], transitions[:, 1],
+                                    transitions[:, 0]))
+                transitions = transitions[order]
+                keep = np.ones(transitions.shape[0], dtype=bool)
+                keep[1:] = np.any(np.diff(transitions, axis=0) != 0, axis=1)
+                transitions = transitions[keep]
         if initials.size and (initials[0] < 0 or initials[-1] >= ns):
             raise ValueError("initial state index out of range")
         self.outputs = outputs
         self.initials = initials
         self.inputs = inputs
-        self.transitions = transitions
+        self._transitions: Optional[np.ndarray] = transitions
         self._succ: Optional[np.ndarray] = None
+        self._degree: Optional[np.ndarray] = None
+
+    @property
+    def transitions(self) -> np.ndarray:
+        if self._transitions is None:
+            rows = np.empty((self.n_transitions, 3), dtype=np.int32)
+            at = 0
+            for a, block in _blocks(self.matrix):
+                src, inp = np.nonzero(block >= 0)
+                rows[at:at + src.size] = _rows(src + a, inp, block[src, inp])
+                at += src.size
+            self._transitions = rows
+        return self._transitions
 
     @property
     def n_states(self) -> int:
@@ -181,7 +247,9 @@ class FiniteSystem:
 
     @property
     def n_transitions(self) -> int:
-        return self.transitions.shape[0]
+        if self.matrix is None:
+            return self._transitions.shape[0]
+        return int(self.out_degree().sum())
 
     @property
     def output_dim(self) -> int:
@@ -206,7 +274,14 @@ class FiniteSystem:
         return self.transitions[indptr[state]:indptr[state + 1]]
 
     def out_degree(self) -> np.ndarray:
-        return np.diff(self._succ_index())
+        if self.matrix is None:
+            return np.diff(self._succ_index())
+        if self._degree is None:
+            self._degree = np.concatenate(
+                [np.zeros(0, dtype=np.int64)]
+                + [np.count_nonzero(block >= 0, axis=1)
+                   for _, block in _blocks(self.matrix)])
+        return self._degree
 
 
 def is_deterministic(s: FiniteSystem) -> bool:
@@ -218,16 +293,26 @@ def is_deterministic(s: FiniteSystem) -> bool:
 
 def subsystem(s: FiniteSystem, keep_states) -> FiniteSystem:
     """Restriction of `s` to a subset of states (indices), keeping all
-    transitions whose endpoints survive.  State order is preserved."""
+    transitions whose endpoints survive.  State order is preserved, and a
+    system held as its successor matrix stays so held."""
     alive = _mask(s.n_states, np.asarray(keep_states, dtype=np.int64))
     remap = np.cumsum(alive) - 1  # new index of each kept state
+    initials = remap[s.initials[alive[s.initials]]]
+    if s.matrix is not None:
+        kept = np.flatnonzero(alive)
+        succ = np.empty((kept.size, s.n_inputs), dtype=np.int32)
+        for a, block in _blocks(succ):
+            # alive[-1] is read for the entries without a target, then masked
+            t = s.matrix[kept[a:a + block.shape[0]]]
+            block[...] = np.where((t >= 0) & alive[t], remap[t], -1)
+        return FiniteSystem(s.outputs[alive], initials, s.inputs,
+                            successors=succ)
     parts = []
     for a in range(0, s.n_transitions, _SLICE_ROWS):
         t = s.transitions[a:a + _SLICE_ROWS]
         t = t[alive[t[:, 0]] & alive[t[:, 2]]]
         parts.append(_rows(remap[t[:, 0]], t[:, 1], remap[t[:, 2]]))
-    return FiniteSystem(s.outputs[alive], remap[s.initials[alive[s.initials]]],
-                        s.inputs, _join(parts))
+    return FiniteSystem(s.outputs[alive], initials, s.inputs, _join(parts))
 
 
 def _row_codes(keys: np.ndarray) -> np.ndarray:
@@ -280,22 +365,43 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
     States are the pairs of states with outputs within eps of each other;
     a pair steps exactly when both components step; the output of a pair is
     the output of its first (plant-side) component.
+
+    When both systems are held as successor matrices and each state of s1
+    has at most one partner, as at eps = 0 with distinct outputs, so is the
+    composition: the target of pair k = (i, j) under inputs (u, v) is the
+    pair of P[i, u], kept when that pair's partner is Q[j, v], two gathers
+    per entry.  Otherwise the transitions are joined.
     """
     if s1.output_dim != s2.output_dim:
         raise ValueError("composed systems must share the output space")
     pair_i, pair_j = _pair_candidates(s1, s2, eps)
-    n2, i2 = np.int64(s2.n_states), np.int64(s2.n_inputs)
-    pair_code = pair_i * n2 + pair_j  # ascending, as the pairs are sorted
-
     initials = np.flatnonzero(_mask(s1.n_states, s1.initials)[pair_i]
                               & _mask(s2.n_states, s2.initials)[pair_j])
-
     inputs = np.hstack([np.repeat(s1.inputs, s2.n_inputs, axis=0),
                         np.tile(s2.inputs, (s1.n_inputs, 1))])
+    outputs = s1.outputs[pair_i]
+    if (s1.matrix is not None and s2.matrix is not None
+            and np.all(np.diff(pair_i) > 0)):
+        # per s1 state, and one more that the entries -1 read, its pair and
+        # its partner; -2, which no entry equals, where there is none
+        pair_of = np.full(s1.n_states + 1, -1, dtype=np.int32)
+        pair_of[pair_i] = np.arange(pair_i.size)
+        partner = np.full(s1.n_states + 1, -2, dtype=np.int64)
+        partner[pair_i] = pair_j
+        succ = np.empty((pair_i.size, inputs.shape[0]), dtype=np.int32)
+        for a, block in _blocks(succ):
+            b = a + block.shape[0]
+            ti = s1.matrix[pair_i[a:b], :, None]
+            tj = s2.matrix[pair_j[a:b], None]
+            block[...] = np.where(partner[ti] == tj, pair_of[ti], -1
+                                  ).reshape(block.shape)
+        return FiniteSystem(outputs, initials, inputs, successors=succ)
 
     # join transitions: each s1 transition meets the composed pairs sharing
     # its source, then the s2 transitions of the partner state; rows whose
     # target pair is itself a composed state are kept
+    n2, i2 = np.int64(s2.n_states), np.int64(s2.n_inputs)
+    pair_code = pair_i * n2 + pair_j  # ascending, as the pairs are sorted
     pairs_by_i = _indptr(pair_i, s1.n_states)
     t1, t2 = s1.transitions, s2.transitions
     widest = int(np.diff(pairs_by_i).max(initial=1))
@@ -310,13 +416,27 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
         ok = dst >= 0
         parts.append(_rows(k[ok], rows[r[ok], 1] * i2 + t2[e2[ok], 1],
                            dst[ok]))
-    return FiniteSystem(s1.outputs[pair_i], initials, inputs, _join(parts))
+    return FiniteSystem(outputs, initials, inputs, _join(parts))
 
 
 def nonblocking_part(s: FiniteSystem) -> FiniteSystem:
     """Maximal sub-system in which every state has an outgoing transition:
     the greatest fixpoint with one obligation per state, witnessed by the
-    targets of its transitions."""
+    targets of its transitions.  On a successor matrix whose every row
+    leads to one state, as `compose` gives at eps = 0, that is the states
+    whose path reaches no state without a successor (_fail_times)."""
+    if s.matrix is not None:
+        # each state's largest target, and whether it is its only one
+        target = np.full(s.n_states, -1, dtype=np.int64)
+        one = True
+        for a, block in _blocks(s.matrix):
+            top = block.max(axis=1, initial=-1)
+            target[a:a + top.size] = top
+            one = one and bool(np.all((block == top[:, None]) | (block < 0)))
+        if one:
+            fail = _fail_times(np.zeros(s.n_states, dtype=np.int64), target,
+                               target < 0)
+            return subsystem(s, np.flatnonzero(fail == NEVER))
     t = s.transitions
     alive = _greatest_fixpoint(s.n_states, np.arange(s.n_states), t[:, 0],
                                t[:, 2])

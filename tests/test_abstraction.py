@@ -9,7 +9,7 @@ from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
                      StabilityCertificate, SynthesisParams, abstraction,
                      build_abstraction, check_bisimulation, dynamics,
                      flow_many, is_deterministic, parse_expression)
-from symctrl.dynamics import TILE_ROWS
+from symctrl.dynamics import TILE_ROWS, _flow_tile
 from symctrl.quantize import Lattice
 
 from _systems import linear_pair, nonlinear_pair, problems, toy_pair
@@ -350,6 +350,56 @@ def test_affine_plants_equal_the_full_sweep():
     assert seen["inputs"] == {1, 2}
     assert seen["landed"] >= seen["examples"] // 4
     assert seen["overflowed"] > 0
+
+
+def one_bound_serves_every_state(plant, spec):
+    """Asserts that an affine plant's one growth bound, per state with a
+    finite coarse row, equals byte for byte the bound over the hull of
+    that state's finite coarse rows' stage points, and that a coarse row's
+    endpoint is finite exactly when its hull is.  Returns the states' sure
+    flags."""
+    engine = engine_of(plant, spec)
+    assert engine.affine
+    X, coarse = engine.st_lat.points(), engine.split.coarse
+    S, n_c = X.shape[0], coarse.size
+    Z, lo, hi = _flow_tile(plant, np.repeat(X, n_c, axis=0),
+                           np.tile(engine.inputs[coarse], (S, 1)), spec.tau,
+                           spec.substeps, hull=True)
+    fin = np.isfinite(Z).all(axis=1).reshape(S, n_c)
+    assert np.array_equal(fin, (fin.ravel() & np.isfinite(lo).all(axis=1)
+                                & np.isfinite(hi).all(axis=1)).reshape(S, n_c))
+    G, sure = engine._gains(fin, lo, hi)
+    G1, sure1 = engine._gains(fin)
+    assert G.tobytes() == G1.tobytes() and sure.tobytes() == sure1.tobytes()
+    return sure
+
+
+@pytest.mark.parametrize("example", range(1, 9))
+def test_one_bound_serves_every_state_of_a_linear_plant(example):
+    plant, _, params = linear_pair(example)
+    sure = one_bound_serves_every_state(
+        plant, AbstractionSpec(params.tau, params.eta, 0.01, 50))
+    assert sure.all()
+
+
+def test_one_bound_serves_every_state_of_an_affine_plant():
+    # 60 draws of test_affine_plants_equal_the_full_sweep's strategy, where
+    # some inputs overflow and some states have no finite coarse row
+    seen = {"sure": 0, "unsure": 0}
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(affine_plants())
+    def check(problem):
+        plant, spec = problem
+        if engine_of(plant, spec).bound is not None:
+            sure = one_bound_serves_every_state(plant, spec)
+            seen["sure"] += bool(sure.any())
+            seen["unsure"] += not sure.all()
+
+    check()
+    assert seen["sure"] > 10 and seen["unsure"] > 0, seen
 
 
 def test_bracketing_corners_prove_a_landing_neither_proves_alone(

@@ -294,8 +294,10 @@ DEEP = {
 @pytest.mark.parametrize("shape", DEEP)
 def test_expressions_nest_at_most_max_depth(shape):
     # at the limit every walker over the tree runs, the derivative (up to
-    # three times as deep) included; one level more is a syntax error
+    # three times as deep) included, and the rendered text parses back to
+    # the tree; one level more is a syntax error
     e = parse_expression(DEEP[shape](MAX_DEPTH), 1, 1)
+    assert parse_expression(format_expression(e), 1, 1) == e
     for v in (Var("x", 0), Var("u", 0)):
         d = derivative(e, v)
         enclose([e, d], [(0.5, 0.75)], [(0.25, 0.5)])

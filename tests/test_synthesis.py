@@ -8,10 +8,11 @@ from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      ParameterValidationError, ResourceLimitError,
                      StabilityCertificate, SynthesisParams, abstraction,
                      accessible_part, baseline_artifacts,
-                     baseline_memory_units, check_bisimulation,
+                     baseline_memory_units, check_bisimulation, compose,
                      controller_to_system, dynamics, integrated_memory_units,
                      is_deterministic, nonblocking_part, parse_expression,
                      synthesis, synthesize_baseline, synthesize_integrated)
+from symctrl.quantize import LatticeError
 from symctrl.synthesis import shared_lattices
 
 from _systems import linear_pair, nonlinear_pair, problems, toy_pair
@@ -451,6 +452,67 @@ def test_specification_with_inputs_is_refused_before_any_flow(monkeypatch):
     for route in (synthesize_integrated, synthesize_baseline):
         with pytest.raises(ValueError, match=r"single \(zero\) input"):
             route(plant, plant, params, force=True)
+
+def relational(s):
+    """s held as its transition rows, whatever form it has."""
+    return FiniteSystem(s.outputs, s.initials, s.inputs, s.transitions)
+
+
+def assert_matrices_equal_the_join(plant, spec, params, substeps):
+    """Runs the baseline and asserts that its composition and pruning, on
+    successor matrices, equal the relational ones: the systems, their
+    counts and the controller rows.  Returns whether the problem was
+    accepted."""
+    try:
+        ctrl, _, (sp, sq, cstar, nb) = baseline_artifacts(
+            plant, spec, params, substeps, force=True)
+    except LatticeError:
+        return False
+    assert all(s.matrix is not None for s in (sp, sq, cstar, nb))
+    joined = compose(relational(sp), relational(sq), 0.0)
+    pruned = nonblocking_part(joined)
+    for mat, rel in ((cstar, joined), (nb, pruned)):
+        assert rel.matrix is None and mat.same_as(rel)
+        assert mat.n_transitions == rel.n_transitions
+        assert np.array_equal(mat.out_degree(), rel.out_degree())
+    flat = ctrl.state_lattice.quantize_many(pruned.outputs)
+    t = pruned.transitions
+    assert ctrl.same_as(Controller(
+        np.column_stack([flat[t[:, 0]], t[:, 1], flat[t[:, 2]]]),
+        flat[pruned.initials], [], ctrl.state_lattice, ctrl.input_lattice))
+    return True
+
+
+def benchmark_nonlinear_pair():
+    """The nonlinear-pair benchmark problem: 15 points per axis and
+    mu = 0.01."""
+    plant, spec, params = nonlinear_pair()
+    return plant, spec, dataclasses.replace(params, eta=1 / 15, mu=0.01)
+
+
+@pytest.mark.parametrize("pair, substeps", [
+    (toy_pair, dynamics.DEFAULT_SUBSTEPS),
+    (lambda: linear_pair(1), dynamics.DEFAULT_SUBSTEPS),
+    (benchmark_nonlinear_pair, 50)], ids=["toy", "linear-1",
+                                          "nonlinear-pair"])
+def test_matrix_baseline_equals_the_join(pair, substeps):
+    assert assert_matrices_equal_the_join(*pair(), substeps)
+
+
+def test_matrix_baseline_equals_the_join_on_random_problems():
+    seen = {"examples": 0, "accepted": 0}
+
+    @settings(derandomize=True, max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(problems(shifted=True))
+    def check(problem):
+        seen["examples"] += 1
+        seen["accepted"] += assert_matrices_equal_the_join(*problem)
+
+    check()
+    assert seen["accepted"] >= seen["examples"] * 3 // 4, seen
+
 
 def test_baseline_steps_count_exact_output_matches():
     # the plant box reaches past the spec box: plant cells outside the shared

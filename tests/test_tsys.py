@@ -625,3 +625,91 @@ def test_relation_over_repeated_edges_stays_small():
     peak = _traced_peak(lambda: check_bisimulation(s, s, 0.0))
     assert peak < 16 * 2 ** 20
     assert check_bisimulation(s, s, 0.0) == {(i, i) for i in range(ns)}
+
+
+def as_rows(s):
+    """s held as its transition rows, whatever form it has."""
+    return FiniteSystem(s.outputs, s.initials, s.inputs, s.transitions)
+
+
+def matrix_system(rng, ns, ni, outputs, landing=0.7):
+    """A deterministic system held as its successor matrix: each entry a
+    random state with probability `landing`, else -1."""
+    succ = np.where(rng.random((ns, ni)) < landing,
+                    rng.integers(0, max(ns, 1), (ns, ni)), -1)
+    return FiniteSystem(np.asarray(outputs, dtype=float).reshape(ns, 1),
+                        rng.choice(ns, size=min(ns, 2), replace=False),
+                        np.arange(ni, dtype=float).reshape(-1, 1),
+                        successors=succ)
+
+
+def test_a_successor_matrix_is_its_sorted_rows(monkeypatch):
+    # blocks of 4 entries, so that every pass spans several
+    monkeypatch.setattr(tsys, "_SLICE_ROWS", 4)
+    rng = np.random.default_rng(21)
+    for ns, ni in ((0, 1), (1, 1), (7, 3), (40, 5), (9, 0)):
+        s = matrix_system(rng, ns, ni, np.arange(ns))
+        hit = np.argwhere(s.matrix >= 0)
+        ref = FiniteSystem(s.outputs, s.initials, s.inputs, np.column_stack(
+            [hit, s.matrix[s.matrix >= 0]]))
+        assert s.matrix.dtype == np.int32 and ref.matrix is None
+        assert s.same_as(ref) and s.n_transitions == ref.n_transitions
+        assert np.array_equal(s.out_degree(), ref.out_degree())
+        assert is_deterministic(s)
+        keep = np.flatnonzero(rng.random(ns) < 0.6)
+        sub = subsystem(s, keep)
+        assert sub.matrix is not None and sub.same_as(subsystem(ref, keep))
+        assert accessible_part(s).same_as(accessible_part(ref))
+
+
+@pytest.mark.parametrize("successors, refusal", [
+    (np.array([[0], [3], [1]]), "successor out of range"),
+    (np.array([[0], [-2], [1]]), "successor out of range"),
+    (np.array([[0, 1, 2]]), r"a \(S, I\) matrix"),
+], ids=["past-S", "below-1", "shape"])
+def test_malformed_successor_matrices(successors, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        FiniteSystem(np.zeros((3, 1)), [0], np.zeros((1, 1)),
+                     successors=successors)
+
+
+def test_a_system_takes_rows_or_a_matrix():
+    for kwargs in ({}, {"transitions": [[0, 0, 0]],
+                        "successors": [[0]]}):
+        with pytest.raises(ValueError, match="either transitions or"):
+            FiniteSystem(np.zeros((1, 1)), [0], np.zeros((1, 1)), **kwargs)
+
+
+def test_matrix_composition_and_pruning_equal_the_join(monkeypatch):
+    # two random deterministic systems on integer outputs: where each state
+    # of the first has at most one partner (distinct outputs on the second
+    # side, at eps = 0), `compose` gathers, otherwise it joins; the pruning
+    # runs the fail times where every row of a state leads to one state
+    monkeypatch.setattr(tsys, "_SLICE_ROWS", 4)
+    rng = np.random.default_rng(22)
+    seen = {"gathered": 0, "joined": 0, "functional": 0, "pruned": 0}
+    for _ in range(300):
+        n1, n2 = rng.integers(1, 12, size=2)
+        eps = float(rng.choice([0.0, 0.0, 1.0]))
+        s1 = matrix_system(rng, n1, int(rng.integers(1, 4)),
+                           rng.choice(12, n1, replace=rng.random() < 0.3))
+        s2 = matrix_system(rng, n2, int(rng.integers(1, 3)),
+                           rng.choice(12, n2, replace=rng.random() < 0.3))
+        c = compose(s1, s2, eps)
+        ref = compose(as_rows(s1), as_rows(s2), eps)
+        assert ref.matrix is None and c.same_as(ref)
+        assert np.array_equal(c.out_degree(), ref.out_degree())
+        seen["gathered" if c.matrix is not None else "joined"] += 1
+        nb = nonblocking_part(c)
+        assert nb.same_as(nonblocking_part(ref))
+        assert nb.same_as(subsystem(c, sorted(brute_nonblocking_survivors(
+            ref))))
+        if c.matrix is not None:
+            top = c.matrix.max(axis=1, initial=-1)
+            if np.all((c.matrix == top[:, None]) | (c.matrix < 0)):
+                seen["functional"] += 1
+                seen["pruned"] += 0 < nb.n_states < c.n_states
+        # a matrix whose rows lead to several states is pruned by the
+        # relational fixpoint
+        assert nonblocking_part(s1).same_as(nonblocking_part(as_rows(s1)))
+    assert min(seen.values()) > 10, seen

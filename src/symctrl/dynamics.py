@@ -138,10 +138,14 @@ class StabilityCertificate:
         return self.beta_c * r * math.exp(-self.beta_lambda * s)
 
     def gamma(self, r: float) -> float:
-        """Gain bound for input distance r."""
-        if r == 0.0:
+        """Gain bound for input distance r: 0 when r or gamma_a is 0, and
+        inf where r ** gamma_p passes the float range."""
+        if r == 0.0 or self.gamma_a == 0.0:
             return 0.0
-        return self.gamma_a * r ** self.gamma_p
+        try:
+            return self.gamma_a * r ** self.gamma_p
+        except OverflowError:
+            return math.inf
 
 
 def _as_box(box, what: str) -> np.ndarray:

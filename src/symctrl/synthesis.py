@@ -22,8 +22,8 @@ from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        map_tiles)
 from .quantize import (EmptyLatticeError, Lattice, LatticeError,
                        SynthesisParams, ValidationReport, validate_parameters)
-from .tsys import (NEVER, FiniteSystem, _fail_times, _rows, compose,
-                   nonblocking_part, subsystem)
+from .tsys import (FiniteSystem, _rows, compose, nonblocking_part,
+                   subsystem)
 
 # coarse plant rows per chunk of the integrated input scan: a chunk holds
 # _SCAN_ROWS // (coarse inputs) states.  On the benchmark problems, before
@@ -32,6 +32,8 @@ _SCAN_ROWS = TILE_ROWS // 4
 
 # input scan result of a state where no input lands
 NO_INPUT = -1
+# the fail time of a state never marked bad (_fail_times)
+NEVER = np.iinfo(np.int64).max
 
 
 class ParameterValidationError(ValueError):
@@ -253,6 +255,22 @@ def baseline_artifacts(plant: ControlSystem, specification: ControlSystem,
     return ctrl, metrics, (sp, sq, cstar, nb)
 
 
+def _fail_times(turn: np.ndarray, target: np.ndarray,
+                blocked: np.ndarray) -> np.ndarray:
+    """Fail times on a functional graph, where state i leads to target[i]:
+    the greatest fixpoint of fail = where(blocked, turn, max(turn,
+    fail[target])).  A state fails at its own turn when it is `blocked`,
+    else when its target fails, but not before its own turn; a state whose
+    path reaches no blocked state, or a state without a turn (turn NEVER),
+    reads NEVER.  A blocked state's target may be -1."""
+    fail = np.full(turn.size, NEVER)
+    while True:
+        nxt = np.where(blocked, turn, np.maximum(turn, fail[target]))
+        if np.array_equal(nxt, fail):
+            return fail
+        fail = nxt
+
+
 def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
                  ys: np.ndarray) -> Tuple[np.ndarray, int]:
     """For each state xs[i], the index of the input whose plant flow lands in
@@ -304,7 +322,7 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     queues y if it was never queued; a failure marks x bad and
     back-propagates through the recorded transitions.
 
-    This runs it a wave at a time, on fail times (tsys._fail_times: a
+    This runs it a wave at a time, on fail times (_fail_times: a
     state's turn is its place in the processing order, NEVER until it has
     one, and it is blocked when its target is off the lattice or no input
     lands there), the turns at which the sequential loop marks the states

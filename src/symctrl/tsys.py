@@ -5,12 +5,14 @@ approximate (bi)simulation relation checkers.
 States, inputs and transitions are index-based and array-backed so that
 systems with tens of millions of transitions stay affordable.  Transitions
 are (T, 3) int32 (source, input, target) rows that every producer, in any
-module, fills in place with `_rows` and joins with `_join`.  A deterministic
-system may instead be held as its (state x input) int32 successor matrix,
--1 where a row has no successor; its rows are derived when first asked for.
-A pass over rows or matrix entries (the row check, `_indptr`'s counts,
-`compose`'s join and gathers, `subsystem`'s remap) holds `_SLICE_ROWS` of
-them at a time.  Distances are infinity norms.
+module, fills in place with `_rows`; the passes that build them a slice at
+a time join the slices with `_join`.  A deterministic system may instead be
+held as its (state x input) int32 successor matrix, -1 where a row has no
+successor, the form the abstractions are built in; its rows are derived
+when first asked for.  Every operator returns rows.  A pass over rows or
+matrix entries (the row check, `_indptr`'s counts, `compose`'s join and
+gathers, `subsystem`'s remap) holds `_SLICE_ROWS` of them at a time.
+Distances are infinity norms.
 
 Operators are array code on two helpers; only fixpoint waves and slices loop:
 
@@ -25,12 +27,8 @@ Operators are array code on two helpers; only fixpoint waves and slices loop:
   Henzinger, Henzinger and Kopke for maximal simulations.
 
 The non-blocking part is that fixpoint with one obligation per state,
-witnessed by its transitions, except on a successor matrix whose rows each
-lead to one state, a functional graph, which `compose` gives by two gathers
-per entry when each state of its first system has at most one partner:
-there it is the fail-time fixpoint of the integrated route, `_fail_times`,
-with every turn 0.  The (bi)simulation checkers run the greatest fixpoint
-over output-compatible state pairs on the systems' distinct (src, dst) edges,
+witnessed by its transitions.  The (bi)simulation checkers run it over
+output-compatible state pairs on the systems' distinct (src, dst) edges,
 since they ignore input labels: a pair owes one obligation per edge of its
 first state (and, for bisimulation, of its second), witnessed by the pairs
 the other state's edges reach.  The accessible part is a forward wave, and
@@ -45,8 +43,6 @@ import numpy as np
 
 # rows a pass over transitions holds at once
 _SLICE_ROWS = 1 << 16
-# the fail time of a state never marked bad (_fail_times)
-NEVER = np.iinfo(np.int64).max
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -104,30 +100,12 @@ def _greatest_fixpoint(n_nodes: int, owner: np.ndarray, wit_ob: np.ndarray,
     return alive
 
 
-def _fail_times(turn: np.ndarray, target: np.ndarray,
-                blocked: np.ndarray) -> np.ndarray:
-    """Fail times on a functional graph, where state i leads to target[i]:
-    the greatest fixpoint of fail = where(blocked, turn, max(turn,
-    fail[target])).  A state fails at its own turn when it is `blocked`,
-    else when its target fails, but not before its own turn; a state whose
-    path reaches no blocked state, or a state without a turn (turn NEVER),
-    reads NEVER.  A blocked state's target may be -1.  With every turn 0,
-    the states that read NEVER are those whose path reaches no blocked
-    state."""
-    fail = np.full(turn.size, NEVER)
-    while True:
-        nxt = np.where(blocked, turn, np.maximum(turn, fail[target]))
-        if np.array_equal(nxt, fail):
-            return fail
-        fail = nxt
-
-
-def _blocks(matrix: np.ndarray):
-    """(first row, block) over the rows of a matrix, _SLICE_ROWS entries
-    at a time."""
-    step = max(1, _SLICE_ROWS // max(1, matrix.shape[1]))
-    for a in range(0, matrix.shape[0], step):
-        yield a, matrix[a:a + step]
+def _blocks(n: int, width: int):
+    """Bounds (a, b) of blocks of n rows of `width` entries each,
+    _SLICE_ROWS entries at a time."""
+    step = max(1, _SLICE_ROWS // max(1, width))
+    for a in range(0, n, step):
+        yield a, min(a + step, n)
 
 
 def _rows(src, inp, dst) -> np.ndarray:
@@ -230,7 +208,8 @@ class FiniteSystem:
         if self._transitions is None:
             rows = np.empty((self.n_transitions, 3), dtype=np.int32)
             at = 0
-            for a, block in _blocks(self.matrix):
+            for a, b in _blocks(*self.matrix.shape):
+                block = self.matrix[a:b]
                 src, inp = np.nonzero(block >= 0)
                 rows[at:at + src.size] = _rows(src + a, inp, block[src, inp])
                 at += src.size
@@ -279,8 +258,8 @@ class FiniteSystem:
         if self._degree is None:
             self._degree = np.concatenate(
                 [np.zeros(0, dtype=np.int64)]
-                + [np.count_nonzero(block >= 0, axis=1)
-                   for _, block in _blocks(self.matrix)])
+                + [np.count_nonzero(self.matrix[a:b] >= 0, axis=1)
+                   for a, b in _blocks(*self.matrix.shape)])
         return self._degree
 
 
@@ -293,20 +272,10 @@ def is_deterministic(s: FiniteSystem) -> bool:
 
 def subsystem(s: FiniteSystem, keep_states) -> FiniteSystem:
     """Restriction of `s` to a subset of states (indices), keeping all
-    transitions whose endpoints survive.  State order is preserved, and a
-    system held as its successor matrix stays so held."""
+    transitions whose endpoints survive.  State order is preserved."""
     alive = _mask(s.n_states, np.asarray(keep_states, dtype=np.int64))
     remap = np.cumsum(alive) - 1  # new index of each kept state
     initials = remap[s.initials[alive[s.initials]]]
-    if s.matrix is not None:
-        kept = np.flatnonzero(alive)
-        succ = np.empty((kept.size, s.n_inputs), dtype=np.int32)
-        for a, block in _blocks(succ):
-            # alive[-1] is read for the entries without a target, then masked
-            t = s.matrix[kept[a:a + block.shape[0]]]
-            block[...] = np.where((t >= 0) & alive[t], remap[t], -1)
-        return FiniteSystem(s.outputs[alive], initials, s.inputs,
-                            successors=succ)
     parts = []
     for a in range(0, s.n_transitions, _SLICE_ROWS):
         t = s.transitions[a:a + _SLICE_ROWS]
@@ -366,11 +335,14 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
     a pair steps exactly when both components step; the output of a pair is
     the output of its first (plant-side) component.
 
-    When both systems are held as successor matrices and each state of s1
-    has at most one partner, as at eps = 0 with distinct outputs, so is the
-    composition: the target of pair k = (i, j) under inputs (u, v) is the
-    pair of P[i, u], kept when that pair's partner is Q[j, v], two gathers
-    per entry.  Otherwise the transitions are joined.
+    The composed inputs are (u, v) pairs, numbered u * |V| + v.  When both
+    systems are held as successor matrices and each state of s1 has at most
+    one partner, as at eps = 0 with distinct outputs, the target of pair
+    k = (i, j) under inputs (u, v) is the pair of P[i, u], kept when that
+    pair's partner is Q[j, v]: two gathers per entry, whose kept entries
+    are written out as rows in (k, u * |V| + v) order, `_SLICE_ROWS`
+    entries at a time.  Otherwise the transitions are joined.  Either way
+    the composition is held as rows, since few of its entries hold one.
     """
     if s1.output_dim != s2.output_dim:
         raise ValueError("composed systems must share the output space")
@@ -388,14 +360,15 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
         pair_of[pair_i] = np.arange(pair_i.size)
         partner = np.full(s1.n_states + 1, -2, dtype=np.int64)
         partner[pair_i] = pair_j
-        succ = np.empty((pair_i.size, inputs.shape[0]), dtype=np.int32)
-        for a, block in _blocks(succ):
-            b = a + block.shape[0]
+        parts = []
+        for a, b in _blocks(pair_i.size, inputs.shape[0]):
             ti = s1.matrix[pair_i[a:b], :, None]
             tj = s2.matrix[pair_j[a:b], None]
-            block[...] = np.where(partner[ti] == tj, pair_of[ti], -1
-                                  ).reshape(block.shape)
-        return FiniteSystem(outputs, initials, inputs, successors=succ)
+            dst = np.where(partner[ti] == tj, pair_of[ti], -1
+                           ).reshape(b - a, -1)
+            k, uv = np.nonzero(dst >= 0)
+            parts.append(_rows(k + a, uv, dst[k, uv]))
+        return FiniteSystem(outputs, initials, inputs, _join(parts))
 
     # join transitions: each s1 transition meets the composed pairs sharing
     # its source, then the s2 transitions of the partner state; rows whose
@@ -422,21 +395,7 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
 def nonblocking_part(s: FiniteSystem) -> FiniteSystem:
     """Maximal sub-system in which every state has an outgoing transition:
     the greatest fixpoint with one obligation per state, witnessed by the
-    targets of its transitions.  On a successor matrix whose every row
-    leads to one state, as `compose` gives at eps = 0, that is the states
-    whose path reaches no state without a successor (_fail_times)."""
-    if s.matrix is not None:
-        # each state's largest target, and whether it is its only one
-        target = np.full(s.n_states, -1, dtype=np.int64)
-        one = True
-        for a, block in _blocks(s.matrix):
-            top = block.max(axis=1, initial=-1)
-            target[a:a + top.size] = top
-            one = one and bool(np.all((block == top[:, None]) | (block < 0)))
-        if one:
-            fail = _fail_times(np.zeros(s.n_states, dtype=np.int64), target,
-                               target < 0)
-            return subsystem(s, np.flatnonzero(fail == NEVER))
+    targets of its transitions."""
     t = s.transitions
     alive = _greatest_fixpoint(s.n_states, np.arange(s.n_states), t[:, 0],
                                t[:, 2])

@@ -1,8 +1,12 @@
+import functools
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symctrl.cli import (ConfigError, load_config, main, read_controller_file,
                          write_controller_file)
@@ -173,6 +177,118 @@ def test_too_deep_a_field_is_a_config_error(tmp_path, capsys, command):
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error:") and "\n" not in err, err
         assert "nested deeper" in err, err
+
+
+@pytest.mark.parametrize("command", ["validate-params", "synthesize",
+                                     "compare"])
+def test_a_gain_past_the_float_range_fails_validation(tmp_path, capsys,
+                                                      command):
+    # mu ** gamma_p = 10 ** 1000 passes the float range: the plant
+    # inequality reads inf and fails, where it raised OverflowError
+    doc = toy_doc()
+    doc["params"]["mu"] = 10.0
+    doc["plant"]["certificate"]["gamma_p"] = 1000.0
+    assert main([command, write_json(tmp_path / "gain.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] plant abstraction: lhs=inf" in captured.out + captured.err
+
+
+# numbers the loader must refuse or survive, in every numeric field
+_ODD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0.0,
+                -1.0, True, False, 10 ** 400, 1e300, 1e-300]
+
+
+@functools.lru_cache(maxsize=None)
+def _expressions(variables, shallow_only=False):
+    """Expression text from the grammar over a tuple of variables: shallow
+    trees, and unless `shallow_only`, trees nested 100 to 300 levels deep
+    and sums or products of 100 to 1,000 terms.  Cached, since building a
+    strategy costs more than drawing from it."""
+    shallow = st.recursive(
+        st.one_of(st.sampled_from(variables),
+                  st.sampled_from(["1", "0.5", "2.0e3", "1e308", "1e400"])),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join),
+            inner.map("-{}".format),
+            st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
+                      inner).map("{0[0]}({0[1]})".format),
+            inner.map("({})".format)),
+        max_leaves=8)
+    if shallow_only:
+        return shallow
+    deep = st.tuples(st.sampled_from([("(", ")"), ("sin(", ")"), ("-", ""),
+                                      ("x1^", "")]),
+                     st.integers(100, 300), shallow).map(
+        lambda t: t[0][0] * t[1] + t[2] + t[0][1] * t[1])
+    long = st.tuples(st.sampled_from([" + ", " * "]),
+                     st.sampled_from([100, 127, 129, 300, 1000]), shallow).map(
+        lambda t: t[0].join([f"({t[2]})"] * t[1]))
+    return st.one_of(shallow, deep, long)
+
+
+@st.composite
+def _config_docs(draw):
+    """A config from the loader's schema: the toy config over 1 to 3 axes,
+    with shallow fields, and up to three of its entries replaced by other
+    numbers, odd numbers, junk, or expressions that are too deep, too long
+    or out of range.  Lattice spacings and box corners are either sane, so
+    that a lattice holds at most about 1e6 points, or far off, so that it
+    is refused or holds a few points: validate-params enumerates the
+    initial cells of a lattice of up to 2^31 points."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    doc = toy_doc()
+    doc["plant"].update(m=m, input_box=[[-0.25, 0.25] for _ in range(m)])
+    for sec, inputs in ((doc["plant"], m), (doc["specification"], 0)):
+        variables = tuple([f"x{i + 1}" for i in range(n)]
+                          + [f"u{j + 1}" for j in range(inputs)])
+        sec.update(n=n, state_box=[[-1.0, 1.0] for _ in range(n)],
+                   init_box=[[-0.5, 0.0] for _ in range(n)],
+                   field=[draw(_expressions(variables, shallow_only=True))
+                          for _ in range(n)])
+    number = st.one_of(st.floats(0.001, 2.0), st.sampled_from(_ODD_NUMBERS),
+                       st.floats(), st.sampled_from(["1", None, [1], {}]))
+    for _ in range(draw(st.integers(0, 3))):
+        sec = doc[draw(st.sampled_from(sorted(doc)))]
+        key = draw(st.sampled_from(sorted(sec)))
+        value = sec[key]
+        if key in ("eta", "mu"):
+            sec[key] = draw(st.one_of(st.floats(0.02, 1.0),
+                                      st.sampled_from(_ODD_NUMBERS)))
+        elif key.endswith("box") and isinstance(value, list) and value:
+            interval = draw(st.sampled_from(value))
+            interval[draw(st.integers(0, 1))] = draw(st.one_of(
+                st.floats(-2.0, 2.0), st.sampled_from(_ODD_NUMBERS)))
+        elif key == "field":
+            value[draw(st.integers(0, n - 1))] = draw(_expressions(
+                ("x1", "x2", "x3", "x4", "u1", "u2", "u3", "y1")))
+        elif key == "certificate":
+            value[draw(st.sampled_from(["beta_c", "beta_lambda", "gamma_a",
+                                        "gamma_p"]))] = draw(
+                st.one_of(number, st.just(1000.0)))
+        else:
+            sec[key] = draw(number)
+    return doc
+
+
+def test_validate_params_survives_any_config(tmp_path, capsys):
+    # a config drawn from the loader's schema exits 0, 1 or 2, with no
+    # exception; the draws reach every one of the three
+    path = str(tmp_path / "drawn.json")
+    seen = {0: 0, 1: 0, 2: 0}
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(_config_docs())
+    def check(doc):
+        write_json(path, doc)
+        code = main(["validate-params", path])
+        capsys.readouterr()
+        assert code in seen, code
+        seen[code] += 1
+
+    check()
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("box", [("plant", "state_box"),

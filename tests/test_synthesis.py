@@ -459,22 +459,22 @@ def relational(s):
 
 
 def assert_matrices_equal_the_join(plant, spec, params, substeps):
-    """Runs the baseline and asserts that its composition and pruning, on
-    successor matrices, equal the relational ones: the systems, their
-    counts and the controller rows.  Returns whether the problem was
-    accepted."""
+    """Runs the baseline and asserts that its composition, gathered from
+    the two abstractions' successor matrices, and its pruning equal the
+    relational ones: the systems, their counts and the controller rows.
+    Returns whether the problem was accepted."""
     try:
         ctrl, _, (sp, sq, cstar, nb) = baseline_artifacts(
             plant, spec, params, substeps, force=True)
     except LatticeError:
         return False
-    assert all(s.matrix is not None for s in (sp, sq, cstar, nb))
+    assert sp.matrix is not None and sq.matrix is not None
     joined = compose(relational(sp), relational(sq), 0.0)
     pruned = nonblocking_part(joined)
-    for mat, rel in ((cstar, joined), (nb, pruned)):
-        assert rel.matrix is None and mat.same_as(rel)
-        assert mat.n_transitions == rel.n_transitions
-        assert np.array_equal(mat.out_degree(), rel.out_degree())
+    for got, rel in ((cstar, joined), (nb, pruned)):
+        assert got.matrix is None and got.same_as(rel)
+        assert got.n_transitions == rel.n_transitions
+        assert np.array_equal(got.out_degree(), rel.out_degree())
     flat = ctrl.state_lattice.quantize_many(pruned.outputs)
     t = pruned.transitions
     assert ctrl.same_as(Controller(

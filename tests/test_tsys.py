@@ -658,7 +658,7 @@ def test_a_successor_matrix_is_its_sorted_rows(monkeypatch):
         assert is_deterministic(s)
         keep = np.flatnonzero(rng.random(ns) < 0.6)
         sub = subsystem(s, keep)
-        assert sub.matrix is not None and sub.same_as(subsystem(ref, keep))
+        assert sub.matrix is None and sub.same_as(subsystem(ref, keep))
         assert accessible_part(s).same_as(accessible_part(ref))
 
 
@@ -683,8 +683,8 @@ def test_a_system_takes_rows_or_a_matrix():
 def test_matrix_composition_and_pruning_equal_the_join(monkeypatch):
     # two random deterministic systems on integer outputs: where each state
     # of the first has at most one partner (distinct outputs on the second
-    # side, at eps = 0), `compose` gathers, otherwise it joins; the pruning
-    # runs the fail times where every row of a state leads to one state
+    # side, at eps = 0), `compose` gathers, otherwise it joins; either way
+    # it returns rows, and the pruning runs the one fixpoint over them
     monkeypatch.setattr(tsys, "_SLICE_ROWS", 4)
     rng = np.random.default_rng(22)
     seen = {"gathered": 0, "joined": 0, "functional": 0, "pruned": 0}
@@ -697,19 +697,53 @@ def test_matrix_composition_and_pruning_equal_the_join(monkeypatch):
                            rng.choice(12, n2, replace=rng.random() < 0.3))
         c = compose(s1, s2, eps)
         ref = compose(as_rows(s1), as_rows(s2), eps)
-        assert ref.matrix is None and c.same_as(ref)
+        assert c.matrix is None and ref.matrix is None and c.same_as(ref)
         assert np.array_equal(c.out_degree(), ref.out_degree())
-        seen["gathered" if c.matrix is not None else "joined"] += 1
+        pair_i, _ = tsys._pair_candidates(s1, s2, eps)
+        gathered = bool(np.all(np.diff(pair_i) > 0))
+        seen["gathered" if gathered else "joined"] += 1
         nb = nonblocking_part(c)
-        assert nb.same_as(nonblocking_part(ref))
+        assert nb.matrix is None and nb.same_as(nonblocking_part(ref))
         assert nb.same_as(subsystem(c, sorted(brute_nonblocking_survivors(
             ref))))
-        if c.matrix is not None:
-            top = c.matrix.max(axis=1, initial=-1)
-            if np.all((c.matrix == top[:, None]) | (c.matrix < 0)):
-                seen["functional"] += 1
-                seen["pruned"] += 0 < nb.n_states < c.n_states
-        # a matrix whose rows lead to several states is pruned by the
-        # relational fixpoint
+        # every row of a pair leads to one pair, as on the baseline's
+        # composition, and some of those compositions lose states
+        t = c.transitions
+        if gathered and not np.any((np.diff(t[:, 0]) == 0)
+                                    & (np.diff(t[:, 2]) != 0)):
+            seen["functional"] += 1
+            seen["pruned"] += 0 < nb.n_states < c.n_states
+        # a matrix whose rows lead to several states prunes as its rows do
         assert nonblocking_part(s1).same_as(nonblocking_part(as_rows(s1)))
     assert min(seen.values()) > 10, seen
+
+
+def test_a_sparse_composition_holds_its_rows_not_its_entries():
+    # a plant of 10,000 states x 500 inputs and a one-input partner on the
+    # same outputs, as the baseline composes them: an entry composes where
+    # it meets the partner's successor, 4% of them.  The first half of the
+    # partner's states lead into the first half; a tenth of the second
+    # half have no plant successor, and pruning removes them and the states
+    # that lead to them, over several waves.  The composition's rows take 12
+    # bytes per kept entry, and a dense pair matrix alone would take 4 per
+    # entry, about 9 times the rows' bytes
+    ns, ni = 10_000, 500
+    rng = np.random.default_rng(23)
+    first = np.arange(ns) < ns // 2
+    q = np.where(first, rng.integers(0, ns // 2, ns),
+                 rng.integers(0, ns, ns)).astype(np.int32)
+    p = rng.integers(0, ns, (ns, ni), dtype=np.int32)
+    hit = rng.random((ns, ni), dtype=np.float32) < 0.04
+    p[hit] = np.broadcast_to(q[:, None], p.shape)[hit]
+    p[~first & (rng.random(ns) < 0.1)] = -1
+    outputs = np.arange(ns, dtype=float).reshape(-1, 1)
+    s1 = FiniteSystem(outputs, [0], np.arange(ni, dtype=float).reshape(-1, 1),
+                      successors=p)
+    s2 = FiniteSystem(outputs, [0], np.zeros((1, 0)), successors=q[:, None])
+    c = compose(s1, s2, 0.0)
+    size = c.transitions.nbytes
+    assert 0.03 < c.n_transitions / p.size < 0.04
+    nb = nonblocking_part(c)
+    assert 0.85 * c.n_states < nb.n_states < 0.95 * c.n_states
+    assert _traced_peak(lambda: nonblocking_part(compose(s1, s2, 0.0))
+                        ) < 5 * size

@@ -570,7 +570,6 @@ class RowEngine:
         fin = fin.reshape(S, n_c)
         G, sure = self._gains(fin, *hulls)
         del hulls
-        src = np.arange(S * n_c) // n_c
         g = G.sum(axis=2)
         # the known endpoints' radii and, with `cells_suffice`, coordinates
         # (an array per axis: one block lifts glibc's mmap threshold past the
@@ -578,15 +577,28 @@ class RowEngine:
         MISS = np.full((self.split.n_known, S), np.nan)
         E = ([np.full((self.split.n_known, S), np.nan) for _ in range(n)]
              if cells_suffice else None)
-        proves = (sure[:, None] & fin).T
-        MISS[:n_c][proves] = _radii(Z, P[src], half, g[src]).reshape(
-            S, n_c).T[proves]
-        for e, z in zip(E or (), Z.T):
-            e[:n_c][proves] = z.reshape(S, n_c).T[proves]
-        # per flowed tile, the largest |Z| per axis of the endpoints kept
-        tops = ([np.abs(Z[proves.T.ravel()]).max(axis=0, initial=0.0)]
-                if E else [])
-        del Z, src
+        # per flowed tile, the largest |Z| per axis of the endpoints kept,
+        # after a 0 that keeps the list from being empty
+        tops = [np.zeros(n)] if E else []
+
+        def record(at, src, Z, w):
+            # what the flowed rows Z[w] prove to the later levels, at their
+            # inputs' positions `at` and states `src`: the radii and, where
+            # the endpoints are finite, the coordinates
+            if not w.any():
+                return
+            MISS[at[w], src[w]] = _radii(Z[w], P[src[w]], half, g[src[w]])
+            if E:
+                w = w & np.isfinite(Z).all(axis=1)
+                for e, z in zip(E, Z[w].T):
+                    e[at[w], src[w]] = z
+                tops.append(np.abs(Z[w]).max(axis=0, initial=0.0))
+
+        # a coarse row proves something when its state's bound is sure and
+        # the row and its hull are finite
+        row = np.arange(S * n_c)
+        record(row % n_c, row // n_c, Z, (sure[:, None] & fin).ravel())
+        del Z, row
         flowed, landed = S * n_c, 0
         pos = self.split.pos
         known = [0]  # the levels whose rows were flowed
@@ -614,18 +626,10 @@ class RowEngine:
 
             def on_tile(src, f, Z, cells, inputs=inputs, inside=inside):
                 visit(src, inputs[f], Z, cells)
-                # a row proves something to the later levels only with its
-                # stage points in the region
+                # a row proves something to the later levels only at a
+                # known position and with its stage points in the region
                 at = pos[inputs[f]]
-                w = (at >= 0) & inside[src, f]
-                if w.any():
-                    MISS[at[w], src[w]] = _radii(Z[w], P[src[w]], half,
-                                                 g[src[w]])
-                if E and w.any():
-                    w &= np.isfinite(Z).all(axis=1)
-                    for e, z in zip(E, Z[w].T):
-                        e[at[w], src[w]] = z
-                    tops.append(np.abs(Z[w]).max(axis=0, initial=0.0))
+                record(at, src, Z, (at >= 0) & inside[src, f])
 
             self._flow_kept(X, keep, inputs, on_tile)
             flowed += int(keep.sum())

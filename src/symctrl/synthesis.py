@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -140,18 +140,23 @@ def _require_valid(plant: ControlSystem, specification: ControlSystem,
 
 def shared_lattices(plant: ControlSystem, specification: ControlSystem,
                     params: SynthesisParams
-                    ) -> Tuple[Lattice, Optional[Lattice], np.ndarray]:
-    """The state lattice, the input lattice and the initial cells both routes
-    synthesize over, or a refusal of what neither route can synthesize.
+                    ) -> Tuple[Lattice, Optional[Lattice],
+                               Tuple[List[int], List[int]]]:
+    """The state lattice, the input lattice and the index range of the
+    initial cells both routes synthesize over, or a refusal of what neither
+    route can synthesize.
 
     The state lattice covers the intersection of the two state boxes.  The
     initial cells are the states the composition starts from: the lattice
-    points in both systems' outward-rounded initial ranges.  When the state
-    intersection holds no lattice point, the state lattice falls back to the
-    plant's state box and there is no initial cell, so the controller is
-    empty.  A plant state or input box or a specification state box whose
-    lattice cannot be built raises LatticeError (EmptyLatticeError without
-    lattice points), and a specification with inputs ValueError.
+    points in both systems' outward-rounded initial ranges.  They are given
+    as the per-axis first and last index (from kmin; first > last on an axis
+    the range misses), which only the integrated route enumerates
+    (Lattice._range_indices).  When the state intersection holds no lattice
+    point, the state lattice falls back to the plant's state box and the
+    range is empty, so the controller is.  A plant state or input box or a
+    specification state box whose lattice cannot be built raises
+    LatticeError (EmptyLatticeError without lattice points), and a
+    specification with inputs ValueError.
     """
     def lattice(box, spacing, what):
         try:
@@ -173,14 +178,13 @@ def shared_lattices(plant: ControlSystem, specification: ControlSystem,
     try:
         st_lat = Lattice(box, 2.0 * params.eta)
     except EmptyLatticeError:
-        return plant_lat, in_lat, np.zeros(0, dtype=np.int64)
+        return plant_lat, in_lat, ([0] * plant.n, [-1] * plant.n)
     # the index ranges, not the boxes, are intersected: disjoint initial
     # boxes within one cell of each other still share cells
     (p_first, p_last), (s_first, s_last) = (
         st_lat._outer_range(sys.init_box) for sys in (plant, specification))
-    initials = st_lat._range_indices(list(map(max, p_first, s_first)),
-                                     list(map(min, p_last, s_last)))
-    return st_lat, in_lat, initials
+    return st_lat, in_lat, (list(map(max, p_first, s_first)),
+                            list(map(min, p_last, s_last)))
 
 
 def controller_to_system(ctrl: Controller) -> FiniteSystem:
@@ -335,13 +339,14 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     """
     _require_valid(plant, specification, params, force)
     t0 = time.perf_counter()
-    st_lat, in_lat, x0_indices = shared_lattices(plant, specification,
+    st_lat, in_lat, init_range = shared_lattices(plant, specification,
                                                  params)
     n_u = in_lat.n_points if in_lat is not None else 1
     if transition_cap is not None and st_lat.n_points * n_u > transition_cap:
         raise ResourceLimitError(
             f"{st_lat.n_points * n_u} candidate transitions exceed the cap "
             f"{transition_cap}")
+    x0_indices = st_lat._range_indices(*init_range)
     st_pts = st_lat.points()
     engine = RowEngine(plant, st_lat, in_lat, params.tau, substeps)
     chunk = max(1, _SCAN_ROWS // engine.split.coarse.size)

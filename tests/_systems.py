@@ -1,140 +1,44 @@
-"""Reference systems shared across the test suite: the 3-D nonlinear
-tracking pair, the eight 2-D linear benchmark pairs, a small 1-D toy
-pair for fast tests, a 4-D field that uses every operator, and the
-hypothesis strategy `problems` of random small plant and specification
-pairs.
-
-Two entries of the published linear benchmark table carry typos that
-independent count fingerprints pin down: example 3's plant matrix prints
--0.1 for -1.0 (only diag(-0.6, -1.0) reproduces its published model size,
-composition, pruning and controller counts, all exactly), and example 5's
-specification matrix prints +0.8 for -0.8 (the benchmark classifies its
-eigenvalues as complex, which only the negative sign yields, and only the
-negative sign reproduces the published counts).  The corrected matrices are
-used here; with them every published count reproduces exactly.
+"""Reference systems shared across the test suite: the ten problems of
+`configs/`, loaded as the `symctrl` commands load them (`config`; the toy
+pair, the eight linear benchmark pairs and the 3-D nonlinear tracking pair
+as `(plant, specification, params)`), a 4-D field that uses every
+operator, and the hypothesis strategy `problems` of random small plant and
+specification pairs.
 """
 
-import math
+import os
 
 from hypothesis import strategies as st
 
 from symctrl import (ControlSystem, StabilityCertificate, SynthesisParams,
                      parse_expression)
+from symctrl.cli import ProblemConfig, load_config
 
-NONLINEAR_PLANT_FIELD = ("-2*x1 + x3^2 - u1",
-                         "2*x1 - 7*exp(x2) + 7",
-                         "-3*x3 + 0.75*u1^2")
-NONLINEAR_SPEC_FIELD = ("-3*x1 + x3^3",
-                        "x1 - 5*sin(x2)",
-                        "-x2^2 - 4*x3")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def nonlinear_pair():
-    plant = ControlSystem(
-        n=3, m=1,
-        state_box=[[-1, 1]] * 3, init_box=[[-1, 0]] * 3,
-        input_box=[[-1, 1]],
-        field=tuple(parse_expression(t, 3, 1) for t in NONLINEAR_PLANT_FIELD),
-        certificate=StabilityCertificate(
-            beta_c=math.sqrt(2.0), beta_lambda=1.21,
-            gamma_a=math.sqrt(14.88), gamma_p=0.5))
-    spec = ControlSystem(
-        n=3, m=0,
-        state_box=[[-1, 1]] * 3, init_box=[[-1, 0]] * 3, input_box=[],
-        field=tuple(parse_expression(t, 3, 0) for t in NONLINEAR_SPEC_FIELD),
-        certificate=StabilityCertificate(beta_c=math.sqrt(2.0),
-                                         beta_lambda=1.0))
-    params = SynthesisParams(epsilon=0.2, theta_p=0.13, theta_q=0.07,
-                             tau=1.0, eta=1.0 / 30.0, mu=0.001)
-    return plant, spec, params
+def config(name: str) -> ProblemConfig:
+    """The shipped config `configs/<name>.json`."""
+    return load_config(os.path.join(CONFIGS, f"{name}.json"))
 
 
-def linear_field(A, B, n, m):
-    terms = []
-    for i in range(n):
-        parts = [f"{A[i][j]}*x{j + 1}" for j in range(n) if A[i][j]]
-        parts += [f"{B[i][j]}*u{j + 1}" for j in range(m) if B[i][j]]
-        terms.append(" + ".join(parts) if parts else "0")
-    return tuple(parse_expression(t, n, m) for t in terms)
-
-
-LINEAR_AP = [
-    [[-1.0, -0.5], [0.5, -1.0]],
-    [[-0.8, -0.3], [0.3, -0.8]],
-    [[-0.6, 0.0], [0.0, -1.0]],   # (2,2) corrected from the printed -0.1
-    [[-0.9, 0.0], [0.0, -0.6]],
-    [[-0.9, 0.0], [0.0, -0.6]],
-    [[-1.5, 1.0], [0.0, -1.5]],
-    [[-0.8, 0.0], [0.0, -0.6]],
-    [[-1.5, 1.0], [0.0, -1.5]],
-]
-LINEAR_BP = [[[1.0], [1.0]]] * 4 + [[[1.0], [0.0]]] * 4
-LINEAR_AQ = [
-    [[-0.75, -0.25], [0.25, -0.75]],
-    [[-1.0, 0.0], [0.0, -1.0]],
-    [[-1.0, 0.0], [0.0, -2.0]],
-    [[-0.8, -0.4], [0.4, -0.8]],
-    [[-0.8, -0.4], [0.4, -0.8]],  # (2,2) corrected from the printed +0.8
-    [[-0.9, -0.5], [0.5, -0.9]],
-    [[-1.2, 0.0], [0.0, -0.5]],
-    [[-1.0, -0.75], [0.75, -1.0]],
-]
-
-# certificates for the linear benchmarks are not published; these are chosen
-# to satisfy the quantization inequalities at the benchmark parameter set
-LINEAR_CERT_P = StabilityCertificate(beta_c=1.2, beta_lambda=1.5,
-                                     gamma_a=0.5, gamma_p=1.0)
-LINEAR_CERT_Q = StabilityCertificate(beta_c=1.2, beta_lambda=1.5)
-
-
-def linear_pair(example: int):
-    """Benchmark pair number 1..8."""
-    k = example - 1
-    plant = ControlSystem(
-        n=2, m=1,
-        state_box=[[-0.5, 0.5]] * 2, init_box=[[-0.25, 0.25]] * 2,
-        input_box=[[-2.0, 2.0]],
-        field=linear_field(LINEAR_AP[k], LINEAR_BP[k], 2, 1),
-        certificate=LINEAR_CERT_P)
-    spec = ControlSystem(
-        n=2, m=0,
-        state_box=[[-0.5, 0.5]] * 2, init_box=[[-0.25, 0.25]] * 2,
-        input_box=[],
-        field=linear_field(LINEAR_AQ[k], [], 2, 0),
-        certificate=LINEAR_CERT_Q)
-    params = SynthesisParams(epsilon=0.1, theta_p=0.05, theta_q=0.05,
-                             tau=0.5, eta=0.01, mu=0.001)
-    return plant, spec, params
-
-
-# published counts for the linear benchmarks:
-# (integrated states, bad states, integrated memory, Nb states, Nb transitions)
-LINEAR_EXPECTED = {
-    1: (239, 490, 1207, 403, 5719),
-    2: (281, 448, 1291, 521, 6753),
-    3: (199, 530, 1127, 343, 4331),
-    4: (277, 452, 1283, 499, 6505),
-    5: (99, 630, 927, 99, 2461),
-    6: (109, 620, 947, 129, 3665),
-    7: (81, 648, 891, 153, 3717),
-    8: (53, 676, 835, 65, 1847),
-}
+def _pair(name: str):
+    cfg = config(name)
+    return cfg.plant, cfg.specification, cfg.params
 
 
 def toy_pair():
     """Fast 1-D pair: plant dx = -x + u tracking spec dx = -x."""
-    plant = ControlSystem(
-        n=1, m=1, state_box=[[-1, 1]], init_box=[[-0.5, 0.0]],
-        input_box=[[-0.25, 0.25]],
-        field=(parse_expression("-x1 + u1", 1, 1),),
-        certificate=StabilityCertificate(1.0, 1.0, 0.2, 1.0))
-    spec = ControlSystem(
-        n=1, m=0, state_box=[[-1, 1]], init_box=[[-0.5, 0.0]], input_box=[],
-        field=(parse_expression("-x1", 1, 0),),
-        certificate=StabilityCertificate(1.0, 1.0))
-    params = SynthesisParams(epsilon=0.2, theta_p=0.1, theta_q=0.1,
-                             tau=0.5, eta=0.025, mu=0.025)
-    return plant, spec, params
+    return _pair("toy_tracking")
+
+
+def linear_pair(example: int):
+    """Benchmark pair number 1..8."""
+    return _pair(f"linear_example_{example}")
+
+
+def nonlinear_pair():
+    return _pair("nonlinear_tracking")
 
 
 def every_operator_system():

@@ -1,6 +1,6 @@
 """Acceptance suite: reproduces the published benchmark numbers and the
-structural guarantees end to end, one criterion per test, each printing a
-PASS/FAIL line (run with -s to see them)."""
+structural guarantees end to end, on the shipped configs, one criterion per
+test, each printing a PASS/FAIL line (run with -s to see them)."""
 
 import hashlib
 import resource
@@ -18,8 +18,21 @@ from symctrl import (AbstractionSpec, Lattice, accessible_part,
                      nonblocking_part, simulate_closed_loop, subsystem,
                      synthesize_integrated)
 
-from _systems import LINEAR_EXPECTED, linear_pair, nonlinear_pair
+from _systems import config
 from test_tsys import brute_nonblocking_survivors, random_system
+
+# published counts for the linear benchmarks:
+# (integrated states, bad states, integrated memory, Nb states, Nb transitions)
+LINEAR_EXPECTED = {
+    1: (239, 490, 1207, 403, 5719),
+    2: (281, 448, 1291, 521, 6753),
+    3: (199, 530, 1127, 343, 4331),
+    4: (277, 452, 1283, 499, 6505),
+    5: (99, 630, 927, 99, 2461),
+    6: (109, 620, 947, 129, 3665),
+    7: (81, 648, 891, 153, 3717),
+    8: (53, 676, 835, 65, 1847),
+}
 
 NONLINEAR_EXPECTED = {
     "sp_states": 29791, "sp_transitions": 29820791,
@@ -74,49 +87,40 @@ def _within(value, expected, rel) -> bool:
     return abs(value - expected) <= rel * expected
 
 
+def _both_routes(name) -> dict:
+    """Both routes on the shipped config `configs/<name>.json`, run as
+    `symctrl synthesize` runs them: with its substeps, validation override
+    and transition cap."""
+    cfg = config(name)
+    args = (cfg.plant, cfg.specification, cfg.params, cfg.substeps)
+    opts = {"force": cfg.override_validation,
+            "transition_cap": cfg.transition_cap}
+    t0 = time.perf_counter()
+    ctrl_i, m_i = synthesize_integrated(*args, **opts)
+    t1 = time.perf_counter()
+    ctrl_b, m_b, (sp, sq, _, nb) = baseline_artifacts(*args, **opts)
+    t2 = time.perf_counter()
+    return {
+        "plant": cfg.plant, "spec": cfg.specification, "params": cfg.params,
+        "substeps": cfg.substeps,
+        "ctrl_i": ctrl_i, "m_i": m_i, "ctrl_b": ctrl_b, "m_b": m_b,
+        "sp_states": sp.n_states, "sp_transitions": sp.n_transitions,
+        "sq_states": sq.n_states, "sq_transitions": sq.n_transitions,
+        "nb_states": nb.n_states, "nb_transitions": nb.n_transitions,
+        "elapsed": t2 - t0, "t_baseline": t2 - t1,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0,
+    }
+
+
 @pytest.fixture(scope="module")
 def linear_results():
-    out = {}
-    for k in range(1, 9):
-        plant, spec, params = linear_pair(k)
-        t0 = time.perf_counter()
-        ctrl_i, m_i = synthesize_integrated(plant, spec, params)
-        ctrl_b, m_b, (sp, sq, cstar, nb) = baseline_artifacts(plant, spec,
-                                                              params)
-        elapsed = time.perf_counter() - t0
-        out[k] = {
-            "plant": plant, "spec": spec, "params": params,
-            "ctrl_i": ctrl_i, "m_i": m_i, "ctrl_b": ctrl_b, "m_b": m_b,
-            "nb": nb, "sp_transitions": sp.n_transitions,
-            "sq_transitions": sq.n_transitions,
-            "cstar_transitions": cstar.n_transitions,
-            "elapsed": elapsed,
-        }
-    return out
+    return {k: _both_routes(f"linear_example_{k}") for k in range(1, 9)}
 
 
 @pytest.fixture(scope="module")
 def nonlinear_results():
-    plant, spec, params = nonlinear_pair()
-    t0 = time.perf_counter()
-    ctrl_i, m_i = synthesize_integrated(plant, spec, params, force=True)
-    t_int = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ctrl_b, m_b, (sp, sq, cstar, nb) = baseline_artifacts(plant, spec, params,
-                                                          force=True)
-    t_base = time.perf_counter() - t0
-    res = {
-        "plant": plant, "spec": spec, "params": params,
-        "ctrl_i": ctrl_i, "m_i": m_i, "ctrl_b": ctrl_b, "m_b": m_b,
-        "sp_states": sp.n_states, "sp_transitions": sp.n_transitions,
-        "sq_states": sq.n_states, "sq_transitions": sq.n_transitions,
-        "cstar_transitions": cstar.n_transitions,
-        "nb_states": nb.n_states, "nb_transitions": nb.n_transitions,
-        "t_integrated": t_int, "t_baseline": t_base,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        / 1024.0,
-    }
-    return res
+    return _both_routes("nonlinear_tracking")
 
 
 def test_criterion_1_lattice_cardinalities():
@@ -264,7 +268,8 @@ def test_criterion_7_closed_loop_conformance(linear_results,
                 x0 = ctrl.state_lattice.point(int(idx))
                 try:
                     trace = simulate_closed_loop(r["plant"], r["spec"], ctrl,
-                                                 x0, 20, r["params"])
+                                                 x0, 20, r["params"],
+                                                 r["substeps"])
                 except Exception as exc:
                     problems.append(f"{name} {method} cell {int(idx)}: {exc}")
                     continue

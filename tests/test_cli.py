@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from symctrl.cli import (ConfigError, load_config, main, read_controller_file,
 from symctrl import (abstraction, synthesis, synthesize_integrated,
                      synthesize_baseline)
 
-CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+from _systems import CONFIGS
+
 TOY = os.path.join(CONFIGS, "toy_tracking.json")
 NONLINEAR = os.path.join(CONFIGS, "nonlinear_tracking.json")
 LINEAR1 = os.path.join(CONFIGS, "linear_example_1.json")
@@ -227,14 +229,17 @@ def _expressions(variables, shallow_only=False):
 
 
 @st.composite
-def _config_docs(draw):
+def _config_docs(draw, flows=False):
     """A config from the loader's schema: the toy config over 1 to 3 axes,
     with shallow fields, and up to three of its entries replaced by other
     numbers, odd numbers, junk, or expressions that are too deep, too long
     or out of range.  Lattice spacings and box corners are either sane, so
     that a lattice holds at most about 1e6 points, or far off, so that it
-    is refused or holds a few points: validate-params enumerates the
-    initial cells of a lattice of up to 2^31 points."""
+    is refused or holds a few points; unless `flows`, one axis of every
+    state and initial box may also span up to 2e4, so that a lattice may
+    hold up to 2^31 points.  With `flows`, the lattices are coarse, a few
+    hundred states and inputs at most, and the substeps few, so that both
+    routes flow a config in milliseconds."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     doc = toy_doc()
     doc["plant"].update(m=m, input_box=[[-0.25, 0.25] for _ in range(m)])
@@ -245,6 +250,17 @@ def _config_docs(draw):
                    init_box=[[-0.5, 0.0] for _ in range(n)],
                    field=[draw(_expressions(variables, shallow_only=True))
                           for _ in range(n)])
+    spacing = st.floats(0.2, 1.0) if flows else st.floats(0.02, 1.0)
+    if flows:
+        doc["params"].update(eta=draw(st.floats(0.2, 0.5)),
+                             mu=draw(st.floats(0.1, 0.25)),
+                             substeps=draw(st.sampled_from([1, 2, 5])))
+    elif draw(st.booleans()):
+        axis, width = draw(st.integers(0, n - 1)), draw(st.sampled_from(
+            [1e2, 1e4]))
+        for sec in (doc["plant"], doc["specification"]):
+            sec["state_box"][axis] = [-width, width]
+            sec["init_box"][axis] = [-width, 0.0]
     number = st.one_of(st.floats(0.001, 2.0), st.sampled_from(_ODD_NUMBERS),
                        st.floats(), st.sampled_from(["1", None, [1], {}]))
     for _ in range(draw(st.integers(0, 3))):
@@ -252,8 +268,12 @@ def _config_docs(draw):
         key = draw(st.sampled_from(sorted(sec)))
         value = sec[key]
         if key in ("eta", "mu"):
-            sec[key] = draw(st.one_of(st.floats(0.02, 1.0),
-                                      st.sampled_from(_ODD_NUMBERS)))
+            sec[key] = draw(st.one_of(spacing, st.sampled_from(_ODD_NUMBERS)))
+        elif key == "substeps" and flows:
+            # a number of substeps past the float range is refused, but one
+            # of 1e300 would flow for ever
+            sec[key] = draw(st.one_of(st.integers(1, 5), st.sampled_from(
+                [math.nan, math.inf, 0.0, -1.0, 1.5, True, 10 ** 400, "1"])))
         elif key.endswith("box") and isinstance(value, list) and value:
             interval = draw(st.sampled_from(value))
             interval[draw(st.integers(0, 1))] = draw(st.one_of(
@@ -289,6 +309,55 @@ def test_validate_params_survives_any_config(tmp_path, capsys):
 
     check()
     assert min(seen.values()) > 0, seen
+
+
+def test_synthesize_and_compare_survive_any_config(tmp_path, capsys):
+    # a drawn config on lattices that flow in milliseconds: synthesize
+    # --force on either route and compare --force exit with a documented
+    # code and no exception, and compare never finds the two controllers
+    # other than bisimilar
+    path = str(tmp_path / "drawn.json")
+    seen = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(_config_docs(flows=True))
+    def check(doc):
+        write_json(path, doc)
+        for argv in (["synthesize", path, "--force", "--method", "integrated"],
+                     ["synthesize", path, "--force", "--method", "baseline"],
+                     ["compare", path, "--force"]):
+            code = main(argv)
+            capsys.readouterr()
+            assert 0 <= code <= 6 and (argv[0], code) != ("compare", 5), \
+                (argv, code)
+            seen.add((argv[0], code))
+
+    check()
+    assert {("synthesize", 0), ("compare", 0)} <= seen, seen
+
+
+def test_only_the_integrated_route_enumerates_initial_cells(tmp_path, capsys):
+    # 1e7 initial cells: the toy problem widened to [-1e5, 1e5] at eta =
+    # 0.01.  The set-up builds lattices and refuses; only the integrated
+    # route enumerates the cells, and its transition cap refuses first
+    doc = toy_doc()
+    for section in ("plant", "specification"):
+        doc[section]["state_box"] = doc[section]["init_box"] = [[-1e5, 1e5]]
+    doc["params"]["eta"] = 0.01
+    path = write_json(tmp_path / "huge.json", doc)
+    for argv, expected in ((["validate-params", path], 0),
+                           (["synthesize", path, "--method", "integrated"], 4),
+                           (["synthesize", path, "--method", "baseline"], 4),
+                           (["compare", path], 4)):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == expected and peak <= 16 * 2 ** 20, (argv, code, peak)
 
 
 @pytest.mark.parametrize("box", [("plant", "state_box"),

@@ -381,8 +381,8 @@ def disjoint_sharing_cells(plant, spec, params):
     ranges share a lattice point."""
     lo = np.maximum(plant.init_box[:, 0], spec.init_box[:, 0])
     hi = np.minimum(plant.init_box[:, 1], spec.init_box[:, 1])
-    return bool(np.any(lo > hi)) and shared_lattices(plant, spec,
-                                                     params)[2].size > 0
+    first, last = shared_lattices(plant, spec, params)[2]
+    return bool(np.any(lo > hi)) and all(a <= b for a, b in zip(first, last))
 
 
 @pytest.mark.parametrize("drifting, shifted",

@@ -74,7 +74,7 @@ class ResourceLimitError(RuntimeError):
 class AbstractionSpec:
     """Sampling time tau, state quantization eta, input quantization mu
     (None for autonomous systems, whose single input is the constant zero),
-    and integrator substeps per sampling period."""
+    and integrator substeps per sampling period, checked by RowEngine."""
 
     tau: float
     eta: float
@@ -86,8 +86,6 @@ class AbstractionSpec:
             raise ValueError("tau and eta must be positive")
         if self.mu is not None and self.mu <= 0:
             raise ValueError("mu must be positive when present")
-        if self.substeps < 1:
-            raise ValueError("substeps must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -456,6 +454,8 @@ class RowEngine:
 
     def __init__(self, sys: ControlSystem, st_lat: Lattice,
                  in_lat: Optional[Lattice], tau: float, substeps: int):
+        if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+            raise ValueError("substeps must be a positive integer")
         self.sys, self.st_lat, self.tau, self.substeps = (sys, st_lat, tau,
                                                           substeps)
         self.inputs = np.zeros((1, 0)) if in_lat is None else in_lat.points()

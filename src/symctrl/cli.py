@@ -23,7 +23,7 @@ import numpy as np
 from .abstraction import DEFAULT_TRANSITION_CAP, ResourceLimitError
 from .dynamics import (DEFAULT_SUBSTEPS, ControlSystem, DivergenceError,
                        StabilityCertificate, thread_count)
-from .expr import EvalDomainError, ExprSyntaxError, parse_expression
+from .expr import ExprSyntaxError, parse_expression
 from .loop import UncontrolledStateError, conformance_report, simulate_closed_loop
 from .quantize import (Lattice, LatticeError, SynthesisParams,
                        validate_parameters)
@@ -337,7 +337,7 @@ def _cmd_synthesize(args) -> int:
     print(json.dumps(metrics.as_dict()))
     print(f"{args.method} controller: {metrics.states} states, "
           f"{metrics.transitions} transitions", file=sys.stderr)
-    return EXIT_OK if metrics.states > 0 else EXIT_EMPTY
+    return EXIT_OK if ctrl.initials.size else EXIT_EMPTY
 
 
 def _cmd_simulate(args) -> int:
@@ -480,7 +480,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DivergenceError, EvalDomainError) as exc:
+    except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

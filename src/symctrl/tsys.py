@@ -27,12 +27,12 @@ Operators are array code on two helpers; only fixpoint waves and slices loop:
   Henzinger, Henzinger and Kopke for maximal simulations.
 
 The non-blocking part is that fixpoint with one obligation per state,
-witnessed by its transitions.  The (bi)simulation checkers run it over
-output-compatible state pairs on the systems' distinct (src, dst) edges,
-since they ignore input labels: a pair owes one obligation per edge of its
-first state (and, for bisimulation, of its second), witnessed by the pairs
-the other state's edges reach.  The accessible part is a forward wave, and
-output-compatible pairs come from one sorted-key join.
+witnessed by its transitions.  The (bi)simulation checkers run it on the
+composition of the systems with input labels dropped, one product for both
+sides: a pair owes one obligation per edge of its first state (and, for
+bisimulation, of its second), and each composed edge leaving the pair
+witnesses the obligation of the edge it takes on each side.  The accessible
+part is a forward wave; output-compatible pairs come from one sorted-key join.
 """
 
 from __future__ import annotations
@@ -304,10 +304,13 @@ def _pair_candidates(s1: FiniteSystem, s2: FiniteSystem,
 
     One sorted-key join.  At eps = 0 a state's key is its output.  Otherwise
     it is its grid cell floor(o / eps): s1 offers its cell and the 3^d
-    neighbours, and the joined pairs are filtered by distance.
+    neighbours, and the joined pairs are filtered by distance.  A negative
+    or NaN eps raises ValueError.
     """
     o1, o2 = s1.outputs, s2.outputs
     n1, d = o1.shape
+    if not eps >= 0:
+        raise ValueError(f"eps must be 0 or more, not {eps}")
     if eps == 0.0:
         k1, k2, src = o1, o2, np.arange(n1)
     else:
@@ -345,7 +348,7 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
     the composition is held as rows, since few of its entries hold one.
     """
     if s1.output_dim != s2.output_dim:
-        raise ValueError("composed systems must share the output space")
+        raise ValueError("systems must share the output space")
     pair_i, pair_j = _pair_candidates(s1, s2, eps)
     initials = np.flatnonzero(_mask(s1.n_states, s1.initials)[pair_i]
                               & _mask(s2.n_states, s2.initials)[pair_j])
@@ -428,30 +431,26 @@ def _relation(s1: FiniteSystem, s2: FiniteSystem, eps: float,
     """Maximal eps-approximate simulation relation from s1 to s2 (both ways
     when symmetric), or None when some initial state is unrelated to every
     initial state of the other side (s2's side only when symmetric).  The
-    relations ignore input labels, so they run over distinct edges."""
-    if s1.output_dim != s2.output_dim:
-        raise ValueError("systems must share the output space")
+    relations ignore input labels, so they run on the composition of the
+    label-free systems, whose states are the candidate pairs."""
     s1, s2 = _label_free(s1), _label_free(s2)
+    t = compose(s1, s2, eps).transitions
     pair_i, pair_j = _pair_candidates(s1, s2, eps)
-    n2 = np.int64(s2.n_states)
-    pair_code = pair_i * n2 + pair_j
     sides = [(s1, pair_i, s2, pair_j)]
     if symmetric:
         sides.append((s2, pair_j, s1, pair_i))
-    owner, wit_ob, wit_node = [], [], []
-    for flip, (s, mine, other, theirs) in enumerate(sides):
-        # pair k owes a match for transition e of its own state; transition f
-        # of the partner state witnesses it through the pair of their targets
+    owner, wit_ob = [], []
+    for s, mine, _, _ in sides:
+        # pair k owes a match for each edge of its own state, to x; the
+        # composed edges k -> k' with mine[k'] = x witness it
+        n = np.int64(s.n_states)
         k, e = _ranges(s._succ_index(), mine)
-        ob, f = _ranges(other._succ_index(), theirs[k])
-        x, y = s.transitions[e[ob], 2], other.transitions[f, 2]
-        node = _find(pair_code, y * n2 + x if flip else x * n2 + y)
-        wit_ob.append(ob[node >= 0] + sum(map(len, owner)))
-        wit_node.append(node[node >= 0])
+        wit_ob.append(sum(map(len, owner)) + _find(
+            k * n + s.transitions[e, 2], t[:, 0] * n + mine[t[:, 2]]))
         owner.append(k)
-    alive = _greatest_fixpoint(pair_code.size, np.concatenate(owner),
+    alive = _greatest_fixpoint(pair_i.size, np.concatenate(owner),
                                np.concatenate(wit_ob),
-                               np.concatenate(wit_node))
+                               np.tile(t[:, 2], len(sides)))
     for s, mine, other, theirs in sides:
         # every initial state is related to some initial state of the other
         related = mine[alive & _mask(other.n_states, other.initials)[theirs]]

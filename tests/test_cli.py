@@ -469,6 +469,26 @@ def test_synthesize_empty_intersection_exit3(tmp_path, capsys):
     assert code == 3
 
 
+def test_a_controller_without_initial_states_exit3(tmp_path, capsys):
+    # every initial cell blocks: the integrated route keeps no state, and
+    # the baseline keeps three non-blocking pairs that no initial cell
+    # reaches; both controllers are empty
+    doc = toy_doc()
+    for section, field in (("plant", ["-x2 ^ x1", "(x2)", "(--x2)"]),
+                           ("specification", ["((((x2))))", "(--x2)",
+                                              "(x2)"])):
+        doc[section].update(n=3, field=field,
+                            state_box=[[-1.0, 1.0] for _ in range(3)],
+                            init_box=[[-0.5, 0.0] for _ in range(3)])
+    doc["params"].update(eta=0.445, mu=0.1, substeps=2)
+    path = write_json(tmp_path / "blocked.json", doc)
+    states = {}
+    for method in ("integrated", "baseline"):
+        assert main(["synthesize", path, "--method", method, "--force"]) == 3
+        states[method] = json.loads(capsys.readouterr().out)["states"]
+    assert states == {"integrated": 0, "baseline": 3}
+
+
 def test_compare_near_disjoint_initial_boxes(tmp_path, capsys):
     # disjoint initial boxes whose outward-rounded ranges share the cell of
     # 0.0: both routes start from it

@@ -19,6 +19,23 @@ from _systems import linear_pair, nonlinear_pair, problems, toy_pair
 from test_pruning import BAD, CONTROLLED, UNSEEN, backprop_blocking
 
 
+# ---- arguments --------------------------------------------------------------
+
+@pytest.mark.parametrize("route", [synthesize_integrated, synthesize_baseline])
+@pytest.mark.parametrize("substeps", [0, -3, 2.5])
+def test_substeps_must_be_a_positive_integer(route, substeps):
+    plant, spec, params = toy_pair()
+    with pytest.raises(ValueError, match="substeps"):
+        route(plant, spec, params, substeps)
+
+
+@pytest.mark.parametrize("route", [synthesize_integrated, synthesize_baseline])
+def test_substeps_may_be_a_numpy_integer(route):
+    plant, spec, params = toy_pair()
+    ctrl, _ = route(plant, spec, params, np.int64(2))
+    assert ctrl.same_as(route(plant, spec, params, 2)[0])
+
+
 # ---- back-propagation of blocking states ------------------------------------
 
 def run_backprop(t, x, bad, n=10):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -204,6 +205,30 @@ def test_compose_matches_signed_zero_outputs():
         c = compose(s1, s2, eps)
         assert c.same_as(brute_compose(s1, s2, eps))
         assert c.n_states == 1
+
+
+@pytest.mark.parametrize("eps", [-1.0, float("nan")])
+@pytest.mark.parametrize("operator", [compose, check_simulation,
+                                      check_bisimulation])
+def test_a_negative_or_nan_eps_is_refused(operator, eps):
+    s = make_system([[0.0], [1.0]], [0], 1, [[0, 0, 1], [1, 0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast of NaN before the refusal
+        with pytest.raises(ValueError, match="eps"):
+            operator(s, s, eps)
+
+
+def test_an_infinite_eps_makes_every_pair_compatible():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        s1, s2 = random_pair(rng)
+        c = compose(s1, s2, float("inf"))
+        assert c.n_states == s1.n_states * s2.n_states
+        assert c.same_as(brute_compose(s1, s2, float("inf")))
+        for symmetric, check in ((False, check_simulation),
+                                 (True, check_bisimulation)):
+            assert check(s1, s2, float("inf")) == brute_relation(
+                s1, s2, float("inf"), symmetric)
 
 
 # ---- non-blocking and accessible parts -------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
-                       map_tiles)
+                       check_substeps, map_tiles)
 from .expr import Var, derivative, enclose, is_affine
 from .quantize import Lattice
 from .tsys import FiniteSystem
@@ -454,8 +454,7 @@ class RowEngine:
 
     def __init__(self, sys: ControlSystem, st_lat: Lattice,
                  in_lat: Optional[Lattice], tau: float, substeps: int):
-        if not isinstance(substeps, (int, np.integer)) or substeps < 1:
-            raise ValueError("substeps must be a positive integer")
+        check_substeps(substeps)
         self.sys, self.st_lat, self.tau, self.substeps = (sys, st_lat, tau,
                                                           substeps)
         self.inputs = np.zeros((1, 0)) if in_lat is None else in_lat.points()

@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -30,7 +31,7 @@ from .quantize import (Lattice, LatticeError, SynthesisParams,
 from .synthesis import (Controller, ParameterValidationError,
                         controller_to_system, shared_lattices,
                         synthesize_baseline, synthesize_integrated)
-from .tsys import check_bisimulation
+from . import tsys
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,7 +146,7 @@ def load_config(path: str) -> ProblemConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -215,37 +216,24 @@ def write_controller_file(path: str, ctrl: Controller) -> None:
         f"#initials {' '.join(str(int(i)) for i in ctrl.initials)}".rstrip(),
         f"#bad {' '.join(str(int(i)) for i in ctrl.bad)}".rstrip(),
     ]
-    body = "".join(f"{src} {uix} {dst}\n"
-                   for src, uix, dst in ctrl.transitions.tolist())
+    t = ctrl.transitions
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n" + body)
+        fh.write("\n".join(lines) + "\n")
+        for a in range(0, t.shape[0], tsys._SLICE_ROWS):
+            fh.write("".join(f"{src} {uix} {dst}\n" for src, uix, dst
+                             in t[a:a + tsys._SLICE_ROWS].tolist()))
 
 
-# the rows write_controller_file writes: three plain integers a line, each
-# short enough for int64
-_PLAIN_ROWS = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
+# a header line: '#' first after any leading whitespace
+_HEADER = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
 
 
-def _header_line(line: str, header: dict) -> None:
-    key, _, rest = line[1:].partition(" ")
-    header[key] = rest.strip()
-
-
-def _transition_rows(lines: List[str], header: dict) -> np.ndarray:
-    """The `src input dst` rows of the lines of a controller file from its
-    first transition on.  Plain rows, as write_controller_file writes them,
-    parse in one pass; any other body (blank lines, a header line among the
-    rows, a malformed line) is read line by line, and the first bad line
-    raises ConfigError."""
-    body = "\n".join(lines)
-    if _PLAIN_ROWS.fullmatch(body):
-        return np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3)
+def _transition_rows(text: str) -> np.ndarray:
+    """The rows of the text, line by line; a bad line raises ConfigError."""
     rows = []
-    for raw in lines:
+    for raw in text.split("\n"):
         line = raw.strip()
-        if line.startswith("#"):
-            _header_line(line, header)
-        elif line:
+        if line and not line.startswith("#"):
             try:
                 src, uix, dst = map(np.int64, line.split())
             except (ValueError, OverflowError):  # not 3 int64 values
@@ -255,19 +243,30 @@ def _transition_rows(lines: List[str], header: dict) -> np.ndarray:
 
 
 def read_controller_file(path: str) -> Controller:
-    """Reload a controller written by write_controller_file."""
-    header: dict = {}
+    """Reload a controller written by write_controller_file.  A later header
+    line sets its key again.  numpy reads the rows; a body it refuses, not
+    three columns wide, or with a '#' after the start of a line (numpy would
+    cut it as a comment) is read line by line, and an error names its line."""
+    rows = np.zeros((0, 0))
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    start = len(lines)
-    for pos, raw in enumerate(lines):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            start = pos
-            break
-        if line:
-            _header_line(line, header)
-    rows = _transition_rows(lines[start:], header)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"controller file is not UTF-8 text: {exc}")
+        heads = _HEADER.findall(text)
+        if text.count("#") == sum(line.count("#") for line in heads):
+            fh.seek(0)  # given the path, numpy picks a decompressor by suffix
+            try:  # any warning (an int parsed via float, no rows) refuses
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(fh, dtype=np.int64, comments="#",
+                                      ndmin=2)
+            except (ValueError, Warning):
+                pass
+    header = {key: rest.strip() for key, _, rest
+              in (line.strip()[1:].partition(" ") for line in heads)}
+    if rows.shape[1] != 3:
+        rows = _transition_rows(text)
     try:
         dim = int(header["dim"])
         eta = float(header["eta"])
@@ -403,8 +402,8 @@ def _cmd_compare(args) -> int:
     print(f"{'quantity':<14}{'integrated':>14}{'baseline':>14}{'ratio':>10}")
     for name, iv, bv in rows:
         print(f"{name:<14}{iv:>14}{bv:>14}{_ratio(iv, bv):>10}")
-    relation = check_bisimulation(controller_to_system(int_ctrl),
-                                  controller_to_system(base_ctrl), 0.0)
+    relation = tsys.check_bisimulation(controller_to_system(int_ctrl),
+                                       controller_to_system(base_ctrl), 0.0)
     verdict = "exactly bisimilar" if relation is not None else \
         "NOT bisimilar (unexpected)"
     print(f"controllers: {verdict}")

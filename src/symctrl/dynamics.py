@@ -302,6 +302,12 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
                     f"np.column_stack([{hi}])", "    return out"]
 
 
+def check_substeps(substeps) -> None:
+    """Refuse a `substeps` that is not an int or numpy integer of 1 or more."""
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError("substeps must be a positive integer")
+
+
 def _flow_tile(sys: ControlSystem, X: np.ndarray, U: np.ndarray,
                tau: float, substeps: int, hull: bool = False):
     """Endpoints of one tile of rows; with `hull`, (endpoints, lo, hi) where
@@ -338,8 +344,7 @@ def flow_many(sys: ControlSystem, X, U, tau: float,
         raise ValueError("X and U must have the same number of rows")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if substeps < 1:
-        raise ValueError("substeps must be a positive integer")
+    check_substeps(substeps)
     parts = map_tiles(
         lambda a, b: _flow_tile(sys, X[a:b], U[a:b], tau, substeps),
         X.shape[0], threads)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_SUBSTEPS, ControlSystem, flow_many
+from .dynamics import (DEFAULT_SUBSTEPS, ControlSystem, check_substeps,
+                       flow_many)
 from .quantize import SynthesisParams
 from .synthesis import Controller
 
@@ -83,6 +84,7 @@ def simulate_closed_loop(plant: ControlSystem, specification: ControlSystem,
     initial state.  The reference specification trajectory starts at the same
     lattice point the controller starts from.
     """
+    check_substeps(substeps)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != plant.n:
         raise ValueError(f"x0 must have dimension {plant.n}")

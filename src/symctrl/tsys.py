@@ -346,6 +346,7 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
     are written out as rows in (k, u * |V| + v) order, `_SLICE_ROWS`
     entries at a time.  Otherwise the transitions are joined.  Either way
     the composition is held as rows, since few of its entries hold one.
+    It records its pairs as `pairs`: state k is (pairs[0][k], pairs[1][k]).
     """
     if s1.output_dim != s2.output_dim:
         raise ValueError("systems must share the output space")
@@ -371,28 +372,29 @@ def compose(s1: FiniteSystem, s2: FiniteSystem, eps: float) -> FiniteSystem:
                            ).reshape(b - a, -1)
             k, uv = np.nonzero(dst >= 0)
             parts.append(_rows(k + a, uv, dst[k, uv]))
-        return FiniteSystem(outputs, initials, inputs, _join(parts))
-
-    # join transitions: each s1 transition meets the composed pairs sharing
-    # its source, then the s2 transitions of the partner state; rows whose
-    # target pair is itself a composed state are kept
-    n2, i2 = np.int64(s2.n_states), np.int64(s2.n_inputs)
-    pair_code = pair_i * n2 + pair_j  # ascending, as the pairs are sorted
-    pairs_by_i = _indptr(pair_i, s1.n_states)
-    t1, t2 = s1.transitions, s2.transitions
-    widest = int(np.diff(pairs_by_i).max(initial=1))
-    chunk = max(1, _SLICE_ROWS // widest)
-    parts = []
-    for a in range(0, t1.shape[0], chunk):
-        rows = t1[a:a + chunk]
-        r, k = _ranges(pairs_by_i, rows[:, 0])
-        q, e2 = _ranges(s2._succ_index(), pair_j[k])
-        r, k = r[q], k[q]
-        dst = _find(pair_code, rows[r, 2] * n2 + t2[e2, 2])
-        ok = dst >= 0
-        parts.append(_rows(k[ok], rows[r[ok], 1] * i2 + t2[e2[ok], 1],
-                           dst[ok]))
-    return FiniteSystem(outputs, initials, inputs, _join(parts))
+    else:
+        # join transitions: each s1 transition meets the composed pairs
+        # sharing its source, then the s2 transitions of the partner state;
+        # rows whose target pair is itself a composed state are kept
+        n2, i2 = np.int64(s2.n_states), np.int64(s2.n_inputs)
+        pair_code = pair_i * n2 + pair_j  # ascending, as the pairs are sorted
+        pairs_by_i = _indptr(pair_i, s1.n_states)
+        t1, t2 = s1.transitions, s2.transitions
+        widest = int(np.diff(pairs_by_i).max(initial=1))
+        chunk = max(1, _SLICE_ROWS // widest)
+        parts = []
+        for a in range(0, t1.shape[0], chunk):
+            rows = t1[a:a + chunk]
+            r, k = _ranges(pairs_by_i, rows[:, 0])
+            q, e2 = _ranges(s2._succ_index(), pair_j[k])
+            r, k = r[q], k[q]
+            dst = _find(pair_code, rows[r, 2] * n2 + t2[e2, 2])
+            ok = dst >= 0
+            parts.append(_rows(k[ok], rows[r[ok], 1] * i2 + t2[e2[ok], 1],
+                               dst[ok]))
+    composed = FiniteSystem(outputs, initials, inputs, _join(parts))
+    composed.pairs = pair_i, pair_j
+    return composed
 
 
 def nonblocking_part(s: FiniteSystem) -> FiniteSystem:
@@ -434,8 +436,8 @@ def _relation(s1: FiniteSystem, s2: FiniteSystem, eps: float,
     relations ignore input labels, so they run on the composition of the
     label-free systems, whose states are the candidate pairs."""
     s1, s2 = _label_free(s1), _label_free(s2)
-    t = compose(s1, s2, eps).transitions
-    pair_i, pair_j = _pair_candidates(s1, s2, eps)
+    composed = compose(s1, s2, eps)
+    t, (pair_i, pair_j) = composed.transitions, composed.pairs
     sides = [(s1, pair_i, s2, pair_j)]
     if symmetric:
         sides.append((s2, pair_j, s1, pair_i))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from symctrl.cli import (ConfigError, load_config, main, read_controller_file,
                          write_controller_file)
-from symctrl import (abstraction, synthesis, synthesize_integrated,
-                     synthesize_baseline)
+from symctrl import (Controller, abstraction, synthesis, synthesize_integrated,
+                     synthesize_baseline, tsys)
 
 from _systems import CONFIGS
 
@@ -160,6 +161,13 @@ def test_malformed_config_exit1(tmp_path, capsys):
     with pytest.raises(ConfigError, match="substeps"):
         load_config(write_json(tmp_path / "s.json",
                                broken["substeps_fraction"]))
+    # a byte that is not UTF-8
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"note": "\xff"}')
+    capsys.readouterr()
+    assert main(["validate-params", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["validate-params", "synthesize",
@@ -610,7 +618,15 @@ def test_controller_file_bad_contents_exit1(tmp_path, capsys):
         with pytest.raises(ConfigError):
             read_controller_file(str(path))
         assert main(["simulate", TOY, str(path), "--x0", "-0.25"]) == 1
+    # a byte that is not UTF-8, in a row
+    path = tmp_path / "latin1.ctrl"
+    path.write_bytes("\n".join(good).encode() + b"\n0 0 \xff\n")
+    with pytest.raises(ConfigError):
+        read_controller_file(str(path))
     capsys.readouterr()
+    assert main(["simulate", TOY, str(path), "--x0", "-0.25"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
     # a controller file that cannot be read or written
     assert main(["simulate", TOY, str(tmp_path / "absent.ctrl"),
                  "--x0", "-0.25"]) == 1
@@ -664,7 +680,8 @@ def test_controller_file_bytes_match_line_by_line_rendering(tmp_path):
     assert np.array_equal(again.bad, ctrl.bad)
 
 
-@pytest.mark.parametrize("line", ["0 0", "0 0 1 2", "0 zero 1", "1.5 0 1"])
+@pytest.mark.parametrize("line", ["0 0", "0 0 1 2", "0 zero 1", "1.5 0 1",
+                                  "0 0 1 # c"])
 def test_malformed_transition_line_names_the_line(tmp_path, capsys, line):
     ctrl_path = tmp_path / "toy.ctrl"
     main(["synthesize", TOY, "--method", "baseline", "--out", str(ctrl_path)])
@@ -676,6 +693,161 @@ def test_malformed_transition_line_names_the_line(tmp_path, capsys, line):
     capsys.readouterr()
     assert main(["simulate", TOY, str(path), "--x0", "-0.25"]) == 1
     assert repr(line) in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("line", ["1.5 0 1", "1e3 0 1",
+                                  "12345678901234567890 0 1"])
+def test_rows_numpy_reads_via_float_name_the_line(tmp_path, capsys,
+                                                  monkeypatch, line):
+    # numpy 1.24 to 1.26 read a value that is no int64 as a float cast to
+    # one, warning only (a DeprecationWarning, which the command line
+    # ignores); with np.loadtxt doing so, the reader still refuses the line
+    real = np.loadtxt
+
+    def loadtxt(fh, dtype, **kwargs):
+        try:
+            return real(fh, dtype=dtype, **kwargs)
+        except ValueError:
+            warnings.warn("Parsing an integer via a float is deprecated",
+                          DeprecationWarning)
+            fh.seek(0)
+            return real(fh, dtype=float, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    test_malformed_transition_line_names_the_line(tmp_path, capsys, line)
+
+
+def test_controller_file_bytes_match_across_slices(tmp_path, monkeypatch):
+    # the writer formats tsys._SLICE_ROWS rows at a time: at 7, the toy
+    # baseline's 109 rows cross 15 slice boundaries
+    monkeypatch.setattr(tsys, "_SLICE_ROWS", 7)
+    test_controller_file_bytes_match_line_by_line_rendering(tmp_path)
+
+
+def test_two_column_rows_name_the_first_line(tmp_path):
+    # numpy reads such a body without complaint, two columns wide
+    ctrl_path = tmp_path / "toy.ctrl"
+    main(["synthesize", TOY, "--method", "baseline", "--out", str(ctrl_path)])
+    lines = ctrl_path.read_text().splitlines()
+    rows = [" ".join(line.split()[:2]) for line in lines[7:]]
+    path = tmp_path / "two.ctrl"
+    path.write_text("\n".join(lines[:7] + rows) + "\n")
+    with pytest.raises(ConfigError, match=repr(rows[0])):
+        read_controller_file(str(path))
+
+
+def test_a_controller_file_suffix_is_only_a_name(tmp_path, capsys):
+    # given a path, numpy picks a decompressor by the file name's suffix
+    for name in ("toy.ctrl.gz", "toy.ctrl.bz2"):
+        path = str(tmp_path / name)
+        assert main(["synthesize", TOY, "--method", "baseline", "--out",
+                     path]) == 0
+        assert main(["simulate", TOY, path, "--x0", "-0.25"]) == 0
+
+
+def line_by_line_read(path, state_lattice, input_lattice):
+    """The controller in a file as a reader that takes it line by line sees
+    it, for a file whose header lines set no key but `initials` and `bad`
+    again.  A stripped line that starts with '#' sets the key before its
+    first space; any other non-blank line must hold three integers within
+    int64, and the first that does not raises ConfigError naming it."""
+    header, rows = {}, []
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh.read().split("\n"):
+            line = raw.strip()
+            if line.startswith("#"):
+                key, _, rest = line[1:].partition(" ")
+                header[key] = rest.strip()
+            elif line:
+                try:
+                    row = [int(v) for v in line.split()]
+                except ValueError:
+                    row = []
+                if len(row) != 3 or not all(-2 ** 63 <= v < 2 ** 63
+                                            for v in row):
+                    raise ConfigError(f"bad transition line: {line!r}")
+                rows.append(row)
+    try:
+        return Controller(np.asarray(rows, dtype=np.int64).reshape(-1, 3),
+                          [int(v) for v in header["initials"].split()],
+                          [int(v) for v in header["bad"].split()],
+                          state_lattice, input_lattice)
+    except ValueError as exc:
+        raise ConfigError(f"bad controller file: {exc}")
+
+
+@st.composite
+def _controller_bodies(draw, n_states, n_inputs):
+    """Lines after a controller file's header: rows in range with spaces or
+    tabs between their values, blank lines, `#initials` and `#bad` lines
+    with the key ended by a space or a tab, other header lines, a stray
+    '#', values numpy refuses or reads via a float (1_000, non-ASCII digits,
+    1.5, 1e3, 20 and 21 digits) and rows
+    of 2 or 4 columns; each line ended by LF or CRLF, the last perhaps by
+    nothing.  The body may be empty."""
+    gap = st.sampled_from([" ", "\t", "  ", " \t"])
+    odd = st.sampled_from(["1_000", "\u0661\u0662", "\u0660",
+                           "123456789012345678901", "12345678901234567890",
+                           "-1", "+2", "1.5", "1e3", "x"])
+    row = st.tuples(st.integers(0, n_states - 1), st.integers(0, n_inputs - 1),
+                    st.integers(0, n_states - 1), gap).map(
+        lambda r: r[3].join(map(str, r[:3])))
+    line = st.one_of(
+        row, row, row,
+        st.sampled_from(["", " ", "\t", "#", "# x", "  #note  y", "#bad",
+                         "0 0 1 # c", "0 0 1#", "# 0 0 1"]),
+        st.tuples(st.sampled_from(["#initials", "#bad", "  #bad"]), gap,
+                  st.lists(st.integers(-1, n_states), max_size=3)).map(
+            lambda h: h[0] + h[1] + " ".join(map(str, h[2]))),
+        st.lists(st.one_of(odd, st.integers(0, 3).map(str)), min_size=2,
+                 max_size=4).map(" ".join))
+    lines = draw(st.lists(line, max_size=12))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_drawn_bodies_read_as_line_by_line(tmp_path):
+    # a valid header, then a drawn body: the reader gives what a line-by-line
+    # reader gives, the same controller or the same error, which names the
+    # line where the body has a bad one; DeprecationWarning is ignored, as
+    # it is where the command line runs
+    cfg = load_config(TOY)
+    ctrl, _ = synthesize_baseline(cfg.plant, cfg.specification, cfg.params,
+                                  cfg.substeps)
+    path = tmp_path / "drawn.ctrl"
+    write_controller_file(str(path), ctrl)
+    header = "".join(path.read_text().splitlines(keepends=True)[:7])
+    seen = {"read": 0, "line": 0, "file": 0}
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_controller_bodies(ctrl.n_states, ctrl.n_inputs))
+    def check(body):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header + body)
+        try:
+            expected = line_by_line_read(str(path), ctrl.state_lattice,
+                                         ctrl.input_lattice)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                read_controller_file(str(path))
+            assert str(got.value) == str(exc)
+            seen["line" if "line" in str(exc) else "file"] += 1
+            return
+        back = read_controller_file(str(path))
+        assert np.array_equal(back.transitions, expected.transitions)
+        assert np.array_equal(back.initials, expected.initials)
+        assert np.array_equal(back.bad, expected.bad)
+        assert back.state_lattice == expected.state_lattice
+        assert back.input_lattice == expected.input_lattice
+        seen["read"] += 1
+
+    check()
+    assert min(seen.values()) > 0, seen
 
 
 def test_controller_file_format_shape(tmp_path):

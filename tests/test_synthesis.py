@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import symctrl
 from symctrl import (ControlSystem, Controller, FiniteSystem, Lattice,
                      ParameterValidationError, ResourceLimitError,
                      StabilityCertificate, SynthesisParams, abstraction,
@@ -21,7 +22,30 @@ from test_pruning import BAD, CONTROLLED, UNSEEN, backprop_blocking
 
 # ---- arguments --------------------------------------------------------------
 
-@pytest.mark.parametrize("route", [synthesize_integrated, synthesize_baseline])
+def flow_many(plant, spec, params, substeps):
+    """symctrl.flow_many from the plant's lowest initial corner, called as
+    the routes are."""
+    symctrl.flow_many(plant, plant.init_box[:, :1].T, np.zeros((1, plant.m)),
+                      params.tau, substeps)
+
+
+def simulate_closed_loop(plant, spec, params, substeps, steps=1):
+    """`steps` steps of symctrl.simulate_closed_loop from an initial cell of
+    the toy controller, called as the routes are."""
+    ctrl, _ = synthesize_integrated(plant, spec, params)
+    symctrl.simulate_closed_loop(plant, spec, ctrl,
+                                 ctrl.state_lattice.point(ctrl.initials[0]),
+                                 steps, params, substeps)
+
+
+def zero_step_loop(plant, spec, params, substeps):
+    """simulate_closed_loop with no step, which flows nothing."""
+    simulate_closed_loop(plant, spec, params, substeps, steps=0)
+
+
+@pytest.mark.parametrize("route", [synthesize_integrated, synthesize_baseline,
+                                   flow_many, simulate_closed_loop,
+                                   zero_step_loop])
 @pytest.mark.parametrize("substeps", [0, -3, 2.5])
 def test_substeps_must_be_a_positive_integer(route, substeps):
     plant, spec, params = toy_pair()

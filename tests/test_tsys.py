@@ -362,12 +362,19 @@ def test_simulation_relation_is_sound():
                            for rb in s2.successors(b))
 
 
-def test_bisimulation_relation_is_simulation_both_ways():
+def test_bisimulation_relation_is_simulation_both_ways(monkeypatch):
+    # the relations take their pairs from the composition: one join each
+    calls = []
+    join = tsys._pair_candidates
+    monkeypatch.setattr(tsys, "_pair_candidates",
+                        lambda *args: calls.append(args) or join(*args))
     rng = np.random.default_rng(8)
     for _ in range(50):
         s1, s2 = random_pair(rng, deterministic=True)
         eps = float(rng.choice([0.0, 1.0]))
         rel = check_bisimulation(s1, s2, eps)
+        assert len(calls) == 1
+        calls.clear()
         if rel is None:
             continue
         inv = {(b, a) for (a, b) in rel}
@@ -724,7 +731,9 @@ def test_matrix_composition_and_pruning_equal_the_join(monkeypatch):
         ref = compose(as_rows(s1), as_rows(s2), eps)
         assert c.matrix is None and ref.matrix is None and c.same_as(ref)
         assert np.array_equal(c.out_degree(), ref.out_degree())
-        pair_i, _ = tsys._pair_candidates(s1, s2, eps)
+        pair_i, pair_j = c.pairs
+        assert np.array_equal(pair_i, ref.pairs[0])
+        assert np.array_equal(pair_j, ref.pairs[1])
         gathered = bool(np.all(np.diff(pair_i) > 0))
         seen["gathered" if gathered else "joined"] += 1
         nb = nonblocking_part(c)

@@ -18,13 +18,15 @@ the earlier levels flowed: a row misses the box when a known neighbour's
 endpoint is too far outside it (_radii), and lands in a cell when the boxes
 the bound draws around its known neighbours' endpoints intersect in that
 cell (_decide).  On a plant affine in (x, u) the bound is the same for
-every state, so no hull is recorded, and the chord of a row's coarse
-neighbours' endpoints is one more box, nearly a point, which decides nearly
-every row.  It flows what is left, and the next level may use those
-endpoints in turn.  The box is the cells' cover for the abstraction, which
-takes a row proved to land as its cell, and each state's target cell for
-the integrated route of `synthesis`, which flows such rows for their
-endpoints.
+every state, so no hull is recorded; the coarse inputs are the 2^m corners
+of the input box, and the chord of a row's nearest finite corners'
+endpoints, nearly a point, decides the row.  It flows what is left,
+and the next level may use those endpoints in turn.  The box is the cells'
+cover for the abstraction, which takes a row proved to land as its cell,
+and each state's target cell for the integrated route of `synthesis`,
+which flows such rows for their endpoints.  Every proof allows a rounding
+margin that grows with the endpoint and with the field's largest
+intermediate value (_unit).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
                        check_substeps, map_tiles)
-from .expr import Var, derivative, enclose, is_affine
+from .expr import Var, derivative, enclose, is_affine, subexpressions
 from .quantize import Lattice
 from .tsys import FiniteSystem
 
@@ -55,12 +57,12 @@ _PROOF_ROWS = TILE_ROWS // 8
 # 50 substeps: on the benchmark problems, about 3.5 ms, or a few thousand
 # rows
 _PASS_ROWS = TILE_ROWS // 4
-# rounding margin of the growth-bound tests, relative to 1 + |value|.  The
-# bound is that of the RK4 map in exact arithmetic, while the kernel rounds
-# each of its few hundred operations per row to nearest and the interval
-# enclosures are not rounded outward.  Those errors, near 1e-14 relative,
-# stay far below this margin while the flow amplifies them less than about
-# 1e4-fold over tau
+# rounding margin of the proofs, relative to unit + |value| (_unit).  The
+# bound and the chord are those of the RK4 map in exact arithmetic, while
+# the kernel rounds each of its few hundred operations per row to nearest
+# and the interval enclosures are not rounded outward.  Those errors, near
+# 1e-14 of the largest intermediate value, stay far below this margin while
+# the flow amplifies them less than about 1e4-fold over tau
 _MARGIN = 1e-9
 # tries at a region that holds the stage points of every pruned row
 _REGION_ROUNDS = 4
@@ -93,15 +95,15 @@ class _Level:
     """The inputs of one level past the first.  corner[j][f, q] is the
     position among the known endpoints (see _InputSplit) of corner q of
     input inputs[f] on earlier level j, and dist[j][f, q] the largest
-    distance between the two inputs on an input axis.  weight[f, q], for
+    distance between the two inputs on an input axis.  weight[j][f, q], for
     a plant whose field is affine (expr.is_affine), is corner q's
-    multilinear interpolation weight on level 0: the sum of the coarse
-    corners' inputs so weighted is inputs[f]; None otherwise."""
+    multilinear interpolation weight on level j: the sum of those corners'
+    inputs so weighted is inputs[f]; None otherwise."""
 
     inputs: np.ndarray
     corner: list
     dist: list
-    weight: Optional[np.ndarray]
+    weight: Optional[list]
 
 
 class _InputSplit:
@@ -111,17 +113,21 @@ class _InputSplit:
     Per input axis of c points, the strides are s_0 = isqrt(c), then
     s_(k+1) = isqrt(s_k) down to 1 (101 points: 10, 3, 1), and grid k holds
     the multiples of s_0, ..., s_k and the last point; an axis with fewer
-    strides than another holds every point past its last one.  An input
-    belongs to the first level whose grid holds it on every axis: level 0
+    strides than another holds every point past its last one.  With
+    `chord` (a plant affine in (x, u)), a grid of each axis's two ends, the
+    corners of the input box, comes first: the chord of a row's corners
+    fixes its endpoint up to rounding, so the 2^m corners are all a state
+    flows before the proofs.  An input belongs to the first grid that holds
+    it on every axis, and the levels are the grids that add inputs: level 0
     is the coarse inputs.  An input of level k has, on every earlier level
     j, 2^m corners: per axis, the nearest index of grid j at or below its
     own and the nearest at or above.  pos[u] is the position of input u
     among the known endpoints, those of every level but the last, in level
     order (-1 on the last level).  reach is the largest distance, per axis,
     between an input and one of its coarse corners.  With `chord`, each
-    level also holds its inputs' interpolation weights on level 0 (_Level).
-    With few points per axis every input is coarse; an autonomous plant has
-    the one zero input.
+    level also holds its inputs' interpolation weights on every earlier
+    level (_Level).  With few points per axis every input is coarse; an
+    autonomous plant has the one zero input.
     """
 
     def __init__(self, in_lat: Optional[Lattice], u_pts: np.ndarray,
@@ -134,20 +140,27 @@ class _InputSplit:
             while s[-1] > 1:
                 s.append(math.isqrt(s[-1]))
             strides.append(s)
-        n_levels = max(map(len, strides), default=1)
         # grids[lv][ax]: the indices on axis ax of grid lv
         grids = [[np.unique(np.concatenate([np.arange(0, c, t)
                                             for t in s[:lv + 1]] + [[c - 1]]))
                   for s, c in zip(strides, counts)]
-                 for lv in range(n_levels)]
+                 for lv in range(max(map(len, strides), default=1))]
+        if chord and m:
+            grids.insert(0, [np.unique([0, c - 1]) for c in counts])
         k = (np.arange(n_u)[:, None] // in_lat.strides % counts if m
              else np.zeros((n_u, 0), dtype=np.int64))
         level = np.zeros(n_u, dtype=np.int64)
-        for lv in range(n_levels - 1, -1, -1):
+        for lv in range(len(grids) - 1, -1, -1):
             inside = np.ones(n_u, dtype=bool)
             for ax, grid in enumerate(grids[lv]):
                 inside &= np.isin(k[:, ax], grid)
             level[inside] = lv
+        # a grid that adds no input (the isqrt grid of an axis of 2 points
+        # after its corners) is no level
+        used = np.flatnonzero(np.bincount(level))
+        level = np.searchsorted(used, level)
+        grids = [grids[lv] for lv in used]
+        n_levels = used.size
 
         def nearest(kf, grid):
             # input indices of the 2^m nearest points of `grid` around kf,
@@ -181,7 +194,7 @@ class _InputSplit:
             self.reach = np.maximum(self.reach, du[0].max(axis=(0, 1)))
             self.levels.append(_Level(inputs, [self.pos[c] for c in corner],
                                       [d.max(axis=2) for d in du],
-                                      weight[0] if chord else None))
+                                      list(weight) if chord else None))
 
 
 class _GrowthBound:
@@ -224,9 +237,12 @@ class _GrowthBound:
     times the reach.  Induction over
     the stages shows that then no stage point leaves D, so g is accepted
     when this growth is at most g.  Both D and the proofs get a rounding
-    margin of _MARGIN (1 + |value|).  A box is refused (every input kept)
-    when an enclosure is unbounded or undefined, when 1 + h inf J_ii < 0,
-    or when no g is accepted within _REGION_ROUNDS tries.
+    margin of _MARGIN (unit + |value|), with `unit` that of RowEngine.
+    An affine plant's Jacobian is constant, so its D need not hold the
+    stage points, and RowEngine hands it a reach of 0.  A box is refused
+    (every input kept) when an enclosure is unbounded or undefined, when
+    1 + h inf J_ii < 0, or when no g is accepted within _REGION_ROUNDS
+    tries.
 
     G holds between rows of any two levels of _InputSplit, not only between
     a row and its coarse corners.  Every input lies within the reach of each
@@ -237,7 +253,7 @@ class _GrowthBound:
     """
 
     def __init__(self, plant: ControlSystem, u_pts: np.ndarray, tau: float,
-                 substeps: int, reach: np.ndarray):
+                 substeps: int, reach: np.ndarray, unit: float):
         n, m = plant.n, plant.m
         wrt = [Var("x", i) for i in range(n)] + [Var("u", j) for j in range(m)]
         # the field itself too: the mean value theorem needs it defined on D
@@ -246,6 +262,7 @@ class _GrowthBound:
         self.u = list(zip(u_pts.min(axis=0), u_pts.max(axis=0)))
         self.n, self.m = n, m
         self.h, self.substeps, self.reach = tau / substeps, substeps, reach
+        self.unit = unit
 
     def _at(self, lo: np.ndarray, hi: np.ndarray):
         """(G, growth, ok) over the boxes [lo, hi] (rows), one row per box,
@@ -286,7 +303,7 @@ class _GrowthBound:
         G = np.zeros((S, self.n, self.m))
         sure = np.zeros(S, dtype=bool)
         g = np.zeros((S, self.n))
-        pad0 = _MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        pad0 = _MARGIN * (self.unit + np.maximum(np.abs(lo), np.abs(hi)))
         open_ = np.arange(S)  # the boxes not yet decided
         for _ in range(_REGION_ROUNDS):
             Gk, growth, ok = self._at(lo[open_] - g[open_] - pad0[open_],
@@ -304,15 +321,36 @@ class _GrowthBound:
         return G, sure
 
 
-def _radii(Z: np.ndarray, P: np.ndarray, half: np.ndarray,
-           g: np.ndarray) -> np.ndarray:
+def _unit(sys: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,
+          tau: float) -> float:
+    """The unit of the rounding margin _MARGIN (unit + |value|): 1 + tau
+    times the largest magnitude any subexpression of the field takes over
+    the cells' cover and the input hull (expr.enclose).  Each of the
+    kernel's operations rounds relative to its own result, so a field that
+    cancels, such as (3e15 + u1) - 3e15, rounds in units of its largest
+    intermediate, not of its value, and its endpoints drift by about tau
+    such units.  A subexpression undefined somewhere over the box counts
+    where it is defined; one that overflows gives an infinite unit, which
+    proves nothing."""
+    s = st_lat.spacing
+    nodes = [e for f in sys.field for e in subexpressions(f)]
+    ivs, _ = enclose(nodes, list(zip(st_lat.kmin * s - s / 2,
+                                     st_lat.kmax * s + s / 2)),
+                     list(zip(u_pts.min(axis=0), u_pts.max(axis=0))))
+    peak = np.fmax.reduce(np.abs(np.asarray(ivs, dtype=float)).ravel(),
+                          initial=0.0)
+    return 1.0 + tau * float(peak)
+
+
+def _radii(Z: np.ndarray, P: np.ndarray, half: np.ndarray, g: np.ndarray,
+           unit: float) -> np.ndarray:
     """What the endpoint Z[r] of a flowed row proves of the rows from the
     same state, with P[r] the centre of the state's box and g[r] the row
     sums of its growth bound.  A row whose input differs by at most d on
     every axis ends within G |du| <= g d of Z (g d is G |du| for one input
-    axis), up to rounding, which the margin _MARGIN (1 + |Z|) covers.  So
-    it misses the box when d < miss[r]: on some axis, Z is farther than g d
-    plus the margin from the box.  NaN proves nothing.
+    axis), up to rounding, which the margin _MARGIN (unit + |Z|) covers.
+    So it misses the box when d < miss[r]: on some axis, Z is farther than
+    g d plus the margin from the box.  NaN proves nothing.
     """
     miss = np.empty(Z.shape[0])
     # a slice of rows at a time, so that the temporaries stay small, and
@@ -322,7 +360,7 @@ def _radii(Z: np.ndarray, P: np.ndarray, half: np.ndarray,
         z, gr = (np.ascontiguousarray(v[rows].T) for v in (Z, g))
         with np.errstate(divide="ignore", invalid="ignore"):
             pad = np.abs(z)
-            pad += 1.0
+            pad += unit
             pad *= _MARGIN
             # g = 0 gives +-inf, or NaN for 0 / 0
             gap = z - P[rows].T
@@ -335,67 +373,136 @@ def _radii(Z: np.ndarray, P: np.ndarray, half: np.ndarray,
     return miss
 
 
+def _chord(level: _Level, groups: list, E: list, s: slice):
+    """(C, has) over the rows (level.inputs[f], state s) as [f, s]: per
+    axis, the chord of each row's corners (_decide) on the latest level in
+    `groups` where it is finite on every axis, and whether there is one."""
+    C = has = None
+    for j in reversed(groups):
+        w, p = level.weight[j], level.corner[j]
+        if (p == p[:1]).all():
+            # the same corners for every row, the input box's: a product
+            c = [w @ e[p[0], s] for e in E]
+        else:
+            c = [sum(w[:, q, None] * e[p[:, q], s] for q in range(w.shape[1]))
+                 for e in E]
+        fin = np.logical_and.reduce([np.isfinite(v) for v in c])
+        if C is None:
+            C, has = c, fin
+        else:
+            fin &= ~has
+            for old, new in zip(C, c):
+                np.copyto(old, new, where=fin)
+            has |= fin
+        if has.all():
+            break
+    return C, has
+
+
 # a box's ends far past the lattice may overflow to inf, as far outside it
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _decide(level: _Level, groups: list, MISS: np.ndarray,
-            E: Optional[list], tops: list, g: np.ndarray, lat: Lattice,
-            inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            E: Optional[list], pad: Optional[np.ndarray], g: np.ndarray,
+            lat: Lattice, inside: np.ndarray, box: tuple, lands: bool
+            ) -> Tuple[np.ndarray, np.ndarray]:
     """(keep, cell) over the rows (state s, level.inputs[f]): keep whether
     the row may still land in its state's box, and cell the lattice cell it
-    is proved to land in (-1 if none).  A row proved to land is not kept.
-    MISS[p, s] are the radii (_radii) of the known endpoints and E[ax][p, s]
-    their coordinates, NaN where a corner proves nothing; E is None when no
-    landing is proved, and the largest of tops bounds |E[ax]| per axis.
-    g[ax, s] is the row sum of state s's growth bound, and inside[s, f]
-    whether the row's stage points lie in its region.  The corners compared
-    with are those on the earlier levels in `groups`.
-
-    A row misses when a corner's radius exceeds its input distance d.  It
-    lands when the box the corners bound it to, [max (Z - g d), min (Z + g
-    d)] per axis, padded twice by _MARGIN (1 + that bound, or the cells' on
-    |z| if larger), for the row and for the box's rounding, has both ends in
-    one cell at the lattice's monotone floor((z + s/2) / s).  Per axis the
-    box's ends are some corner's, so it proves no miss one corner does not.
+    is proved to land in (-1 if none).  A row proved to land is not kept,
+    and landings are proved only with `lands`.  MISS[p, s] are the radii
+    (_radii) of the known endpoints and E[ax][p, s] their coordinates, NaN
+    where a corner proves nothing; E is None when neither the chord nor a
+    landing is asked for.  pad[ax, s] is the rounding margin of any
+    endpoint of state s that lands or that a chord or box is drawn from (it
+    bounds |z| by the state's largest known endpoint and the cells' reach),
+    g[ax, s] the row sum of state s's growth bound, inside[s, f] whether the
+    row's stage points lie in its region, and box[0][ax, s] and box[1][ax,
+    s] the lower and upper face on axis ax of state s's box, a union of
+    cells.  The corners compared with are those on the earlier
+    levels in `groups`.
 
     Where the plant is affine (level.weight), its RK4 endpoint is affine in
     the input at a fixed state, in exact arithmetic, so a row's endpoint is
-    the chord of its coarse corners' endpoints, sum_q weight[f, q] Z_q, up
-    to the kernel's rounding, which the two pads cover as they cover the
-    corners'.  The chord is one more term of the intersection, and a box
-    that lies off the cells' cover on some axis proves a miss: the box
-    `run` is handed is a union of cells.
+    the chord of its corners' endpoints on any earlier level j, sum_q
+    weight[j][f, q] Z_q, up to the kernel's rounding.  The row takes the
+    chord of its nearest bracketing corners, those on the latest level of
+    `groups` whose chord is finite (_chord), padded twice, for the row and
+    for the corners: a convex mix of the corners, it is no larger than the
+    largest of them.  Where it is finite it decides the row.  The row
+    misses when the padded chord lies off the box on some axis, and lands
+    in the chord's cell, at the lattice's floor((z + s/2) / s), when the
+    padded chord lies inside that cell on every axis.
+
+    Other rows (NaN chords, where corners overflowed, and every row of a
+    plant that is not affine) are decided by their corners' growth boxes,
+    which run only on a slice of states that holds such a row (their
+    misses then hold for every row of the slice).  A row misses when a
+    corner's radius exceeds its input distance d.  It
+    lands when the box the corners bound it to, [max (Z - g d), min (Z + g
+    d)] per axis, padded twice, has both ends in one cell of the lattice.
+    Per axis the box's ends are some corner's, so it proves no miss one
+    corner does not.
     """
     S, n_k = inside.shape
     keep = np.ones((S, n_k), dtype=bool)
     cell = np.full((S, n_k), -1, dtype=np.int32)
     corners = [(p, d[:, None]) for j in groups
                for p, d in zip(level.corner[j].T, level.dist[j].T)]
-    if E is not None:
-        sp = lat.spacing
-        reach = (np.maximum(-lat.kmin, lat.kmax) + 0.5) * sp  # of the cells
-        pad = _MARGIN * (1.0 + np.maximum(np.max(tops, axis=0), reach))
+    chord = level.weight is not None
+    sp = lat.spacing
+    if lands:
         # the corners' few distances, and each corner's place among them
         dist, at_d = np.unique([d for j in groups for d in level.dist[j].T],
                                return_inverse=True)
         at_d = at_d.reshape(len(corners), n_k)
-        chord, coarse = level.weight, level.corner[0]
 
     # a few states at a time, so that the temporaries stay small; the
-    # arrays run over the states last, so that a corner's row is contiguous
-    step = max(1, TILE_ROWS // n_k)
+    # arrays run over the states last, so that a corner's row is contiguous.
+    # The chord holds float arrays over every row of a slice; for its misses
+    # alone, the integrated scan's proofs, they set that route's peak, so
+    # those slices are narrower.  With landings, wide slices save Python
+    # passes
+    step = max(1, (_PROOF_ROWS if chord and not lands else TILE_ROWS) // n_k)
     for a in range(0, S, step):
         s = slice(a, min(S, a + step))
-        done = np.zeros((n_k, s.stop - a), dtype=bool)
-        if (MISS[:, s] > 0.0).any():
+        ok = inside[s].T
+        done = np.zeros(ok.shape, dtype=bool)
+        todo = ok  # the rows left to the growth boxes
+        if chord:
+            C, has = _chord(level, groups, E, s)
+            miss = np.zeros(ok.shape, dtype=bool)
+            for c, lo, hi, pd in zip(C, box[0][:, s], box[1][:, s],
+                                     pad[:, s]):
+                # more than twice the margin off the box, on some axis
+                miss |= c < lo - 2.0 * pd
+                miss |= c > hi + 2.0 * pd
+            done |= has & miss
+            if lands:
+                # the lattice's cell of the chord, more than twice the
+                # margin from its faces on every axis: a cell of the box
+                land, at = ok & has & ~miss, np.zeros(ok.shape)
+                for ax, (c, pd) in enumerate(zip(C, pad[:, s])):
+                    k = c + sp / 2.0
+                    k /= sp
+                    np.floor(k, out=k)
+                    c -= k * sp
+                    np.abs(c, out=c)
+                    land &= c <= sp / 2.0 - 2.0 * pd
+                    k -= lat.kmin[ax]
+                    k *= lat.strides[ax]
+                    at += k
+                cell[s] = np.where(land, at, -1).T
+                done |= land
+            todo = ok & ~has
+        if todo.any() and (MISS[:, s] > 0.0).any():
             for p, d in corners:
                 done |= MISS[p, s] > d
-        ok = inside[s].T
-        if E is not None:
-            # the inputs with a row that may still land, their rows and cells
-            rows = np.flatnonzero((ok & ~done).any(axis=1))
-            live = ok[rows] & ~done[rows]
+        # the inputs with a row that may still land, their rows and cells
+        rows = (np.flatnonzero((todo & ~done).any(axis=1)) if lands
+                else ())
+        if len(rows):
+            live = todo[rows] & ~done[rows]
             at = np.zeros(live.shape)
-            for ax, (e, ga, pd) in enumerate(zip(E, g[:, s], pad)):
+            for ax, (e, ga, pd) in enumerate(zip(E, g[:, s], pad[:, s])):
                 w, t, lo, hi = (np.empty(live.shape) for _ in range(4))
                 # g d from a table of the few distances: row copies cost
                 # less than an outer product over short rows
@@ -409,24 +516,10 @@ def _decide(level: _Level, groups: list, MISS: np.ndarray,
                     else:
                         np.add(z, w, out=hi)
                         np.subtract(z, w, out=lo)
-                if chord is not None:
-                    # NaN, which fmin and fmax pass over, when a coarse
-                    # corner proves nothing
-                    np.multiply(e[coarse[rows, 0], s], chord[rows, :1], out=w)
-                    for q in range(1, chord.shape[1]):
-                        w += np.multiply(e[coarse[rows, q], s],
-                                         chord[rows, q:q + 1], out=t)
-                    np.fmax(lo, w, out=lo)
-                    np.fmin(hi, w, out=hi)
                 for end, side in ((lo, -1.0), (hi, 1.0)):
                     end += sp / 2.0 + side * 2.0 * pd
                     end /= sp
                     np.floor(end, out=end)
-                if chord is not None:
-                    # off the cover: a miss
-                    off = live & ((lo > lat.kmax[ax]) | (hi < lat.kmin[ax]))
-                    done[rows] |= off
-                    live &= ~off
                 # both ends in one cell, and that cell in range: an end
                 # past the range clips to a half index, which no floor is
                 live &= lo == np.clip(hi, lat.kmin[ax] - 0.5,
@@ -448,9 +541,11 @@ class RowEngine:
     lattice, input lattice (None for an autonomous system, whose one input
     is the constant zero), tau and substeps, it holds the inputs, their
     split and, when there are inputs past the coarse ones, the growth
-    bound.  Whether the field is affine (expr.is_affine), and so whether
-    the landing proofs take the chord of the coarse corners (_decide) and
-    one growth bound serves every state (_gains), is decided here once."""
+    bound and the unit of the rounding margin (_unit).  Whether the field
+    is affine (expr.is_affine), and so whether the coarse inputs are the
+    input box's corners and the proofs take their chord (_InputSplit,
+    _decide) and whether one growth bound serves every state (_gains), is
+    decided here once."""
 
     def __init__(self, sys: ControlSystem, st_lat: Lattice,
                  in_lat: Optional[Lattice], tau: float, substeps: int):
@@ -460,9 +555,14 @@ class RowEngine:
         self.inputs = np.zeros((1, 0)) if in_lat is None else in_lat.points()
         self.affine = all(map(is_affine, sys.field))
         self.split = _InputSplit(in_lat, self.inputs, chord=self.affine)
-        self.bound = (_GrowthBound(sys, self.inputs, tau, substeps,
-                                   self.split.reach)
-                      if self.split.levels else None)
+        self.bound = None
+        if self.split.levels:
+            self.unit = _unit(sys, st_lat, self.inputs, tau)
+            self.bound = _GrowthBound(
+                sys, self.inputs, tau, substeps,
+                np.zeros_like(self.split.reach) if self.affine
+                else self.split.reach,
+                self.unit)
 
     def _flow_kept(self, X, keep, inputs, on_tile, hull=False) -> list:
         """[on_tile(src, f, Z, cells)] per tile of the rows (s, inputs[f])
@@ -512,41 +612,48 @@ class RowEngine:
             visit: Callable[..., None], cells_suffice: bool
             ) -> Tuple[int, int]:
         """Decides every row of the states X that may land in the box of
-        centre P[s] and per-axis half-widths `half`, flowing the rows no
-        proof decides; returns how many rows it flowed and how many it
-        proved to land without flowing them.  Each flowed tile goes to
-        visit(src, cols, Z, cells): its rows' positions in X, input indices,
-        endpoints and cells (-1 off the lattice).  With `cells_suffice`,
-        visit also gets the rows proved to land, with Z None; without, those
-        rows are flowed and only misses are proved.  Tiles are disjoint and
-        run on the flow workers, so visit must be safe to call from several
-        threads at once.
+        centre P[s] and per-axis half-widths `half`, a union of the
+        lattice's cells, flowing the rows no proof decides; returns how many
+        rows it flowed and how many it proved to land without flowing them.
+        Each flowed tile goes to visit(src, cols, Z, cells): its rows'
+        positions in X, input indices, endpoints and cells (-1 off the
+        lattice).  With `cells_suffice`, visit also gets the rows proved to
+        land, with Z None; without, those rows are flowed and only misses
+        are proved.  Tiles are disjoint and run on the flow workers, so
+        visit must be safe to call from several threads at once.
 
         1. Every coarse input, flowed under a mask that keeps every row,
            with the hulls of its stage points unless the plant is affine;
            without other inputs, every row, flowed without them, and
-           nothing more.
+           nothing more.  The coarse inputs of an affine plant are the 2^m
+           corners of the input box.
         2. The growth bound of each state with a finite coarse row (_gains),
            a row being finite when its endpoint and hull are.  On an affine
            plant the endpoint alone decides: RK4 adds every stage's field
            value into the endpoint, and an affine field is non-finite only
            at a non-finite point, so a non-finite stage point makes the
-           endpoint non-finite.
+           endpoint non-finite.  There one bound serves every state,
+           whatever its corners gave, and every row's stage points lie in
+           its region: the Jacobian is constant.
         3. The radii (_radii) of the coarse endpoints of the states with a
-           sure bound and, with `cells_suffice`, their coordinates.
+           sure bound and, with `cells_suffice` or on an affine plant,
+           their coordinates.
         4. Level by level (_InputSplit), the proofs (_decide) against the
-           known endpoints of the earlier levels (and, with
-           `cells_suffice` on an affine plant, the chord of the coarse
-           ones), then a flow of the rows
-           they leave undecided, each tile finding its rows in the
-           keep-mask and keeping the radii and coordinates of its own.
-           Only a flowed row's endpoint is known to the later levels: a
-           decided row proves nothing.  A level that keeps fewer than
-           _PASS_ROWS rows is flowed with the next one instead, and proves
-           nothing to it.
+           known endpoints of the earlier levels: on an affine plant the
+           chord of the nearest finite corners, and the growth boxes for
+           the rows without one; then a flow of the rows they leave
+           undecided, each tile finding its rows in the keep-mask and
+           keeping the radii and coordinates of its own.  Only a flowed
+           row's endpoint is known to the later levels: a decided row
+           proves nothing.  A level that keeps fewer than _PASS_ROWS rows
+           is flowed with the next one instead, and proves nothing to it.
+           Only the level after the corners of an affine plant where a
+           corner is not finite is flowed in a pass of its own whatever it
+           keeps, as the coarse rows of other plants are: the rows of the
+           non-finite corners' chords are left to its endpoints.  The last
+           pass records nothing.
         A row proved to miss would not have landed in the box, and one
-        proved to land lands in the cell it is handed over with.  With
-        `cells_suffice`, the box must be a union of the lattice's cells.
+        proved to land lands in the cell it is handed over with.
         """
         S, n = X.shape
         coarse, n_c = self.split.coarse, self.split.coarse.size
@@ -567,18 +674,24 @@ class RowEngine:
         for h in hulls:
             fin &= np.isfinite(h).all(axis=1)
         fin = fin.reshape(S, n_c)
-        G, sure = self._gains(fin, *hulls)
+        G, sure = self._gains(np.ones((S, 1), dtype=bool) if self.affine
+                              else fin, *hulls)
         del hulls
         g = G.sum(axis=2)
-        # the known endpoints' radii and, with `cells_suffice`, coordinates
-        # (an array per axis: one block lifts glibc's mmap threshold past the
-        # row parts), over the states last; the workers fill in their rows
-        MISS = np.full((self.split.n_known, S), np.nan)
-        E = ([np.full((self.split.n_known, S), np.nan) for _ in range(n)]
-             if cells_suffice else None)
-        # per flowed tile, the largest |Z| per axis of the endpoints kept,
-        # after a 0 that keeps the list from being empty
-        tops = [np.zeros(n)] if E else []
+        # the known endpoints' radii and, for the chord or the landings,
+        # coordinates (an array per axis: one block lifts glibc's mmap
+        # threshold past the row parts), over the states last.  A level's
+        # rows are set to NaN when it is flowed in a pass that a later
+        # level reads (learn), and the workers fill in their rows; the
+        # others are never read, and their pages never touched
+        MISS = np.empty((self.split.n_known, S))
+        E = ([np.empty((self.split.n_known, S)) for _ in range(n)]
+             if cells_suffice or self.affine else None)
+        lat = self.st_lat
+        # per axis and state, the largest |E| and the box's faces
+        top = np.zeros((n, S))
+        box = ((P - half).T, (P + half).T)
+        reach = (np.maximum(-lat.kmin, lat.kmax) + 0.5) * lat.spacing
 
         def record(at, src, Z, w):
             # what the flowed rows Z[w] prove to the later levels, at their
@@ -586,27 +699,50 @@ class RowEngine:
             # the endpoints are finite, the coordinates
             if not w.any():
                 return
-            MISS[at[w], src[w]] = _radii(Z[w], P[src[w]], half, g[src[w]])
+            MISS[at[w], src[w]] = _radii(Z[w], P[src[w]], half, g[src[w]],
+                                         self.unit)
             if E:
                 w = w & np.isfinite(Z).all(axis=1)
                 for e, z in zip(E, Z[w].T):
                     e[at[w], src[w]] = z
-                tops.append(np.abs(Z[w]).max(axis=0, initial=0.0))
+
+        def learn(inputs, flow):
+            # flow() records the rows of `inputs` at their known positions,
+            # the block after those filled so far; then the rounding margins
+            # per axis and state (_decide) take them in
+            nonlocal filled, pad
+            at = pos[inputs]
+            block = slice(filled, at.max() + 1)
+            for a in [MISS] + (E or []):
+                a[block] = np.nan
+            flow()
+            filled = block.stop
+            for t, e in zip(top, E or []):
+                np.fmax(t, np.fmax.reduce(e[block], axis=0), out=t)
+                np.fmax(t, -np.fmin.reduce(e[block], axis=0), out=t)
+            pad = _MARGIN * (self.unit + np.fmax(top, reach[:, None]))
 
         # a coarse row proves something when its state's bound is sure and
         # the row and its hull are finite
+        pos, filled, pad = self.split.pos, 0, None
         row = np.arange(S * n_c)
-        record(row % n_c, row // n_c, Z, (sure[:, None] & fin).ravel())
+        learn(coarse, lambda: record(row % n_c, row // n_c, Z,
+                                     (sure[:, None] & fin).ravel()))
         del Z, row
         flowed, landed = S * n_c, 0
-        pos = self.split.pos
         known = [0]  # the levels whose rows were flowed
         # a level too small to pay a pass of its own, flowed with the next
         carried = []
+        # on an affine plant, a corner that proves nothing leaves its rows
+        # to the next level's corners (run, step 4)
+        lost = self.affine and not fin[sure].all()
         for k, level in enumerate(self.split.levels, 1):
-            inside = sure[:, None] & fin[:, level.corner[0]].any(axis=2)
-            keep, cell = _decide(level, known, MISS, E, tops, g.T.copy(),
-                                 self.st_lat, inside)
+            inside = (np.repeat(sure[:, None], level.inputs.size, axis=1)
+                      if self.affine
+                      else sure[:, None] & fin[:, level.corner[0]].any(axis=2))
+            keep, cell = _decide(level, known, MISS[:filled],
+                                 E and [e[:filled] for e in E], pad,
+                                 g.T.copy(), lat, inside, box, cells_suffice)
             src, f = np.nonzero(cell >= 0)
             if src.size:
                 visit(src, level.inputs[f], None, cell[src, f])
@@ -614,7 +750,7 @@ class RowEngine:
             del cell, src, f
             carried.append((k, level.inputs, keep, inside))
             # the last level is always flowed
-            if (k < len(self.split.levels)
+            if (k < len(self.split.levels) and not (k == 1 and lost)
                     and sum(int(c[2].sum()) for c in carried) < _PASS_ROWS):
                 continue
             levels, inputs, keep, inside = (
@@ -630,8 +766,14 @@ class RowEngine:
                 at = pos[inputs[f]]
                 record(at, src, Z, (at >= 0) & inside[src, f])
 
-            self._flow_kept(X, keep, inputs, on_tile)
             flowed += int(keep.sum())
+            if k == len(self.split.levels):
+                # no level reads the last pass's rows: recording them would
+                # touch the known rows of every level it carries
+                self._flow_kept(X, keep, inputs, lambda src, f, Z, cells:
+                                visit(src, inputs[f], Z, cells))
+                break
+            learn(inputs, lambda: self._flow_kept(X, keep, inputs, on_tile))
             known += levels
         return flowed, landed
 

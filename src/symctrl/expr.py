@@ -30,9 +30,11 @@ they run a given statement, which in `evaluate` raises EvalDomainError.
 
 `derivative` differentiates an AST symbolically and `enclose` bounds ASTs
 over boxes in interval arithmetic; the row engine's growth bound is built
-from both, and `is_affine` tells it which fields' flows are affine in the
-input.  The parser refuses an expression nested deeper than MAX_DEPTH, so
-that no walker over a tree runs out of Python's recursion limit.
+from both, its rounding margin from the enclosures of a field's
+`subexpressions`, and `is_affine` tells it which fields' flows are affine
+in the input.  The parser refuses an expression nested deeper than
+MAX_DEPTH, so that no walker over a tree runs out of Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -280,6 +282,16 @@ def _depth(expr: Expr) -> int:
         depth = max(depth, d)
         stack.extend((c, d + 1) for c in _children(e))
     return depth
+
+
+def subexpressions(expr: Expr) -> list:
+    """Every node of a tree, the tree itself first, collected without
+    recursion; a shared subtree is listed once per use."""
+    out, stack = [], [expr]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(_children(out[-1]))
+    return out
 
 
 def _has_variable(expr: Expr) -> bool:

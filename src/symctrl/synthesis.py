@@ -18,17 +18,18 @@ import numpy as np
 
 from .abstraction import (DEFAULT_TRANSITION_CAP, AbstractionSpec,
                           ResourceLimitError, RowEngine, build_abstraction)
-from .dynamics import (DEFAULT_SUBSTEPS, TILE_ROWS, ControlSystem, _flow_tile,
-                       map_tiles)
+from .dynamics import DEFAULT_SUBSTEPS, ControlSystem, _flow_tile, map_tiles
 from .quantize import (EmptyLatticeError, Lattice, LatticeError,
                        SynthesisParams, ValidationReport, validate_parameters)
 from .tsys import (FiniteSystem, _rows, compose, nonblocking_part,
                    subsystem)
 
-# coarse plant rows per chunk of the integrated input scan: a chunk holds
-# _SCAN_ROWS // (coarse inputs) states.  On the benchmark problems, before
-# pruning, 8K ran as fast as 16K and 32K, which added 4-7 MiB of peak RSS
-_SCAN_ROWS = TILE_ROWS // 4
+# (state, input) rows a chunk of the integrated input scan decides: a chunk
+# holds _SCAN_ROWS // (inputs) states.  What a chunk holds grows with its
+# rows, a keep-mask and a cell per row of a level and, per state, the radii
+# and coordinates of every known input, not with the coarse rows it flows
+# first, which are 2 per state on an affine plant with one input
+_SCAN_ROWS = 1 << 18
 
 # input scan result of a state where no input lands
 NO_INPUT = -1
@@ -283,10 +284,11 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
     Any landing input yields the same controller sets, but the centered
     landing maximizes the closed loop's quantization margin.
 
-    The engine flows only the inputs it cannot prove to miss ys[i]'s cell;
-    it flows those it proves to land too, since the choice needs their
-    endpoints.  A pruned input would not have landed, so the choice is that
-    of a scan of every input.
+    The engine flows only the inputs it cannot prove to miss ys[i]'s cell,
+    on an affine plant the input box's corners and the rows whose chord
+    may land there; it flows those it proves to land too, since the choice
+    needs their endpoints.  A pruned input would not have landed, so the
+    choice is that of a scan of every input.
     """
     P = st_pts[ys]
     hits = []  # (state, input, distance to the center) of the landing rows
@@ -349,7 +351,7 @@ def synthesize_integrated(plant: ControlSystem, specification: ControlSystem,
     x0_indices = st_lat._range_indices(*init_range)
     st_pts = st_lat.points()
     engine = RowEngine(plant, st_lat, in_lat, params.tau, substeps)
-    chunk = max(1, _SCAN_ROWS // engine.split.coarse.size)
+    chunk = max(1, _SCAN_ROWS // n_u)
 
     n = st_lat.n_points
     turn = np.full(n, NEVER)  # position in the processing order

@@ -2,16 +2,16 @@
 `configs/`, loaded as the `symctrl` commands load them (`config`; the toy
 pair, the eight linear benchmark pairs and the 3-D nonlinear tracking pair
 as `(plant, specification, params)`), a 4-D field that uses every
-operator, and the hypothesis strategy `problems` of random small plant and
-specification pairs.
+operator, and the hypothesis strategies `problems` of random small plant and
+specification pairs and `affine_plants` of random affine plants.
 """
 
 import os
 
 from hypothesis import strategies as st
 
-from symctrl import (ControlSystem, StabilityCertificate, SynthesisParams,
-                     parse_expression)
+from symctrl import (AbstractionSpec, ControlSystem, StabilityCertificate,
+                     SynthesisParams, parse_expression)
 from symctrl.cli import ProblemConfig, load_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -156,3 +156,32 @@ def problems(draw, drifting=False, shifted=False):
     params = SynthesisParams(epsilon=1.0, theta_p=0.5, theta_q=0.5, tau=tau,
                              eta=eta, mu=mu)
     return plant, spec, params, substeps
+
+
+@st.composite
+def affine_plants(draw):
+    """A random plant with an affine field, n and m of 1 or 2, and its
+    abstraction spec.  One input gain in four is huge, so that the flows
+    overflow for some inputs and not for others."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def coefficient(huge=False):
+        if huge and not draw(st.integers(0, 3)):
+            return draw(st.sampled_from((-1.0, 1.0))) * draw(
+                st.sampled_from((1e150, 1e307, 5e307, 1e308)))
+        return round(draw(st.floats(-3.0, 3.0)), 3)
+
+    field = tuple(parse_expression(" + ".join(
+        [f"{coefficient()!r}*x{i + 1}" for i in range(n)]
+        + [f"{coefficient(huge=True)!r}*u{j + 1}" for j in range(m)]
+        + [repr(coefficient())]), n, m) for _ in range(n))
+    w, r = draw(st.floats(0.5, 1.5)), draw(st.floats(0.5, 2.0))
+    plant = ControlSystem(n=n, m=m, state_box=[[-w, w]] * n,
+                          init_box=[[-w, w]] * n, input_box=[[-r, r]] * m,
+                          field=field)
+    spec = AbstractionSpec(
+        tau=draw(st.floats(0.2, 1.0)),
+        eta=w / draw(st.integers(2, (12, 5)[n - 1])) / 2.0,
+        mu=r / draw(st.integers(4, (40, 6)[m - 1])) / 2.0,
+        substeps=draw(st.sampled_from((1, 2, 5, 10))))
+    return plant, spec

@@ -3,7 +3,6 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
 from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
                      StabilityCertificate, SynthesisParams, abstraction,
@@ -12,7 +11,8 @@ from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
 from symctrl.dynamics import TILE_ROWS, _flow_tile
 from symctrl.quantize import Lattice
 
-from _systems import linear_pair, nonlinear_pair, problems, toy_pair
+from _systems import (affine_plants, linear_pair, nonlinear_pair,
+                      problems, toy_pair)
 
 
 def full_sweep(sys, spec):
@@ -249,16 +249,20 @@ def engine_of(plant, spec):
 
 def assert_flows_the_coarse_rows(example):
     """Asserts that linear example `example`'s plant at mu = 0.01 equals the
-    full sweep and flows its coarse rows and at most a few more: its field
-    is affine, so a row's endpoint is the chord of its coarse corners',
-    and only a row whose chord lies within the margins of a cell face is
-    flowed.  Returns the model."""
+    full sweep and flows the 2^m corners of its input box per state and at
+    most 8 rows more: its field is affine, so a row's endpoint is the chord
+    of the corners', and only a row whose chord lies within the margins of
+    a cell face is flowed.  Returns the model."""
     plant, _, params = linear_pair(example)
     spec = AbstractionSpec(params.tau, params.eta, 0.01, 50)
     engine = engine_of(plant, spec)
     assert all(level.weight is not None for level in engine.split.levels)
+    corners = engine.inputs[engine.split.coarse]
+    lo, hi = engine.inputs.min(axis=0), engine.inputs.max(axis=0)
+    assert np.all((corners == lo) | (corners == hi))
+    assert np.unique(corners, axis=0).shape[0] == 2 ** plant.m
     fs = assert_matches_full_sweep(plant, spec)
-    coarse = fs.n_states * engine.split.coarse.size
+    coarse = fs.n_states * 2 ** plant.m
     assert coarse <= fs.rows_flowed <= coarse + 8
     return fs
 
@@ -277,6 +281,23 @@ def test_affine_plants_flow_their_coarse_rows(example):
     assert assert_flows_the_coarse_rows(example).rows_landed > 0
 
 
+@pytest.mark.parametrize("text", [
+    "-x1 + (3e15 + u1) - 3e15", "-x1 + (1e16 + u1) - 1e16",
+    "-x1 + (3e15 + u1) - 3e15 + 0.01*sin(x1)"],
+    ids=["affine-3e15", "affine-1e16", "not-affine-3e15"])
+def test_a_field_that_cancels_equals_the_full_sweep(text):
+    # the kernel rounds 3e15 + u1 in steps of 0.5, and 1e16 + u1 in steps of
+    # 2, so the endpoints drift from the exact RK4 map's by far more than a
+    # margin relative to their own size: the margin's unit grows with the
+    # field's largest intermediate, through the chord and the growth boxes
+    plant = ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
+                          input_box=[[-2, 2]],
+                          field=(parse_expression(text, 1, 1),))
+    spec = AbstractionSpec(tau=0.5, eta=0.02, mu=0.01, substeps=10)
+    assert engine_of(plant, spec).unit > 1e15
+    assert assert_matches_full_sweep(plant, spec).n_transitions > 8000
+
+
 def test_a_field_with_a_domain_takes_no_chord():
     # the derivatives fold to constants, but the flows from below x1 = -0.2
     # leave sqrt's domain and end at NaN; the field is not affine, and the
@@ -290,35 +311,6 @@ def test_a_field_with_a_domain_takes_no_chord():
                for level in engine_of(plant, spec).split.levels)
     fs = assert_matches_full_sweep(plant, spec)
     assert fs.n_transitions > 0 and fs.rows_landed > 0
-
-
-@st.composite
-def affine_plants(draw):
-    """A random plant with an affine field, n and m of 1 or 2, and its
-    abstraction spec.  One input gain in four is huge, so that the flows
-    overflow for some inputs and not for others."""
-    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-
-    def coefficient(huge=False):
-        if huge and not draw(st.integers(0, 3)):
-            return draw(st.sampled_from((-1.0, 1.0))) * draw(
-                st.sampled_from((1e150, 1e307, 5e307, 1e308)))
-        return round(draw(st.floats(-3.0, 3.0)), 3)
-
-    field = tuple(parse_expression(" + ".join(
-        [f"{coefficient()!r}*x{i + 1}" for i in range(n)]
-        + [f"{coefficient(huge=True)!r}*u{j + 1}" for j in range(m)]
-        + [repr(coefficient())]), n, m) for _ in range(n))
-    w, r = draw(st.floats(0.5, 1.5)), draw(st.floats(0.5, 2.0))
-    plant = ControlSystem(n=n, m=m, state_box=[[-w, w]] * n,
-                          init_box=[[-w, w]] * n, input_box=[[-r, r]] * m,
-                          field=field)
-    spec = AbstractionSpec(
-        tau=draw(st.floats(0.2, 1.0)),
-        eta=w / draw(st.integers(2, (12, 5)[n - 1])) / 2.0,
-        mu=r / draw(st.integers(4, (40, 6)[m - 1])) / 2.0,
-        substeps=draw(st.sampled_from((1, 2, 5, 10))))
-    return plant, spec
 
 
 def test_affine_plants_equal_the_full_sweep():
@@ -412,8 +404,8 @@ def test_bracketing_corners_prove_a_landing_neither_proves_alone(
     seen = {"landed": 0, "bracketed": 0}
     decide = abstraction._decide
 
-    def checking(level, groups, MISS, E, tops, g, lat, inside):
-        keep, cell = decide(level, groups, MISS, E, tops, g, lat, inside)
+    def checking(level, groups, MISS, E, pad, g, lat, inside, *box):
+        keep, cell = decide(level, groups, MISS, E, pad, g, lat, inside, *box)
         src, f = np.nonzero(cell >= 0)
         alone = np.zeros(src.size, dtype=bool)
         for j in groups:

@@ -15,16 +15,16 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
-from symctrl import (ControlSystem, Controller, Lattice,
+from symctrl import (AbstractionSpec, ControlSystem, Controller, Lattice,
                      StabilityCertificate, SynthesisParams, abstraction,
                      dynamics, flow_many, parse_expression,
                      synthesize_integrated)
 from symctrl.synthesis import integrated_memory_units, shared_lattices
 
-from _systems import (MULTI_WAVE_DRAWS, linear_pair, nonlinear_pair,
-                      problems)
+from _systems import (MULTI_WAVE_DRAWS, affine_plants, linear_pair,
+                      nonlinear_pair, problems)
 
 # per-state status of the sequential reference
 UNSEEN, QUEUED, CONTROLLED, BAD = 0, 1, 2, 3
@@ -269,13 +269,62 @@ def test_unbounded_derivative_keeps_every_input(monkeypatch):
     assert kept and all(keep.all() for keep, _ in kept)
 
 
+# every input of |u| > 0.3 overflows, the corners' included: the rows
+# between them are decided by the chords of the next level's corners and by
+# the growth boxes of the finite ones
+OVERFLOWING = (
+    ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
+                  input_box=[[-2, 2]],
+                  field=(parse_expression("-1*x1 + 8e307*u1", 1, 1),)),
+    AbstractionSpec(tau=1.0, eta=0.05, mu=0.05, substeps=10))
+
+
+def test_pruned_scan_equals_full_scan_on_affine_plants():
+    # the chord of the input box's corners proves the misses against each
+    # state's target cell, with one and two inputs, and where some corners
+    # overflow, so that their chords are NaN or huge
+    seen = {"examples": 0, "controlled": 0, "overflowed": 0, "inputs": set()}
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(affine_plants())
+    @example(OVERFLOWING)
+    def check(problem):
+        plant, quant = problem
+        spec = ControlSystem(
+            n=plant.n, m=0, state_box=plant.state_box,
+            init_box=plant.init_box, input_box=[],
+            field=tuple(parse_expression(f"-0.5*x{i + 1}", plant.n, 0)
+                        for i in range(plant.n)))
+        params = SynthesisParams(epsilon=1.0, theta_p=0.5, theta_q=0.5,
+                                 tau=quant.tau, eta=quant.eta, mu=quant.mu)
+        ctrl, m = assert_matches_full_scan(plant, spec, params, quant.substeps)
+        finite = np.isfinite(flow_many(
+            plant, np.repeat(ctrl.outputs, ctrl.n_inputs, axis=0),
+            np.tile(ctrl.inputs, (ctrl.n_states, 1)), quant.tau,
+            quant.substeps, check_finite=False)).all(axis=1)
+        seen["examples"] += 1
+        seen["controlled"] += ctrl.n_transitions > 0
+        # rows decided on a plant that overflows on some rows: fewer plant
+        # and specification rows flowed than the plant has
+        seen["overflowed"] += (0 < finite.sum() < finite.size
+                               and m.rows_flowed < finite.size)
+        seen["inputs"].add(plant.m)
+
+    check()
+    assert seen["inputs"] == {1, 2}
+    assert seen["controlled"] >= seen["examples"] // 4, seen
+    assert seen["overflowed"] > 0, seen
+
+
 def test_growth_bound_holds_on_sampled_rows():
     # G |du| bounds the distance of any two endpoints from one state; the
     # bound is close to the largest distance seen on linear #1
     plant, spec, params = linear_pair(1)
     u_pts = np.linspace(-2.0, 2.0, 201)[:, None]
     bound = abstraction._GrowthBound(plant, u_pts, params.tau, 50,
-                                   np.array([0.2]))
+                                   np.array([0.2]), 1.0)
     rng = np.random.default_rng(2)
     X = np.repeat(rng.uniform(-0.5, 0.5, (20, 2)), 201, axis=0)
     U = np.tile(u_pts, (20, 1))
@@ -295,7 +344,7 @@ def test_gains_on_a_subset_equal_the_rows_of_gains_on_all():
     plant, _, params = nonlinear_pair()
     u_pts = np.linspace(*plant.input_box[0], 101)[:, None]
     bound = abstraction._GrowthBound(plant, u_pts, params.tau, 50,
-                                   np.array([0.1]))
+                                   np.array([0.1]), 1.0)
     rng = np.random.default_rng(5)
     box = plant.state_box
     centre = rng.uniform(box[:, 0], box[:, 1], (400, 3))

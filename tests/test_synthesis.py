@@ -291,15 +291,17 @@ def test_rows_flowed_counts_the_flowed_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("pair, eta, integrated, baseline, landed", [
-    (lambda: linear_pair(1), None, 13_496, 44_217, 248_401),
+    (lambda: linear_pair(1), None, 2_618, 7_803, 267_503),
     (nonlinear_pair, 1 / 15, 15_920, 200_276, 143_974)],
     ids=["linear-pair", "nonlinear-pair"])
 def test_rows_flowed_on_the_benchmark_problems(pair, eta, integrated,
                                                baseline, landed):
     # the benchmark's timed problems: mu = 0.01, and 15 points per axis on
     # the nonlinear one; only the baseline takes rows proved to land as
-    # cells.  Its linear-pair plant is affine: it flows its 41,616 coarse
-    # rows and the chord decides the others; the specification flows 2,601
+    # cells.  The linear-pair plant is affine: both routes flow the 2 corners
+    # of its input box per state, and the chord decides the other rows but
+    # those the integrated route's cells may take (1,889 plant rows in all);
+    # the specification flows 2,601 (baseline) and 729 (integrated) rows
     plant, spec, params = pair()
     params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
                              theta_q=params.theta_q, tau=params.tau,

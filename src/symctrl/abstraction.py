@@ -10,17 +10,18 @@ transition.  Because the cells are disjoint, the result is deterministic:
 each (state, input) has at most one successor.
 
 RowEngine flows only the rows that no proof decides.  It flows a coarse
-input sub-lattice first, recording the hulls of the RK4 stage points
-(dynamics._flow_tile), and bounds from those hulls how far an endpoint moves
-with its input (_GrowthBound).  Then, over nested input levels of finer and
-finer strides (_InputSplit), it decides each level's rows from the endpoints
-the earlier levels flowed: a row misses the box when a known neighbour's
-endpoint is too far outside it (_radii), and lands in a cell when the boxes
-the bound draws around its known neighbours' endpoints intersect in that
-cell (_decide).  On a plant affine in (x, u) the bound is the same for
-every state, so no hull is recorded; the coarse inputs are the 2^m corners
-of the input box, and the chord of a row's nearest finite corners'
-endpoints, nearly a point, decides the row.  It flows what is left,
+input sub-lattice first; then, over nested input levels of finer and finer
+strides (_InputSplit), it decides each level's rows from the endpoints the
+earlier levels flowed (_decide), by one of two proofs, picked once from the
+plant's kind.  On a plant affine in (x, u) the coarse inputs are the 2^m
+corners of the input box, and the chord of a row's nearest finite corners'
+endpoints, nearly a point, decides the row; a row without one is flowed.
+On any other plant the coarse rows also record the hulls of their RK4
+stage points (dynamics._flow_tile), which bound how far an endpoint moves
+with its input (_GrowthBound): a row misses the box when a known
+neighbour's endpoint is too far outside it (_radii), and lands in a cell
+when the boxes the bound draws around its known neighbours' endpoints
+intersect in that cell.  It flows what is left,
 and the next level may use those endpoints in turn.  The box is the cells'
 cover for the abstraction, which takes a row proved to land as its cell,
 and each state's target cell for the integrated route of `synthesis`,
@@ -238,11 +239,10 @@ class _GrowthBound:
     the stages shows that then no stage point leaves D, so g is accepted
     when this growth is at most g.  Both D and the proofs get a rounding
     margin of _MARGIN (unit + |value|), with `unit` that of RowEngine.
-    An affine plant's Jacobian is constant, so its D need not hold the
-    stage points, and RowEngine hands it a reach of 0.  A box is refused
-    (every input kept) when an enclosure is unbounded or undefined, when
-    1 + h inf J_ii < 0, or when no g is accepted within _REGION_ROUNDS
-    tries.
+    A box is refused (every input kept) when an enclosure is unbounded or
+    undefined, when 1 + h inf J_ii < 0, or when no g is accepted within
+    _REGION_ROUNDS tries.  RowEngine builds it for plants that are not
+    affine only: the chord decides an affine plant's rows.
 
     G holds between rows of any two levels of _InputSplit, not only between
     a row and its coarse corners.  Every input lies within the reach of each
@@ -401,24 +401,26 @@ def _chord(level: _Level, groups: list, E: list, s: slice):
 
 # a box's ends far past the lattice may overflow to inf, as far outside it
 @np.errstate(over="ignore", invalid="ignore")
-def _decide(level: _Level, groups: list, MISS: np.ndarray,
-            E: Optional[list], pad: Optional[np.ndarray], g: np.ndarray,
-            lat: Lattice, inside: np.ndarray, box: tuple, lands: bool
+def _decide(level: _Level, groups: list, E: Optional[list],
+            pad: np.ndarray, lat: Lattice, box: tuple, lands: bool,
+            MISS: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None,
+            inside: Optional[np.ndarray] = None
             ) -> Tuple[np.ndarray, np.ndarray]:
     """(keep, cell) over the rows (state s, level.inputs[f]): keep whether
     the row may still land in its state's box, and cell the lattice cell it
     is proved to land in (-1 if none).  A row proved to land is not kept,
-    and landings are proved only with `lands`.  MISS[p, s] are the radii
-    (_radii) of the known endpoints and E[ax][p, s] their coordinates, NaN
-    where a corner proves nothing; E is None when neither the chord nor a
-    landing is asked for.  pad[ax, s] is the rounding margin of any
-    endpoint of state s that lands or that a chord or box is drawn from (it
-    bounds |z| by the state's largest known endpoint and the cells' reach),
-    g[ax, s] the row sum of state s's growth bound, inside[s, f] whether the
-    row's stage points lie in its region, and box[0][ax, s] and box[1][ax,
-    s] the lower and upper face on axis ax of state s's box, a union of
-    cells.  The corners compared with are those on the earlier
-    levels in `groups`.
+    and landings are proved only with `lands`.  E[ax][p, s] are the
+    coordinates of the known endpoints, NaN where a corner proves nothing;
+    E is None when neither the chord nor a landing is asked for.
+    pad[ax, s] is the rounding margin of any endpoint of state s that lands
+    or that a chord or box is drawn from (it bounds |z| by the state's
+    largest known endpoint and the cells' reach), and box[0][ax, s] and
+    box[1][ax, s] the lower and upper face on axis ax of state s's box, a
+    union of cells.  The corners compared with are those on the earlier
+    levels in `groups`.  The growth boxes also take MISS[p, s], the radii
+    (_radii) of the known endpoints, g[ax, s], the row sum of state s's
+    growth bound, and inside[s, f], whether the row's stage points lie in
+    its region; the chord takes none of the three (None).
 
     Where the plant is affine (level.weight), its RK4 endpoint is affine in
     the input at a fixed state, in exact arithmetic, so a row's endpoint is
@@ -427,33 +429,34 @@ def _decide(level: _Level, groups: list, MISS: np.ndarray,
     chord of its nearest bracketing corners, those on the latest level of
     `groups` whose chord is finite (_chord), padded twice, for the row and
     for the corners: a convex mix of the corners, it is no larger than the
-    largest of them.  Where it is finite it decides the row.  The row
-    misses when the padded chord lies off the box on some axis, and lands
-    in the chord's cell, at the lattice's floor((z + s/2) / s), when the
-    padded chord lies inside that cell on every axis.
+    largest of them.  The row misses when the padded chord lies off the box
+    on some axis, and lands in the chord's cell, at the lattice's
+    floor((z + s/2) / s), when the padded chord lies inside that cell on
+    every axis.  A row whose chord is NaN, where corners overflowed, is
+    kept.
 
-    Other rows (NaN chords, where corners overflowed, and every row of a
-    plant that is not affine) are decided by their corners' growth boxes,
-    which run only on a slice of states that holds such a row (their
-    misses then hold for every row of the slice).  A row misses when a
-    corner's radius exceeds its input distance d.  It
+    The rows of a plant that is not affine are decided by their corners'
+    growth boxes.  A row misses when a corner's radius exceeds its input
+    distance d.  It
     lands when the box the corners bound it to, [max (Z - g d), min (Z + g
     d)] per axis, padded twice, has both ends in one cell of the lattice.
     Per axis the box's ends are some corner's, so it proves no miss one
     corner does not.
     """
-    S, n_k = inside.shape
+    S, n_k = box[0].shape[1], level.inputs.size
     keep = np.ones((S, n_k), dtype=bool)
     cell = np.full((S, n_k), -1, dtype=np.int32)
-    corners = [(p, d[:, None]) for j in groups
-               for p, d in zip(level.corner[j].T, level.dist[j].T)]
     chord = level.weight is not None
     sp = lat.spacing
-    if lands:
-        # the corners' few distances, and each corner's place among them
-        dist, at_d = np.unique([d for j in groups for d in level.dist[j].T],
-                               return_inverse=True)
-        at_d = at_d.reshape(len(corners), n_k)
+    if not chord:
+        corners = [(p, d[:, None]) for j in groups
+                   for p, d in zip(level.corner[j].T, level.dist[j].T)]
+        if lands:
+            # the corners' few distances, and each corner's place among them
+            dist, at_d = np.unique([d for j in groups
+                                    for d in level.dist[j].T],
+                                   return_inverse=True)
+            at_d = at_d.reshape(len(corners), n_k)
 
     # a few states at a time, so that the temporaries stay small; the
     # arrays run over the states last, so that a corner's row is contiguous.
@@ -464,22 +467,19 @@ def _decide(level: _Level, groups: list, MISS: np.ndarray,
     step = max(1, (_PROOF_ROWS if chord and not lands else TILE_ROWS) // n_k)
     for a in range(0, S, step):
         s = slice(a, min(S, a + step))
-        ok = inside[s].T
-        done = np.zeros(ok.shape, dtype=bool)
-        todo = ok  # the rows left to the growth boxes
         if chord:
             C, has = _chord(level, groups, E, s)
-            miss = np.zeros(ok.shape, dtype=bool)
+            miss = np.zeros(has.shape, dtype=bool)
             for c, lo, hi, pd in zip(C, box[0][:, s], box[1][:, s],
                                      pad[:, s]):
                 # more than twice the margin off the box, on some axis
                 miss |= c < lo - 2.0 * pd
                 miss |= c > hi + 2.0 * pd
-            done |= has & miss
+            done = has & miss
             if lands:
                 # the lattice's cell of the chord, more than twice the
                 # margin from its faces on every axis: a cell of the box
-                land, at = ok & has & ~miss, np.zeros(ok.shape)
+                land, at = has & ~miss, np.zeros(has.shape)
                 for ax, (c, pd) in enumerate(zip(C, pad[:, s])):
                     k = c + sp / 2.0
                     k /= sp
@@ -492,15 +492,18 @@ def _decide(level: _Level, groups: list, MISS: np.ndarray,
                     at += k
                 cell[s] = np.where(land, at, -1).T
                 done |= land
-            todo = ok & ~has
-        if todo.any() and (MISS[:, s] > 0.0).any():
+            keep[s] = ~done.T
+            continue
+        ok = inside[s].T
+        done = np.zeros(ok.shape, dtype=bool)
+        if ok.any() and (MISS[:, s] > 0.0).any():
             for p, d in corners:
                 done |= MISS[p, s] > d
         # the inputs with a row that may still land, their rows and cells
-        rows = (np.flatnonzero((todo & ~done).any(axis=1)) if lands
+        rows = (np.flatnonzero((ok & ~done).any(axis=1)) if lands
                 else ())
         if len(rows):
-            live = todo[rows] & ~done[rows]
+            live = ok[rows] & ~done[rows]
             at = np.zeros(live.shape)
             for ax, (e, ga, pd) in enumerate(zip(E, g[:, s], pad[:, s])):
                 w, t, lo, hi = (np.empty(live.shape) for _ in range(4))
@@ -540,12 +543,12 @@ class RowEngine:
     a box, and their cells of a state lattice.  Built once per system, state
     lattice, input lattice (None for an autonomous system, whose one input
     is the constant zero), tau and substeps, it holds the inputs, their
-    split and, when there are inputs past the coarse ones, the growth
-    bound and the unit of the rounding margin (_unit).  Whether the field
-    is affine (expr.is_affine), and so whether the coarse inputs are the
-    input box's corners and the proofs take their chord (_InputSplit,
-    _decide) and whether one growth bound serves every state (_gains), is
-    decided here once."""
+    split and, when there are inputs past the coarse ones, the unit of the
+    rounding margin (_unit) and, for a plant that is not affine, the growth
+    bound.  Whether the field is affine (expr.is_affine), and so whether the
+    coarse inputs are the input box's corners and the chord decides the
+    rows (_InputSplit, _decide) or the growth boxes do, is decided here
+    once."""
 
     def __init__(self, sys: ControlSystem, st_lat: Lattice,
                  in_lat: Optional[Lattice], tau: float, substeps: int):
@@ -558,11 +561,9 @@ class RowEngine:
         self.bound = None
         if self.split.levels:
             self.unit = _unit(sys, st_lat, self.inputs, tau)
-            self.bound = _GrowthBound(
-                sys, self.inputs, tau, substeps,
-                np.zeros_like(self.split.reach) if self.affine
-                else self.split.reach,
-                self.unit)
+            if not self.affine:
+                self.bound = _GrowthBound(sys, self.inputs, tau, substeps,
+                                          self.split.reach, self.unit)
 
     def _flow_kept(self, X, keep, inputs, on_tile, hull=False) -> list:
         """[on_tile(src, f, Z, cells)] per tile of the rows (s, inputs[f])
@@ -584,23 +585,16 @@ class RowEngine:
 
         return map_tiles(tile, int(offset[-1]))
 
-    def _gains(self, fin: np.ndarray, lo: Optional[np.ndarray] = None,
-               hi: Optional[np.ndarray] = None):
+    def _gains(self, fin: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """(G, sure) per state, from _GrowthBound.gains, for the states with
         a finite coarse row (fin[s, c] whether coarse row c of state s is
         finite), zero and false for the others.  Each such state's region is
-        the hull of its finite coarse rows' stage points, lo and hi per row.
-        An affine plant needs no hulls: its Jacobian is constant and its
-        field finite wherever its flows are, so one call, over the origin,
-        bounds the rows of every state."""
+        the hull of its finite coarse rows' stage points, lo and hi per
+        row."""
         S, n_c = fin.shape
         states = np.flatnonzero(fin.any(axis=1))
         G = np.zeros((S, self.bound.n, self.bound.m))
         sure = np.zeros(S, dtype=bool)
-        if lo is None:
-            origin = np.zeros((1, self.bound.n))
-            G[states], sure[states] = self.bound.gains(origin, origin)
-            return G, sure
         f = fin[states][..., None]
         lo, hi = lo.reshape(S, n_c, -1), hi.reshape(S, n_c, -1)
         G[states], sure[states] = self.bound.gains(
@@ -622,51 +616,46 @@ class RowEngine:
         are proved.  Tiles are disjoint and run on the flow workers, so
         visit must be safe to call from several threads at once.
 
-        1. Every coarse input, flowed under a mask that keeps every row,
-           with the hulls of its stage points unless the plant is affine;
-           without other inputs, every row, flowed without them, and
-           nothing more.  The coarse inputs of an affine plant are the 2^m
-           corners of the input box.
-        2. The growth bound of each state with a finite coarse row (_gains),
-           a row being finite when its endpoint and hull are.  On an affine
-           plant the endpoint alone decides: RK4 adds every stage's field
-           value into the endpoint, and an affine field is non-finite only
-           at a non-finite point, so a non-finite stage point makes the
-           endpoint non-finite.  There one bound serves every state,
-           whatever its corners gave, and every row's stage points lie in
-           its region: the Jacobian is constant.
-        3. The radii (_radii) of the coarse endpoints of the states with a
-           sure bound and, with `cells_suffice` or on an affine plant,
-           their coordinates.
+        1. Every coarse input, flowed under a mask that keeps every row;
+           without other inputs, every row, and nothing more.  The coarse
+           inputs of an affine plant are the 2^m corners of the input box;
+           those of any other plant are flowed with the hulls of their
+           stage points.
+        2. On a plant that is not affine, the growth bound of each state
+           with a finite coarse row (_gains), a row being finite when its
+           endpoint and hull are, and the radii (_radii) of the coarse
+           endpoints of the states with a sure bound.
+        3. On an affine plant or with `cells_suffice`, the coordinates of
+           the finite coarse endpoints.
         4. Level by level (_InputSplit), the proofs (_decide) against the
            known endpoints of the earlier levels: on an affine plant the
-           chord of the nearest finite corners, and the growth boxes for
-           the rows without one; then a flow of the rows they leave
-           undecided, each tile finding its rows in the keep-mask and
-           keeping the radii and coordinates of its own.  Only a flowed
-           row's endpoint is known to the later levels: a decided row
-           proves nothing.  A level that keeps fewer than _PASS_ROWS rows
-           is flowed with the next one instead, and proves nothing to it.
-           Only the level after the corners of an affine plant where a
-           corner is not finite is flowed in a pass of its own whatever it
-           keeps, as the coarse rows of other plants are: the rows of the
-           non-finite corners' chords are left to its endpoints.  The last
-           pass records nothing.
+           chord of the nearest finite corners, on any other the growth
+           boxes; then a flow of the rows they leave undecided, each tile
+           finding its rows in the keep-mask and keeping the radii and
+           coordinates of its own.  Only a flowed row's endpoint is known
+           to the later levels: a decided row proves nothing.  A level that
+           keeps fewer than _PASS_ROWS rows is flowed with the next one
+           instead, and proves nothing to it.  Only the level after the
+           corners of an affine plant where a corner is not finite is
+           flowed in a pass of its own whatever it keeps, as the coarse
+           rows of other plants are: the rows of the non-finite corners'
+           chords are left to its endpoints.  The last pass records
+           nothing.
         A row proved to miss would not have landed in the box, and one
         proved to land lands in the cell it is handed over with.
         """
         S, n = X.shape
         coarse, n_c = self.split.coarse, self.split.coarse.size
-        bounded = self.bound is not None
+        boxes = self.bound is not None
 
         def first(src, f, Z, cells, *hulls):
             visit(src, coarse[f], Z, cells)
             # handed back, so that no buffer adds to the kernel's peak
-            return (Z,) + hulls if bounded else None
+            return (Z,) + hulls if self.split.levels else None
 
         parts = self._flow_kept(X, np.ones((S, n_c), dtype=bool), coarse,
-                                first, bounded and not self.affine)
-        if not bounded:
+                                first, boxes)
+        if not self.split.levels:
             return S * n_c, 0
         Z, *hulls = (np.concatenate(k) for k in zip(*parts))
         del parts
@@ -674,17 +663,18 @@ class RowEngine:
         for h in hulls:
             fin &= np.isfinite(h).all(axis=1)
         fin = fin.reshape(S, n_c)
-        G, sure = self._gains(np.ones((S, 1), dtype=bool) if self.affine
-                              else fin, *hulls)
+        # for the growth boxes, the known endpoints' radii, and for the
+        # chord or the landings, their coordinates (an array per axis: one
+        # block lifts glibc's mmap threshold past the row parts), over the
+        # states last.  A level's rows are set to NaN when it is flowed in a
+        # pass that a later level reads (learn), and the workers fill in
+        # their rows; the others are never read, and their pages never
+        # touched
+        if boxes:
+            G, sure = self._gains(fin, *hulls)
+            g = G.sum(axis=2)
+            MISS = np.empty((self.split.n_known, S))
         del hulls
-        g = G.sum(axis=2)
-        # the known endpoints' radii and, for the chord or the landings,
-        # coordinates (an array per axis: one block lifts glibc's mmap
-        # threshold past the row parts), over the states last.  A level's
-        # rows are set to NaN when it is flowed in a pass that a later
-        # level reads (learn), and the workers fill in their rows; the
-        # others are never read, and their pages never touched
-        MISS = np.empty((self.split.n_known, S))
         E = ([np.empty((self.split.n_known, S)) for _ in range(n)]
              if cells_suffice or self.affine else None)
         lat = self.st_lat
@@ -699,8 +689,9 @@ class RowEngine:
             # the endpoints are finite, the coordinates
             if not w.any():
                 return
-            MISS[at[w], src[w]] = _radii(Z[w], P[src[w]], half, g[src[w]],
-                                         self.unit)
+            if boxes:
+                MISS[at[w], src[w]] = _radii(Z[w], P[src[w]], half,
+                                             g[src[w]], self.unit)
             if E:
                 w = w & np.isfinite(Z).all(axis=1)
                 for e, z in zip(E, Z[w].T):
@@ -713,7 +704,7 @@ class RowEngine:
             nonlocal filled, pad
             at = pos[inputs]
             block = slice(filled, at.max() + 1)
-            for a in [MISS] + (E or []):
+            for a in ([MISS] if boxes else []) + (E or []):
                 a[block] = np.nan
             flow()
             filled = block.stop
@@ -722,27 +713,27 @@ class RowEngine:
                 np.fmax(t, -np.fmin.reduce(e[block], axis=0), out=t)
             pad = _MARGIN * (self.unit + np.fmax(top, reach[:, None]))
 
-        # a coarse row proves something when its state's bound is sure and
-        # the row and its hull are finite
+        # a coarse row proves something when it is finite and, for the
+        # growth boxes, its state's bound is sure and its hull finite
         pos, filled, pad = self.split.pos, 0, None
         row = np.arange(S * n_c)
-        learn(coarse, lambda: record(row % n_c, row // n_c, Z,
-                                     (sure[:, None] & fin).ravel()))
-        del Z, row
+        w = sure[:, None] & fin if boxes else fin
+        learn(coarse, lambda: record(row % n_c, row // n_c, Z, w.ravel()))
+        del Z, row, w
         flowed, landed = S * n_c, 0
         known = [0]  # the levels whose rows were flowed
         # a level too small to pay a pass of its own, flowed with the next
         carried = []
         # on an affine plant, a corner that proves nothing leaves its rows
         # to the next level's corners (run, step 4)
-        lost = self.affine and not fin[sure].all()
+        lost = self.affine and not fin.all()
+        inside, growth = None, ()
         for k, level in enumerate(self.split.levels, 1):
-            inside = (np.repeat(sure[:, None], level.inputs.size, axis=1)
-                      if self.affine
-                      else sure[:, None] & fin[:, level.corner[0]].any(axis=2))
-            keep, cell = _decide(level, known, MISS[:filled],
-                                 E and [e[:filled] for e in E], pad,
-                                 g.T.copy(), lat, inside, box, cells_suffice)
+            if boxes:
+                inside = sure[:, None] & fin[:, level.corner[0]].any(axis=2)
+                growth = (MISS[:filled], g.T.copy(), inside)
+            keep, cell = _decide(level, known, E and [e[:filled] for e in E],
+                                 pad, lat, box, cells_suffice, *growth)
             src, f = np.nonzero(cell >= 0)
             if src.size:
                 visit(src, level.inputs[f], None, cell[src, f])
@@ -755,16 +746,20 @@ class RowEngine:
                 continue
             levels, inputs, keep, inside = (
                 [c[j] for c in carried] for j in range(4))
-            inputs, keep, inside = (np.concatenate(inputs),
-                                    np.hstack(keep), np.hstack(inside))
+            inputs, keep = np.concatenate(inputs), np.hstack(keep)
+            inside = np.hstack(inside) if boxes else None
             carried = []
 
             def on_tile(src, f, Z, cells, inputs=inputs, inside=inside):
                 visit(src, inputs[f], Z, cells)
                 # a row proves something to the later levels only at a
-                # known position and with its stage points in the region
+                # known position and, for the growth boxes, with its stage
+                # points in the region
                 at = pos[inputs[f]]
-                record(at, src, Z, (at >= 0) & inside[src, f])
+                w = at >= 0
+                if boxes:
+                    w &= inside[src, f]
+                record(at, src, Z, w)
 
             flowed += int(keep.sum())
             if k == len(self.split.levels):

@@ -152,6 +152,8 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError("config must be a JSON object")
     plant_sec = _section(doc, "plant")
     m = _integer(_number(plant_sec, "m", "plant"), "m", "plant")
+    if m < 0:
+        raise ConfigError("'m' in plant must be 0 or more")
     plant = _system(plant_sec, "plant", m)
     specification = _system(_section(doc, "specification"), "specification", 0)
     if plant.n != specification.n:

@@ -114,7 +114,7 @@ def simulate_closed_loop(plant: ControlSystem, specification: ControlSystem,
             # the plant left the synthesized region around the symbolic chain
             raise UncontrolledStateError(k, x)
         if c not in chosen:
-            options = ctrl.options(c)
+            options = ctrl.successors(c)[:, 1:]
             if options.shape[0] == 0:
                 raise UncontrolledStateError(k, x)
             if options.shape[0] == 1:

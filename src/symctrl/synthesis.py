@@ -26,9 +26,10 @@ from .tsys import (FiniteSystem, _rows, compose, nonblocking_part,
 
 # (state, input) rows a chunk of the integrated input scan decides: a chunk
 # holds _SCAN_ROWS // (inputs) states.  What a chunk holds grows with its
-# rows, a keep-mask and a cell per row of a level and, per state, the radii
-# and coordinates of every known input, not with the coarse rows it flows
-# first, which are 2 per state on an affine plant with one input
+# rows, a keep-mask and a cell per row of a level and, per state, the
+# coordinates of every known input on an affine plant and their radii on
+# any other, not with the coarse rows it flows first, which are 2 per state
+# on an affine plant with one input
 _SCAN_ROWS = 1 << 18
 
 # input scan result of a state where no input lands
@@ -69,16 +70,8 @@ class Controller(FiniteSystem):
         self.state_lattice = state_lattice
         self.input_lattice = input_lattice
 
-    def sources(self) -> np.ndarray:
-        return np.unique(self.transitions[:, 0])
-
     def input_values(self) -> np.ndarray:
         return self.inputs
-
-    def options(self, state: int) -> np.ndarray:
-        """(input index, target) rows of a state's transitions, by input
-        order."""
-        return self.successors(state)[:, 1:]
 
 
 @dataclass

@@ -2,8 +2,9 @@
 `configs/`, loaded as the `symctrl` commands load them (`config`; the toy
 pair, the eight linear benchmark pairs and the 3-D nonlinear tracking pair
 as `(plant, specification, params)`), a 4-D field that uses every
-operator, and the hypothesis strategies `problems` of random small plant and
-specification pairs and `affine_plants` of random affine plants.
+operator, the hypothesis strategies `problems` of random small plant and
+specification pairs and `affine_plants` of random affine plants, and
+`STIFF_AFFINE`, affine plants on which an RK4 substep overshoots.
 """
 
 import os
@@ -185,3 +186,25 @@ def affine_plants(draw):
         mu=r / draw(st.integers(4, (40, 6)[m - 1])) / 2.0,
         substeps=draw(st.sampled_from((1, 2, 5, 10))))
     return plant, spec
+
+
+def _stiff_affine(field, tau, substeps, eta):
+    n = len(field)
+    plant = ControlSystem(n=n, m=1, state_box=[[-1, 1]] * n,
+                          init_box=[[-1, 1]] * n, input_box=[[-2, 2]],
+                          field=tuple(parse_expression(t, n, 1)
+                                      for t in field))
+    return plant, AbstractionSpec(tau=tau, eta=eta, mu=0.01,
+                                  substeps=substeps)
+
+
+# affine plants and their abstraction specs where 1 + h a < 0 for the
+# diagonal entry a of the Jacobian, h = tau / substeps: h a is -1.8 on the
+# first two, -3.5 on the third, where the RK4 map is unstable, and -4 on the
+# last
+STIFF_AFFINE = {
+    "1d-ha-1.8": _stiff_affine(("-9*x1 + u1",), 0.2, 1, 0.02),
+    "2d-ha-1.8": _stiff_affine(("-9*x1 + x2 + u1", "-x2"), 0.2, 1, 0.05),
+    "1d-ha-3.5": _stiff_affine(("-35*x1 + u1",), 1.0, 10, 0.02),
+    "1d-ha-4": _stiff_affine(("-20*x1 + u1",), 2.0, 10, 0.02),
+}

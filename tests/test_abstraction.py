@@ -8,11 +8,11 @@ from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
                      StabilityCertificate, SynthesisParams, abstraction,
                      build_abstraction, check_bisimulation, dynamics,
                      flow_many, is_deterministic, parse_expression)
-from symctrl.dynamics import TILE_ROWS, _flow_tile
+from symctrl.dynamics import TILE_ROWS
 from symctrl.quantize import Lattice
 
-from _systems import (affine_plants, linear_pair, nonlinear_pair,
-                      problems, toy_pair)
+from _systems import (STIFF_AFFINE, affine_plants, linear_pair,
+                      nonlinear_pair, problems, toy_pair)
 
 
 def full_sweep(sys, spec):
@@ -344,68 +344,36 @@ def test_affine_plants_equal_the_full_sweep():
     assert seen["overflowed"] > 0
 
 
-def one_bound_serves_every_state(plant, spec):
-    """Asserts that an affine plant's one growth bound, per state with a
-    finite coarse row, equals byte for byte the bound over the hull of
-    that state's finite coarse rows' stage points, and that a coarse row's
-    endpoint is finite exactly when its hull is.  Returns the states' sure
-    flags."""
-    engine = engine_of(plant, spec)
-    assert engine.affine
-    X, coarse = engine.st_lat.points(), engine.split.coarse
-    S, n_c = X.shape[0], coarse.size
-    Z, lo, hi = _flow_tile(plant, np.repeat(X, n_c, axis=0),
-                           np.tile(engine.inputs[coarse], (S, 1)), spec.tau,
-                           spec.substeps, hull=True)
-    fin = np.isfinite(Z).all(axis=1).reshape(S, n_c)
-    assert np.array_equal(fin, (fin.ravel() & np.isfinite(lo).all(axis=1)
-                                & np.isfinite(hi).all(axis=1)).reshape(S, n_c))
-    G, sure = engine._gains(fin, lo, hi)
-    G1, sure1 = engine._gains(fin)
-    assert G.tobytes() == G1.tobytes() and sure.tobytes() == sure1.tobytes()
-    return sure
-
-
-@pytest.mark.parametrize("example", range(1, 9))
-def test_one_bound_serves_every_state_of_a_linear_plant(example):
-    plant, _, params = linear_pair(example)
-    sure = one_bound_serves_every_state(
-        plant, AbstractionSpec(params.tau, params.eta, 0.01, 50))
-    assert sure.all()
-
-
-def test_one_bound_serves_every_state_of_an_affine_plant():
-    # 60 draws of test_affine_plants_equal_the_full_sweep's strategy, where
-    # some inputs overflow and some states have no finite coarse row
-    seen = {"sure": 0, "unsure": 0}
-
-    @settings(derandomize=True, max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(affine_plants())
-    def check(problem):
-        plant, spec = problem
-        if engine_of(plant, spec).bound is not None:
-            sure = one_bound_serves_every_state(plant, spec)
-            seen["sure"] += bool(sure.any())
-            seen["unsure"] += not sure.all()
-
-    check()
-    assert seen["sure"] > 10 and seen["unsure"] > 0, seen
+@pytest.mark.parametrize("name", STIFF_AFFINE)
+def test_stiff_affine_plants_flow_only_their_corners(name):
+    # where 1 + h a < 0 the growth bound refuses every state, but the chord
+    # does not need it: the RK4 map is affine in the input however stiff
+    # the plant, even where it is unstable, so each state flows the two
+    # corners of its input box and nothing more
+    plant, spec = STIFF_AFFINE[name]
+    fs = assert_matches_full_sweep(plant, spec)
+    assert fs.rows_flowed == 2 * fs.n_states
 
 
 def test_bracketing_corners_prove_a_landing_neither_proves_alone(
         monkeypatch):
-    # a row lies in the intersection of its known corners' growth boxes; on
-    # an affine plant two corners on either side of its input shrink that
-    # to nearly a point, while each box alone crosses a cell edge
+    # on an affine plant the chord of two corners on either side of a row's
+    # input proves it to land, nearly a point, where the growth box of each
+    # corner alone crosses a cell edge.  The plant's Jacobian is constant,
+    # so one growth bound, over any box, draws every corner's box
     plant, _, params = linear_pair(1)
     spec = AbstractionSpec(params.tau, 0.05, 0.01, 20)
+    origin = np.zeros((1, plant.n))
+    G, sure = abstraction._GrowthBound(
+        plant, Lattice(plant.input_box, 2.0 * spec.mu).points(), spec.tau,
+        spec.substeps, np.zeros(plant.m), 1.0).gains(origin, origin)
+    assert sure.all()
+    g = G[0].sum(axis=1)
     seen = {"landed": 0, "bracketed": 0}
     decide = abstraction._decide
 
-    def checking(level, groups, MISS, E, pad, g, lat, inside, *box):
-        keep, cell = decide(level, groups, MISS, E, pad, g, lat, inside, *box)
+    def checking(level, groups, E, pad, lat, *rest):
+        keep, cell = decide(level, groups, E, pad, lat, *rest)
         src, f = np.nonzero(cell >= 0)
         alone = np.zeros(src.size, dtype=bool)
         for j in groups:
@@ -414,7 +382,7 @@ def test_bracketing_corners_prove_a_landing_neither_proves_alone(
                 # a NaN corner fits nowhere
                 fits = np.ones(src.size, dtype=bool)
                 for e, ga in zip(E, g):
-                    z, w = e[p[f], src], ga[src] * d[f]
+                    z, w = e[p[f], src], ga * d[f]
                     k = np.floor((np.stack([z - w, z + w]) + lat.spacing / 2)
                                  / lat.spacing)
                     fits &= k[0] == k[1]

@@ -141,7 +141,7 @@ def recomputing_loop(plant, spec, ctrl, x0, steps, params,
     xs, ss, us, cells = [x], [s], [], []
     for _ in range(steps):
         cells.append(c)
-        options = ctrl.options(c)
+        options = ctrl.successors(c)[:, 1:]
         cell = np.repeat(lattice.point(c).reshape(1, -1), len(options), 0)
         landings = landings_of(plant, cell, u_values[options[:, 0]],
                                params.tau)
@@ -166,7 +166,7 @@ def test_relational_choice_made_once_per_cell(monkeypatch):
         x0 = ctrl.state_lattice.point(int(idx))
         xs, ss, us, cells = recomputing_loop(plant, spec, ctrl, x0, steps,
                                              params)
-        assert all(ctrl.options(c).shape[0] > 1 for c in cells)
+        assert all(ctrl.successors(c).shape[0] > 1 for c in cells)
         assert len(set(cells)) < len(cells)  # some cell is visited again
         calls = []
 
@@ -204,7 +204,7 @@ def test_relational_nonlinear_loop_matches_the_array_kernel():
         x0 = ctrl.state_lattice.point(int(idx))
         xs, ss, us, cells = recomputing_loop(plant, spec, ctrl, x0, 20,
                                              params, array_landings)
-        assert ctrl.options(cells[0]).shape[0] > 1
+        assert ctrl.successors(cells[0]).shape[0] > 1
         trace = simulate_closed_loop(plant, spec, ctrl, x0, 20, params)
         assert np.array_equal(trace.states, xs)
         assert np.array_equal(trace.spec_states, ss)

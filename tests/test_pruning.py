@@ -23,8 +23,9 @@ from symctrl import (AbstractionSpec, ControlSystem, Controller, Lattice,
                      synthesize_integrated)
 from symctrl.synthesis import integrated_memory_units, shared_lattices
 
-from _systems import (MULTI_WAVE_DRAWS, affine_plants, linear_pair,
-                      nonlinear_pair, problems)
+from _systems import (MULTI_WAVE_DRAWS, STIFF_AFFINE, affine_plants,
+                      linear_pair, nonlinear_pair, problems)
+from test_abstraction import assert_matches_full_sweep
 
 # per-state status of the sequential reference
 UNSEEN, QUEUED, CONTROLLED, BAD = 0, 1, 2, 3
@@ -269,9 +270,9 @@ def test_unbounded_derivative_keeps_every_input(monkeypatch):
     assert kept and all(keep.all() for keep, _ in kept)
 
 
-# every input of |u| > 0.3 overflows, the corners' included: the rows
-# between them are decided by the chords of the next level's corners and by
-# the growth boxes of the finite ones
+# every input of |u| > 0.3 overflows, the corners' included: the level after
+# the corners is flowed in a pass of its own, and the chords of its finite
+# rows decide the rows between them; a row without one is flowed
 OVERFLOWING = (
     ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
                   input_box=[[-2, 2]],
@@ -290,6 +291,7 @@ def test_pruned_scan_equals_full_scan_on_affine_plants():
                                      HealthCheck.data_too_large])
     @given(affine_plants())
     @example(OVERFLOWING)
+    @example(STIFF_AFFINE["1d-ha-1.8"])
     def check(problem):
         plant, quant = problem
         spec = ControlSystem(
@@ -316,6 +318,26 @@ def test_pruned_scan_equals_full_scan_on_affine_plants():
     assert seen["inputs"] == {1, 2}
     assert seen["controlled"] >= seen["examples"] // 4, seen
     assert seen["overflowed"] > 0, seen
+
+
+def test_affine_plants_never_touch_the_growth_bound(monkeypatch):
+    # the chord decides an affine plant's rows in both routes: no growth
+    # bound is built or asked, and no radius is computed, on a plant whose
+    # corners are finite and on one where some overflow
+    def refuse(*args, **kwargs):
+        raise AssertionError("an affine plant reached the growth bound")
+
+    monkeypatch.setattr(abstraction, "_radii", refuse)
+    monkeypatch.setattr(abstraction._GrowthBound, "__init__", refuse)
+    monkeypatch.setattr(abstraction._GrowthBound, "gains", refuse)
+    plant, spec, params = linear_pair(1)
+    params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
+                             theta_q=params.theta_q, tau=params.tau,
+                             eta=0.02, mu=0.01)
+    assert_matches_full_scan(plant, spec, params, 50)
+    assert_matches_full_sweep(plant, AbstractionSpec(params.tau, params.eta,
+                                                     params.mu, 50))
+    assert_matches_full_sweep(*OVERFLOWING)
 
 
 def test_growth_bound_holds_on_sampled_rows():

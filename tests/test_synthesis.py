@@ -197,7 +197,8 @@ def test_integrated_steps_within_complexity_bound():
     n_states = ctrl.state_lattice.n_points
     n_inputs = ctrl.input_lattice.n_points
     assert metrics.steps <= n_states * n_inputs + n_states ** 2
-    assert len(ctrl.sources()) + len(ctrl.bad) <= n_states
+    assert (np.unique(ctrl.transitions[:, 0]).size + ctrl.bad.size
+            <= n_states)
 
 
 def test_integrated_memory_not_above_baseline():
@@ -588,8 +589,8 @@ def test_options_are_the_rows_of_a_source():
     ctrl, _ = synthesize_baseline(plant, spec, params)
     t = ctrl.transitions
     relational = 0
-    for x in ctrl.sources():
-        opts = ctrl.options(x)
+    for x in np.unique(t[:, 0]):
+        opts = ctrl.successors(x)[:, 1:]
         assert np.array_equal(opts, t[t[:, 0] == x][:, 1:])
         assert np.array_equal(opts[:, 0], np.sort(opts[:, 0]))
         relational += opts.shape[0] > 1
@@ -597,7 +598,7 @@ def test_options_are_the_rows_of_a_source():
     x = t[0, 0]
     trimmed = Controller(t[t[:, 0] != x], [], [], ctrl.state_lattice,
                          ctrl.input_lattice)
-    assert trimmed.options(x).shape == (0, 2)
+    assert trimmed.successors(x)[:, 1:].shape == (0, 2)
 
 
 def remap_reference(ctrl):

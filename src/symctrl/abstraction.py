@@ -9,20 +9,20 @@ point y; endpoints outside the cells' cover of the state box produce no
 transition.  Because the cells are disjoint, the result is deterministic:
 each (state, input) has at most one successor.
 
-RowEngine flows only the rows that no proof decides.  It flows a coarse
-input sub-lattice first; then, over nested input levels of finer and finer
-strides (_InputSplit), it decides each level's rows from the endpoints the
-earlier levels flowed (_decide), by one of two proofs, picked once from the
-plant's kind.  On a plant affine in (x, u) the coarse inputs are the 2^m
-corners of the input box, and the chord of a row's nearest finite corners'
-endpoints, nearly a point, decides the row; a row without one is flowed.
-On any other plant the coarse rows also record the hulls of their RK4
-stage points (dynamics._flow_tile), which bound how far an endpoint moves
-with its input (_GrowthBound): a row misses the box when a known
-neighbour's endpoint is too far outside it (_radii), and lands in a cell
-when the boxes the bound draws around its known neighbours' endpoints
-intersect in that cell.  It flows what is left,
-and the next level may use those endpoints in turn.  The box is the cells'
+RowEngine flows only the rows that no proof decides.  It flows coarse
+inputs first, then decides the other rows from the endpoints flowed so far
+(_decide), by one of two proofs, picked once from the plant's kind.  On a
+plant affine in (x, u) the coarse inputs are the 2^m corners of the input
+box and every other input is one level after them (_InputSplit): the chord
+of a row's corners' endpoints, nearly a point, decides the row, and the
+rows it leaves are flowed.  On any other plant the inputs come in nested
+levels of finer and finer strides, and the coarse rows also record the
+hulls of their RK4 stage points (dynamics._flow_tile), which bound how far
+an endpoint moves with its input (_GrowthBound): a row misses the box when
+a known neighbour's endpoint is too far outside it (_radii), and lands in a
+cell when the boxes the bound draws around its known neighbours' endpoints
+intersect in that cell.  It flows what is left, and the next level may use
+those endpoints in turn.  The box is the cells'
 cover for the abstraction, which takes a row proved to land as its cell,
 and each state's target cell for the integrated route of `synthesis`,
 which flows such rows for their endpoints.  Every proof allows a rounding
@@ -47,8 +47,8 @@ from .tsys import FiniteSystem
 DEFAULT_TRANSITION_CAP = 100_000_000
 
 # (state, input) rows per chunk of the abstraction's sweep.  A chunk holds,
-# a level at a time, a keep-mask and an int32 landing cell per row of the
-# level; the benchmark problems' lattices fit in one chunk
+# a level at a time, a keep-mask per row of the level; the benchmark
+# problems' lattices fit in one chunk
 _SWEEP_ROWS = 1 << 20
 # rows per slice of the proofs' temporaries
 _PROOF_ROWS = TILE_ROWS // 8
@@ -93,48 +93,76 @@ class AbstractionSpec:
 
 @dataclass(frozen=True)
 class _Level:
-    """The inputs of one level past the first.  corner[j][f, q] is the
+    """The inputs of one level past the first.  On a plant whose field is
+    affine (expr.is_affine), the one such level: weight[c, f] is the
+    multilinear interpolation weight of coarse input c, a corner of the
+    input box, for input inputs[f], so that the sum of the corners' inputs
+    so weighted is inputs[f].  On any other plant, corner[j][f, q] is the
     position among the known endpoints (see _InputSplit) of corner q of
     input inputs[f] on earlier level j, and dist[j][f, q] the largest
-    distance between the two inputs on an input axis.  weight[j][f, q], for
-    a plant whose field is affine (expr.is_affine), is corner q's
-    multilinear interpolation weight on level j: the sum of those corners'
-    inputs so weighted is inputs[f]; None otherwise."""
+    distance between the two inputs on an input axis."""
 
     inputs: np.ndarray
-    corner: list
-    dist: list
-    weight: Optional[list]
+    weight: Optional[np.ndarray] = None
+    corner: Optional[list] = None
+    dist: Optional[list] = None
 
 
 class _InputSplit:
     """The inputs flowed at each level, and the ones each input past the
     first level is compared with.
 
-    Per input axis of c points, the strides are s_0 = isqrt(c), then
-    s_(k+1) = isqrt(s_k) down to 1 (101 points: 10, 3, 1), and grid k holds
-    the multiples of s_0, ..., s_k and the last point; an axis with fewer
-    strides than another holds every point past its last one.  With
-    `chord` (a plant affine in (x, u)), a grid of each axis's two ends, the
-    corners of the input box, comes first: the chord of a row's corners
-    fixes its endpoint up to rounding, so the 2^m corners are all a state
-    flows before the proofs.  An input belongs to the first grid that holds
-    it on every axis, and the levels are the grids that add inputs: level 0
-    is the coarse inputs.  An input of level k has, on every earlier level
-    j, 2^m corners: per axis, the nearest index of grid j at or below its
-    own and the nearest at or above.  pos[u] is the position of input u
-    among the known endpoints, those of every level but the last, in level
-    order (-1 on the last level).  reach is the largest distance, per axis,
-    between an input and one of its coarse corners.  With `chord`, each
-    level also holds its inputs' interpolation weights on every earlier
-    level (_Level).  With few points per axis every input is coarse; an
-    autonomous plant has the one zero input.
+    With `chord` (a plant affine in (x, u)) there are two levels: the 2^m
+    corners of the input box, the inputs at an end of every axis, then every
+    other input.  The chord of a row's corners fixes its endpoint up to
+    rounding, so the corners are all a state flows before the proof.  On an
+    axis of c points, input index k lies t = k / (c - 1) of the way up the
+    box, and an input's weight on a corner is the product over the axes of
+    t where the corner is at the upper end and 1 - t where it is at the
+    lower one: the box's ends, not the nearest corners, so that an input
+    on a face weighs 0 on the corners of the opposite face, and an axis of
+    one point, whose two ends coincide, adds its weights up on it.
+
+    Otherwise, per input axis of c points, the strides are s_0 = isqrt(c),
+    then s_(k+1) = isqrt(s_k) down to 1 (101 points: 10, 3, 1), and grid k
+    holds the multiples of s_0, ..., s_k and the last point; an axis with
+    fewer strides than another holds every point past its last one.  An
+    input belongs to the first grid that holds it on every axis, and the
+    levels are the grids that add inputs: level 0 is the coarse inputs.  An
+    input of level k has, on every earlier level j, 2^m corners: per axis,
+    the nearest index of grid j at or below its own and the nearest at or
+    above.  reach is the largest distance, per axis, between an input and
+    one of its coarse corners.
+
+    pos[u] is the position of input u among the known endpoints, those of
+    every level but the last, in level order (-1 on the last level).  With
+    few points per axis every input is coarse; an autonomous plant has the
+    one zero input.
     """
 
     def __init__(self, in_lat: Optional[Lattice], u_pts: np.ndarray,
                  chord: bool):
         n_u, m = u_pts.shape
-        counts = [] if in_lat is None else in_lat.counts
+        counts = (np.zeros(0, dtype=np.int64) if in_lat is None
+                  else in_lat.counts)
+        k = (np.arange(n_u)[:, None] // in_lat.strides % counts if m
+             else np.zeros((n_u, 0), dtype=np.int64))
+        self.levels = []
+        if chord:
+            end = np.all((k == 0) | (k == counts - 1), axis=1)
+            self.coarse, inputs = np.flatnonzero(end), np.flatnonzero(~end)
+            self.pos = np.full(n_u, -1, dtype=np.int64)
+            self.pos[self.coarse] = np.arange(self.coarse.size)
+            self.n_known = self.coarse.size
+            if inputs.size:
+                t = k[inputs] / np.maximum(counts - 1, 1)
+                weight = np.zeros((self.coarse.size, inputs.size))
+                for q in range(1 << m):
+                    up = np.array([(q >> ax) & 1 for ax in range(m)])
+                    weight[self.pos[up * (counts - 1) @ in_lat.strides]] += \
+                        np.prod(np.where(up, t, 1.0 - t), axis=1)
+                self.levels.append(_Level(inputs, weight))
+            return
         strides = []
         for c in counts:
             s = [max(1, math.isqrt(c))]
@@ -146,38 +174,29 @@ class _InputSplit:
                                             for t in s[:lv + 1]] + [[c - 1]]))
                   for s, c in zip(strides, counts)]
                  for lv in range(max(map(len, strides), default=1))]
-        if chord and m:
-            grids.insert(0, [np.unique([0, c - 1]) for c in counts])
-        k = (np.arange(n_u)[:, None] // in_lat.strides % counts if m
-             else np.zeros((n_u, 0), dtype=np.int64))
         level = np.zeros(n_u, dtype=np.int64)
         for lv in range(len(grids) - 1, -1, -1):
             inside = np.ones(n_u, dtype=bool)
             for ax, grid in enumerate(grids[lv]):
                 inside &= np.isin(k[:, ax], grid)
             level[inside] = lv
-        # a grid that adds no input (the isqrt grid of an axis of 2 points
-        # after its corners) is no level
+        # a grid that adds no input (on an axis of 2 points, every grid
+        # after the first) is no level
         used = np.flatnonzero(np.bincount(level))
         level = np.searchsorted(used, level)
         grids = [grids[lv] for lv in used]
         n_levels = used.size
 
         def nearest(kf, grid):
-            # input indices of the 2^m nearest points of `grid` around kf,
-            # and their multilinear weights: per axis, t on the point above
-            # and 1 - t on the one below, t kf's fraction of the way up
+            # input indices of the 2^m nearest points of `grid` around kf
             out = np.zeros((kf.shape[0], 1 << m), dtype=np.int64)
-            weight = np.ones((kf.shape[0], 1 << m))
             for ax, g in enumerate(grid):
                 below = g[np.searchsorted(g, kf[:, ax], "right") - 1]
                 above = g[np.searchsorted(g, kf[:, ax], "left")]
-                t = (kf[:, ax] - below) / np.maximum(above - below, 1)
                 for q in range(1 << m):
                     up = (q >> ax) & 1
                     out[:, q] += (above if up else below) * in_lat.strides[ax]
-                    weight[:, q] *= t if up else 1.0 - t
-            return out, weight
+            return out
 
         self.coarse = np.flatnonzero(level == 0)
         known = np.flatnonzero(level < n_levels - 1)
@@ -185,17 +204,15 @@ class _InputSplit:
         self.pos = np.full(n_u, -1, dtype=np.int64)
         self.pos[known] = np.arange(known.size)
         self.n_known = known.size
-        self.levels = []
         self.reach = np.zeros(m)
         for lv in range(1, n_levels):
             inputs = np.flatnonzero(level == lv)
-            corner, weight = zip(*(nearest(k[inputs], grids[j])
-                                   for j in range(lv)))
+            corner = [nearest(k[inputs], grids[j]) for j in range(lv)]
             du = [np.abs(u_pts[inputs][:, None, :] - u_pts[c]) for c in corner]
             self.reach = np.maximum(self.reach, du[0].max(axis=(0, 1)))
-            self.levels.append(_Level(inputs, [self.pos[c] for c in corner],
-                                      [d.max(axis=2) for d in du],
-                                      list(weight) if chord else None))
+            self.levels.append(_Level(inputs,
+                                      corner=[self.pos[c] for c in corner],
+                                      dist=[d.max(axis=2) for d in du]))
 
 
 class _GrowthBound:
@@ -373,67 +390,40 @@ def _radii(Z: np.ndarray, P: np.ndarray, half: np.ndarray, g: np.ndarray,
     return miss
 
 
-def _chord(level: _Level, groups: list, E: list, s: slice):
-    """(C, has) over the rows (level.inputs[f], state s) as [f, s]: per
-    axis, the chord of each row's corners (_decide) on the latest level in
-    `groups` where it is finite on every axis, and whether there is one."""
-    C = has = None
-    for j in reversed(groups):
-        w, p = level.weight[j], level.corner[j]
-        if (p == p[:1]).all():
-            # the same corners for every row, the input box's: a product
-            c = [w @ e[p[0], s] for e in E]
-        else:
-            c = [sum(w[:, q, None] * e[p[:, q], s] for q in range(w.shape[1]))
-                 for e in E]
-        fin = np.logical_and.reduce([np.isfinite(v) for v in c])
-        if C is None:
-            C, has = c, fin
-        else:
-            fin &= ~has
-            for old, new in zip(C, c):
-                np.copyto(old, new, where=fin)
-            has |= fin
-        if has.all():
-            break
-    return C, has
-
-
 # a box's ends far past the lattice may overflow to inf, as far outside it
 @np.errstate(over="ignore", invalid="ignore")
 def _decide(level: _Level, groups: list, E: Optional[list],
-            pad: np.ndarray, lat: Lattice, box: tuple, lands: bool,
+            pad: np.ndarray, lat: Lattice, box: tuple,
+            lands: Optional[Callable[..., None]],
             MISS: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None,
-            inside: Optional[np.ndarray] = None
-            ) -> Tuple[np.ndarray, np.ndarray]:
-    """(keep, cell) over the rows (state s, level.inputs[f]): keep whether
-    the row may still land in its state's box, and cell the lattice cell it
-    is proved to land in (-1 if none).  A row proved to land is not kept,
-    and landings are proved only with `lands`.  E[ax][p, s] are the
-    coordinates of the known endpoints, NaN where a corner proves nothing;
-    E is None when neither the chord nor a landing is asked for.
-    pad[ax, s] is the rounding margin of any endpoint of state s that lands
-    or that a chord or box is drawn from (it bounds |z| by the state's
-    largest known endpoint and the cells' reach), and box[0][ax, s] and
-    box[1][ax, s] the lower and upper face on axis ax of state s's box, a
-    union of cells.  The corners compared with are those on the earlier
-    levels in `groups`.  The growth boxes also take MISS[p, s], the radii
-    (_radii) of the known endpoints, g[ax, s], the row sum of state s's
-    growth bound, and inside[s, f], whether the row's stage points lie in
-    its region; the chord takes none of the three (None).
+            inside: Optional[np.ndarray] = None) -> np.ndarray:
+    """keep over the rows (state s, level.inputs[f]): whether the row may
+    still land in its state's box.  Landings are proved only with `lands`,
+    which gets each slice of states' rows proved to land as they are found,
+    as lands(s, f, cells) with cells their lattice cells; such a row is not
+    kept.  E[ax][p, s] are the coordinates of the known endpoints, NaN
+    where a corner proves nothing; E is None when neither the chord nor a
+    landing is asked for.  pad[ax, s] is the rounding margin of any
+    endpoint of state s that lands or that a chord or box is drawn from (it
+    bounds |z| by the state's largest known endpoint and the cells' reach),
+    and box[0][ax, s] and box[1][ax, s] the lower and upper face on axis ax
+    of state s's box, a union of cells.  The growth boxes compare a row
+    with its corners on the earlier levels in `groups`, and also take
+    MISS[p, s], the radii (_radii) of the known endpoints, g[ax, s], the
+    row sum of state s's growth bound, and inside[s, f], whether the row's
+    stage points lie in its region; the chord takes none of these.
 
     Where the plant is affine (level.weight), its RK4 endpoint is affine in
     the input at a fixed state, in exact arithmetic, so a row's endpoint is
-    the chord of its corners' endpoints on any earlier level j, sum_q
-    weight[j][f, q] Z_q, up to the kernel's rounding.  The row takes the
-    chord of its nearest bracketing corners, those on the latest level of
-    `groups` whose chord is finite (_chord), padded twice, for the row and
-    for the corners: a convex mix of the corners, it is no larger than the
-    largest of them.  The row misses when the padded chord lies off the box
-    on some axis, and lands in the chord's cell, at the lattice's
-    floor((z + s/2) / s), when the padded chord lies inside that cell on
-    every axis.  A row whose chord is NaN, where corners overflowed, is
-    kept.
+    the chord of the input box's corners' endpoints, sum_c weight[c, f]
+    Z_c, up to the kernel's rounding: one matrix product per axis, laid out
+    (states, inputs).  The chord is padded twice, for the row and for the
+    corners: a convex mix of the corners, it is no larger than the largest
+    of them.  The row misses when the padded chord lies off the box on some
+    axis, and lands in the chord's cell, at the lattice's floor((z + s/2) /
+    s), when the padded chord lies inside that cell on every axis.  A state
+    with a corner that is not finite has NaN chords, which decide nothing:
+    its rows are kept.
 
     The rows of a plant that is not affine are decided by their corners'
     growth boxes.  A row misses when a corner's radius exceeds its input
@@ -445,7 +435,6 @@ def _decide(level: _Level, groups: list, E: Optional[list],
     """
     S, n_k = box[0].shape[1], level.inputs.size
     keep = np.ones((S, n_k), dtype=bool)
-    cell = np.full((S, n_k), -1, dtype=np.int32)
     chord = level.weight is not None
     sp = lat.spacing
     if not chord:
@@ -459,28 +448,28 @@ def _decide(level: _Level, groups: list, E: Optional[list],
             at_d = at_d.reshape(len(corners), n_k)
 
     # a few states at a time, so that the temporaries stay small; the
-    # arrays run over the states last, so that a corner's row is contiguous.
-    # The chord holds float arrays over every row of a slice; for its misses
-    # alone, the integrated scan's proofs, they set that route's peak, so
-    # those slices are narrower.  With landings, wide slices save Python
-    # passes
+    # growth boxes' arrays run over the states last, so that a corner's row
+    # is contiguous.  The chord holds float arrays over every row of a
+    # slice; for its misses alone, the integrated scan's proofs, they set
+    # that route's peak, so those slices are narrower.  With landings, wide
+    # slices save Python passes
     step = max(1, (_PROOF_ROWS if chord and not lands else TILE_ROWS) // n_k)
     for a in range(0, S, step):
         s = slice(a, min(S, a + step))
         if chord:
-            C, has = _chord(level, groups, E, s)
-            miss = np.zeros(has.shape, dtype=bool)
-            for c, lo, hi, pd in zip(C, box[0][:, s], box[1][:, s],
-                                     pad[:, s]):
-                # more than twice the margin off the box, on some axis
+            miss = np.zeros((s.stop - a, n_k), dtype=bool)
+            if lands:
+                land, at = ~miss, np.zeros(miss.shape)
+            for ax, (e, lo, hi, pd) in enumerate(zip(E, box[0][:, s, None],
+                                                     box[1][:, s, None],
+                                                     pad[:, s, None])):
+                c = e[:, s].T @ level.weight
+                # more than twice the margin off the box
                 miss |= c < lo - 2.0 * pd
                 miss |= c > hi + 2.0 * pd
-            done = has & miss
-            if lands:
-                # the lattice's cell of the chord, more than twice the
-                # margin from its faces on every axis: a cell of the box
-                land, at = has & ~miss, np.zeros(has.shape)
-                for ax, (c, pd) in enumerate(zip(C, pad[:, s])):
+                if lands:
+                    # the lattice's cell of the chord, more than twice the
+                    # margin from its faces: a cell of the box
                     k = c + sp / 2.0
                     k /= sp
                     np.floor(k, out=k)
@@ -490,9 +479,13 @@ def _decide(level: _Level, groups: list, E: Optional[list],
                     k -= lat.kmin[ax]
                     k *= lat.strides[ax]
                     at += k
-                cell[s] = np.where(land, at, -1).T
-                done |= land
-            keep[s] = ~done.T
+            if lands:
+                land &= ~miss
+                src, f = np.nonzero(land)
+                if src.size:
+                    lands(src + a, f, at[src, f].astype(np.int32))
+                miss |= land
+            keep[s] = ~miss
             continue
         ok = inside[s].T
         done = np.zeros(ok.shape, dtype=bool)
@@ -533,9 +526,12 @@ def _decide(level: _Level, groups: list, E: Optional[list],
                 sel = live.any(axis=1)
                 rows, live, at = rows[sel], live[sel], at[sel]
             done[rows] |= live
-            cell[s, rows] = np.where(live, at - lat.kmin @ lat.strides, -1).T
+            src, i = np.nonzero(live.T)
+            if src.size:
+                lands(src + a, rows[i],
+                      (at[i, src] - lat.kmin @ lat.strides).astype(np.int32))
         keep[s] = ~(ok & done).T
-    return keep, cell
+    return keep
 
 
 class RowEngine:
@@ -628,19 +624,16 @@ class RowEngine:
         3. On an affine plant or with `cells_suffice`, the coordinates of
            the finite coarse endpoints.
         4. Level by level (_InputSplit), the proofs (_decide) against the
-           known endpoints of the earlier levels: on an affine plant the
-           chord of the nearest finite corners, on any other the growth
-           boxes; then a flow of the rows they leave undecided, each tile
-           finding its rows in the keep-mask and keeping the radii and
-           coordinates of its own.  Only a flowed row's endpoint is known
-           to the later levels: a decided row proves nothing.  A level that
-           keeps fewer than _PASS_ROWS rows is flowed with the next one
-           instead, and proves nothing to it.  Only the level after the
-           corners of an affine plant where a corner is not finite is
-           flowed in a pass of its own whatever it keeps, as the coarse
-           rows of other plants are: the rows of the non-finite corners'
-           chords are left to its endpoints.  The last pass records
-           nothing.
+           known endpoints of the earlier levels, which hand the rows they
+           prove to land to visit a slice of states at a time: on an affine
+           plant the chord of the input box's corners, over its one level,
+           on any other the growth boxes; then a flow of the rows they
+           leave undecided, each tile finding its rows in the keep-mask and
+           keeping the radii and coordinates of its own.  Only a flowed
+           row's endpoint is known to the later levels: a decided row
+           proves nothing.  A level that keeps fewer than _PASS_ROWS rows
+           is flowed with the next one instead, and proves nothing to it.
+           The last pass records nothing.
         A row proved to miss would not have landed in the box, and one
         proved to land lands in the cell it is handed over with.
         """
@@ -724,24 +717,24 @@ class RowEngine:
         known = [0]  # the levels whose rows were flowed
         # a level too small to pay a pass of its own, flowed with the next
         carried = []
-        # on an affine plant, a corner that proves nothing leaves its rows
-        # to the next level's corners (run, step 4)
-        lost = self.affine and not fin.all()
         inside, growth = None, ()
+
+        def hand_over(src, f, cells):
+            # the rows of `level` that _decide proved to land
+            nonlocal landed
+            visit(src, level.inputs[f], None, cells)
+            landed += src.size
+
         for k, level in enumerate(self.split.levels, 1):
             if boxes:
                 inside = sure[:, None] & fin[:, level.corner[0]].any(axis=2)
                 growth = (MISS[:filled], g.T.copy(), inside)
-            keep, cell = _decide(level, known, E and [e[:filled] for e in E],
-                                 pad, lat, box, cells_suffice, *growth)
-            src, f = np.nonzero(cell >= 0)
-            if src.size:
-                visit(src, level.inputs[f], None, cell[src, f])
-                landed += src.size
-            del cell, src, f
+            keep = _decide(level, known, E and [e[:filled] for e in E], pad,
+                           lat, box, hand_over if cells_suffice else None,
+                           *growth)
             carried.append((k, level.inputs, keep, inside))
             # the last level is always flowed
-            if (k < len(self.split.levels) and not (k == 1 and lost)
+            if (k < len(self.split.levels)
                     and sum(int(c[2].sum()) for c in carried) < _PASS_ROWS):
                 continue
             levels, inputs, keep, inside = (

@@ -26,10 +26,10 @@ from .tsys import (FiniteSystem, _rows, compose, nonblocking_part,
 
 # (state, input) rows a chunk of the integrated input scan decides: a chunk
 # holds _SCAN_ROWS // (inputs) states.  What a chunk holds grows with its
-# rows, a keep-mask and a cell per row of a level and, per state, the
-# coordinates of every known input on an affine plant and their radii on
-# any other, not with the coarse rows it flows first, which are 2 per state
-# on an affine plant with one input
+# rows, a keep-mask per row of a level and, per state, the coordinates of
+# the input box's corners on an affine plant and the radii of every known
+# input on any other, not with the coarse rows it flows first, which are 2
+# per state on an affine plant with one input
 _SCAN_ROWS = 1 << 18
 
 # input scan result of a state where no input lands

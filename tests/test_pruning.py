@@ -145,9 +145,9 @@ def test_pruned_scan_equals_full_scan_on_random_problems(monkeypatch):
     decide = abstraction._decide
 
     def counting(*args):
-        keep, cell = decide(*args)
+        keep = decide(*args)
         seen["pruning"] |= not keep.all()
-        return keep, cell
+        return keep
 
     monkeypatch.setattr(abstraction, "_decide", counting)
 
@@ -267,12 +267,12 @@ def test_unbounded_derivative_keeps_every_input(monkeypatch):
         "-x1 + u1 + 0.1*sqrt(abs(u1))", "-x1", 0.5, 0.05, 0.02, 0.5)
     ctrl, _ = assert_matches_full_scan(plant, spec, params, 10)
     assert ctrl.n_transitions > 0
-    assert kept and all(keep.all() for keep, _ in kept)
+    assert kept and all(keep.all() for keep in kept)
 
 
-# every input of |u| > 0.3 overflows, the corners' included: the level after
-# the corners is flowed in a pass of its own, and the chords of its finite
-# rows decide the rows between them; a row without one is flowed
+# every input of |u| > 0.3 overflows, the corners' included: every state has
+# a corner that is not finite, so its chords are NaN and all its rows are
+# flowed
 OVERFLOWING = (
     ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
                   input_box=[[-2, 2]],
@@ -308,10 +308,8 @@ def test_pruned_scan_equals_full_scan_on_affine_plants():
             quant.substeps, check_finite=False)).all(axis=1)
         seen["examples"] += 1
         seen["controlled"] += ctrl.n_transitions > 0
-        # rows decided on a plant that overflows on some rows: fewer plant
-        # and specification rows flowed than the plant has
-        seen["overflowed"] += (0 < finite.sum() < finite.size
-                               and m.rows_flowed < finite.size)
+        # a plant that overflows on some rows
+        seen["overflowed"] += 0 < finite.sum() < finite.size
         seen["inputs"].add(plant.m)
 
     check()

@@ -21,13 +21,14 @@ hulls of their RK4 stage points (dynamics._flow_tile), which bound how far
 an endpoint moves with its input (_GrowthBound): a row misses the box when
 a known neighbour's endpoint is too far outside it (_radii), and lands in a
 cell when the boxes the bound draws around its known neighbours' endpoints
-intersect in that cell.  It flows what is left, and the next level may use
-those endpoints in turn.  The box is the cells'
-cover for the abstraction, which takes a row proved to land as its cell,
-and each state's target cell for the integrated route of `synthesis`,
-which flows such rows for their endpoints.  Every proof allows a rounding
-margin that grows with the endpoint and with the field's largest
-intermediate value (_unit).
+intersect in that cell.  It flows what is left of each level in a pass of
+its own, and every later level uses those endpoints in turn, so the rows
+flowed depend on the problem alone, not on how many states a call holds.
+The box is the cells' cover for the abstraction, which takes a row proved
+to land as its cell, and each state's target cell for the integrated
+route of `synthesis`, which flows such rows for their endpoints.  Every
+proof allows a rounding margin that grows with the endpoint and with the
+field's largest intermediate value (_unit).
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ DEFAULT_TRANSITION_CAP = 100_000_000
 _SWEEP_ROWS = 1 << 20
 # rows per slice of the proofs' temporaries
 _PROOF_ROWS = TILE_ROWS // 8
-# rows a level must keep to be flowed in a pass of its own; fewer are
-# flowed with the next level's, to whose proofs they then prove nothing.
-# A pass costs the RK4 kernel's fixed cost, some 40 ufunc calls for each of
-# 50 substeps: on the benchmark problems, about 3.5 ms, or a few thousand
-# rows
-_PASS_ROWS = TILE_ROWS // 4
 # rounding margin of the proofs, relative to unit + |value| (_unit).  The
 # bound and the chord are those of the RK4 map in exact arithmetic, while
 # the kernel rounds each of its few hundred operations per row to nearest
@@ -392,7 +387,7 @@ def _radii(Z: np.ndarray, P: np.ndarray, half: np.ndarray, g: np.ndarray,
 
 # a box's ends far past the lattice may overflow to inf, as far outside it
 @np.errstate(over="ignore", invalid="ignore")
-def _decide(level: _Level, groups: list, E: Optional[list],
+def _decide(level: _Level, E: Optional[list],
             pad: np.ndarray, lat: Lattice, box: tuple,
             lands: Optional[Callable[..., None]],
             MISS: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None,
@@ -408,10 +403,11 @@ def _decide(level: _Level, groups: list, E: Optional[list],
     bounds |z| by the state's largest known endpoint and the cells' reach),
     and box[0][ax, s] and box[1][ax, s] the lower and upper face on axis ax
     of state s's box, a union of cells.  The growth boxes compare a row
-    with its corners on the earlier levels in `groups`, and also take
-    MISS[p, s], the radii (_radii) of the known endpoints, g[ax, s], the
-    row sum of state s's growth bound, and inside[s, f], whether the row's
-    stage points lie in its region; the chord takes none of these.
+    with its corners on every earlier level (level.corner, level.dist),
+    and also take MISS[p, s], the radii (_radii) of the known endpoints,
+    g[ax, s], the row sum of state s's growth bound, and inside[s, f],
+    whether the row's stage points lie in its region; the chord takes none
+    of these.
 
     Where the plant is affine (level.weight), its RK4 endpoint is affine in
     the input at a fixed state, in exact arithmetic, so a row's endpoint is
@@ -438,12 +434,11 @@ def _decide(level: _Level, groups: list, E: Optional[list],
     chord = level.weight is not None
     sp = lat.spacing
     if not chord:
-        corners = [(p, d[:, None]) for j in groups
-                   for p, d in zip(level.corner[j].T, level.dist[j].T)]
+        corners = [(p, d[:, None]) for c, dj in zip(level.corner, level.dist)
+                   for p, d in zip(c.T, dj.T)]
         if lands:
             # the corners' few distances, and each corner's place among them
-            dist, at_d = np.unique([d for j in groups
-                                    for d in level.dist[j].T],
+            dist, at_d = np.unique([d for dj in level.dist for d in dj.T],
                                    return_inverse=True)
             at_d = at_d.reshape(len(corners), n_k)
 
@@ -624,16 +619,15 @@ class RowEngine:
         3. On an affine plant or with `cells_suffice`, the coordinates of
            the finite coarse endpoints.
         4. Level by level (_InputSplit), the proofs (_decide) against the
-           known endpoints of the earlier levels, which hand the rows they
+           known endpoints of every earlier level, which hand the rows they
            prove to land to visit a slice of states at a time: on an affine
            plant the chord of the input box's corners, over its one level,
-           on any other the growth boxes; then a flow of the rows they
-           leave undecided, each tile finding its rows in the keep-mask and
-           keeping the radii and coordinates of its own.  Only a flowed
-           row's endpoint is known to the later levels: a decided row
-           proves nothing.  A level that keeps fewer than _PASS_ROWS rows
-           is flowed with the next one instead, and proves nothing to it.
-           The last pass records nothing.
+           on any other the growth boxes; then a pass of its own over the
+           rows they leave undecided, each tile finding its rows in the
+           keep-mask and keeping the radii and coordinates of its own.
+           Only a flowed row's endpoint is known to the later levels: a
+           decided row proves nothing.  The last level's pass records
+           nothing, since no later level reads it.
         A row proved to miss would not have landed in the box, and one
         proved to land lands in the cell it is handed over with.
         """
@@ -692,18 +686,20 @@ class RowEngine:
 
         def learn(inputs, flow):
             # flow() records the rows of `inputs` at their known positions,
-            # the block after those filled so far; then the rounding margins
-            # per axis and state (_decide) take them in
+            # the block after those filled so far (none on the last level,
+            # which no later level reads); then the rounding margins per
+            # axis and state (_decide) take them in
             nonlocal filled, pad
-            at = pos[inputs]
-            block = slice(filled, at.max() + 1)
+            block = slice(filled, filled + int((pos[inputs] >= 0).sum()))
             for a in ([MISS] if boxes else []) + (E or []):
                 a[block] = np.nan
             flow()
             filled = block.stop
             for t, e in zip(top, E or []):
-                np.fmax(t, np.fmax.reduce(e[block], axis=0), out=t)
-                np.fmax(t, -np.fmin.reduce(e[block], axis=0), out=t)
+                np.fmax(t, np.fmax.reduce(e[block], axis=0, initial=-np.inf),
+                        out=t)
+                np.fmax(t, -np.fmin.reduce(e[block], axis=0, initial=np.inf),
+                        out=t)
             pad = _MARGIN * (self.unit + np.fmax(top, reach[:, None]))
 
         # a coarse row proves something when it is finite and, for the
@@ -714,9 +710,6 @@ class RowEngine:
         learn(coarse, lambda: record(row % n_c, row // n_c, Z, w.ravel()))
         del Z, row, w
         flowed, landed = S * n_c, 0
-        known = [0]  # the levels whose rows were flowed
-        # a level too small to pay a pass of its own, flowed with the next
-        carried = []
         inside, growth = None, ()
 
         def hand_over(src, f, cells):
@@ -725,44 +718,28 @@ class RowEngine:
             visit(src, level.inputs[f], None, cells)
             landed += src.size
 
-        for k, level in enumerate(self.split.levels, 1):
+        def on_tile(src, f, Z, cells):
+            # the rows of `level` that _decide left undecided, flowed
+            visit(src, level.inputs[f], Z, cells)
+            # a row proves something to the later levels only at a known
+            # position and, for the growth boxes, with its stage points in
+            # the region
+            at = pos[level.inputs[f]]
+            w = at >= 0
+            if boxes:
+                w &= inside[src, f]
+            record(at, src, Z, w)
+
+        for level in self.split.levels:
             if boxes:
                 inside = sure[:, None] & fin[:, level.corner[0]].any(axis=2)
                 growth = (MISS[:filled], g.T.copy(), inside)
-            keep = _decide(level, known, E and [e[:filled] for e in E], pad,
-                           lat, box, hand_over if cells_suffice else None,
+            keep = _decide(level, E and [e[:filled] for e in E], pad, lat,
+                           box, hand_over if cells_suffice else None,
                            *growth)
-            carried.append((k, level.inputs, keep, inside))
-            # the last level is always flowed
-            if (k < len(self.split.levels)
-                    and sum(int(c[2].sum()) for c in carried) < _PASS_ROWS):
-                continue
-            levels, inputs, keep, inside = (
-                [c[j] for c in carried] for j in range(4))
-            inputs, keep = np.concatenate(inputs), np.hstack(keep)
-            inside = np.hstack(inside) if boxes else None
-            carried = []
-
-            def on_tile(src, f, Z, cells, inputs=inputs, inside=inside):
-                visit(src, inputs[f], Z, cells)
-                # a row proves something to the later levels only at a
-                # known position and, for the growth boxes, with its stage
-                # points in the region
-                at = pos[inputs[f]]
-                w = at >= 0
-                if boxes:
-                    w &= inside[src, f]
-                record(at, src, Z, w)
-
             flowed += int(keep.sum())
-            if k == len(self.split.levels):
-                # no level reads the last pass's rows: recording them would
-                # touch the known rows of every level it carries
-                self._flow_kept(X, keep, inputs, lambda src, f, Z, cells:
-                                visit(src, inputs[f], Z, cells))
-                break
-            learn(inputs, lambda: self._flow_kept(X, keep, inputs, on_tile))
-            known += levels
+            learn(level.inputs,
+                  lambda: self._flow_kept(X, keep, level.inputs, on_tile))
         return flowed, landed
 
 
@@ -773,12 +750,13 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
 
     States are embedded at their own lattice coordinates; initial states come
     from the outward-rounded lattice range of the initial box.  Flows leaving
-    the cells covering the state box produce no transition.  The rows a
-    growth bound proves to leave them, or to land in a cell, are not flowed
-    (RowEngine); the system's `rows_flowed` counts the rows that were, and
-    `rows_landed` those proved to land.  The model is held as its successor
-    matrix, filled a chunk of states at a time, so it is reproducible
-    regardless of chunk, tile and worker count.
+    the cells covering the state box produce no transition.  The rows the
+    chord (on an affine plant) or a growth bound (on any other) proves to
+    leave them, or to land in a cell, are not flowed (RowEngine); the
+    system's `rows_flowed` counts the rows that were, and `rows_landed`
+    those proved to land.  The model is held as its successor matrix,
+    filled a chunk of states at a time, so it and both counters are
+    reproducible regardless of chunk, tile and worker count.
     """
     if sys.m and spec.mu is None:
         raise ValueError("mu is required for systems with inputs")

@@ -29,7 +29,9 @@ from .tsys import (FiniteSystem, _rows, compose, nonblocking_part,
 # rows, a keep-mask per row of a level and, per state, the coordinates of
 # the input box's corners on an affine plant and the radii of every known
 # input on any other, not with the coarse rows it flows first, which are 2
-# per state on an affine plant with one input
+# per state on an affine plant with one input.  The rows a chunk flows do
+# not depend on its size: each level of its inputs is flowed in a pass of
+# its own (abstraction.RowEngine.run)
 _SCAN_ROWS = 1 << 18
 
 # input scan result of a state where no input lands

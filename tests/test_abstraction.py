@@ -136,17 +136,21 @@ def test_thread_count_invariance(monkeypatch):
 
 
 def test_sweep_chunks_change_nothing(monkeypatch):
-    # 13 sweep chunks of 10 states, the last of one, give the model and the
-    # counters of one chunk
-    plant, _, params = linear_pair(1)
-    spec = AbstractionSpec(params.tau, 0.05, 0.01, 20)
-    ref = build_abstraction(plant, spec)
-    assert ref.rows_landed > 0
-    monkeypatch.setattr(abstraction, "_SWEEP_ROWS", 10 * 201)
-    fs = build_abstraction(plant, spec)
-    assert fs.same_as(ref)
-    assert ((fs.rows_flowed, fs.rows_landed)
-            == (ref.rows_flowed, ref.rows_landed))
+    # sweep chunks give the model and the counters of one chunk: on linear
+    # #1, 13 chunks of 10 states, the last of one; on the nonlinear plant,
+    # whose inputs come in nested levels, 2 chunks of 991 and 340 states
+    for (plant, _, params), eta, mu, substeps, rows in (
+            (linear_pair(1), 0.05, 0.01, 20, 10 * 201),
+            (nonlinear_pair(), 0.1, 0.01, 50, 100 * 1001)):
+        spec = AbstractionSpec(params.tau, eta, mu, substeps)
+        ref = build_abstraction(plant, spec)
+        assert ref.rows_landed > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(abstraction, "_SWEEP_ROWS", rows)
+            fs = build_abstraction(plant, spec)
+        assert fs.same_as(ref)
+        assert ((fs.rows_flowed, fs.rows_landed)
+                == (ref.rows_flowed, ref.rows_landed))
 
 
 def test_pruned_sweep_under_thread_stress(monkeypatch):
@@ -160,10 +164,9 @@ def test_pruned_sweep_under_thread_stress(monkeypatch):
         spec = AbstractionSpec(params.tau, eta, mu, substeps)
         ref = full_sweep(plant, spec)
         with monkeypatch.context() as patch:
-            # every level in a pass of its own, so that the workers'
+            # every level flows in a pass of its own, so the workers'
             # endpoints are read by the later levels; an affine plant has
             # one level past its corners, which no later level reads
-            patch.setattr(abstraction, "_PASS_ROWS", 0)
             patch.setattr(dynamics, "TILE_ROWS", 97)
             patch.setenv("SYMCTRL_THREADS", "4")
             interval = sys.getswitchinterval()
@@ -207,20 +210,17 @@ def test_abstraction_equals_full_sweep_on_random_problems(monkeypatch):
             "landing": False}
     decide = abstraction._decide
 
-    def counting(level, groups, E, pad, lat, box, lands, *rest):
+    def counting(level, E, pad, lat, box, lands, *rest):
         def landing(src, f, cells):
             seen["landing"] = True
             lands(src, f, cells)
 
-        keep = decide(level, groups, E, pad, lat, box,
-                      landing if lands else None, *rest)
+        keep = decide(level, E, pad, lat, box, landing if lands else None,
+                      *rest)
         seen["pruning"] |= not keep.all()
         return keep
 
     monkeypatch.setattr(abstraction, "_decide", counting)
-    # every level in a pass of its own, however few rows it keeps, so that
-    # the later levels' proofs use its endpoints
-    monkeypatch.setattr(abstraction, "_PASS_ROWS", 0)
     for drifting in (False, True):
         @settings(derandomize=True, max_examples=50, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow,
@@ -408,7 +408,7 @@ def test_bracketing_corners_prove_a_landing_neither_proves_alone(
     seen = {"landed": 0, "bracketed": 0}
     decide = abstraction._decide
 
-    def checking(level, groups, E, pad, lat, box, lands, *rest):
+    def checking(level, E, pad, lat, box, lands, *rest):
         def check(src, f, cells):
             lands(src, f, cells)
             alone = np.zeros(src.size, dtype=bool)
@@ -426,8 +426,8 @@ def test_bracketing_corners_prove_a_landing_neither_proves_alone(
             seen["landed"] += src.size
             seen["bracketed"] += int((~alone).sum())
 
-        return decide(level, groups, E, pad, lat, box,
-                      check if lands else None, *rest)
+        return decide(level, E, pad, lat, box, check if lands else None,
+                      *rest)
 
     monkeypatch.setattr(abstraction, "_decide", checking)
     fs = assert_matches_full_sweep(plant, spec)
@@ -453,15 +453,11 @@ def landing_problems():
 LANDING_PROBLEMS = landing_problems()
 
 
-@pytest.mark.parametrize("pass_rows", [0, abstraction._PASS_ROWS],
-                         ids=["own-passes", "carried"])
-def test_cells_suffice_changes_only_the_rows_flowed(monkeypatch, pass_rows):
+def test_cells_suffice_changes_only_the_rows_flowed():
     # handing the rows proved to land over as cells (the baseline's choice)
     # and flowing them (the integrated route's) give the same successors in
-    # the box, against the cover and against each state's own cell, with
-    # every level flowed on its own and with the small ones carried.  The
+    # the box, against the cover and against each state's own cell.  The
     # fixed landing problems must land rows whatever the draws do
-    monkeypatch.setattr(abstraction, "_PASS_ROWS", pass_rows)
     seen = {"examples": 0, "landed": 0}
 
     @settings(derandomize=True, max_examples=50, deadline=None,

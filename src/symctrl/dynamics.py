@@ -12,8 +12,8 @@ one row at a time; a longer one through the tile kernel.  A row on which
 the field leaves its domain ends at NaN.  Asked for it, the tile kernel also
 records the hull of every point at which it evaluates the field; both
 synthesis routes flow the coarse rows of a plant that is not affine that
-way, for the growth bound (abstraction.RowEngine).  An affine plant's rows
-are decided by the chord of its endpoints alone, flowed without hulls.
+way, for the curvature bound that pads their chord (abstraction.RowEngine).
+An affine plant's chord is exact, and its corners flow without hulls.
 """
 
 from __future__ import annotations

@@ -29,10 +29,10 @@ arrays they mark the offending rows, whose results read NaN; over floats
 they run a given statement, which in `evaluate` raises EvalDomainError.
 
 `derivative` differentiates an AST symbolically and `enclose` bounds ASTs
-over boxes in interval arithmetic; the row engine's growth bound is built
-from both, its rounding margin from the enclosures of a field's
-`subexpressions`, and `is_affine` tells it which fields' flows are affine
-in the input.  The parser refuses an expression nested deeper than
+over boxes in interval arithmetic; the row engine's growth and curvature
+bounds are built from both, its rounding margin from the enclosures of a
+field's `subexpressions`, and `is_affine` tells it which fields' flows are
+affine in the input.  The parser refuses an expression nested deeper than
 MAX_DEPTH, so that no walker over a tree runs out of Python's recursion
 limit.
 """
@@ -653,7 +653,9 @@ def evaluate(expr: Expr, x: Sequence[float], u: Sequence[float] = ()) -> float:
 # `derivative` differentiates an AST symbolically.  Its result may call two
 # functions the parser does not know: log (the derivative of a power with a
 # non-constant exponent) and sign (the derivative of abs, whose subgradient
-# at 0 is [-1, 1]).  Such trees are only ever enclosed, never compiled.
+# at 0 is [-1, 1]).  Such trees are only ever enclosed, never compiled, and
+# differentiated again: log to da / a, sign to 0 / a, which encloses to 0
+# away from the kink and is undefined where its interval holds 0.
 
 def _is(e: Expr, value: float) -> bool:
     return isinstance(e, Num) and e.value == value
@@ -698,7 +700,8 @@ def _power(a: Expr, p: float) -> Expr:
 def derivative(expr: Expr, var: Var) -> Expr:
     """The partial derivative of `expr` with respect to `var`, with products
     and sums of constants folded.  abs differentiates to sign, whose
-    enclosure over an interval holding 0 is the subgradient [-1, 1]."""
+    enclosure over an interval holding 0 is the subgradient [-1, 1], and
+    sign to 0 / a, which `enclose` refuses over an interval holding 0."""
     def d(e: Expr) -> Expr:
         if isinstance(e, Num):
             return Num(0.0)
@@ -712,7 +715,9 @@ def derivative(expr: Expr, var: Var) -> Expr:
                      "cos": lambda: Neg(Call("sin", a)),
                      "exp": lambda: e,
                      "sqrt": lambda: _quot(Num(0.5), e),
-                     "abs": lambda: Call("sign", a)}[e.func]
+                     "abs": lambda: Call("sign", a),
+                     "log": lambda: _quot(Num(1.0), a),
+                     "sign": lambda: Bin("/", Num(0.0), a)}[e.func]
             return Num(0.0) if _is(da, 0.0) else _prod(outer(), da)
         a, b = e.left, e.right
         da, db = d(a), d(b)

@@ -26,12 +26,11 @@ from .tsys import (FiniteSystem, _rows, compose, nonblocking_part,
 
 # (state, input) rows a chunk of the integrated input scan decides: a chunk
 # holds _SCAN_ROWS // (inputs) states.  What a chunk holds grows with its
-# rows, a keep-mask per row of a level and, per state, the coordinates of
-# the input box's corners on an affine plant and the radii of every known
-# input on any other, not with the coarse rows it flows first, which are 2
-# per state on an affine plant with one input.  The rows a chunk flows do
-# not depend on its size: each level of its inputs is flowed in a pass of
-# its own (abstraction.RowEngine.run)
+# rows, a keep-mask per row, not with the coarse rows it flows first and
+# whose endpoints it keeps, which are 2 per state on an affine plant with
+# one input.  The rows a chunk flows do not depend on its size: each
+# state's rows are decided from its own coarse rows alone
+# (abstraction.RowEngine.run)
 _SCAN_ROWS = 1 << 18
 
 # input scan result of a state where no input lands
@@ -279,10 +278,11 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
     Any landing input yields the same controller sets, but the centered
     landing maximizes the closed loop's quantization margin.
 
-    The engine flows only the inputs it cannot prove to miss ys[i]'s cell,
-    on an affine plant the input box's corners and the rows whose chord
-    may land there; it flows those it proves to land too, since the choice
-    needs their endpoints.  A pruned input would not have landed, so the
+    The engine flows only the inputs it cannot prove to miss ys[i]'s cell:
+    the coarse inputs and the rows whose padded chord may land there (on
+    an affine plant the input box's corners and the rows whose chord may).
+    It flows those it proves to land too, since the choice needs their
+    endpoints.  A pruned input would not have landed, so the
     choice is that of a scan of every input.
     """
     P = st_pts[ys]

@@ -138,7 +138,8 @@ def test_thread_count_invariance(monkeypatch):
 def test_sweep_chunks_change_nothing(monkeypatch):
     # sweep chunks give the model and the counters of one chunk: on linear
     # #1, 13 chunks of 10 states, the last of one; on the nonlinear plant,
-    # whose inputs come in nested levels, 2 chunks of 991 and 340 states
+    # whose chords take a curvature bound per state, 2 chunks of 991 and
+    # 340 states
     for (plant, _, params), eta, mu, substeps, rows in (
             (linear_pair(1), 0.05, 0.01, 20, 10 * 201),
             (nonlinear_pair(), 0.1, 0.01, 50, 100 * 1001)):
@@ -154,19 +155,17 @@ def test_sweep_chunks_change_nothing(monkeypatch):
 
 
 def test_pruned_sweep_under_thread_stress(monkeypatch):
-    # the workers of every pass write disjoint entries of one successor
-    # array and, on the nonlinear plant, of the known endpoints' radii and
-    # coordinates: with more workers than cores, short tiles and frequent
-    # thread switches, a lost or misplaced write would change the model
+    # the workers of both passes write disjoint entries of one successor
+    # array, and those of the coarse pass hand back the endpoints and, on
+    # the nonlinear plant, the stage-point hulls the proof reads: with more
+    # workers than cores, short tiles and frequent thread switches, a lost
+    # or misplaced write would change the model
     for (plant, _, params), eta, mu, substeps in (
             (linear_pair(1), 0.05, 0.05, 10),
             (nonlinear_pair(), 0.2, 0.02, 50)):
         spec = AbstractionSpec(params.tau, eta, mu, substeps)
         ref = full_sweep(plant, spec)
         with monkeypatch.context() as patch:
-            # every level flows in a pass of its own, so the workers'
-            # endpoints are read by the later levels; an affine plant has
-            # one level past its corners, which no later level reads
             patch.setattr(dynamics, "TILE_ROWS", 97)
             patch.setenv("SYMCTRL_THREADS", "4")
             interval = sys.getswitchinterval()
@@ -210,12 +209,12 @@ def test_abstraction_equals_full_sweep_on_random_problems(monkeypatch):
             "landing": False}
     decide = abstraction._decide
 
-    def counting(level, E, pad, lat, box, lands, *rest):
+    def counting(split, E, pad, lat, box, lands, *rest):
         def landing(src, f, cells):
             seen["landing"] = True
             lands(src, f, cells)
 
-        keep = decide(level, E, pad, lat, box, landing if lands else None,
+        keep = decide(split, E, pad, lat, box, landing if lands else None,
                       *rest)
         seen["pruning"] |= not keep.all()
         return keep
@@ -244,7 +243,7 @@ def test_abstraction_equals_full_sweep_on_random_problems(monkeypatch):
         check()
     # the draws must exercise the pruning, and the landing proofs among it;
     # many of them leave the cover only through blow-ups, or are too stiff
-    # for a sure bound
+    # for a sure curvature bound
     assert seen["pruned"] >= seen["examples"] // 4
     assert seen["landed"] >= seen["examples"] // 4
 
@@ -264,7 +263,7 @@ def assert_flows_the_coarse_rows(example):
     plant, _, params = linear_pair(example)
     spec = AbstractionSpec(params.tau, params.eta, 0.01, 50)
     engine = engine_of(plant, spec)
-    assert all(level.weight is not None for level in engine.split.levels)
+    assert engine.split.curv is None and engine.bound is None
     corners = engine.inputs[engine.split.coarse]
     lo, hi = engine.inputs.min(axis=0), engine.inputs.max(axis=0)
     assert np.all((corners == lo) | (corners == hi))
@@ -297,7 +296,8 @@ def test_a_field_that_cancels_equals_the_full_sweep(text):
     # the kernel rounds 3e15 + u1 in steps of 0.5, and 1e16 + u1 in steps of
     # 2, so the endpoints drift from the exact RK4 map's by far more than a
     # margin relative to their own size: the margin's unit grows with the
-    # field's largest intermediate, through the chord and the growth boxes
+    # field's largest intermediate, through the chord and its curvature
+    # bound
     plant = ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
                           input_box=[[-2, 2]],
                           field=(parse_expression(text, 1, 1),))
@@ -308,15 +308,17 @@ def test_a_field_that_cancels_equals_the_full_sweep(text):
 
 def test_a_field_with_a_domain_takes_no_chord():
     # the derivatives fold to constants, but the flows from below x1 = -0.2
-    # leave sqrt's domain and end at NaN; the field is not affine, and the
-    # model is the full sweep's
+    # leave sqrt's domain and end at NaN.  The field is not affine, so its
+    # chord takes a curvature bound, which a state whose stage points may
+    # leave the domain does not get: its rows take no chord.  The model is
+    # the full sweep's
     plant = ControlSystem(
         n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
         input_box=[[-1, 1]],
         field=(parse_expression("-x1 + u1 + 0*sqrt(x1 + 0.2)", 1, 1),))
     spec = AbstractionSpec(tau=0.5, eta=0.02, mu=0.01, substeps=10)
-    assert all(level.weight is None
-               for level in engine_of(plant, spec).split.levels)
+    engine = engine_of(plant, spec)
+    assert engine.split.curv is not None and engine.bound.second == []
     fs = assert_matches_full_sweep(plant, spec)
     assert fs.n_transitions > 0 and fs.rows_landed > 0
 
@@ -331,20 +333,20 @@ def test_affine_inputs_are_the_corners_and_the_rest(box, mu):
     # so its corners coincide, and so do their weights
     in_lat = Lattice(np.asarray(box, dtype=float), 2.0 * mu)
     u_pts = in_lat.points()
-    split = abstraction._InputSplit(in_lat, u_pts, chord=True)
+    split = abstraction._InputSplit(in_lat, u_pts, affine=True)
     corners = u_pts[split.coarse]
     lo, hi = u_pts.min(axis=0), u_pts.max(axis=0)
     assert np.all((corners == lo) | (corners == hi))
     assert split.coarse.size == 2 ** int(np.sum(lo < hi))
-    [level] = split.levels
-    assert np.array_equal(np.union1d(split.coarse, level.inputs),
+    assert np.array_equal(np.union1d(split.coarse, split.inputs),
                           np.arange(u_pts.shape[0]))
-    face = np.any((u_pts[level.inputs] == lo) | (u_pts[level.inputs] == hi),
+    face = np.any((u_pts[split.inputs] == lo) | (u_pts[split.inputs] == hi),
                   axis=1)
     assert face.any() == (len(box) > 1)
-    assert np.all(level.weight >= 0.0)
-    assert np.allclose(level.weight.sum(axis=0), 1.0)
-    assert np.allclose(level.weight.T @ corners, u_pts[level.inputs],
+    assert split.curv is None
+    assert np.all(split.weight >= 0.0)
+    assert np.allclose(split.weight.sum(axis=0), 1.0)
+    assert np.allclose(split.weight.T @ corners, u_pts[split.inputs],
                        rtol=0.0, atol=1e-12)
 
 
@@ -359,8 +361,7 @@ def test_affine_plants_equal_the_full_sweep():
     @given(affine_plants())
     def check(problem):
         plant, spec = problem
-        assert all(level.weight is not None
-                   for level in engine_of(plant, spec).split.levels)
+        assert engine_of(plant, spec).split.curv is None
         fs = assert_matches_full_sweep(plant, spec)
         X = np.repeat(fs.outputs, fs.n_inputs, axis=0)
         U = np.tile(fs.inputs, (fs.n_states, 1))
@@ -380,66 +381,20 @@ def test_affine_plants_equal_the_full_sweep():
 
 @pytest.mark.parametrize("name", STIFF_AFFINE)
 def test_stiff_affine_plants_flow_only_their_corners(name):
-    # where 1 + h a < 0 the growth bound refuses every state, but the chord
-    # does not need it: the RK4 map is affine in the input however stiff
-    # the plant, even where it is unstable, so each state flows the two
-    # corners of its input box and nothing more
+    # where 1 + h a < 0 a curvature bound would refuse every state, but the
+    # chord does not need one: the RK4 map is affine in the input however
+    # stiff the plant, even where it is unstable, so each state flows the
+    # two corners of its input box and nothing more
     plant, spec = STIFF_AFFINE[name]
     fs = assert_matches_full_sweep(plant, spec)
     assert fs.rows_flowed == 2 * fs.n_states
 
 
-def test_bracketing_corners_prove_a_landing_neither_proves_alone(
-        monkeypatch):
-    # on an affine plant the chord of two corners on either side of a row's
-    # input proves it to land, nearly a point, where the growth box of each
-    # corner alone crosses a cell edge.  The plant's Jacobian is constant,
-    # so one growth bound, over any box, draws every corner's box
-    plant, _, params = linear_pair(1)
-    spec = AbstractionSpec(params.tau, 0.05, 0.01, 20)
-    engine = engine_of(plant, spec)
-    u_pts, corners = engine.inputs, engine.inputs[engine.split.coarse]
-    origin = np.zeros((1, plant.n))
-    G, sure = abstraction._GrowthBound(
-        plant, u_pts, spec.tau, spec.substeps, np.zeros(plant.m),
-        1.0).gains(origin, origin)
-    assert sure.all()
-    g = G[0].sum(axis=1)
-    seen = {"landed": 0, "bracketed": 0}
-    decide = abstraction._decide
-
-    def checking(level, E, pad, lat, box, lands, *rest):
-        def check(src, f, cells):
-            lands(src, f, cells)
-            alone = np.zeros(src.size, dtype=bool)
-            for p, u in enumerate(corners):
-                # the corner's own box, unpadded, within one cell per axis;
-                # a NaN corner fits nowhere
-                d = np.abs(u_pts[level.inputs[f]] - u).max(axis=1)
-                fits = np.ones(src.size, dtype=bool)
-                for e, ga in zip(E, g):
-                    z, w = e[p, src], ga * d
-                    k = np.floor((np.stack([z - w, z + w]) + lat.spacing / 2)
-                                 / lat.spacing)
-                    fits &= k[0] == k[1]
-                alone |= fits
-            seen["landed"] += src.size
-            seen["bracketed"] += int((~alone).sum())
-
-        return decide(level, E, pad, lat, box, check if lands else None,
-                      *rest)
-
-    monkeypatch.setattr(abstraction, "_decide", checking)
-    fs = assert_matches_full_sweep(plant, spec)
-    assert fs.rows_landed == seen["landed"]
-    assert seen["bracketed"] > 0, seen
-
-
 def landing_problems():
     """Fixed problems whose rows are proved to land, in the form of
     `problems()`: the linear-pair plant and the nonlinear plant on coarse
-    lattices.  The nonlinear plant's growth bound needs 1 + h inf J_ii >= 0,
-    so 50 substeps."""
+    lattices.  The nonlinear plant's curvature bound needs 1 + h inf J_ii
+    >= 0, so 50 substeps."""
     out = []
     for pair, eta, mu, substeps in ((lambda: linear_pair(1), 0.05, 0.01, 20),
                                     (nonlinear_pair, 0.2, 0.02, 50)):

@@ -215,6 +215,17 @@ def test_criterion_5_nonlinear_synthesis(nonlinear_results):
 
 
 @pytest.mark.slow
+def test_published_nonlinear_rows(nonlinear_results):
+    # the rows each route flows, and those the baseline proves to land: a
+    # looser curvature bound would flow more rows and land fewer, with the
+    # same controllers
+    r = nonlinear_results
+    assert r["m_i"].rows_flowed == 318_752
+    assert (r["m_b"].rows_flowed, r["m_b"].rows_landed) == (1_780_980,
+                                                            28_069_602)
+
+
+@pytest.mark.slow
 def test_criterion_6_exact_bisimilarity(linear_results, nonlinear_results):
     problems = []
     instances = [(f"#{k}", linear_results[k]) for k in range(1, 9)]

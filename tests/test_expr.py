@@ -277,6 +277,35 @@ def test_derivative_of_abs_is_its_subgradient():
         [(-1.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (-1.0, -1.0)]
 
 
+def test_second_derivatives_enclose():
+    # the curvature bound differentiates a field twice: abs's sign
+    # differentiates to 0 away from the kink and is refused over a box that
+    # holds it, and the second derivatives of a power with a variable
+    # exponent, through log, enclose their sampled values
+    x1, x2 = Var("x", 0), Var("x", 1)
+    d2 = derivative(derivative(parse_expression("abs(x1)", 1, 0), x1), x1)
+    for box in ((-1.0, 1.0), (0.0, 0.5), (-0.5, 0.0)):
+        assert not enclose([d2], [box], [])[1]
+    for box in ((0.5, 1.0), (-1.0, -0.5)):
+        (iv,), ok = enclose([d2], [box], [])
+        assert ok and iv == (0.0, 0.0)
+    e = parse_expression("x1^x2", 2, 0)
+    exact = {(x1, x1): lambda a, b: b * (b - 1) * a ** (b - 2),
+             (x1, x2): lambda a, b: a ** (b - 1) * (1 + b * np.log(a)),
+             (x2, x1): lambda a, b: a ** (b - 1) * (1 + b * np.log(a)),
+             (x2, x2): lambda a, b: a ** b * np.log(a) ** 2}
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        lo, hi = np.sort(rng.uniform([0.5, -1.0], [2.0, 2.0], (2, 2)), axis=0)
+        ivs, ok = enclose([derivative(derivative(e, v), w)
+                           for v, w in exact], list(zip(lo, hi)), [])
+        assert ok
+        a, b = rng.uniform(lo, hi, (200, 2)).T
+        for f, (elo, ehi) in zip(exact.values(), ivs):
+            val, tol = f(a, b), 1e-12 * (1.0 + np.abs(f(a, b)))
+            assert np.all((elo - tol <= val) & (val <= ehi + tol))
+
+
 # expression text nested k levels deep, by shape: in the parser
 # (parentheses, signs, functions, exponents) or only in the tree (a long
 # sum or product, which the parser reads in a loop)

@@ -319,13 +319,12 @@ def test_pruned_scan_equals_full_scan_on_affine_plants():
 
 
 def test_affine_plants_never_touch_the_growth_bound(monkeypatch):
-    # the chord decides an affine plant's rows in both routes: no growth
-    # bound is built or asked, and no radius is computed, on a plant whose
-    # corners are finite and on one where some overflow
+    # an affine plant's chord is exact in both routes: no growth or
+    # curvature bound is built or asked, on a plant whose corners are
+    # finite and on one where some overflow
     def refuse(*args, **kwargs):
         raise AssertionError("an affine plant reached the growth bound")
 
-    monkeypatch.setattr(abstraction, "_radii", refuse)
     monkeypatch.setattr(abstraction._GrowthBound, "__init__", refuse)
     monkeypatch.setattr(abstraction._GrowthBound, "gains", refuse)
     plant, spec, params = linear_pair(1)
@@ -340,7 +339,8 @@ def test_affine_plants_never_touch_the_growth_bound(monkeypatch):
 
 def test_growth_bound_holds_on_sampled_rows():
     # G |du| bounds the distance of any two endpoints from one state; the
-    # bound is close to the largest distance seen on linear #1
+    # bound is close to the largest distance seen on linear #1, and the
+    # plant's curvature bound is 0
     plant, spec, params = linear_pair(1)
     u_pts = np.linspace(-2.0, 2.0, 201)[:, None]
     bound = abstraction._GrowthBound(plant, u_pts, params.tau, 50,
@@ -349,8 +349,8 @@ def test_growth_bound_holds_on_sampled_rows():
     X = np.repeat(rng.uniform(-0.5, 0.5, (20, 2)), 201, axis=0)
     U = np.tile(u_pts, (20, 1))
     Z = flow_many(plant, X, U, params.tau, 50).reshape(20, 201, 2)
-    G, sure = bound.gains(X[::201] - 1.0, X[::201] + 1.0)
-    assert sure.all()
+    G, K, _, ok = bound._at(X[::201] - 1.0, X[::201] + 1.0)
+    assert ok.all() and not K.any()
     step = u_pts[1, 0] - u_pts[0, 0]
     seen = np.max(np.abs(np.diff(Z, axis=1)), axis=(0, 1)) / step
     assert np.all(seen <= G[0, :, 0])
@@ -359,8 +359,8 @@ def test_growth_bound_holds_on_sampled_rows():
 
 def test_gains_on_a_subset_equal_the_rows_of_gains_on_all():
     # each box is decided on its own, over as many rounds as it needs: the
-    # gains of any subset of the boxes are the matching rows of the gains
-    # of all of them, bit for bit
+    # curvature bounds of any subset of the boxes are the matching rows of
+    # those of all of them, bit for bit
     plant, _, params = nonlinear_pair()
     u_pts = np.linspace(*plant.input_box[0], 101)[:, None]
     bound = abstraction._GrowthBound(plant, u_pts, params.tau, 50,
@@ -369,9 +369,50 @@ def test_gains_on_a_subset_equal_the_rows_of_gains_on_all():
     box = plant.state_box
     centre = rng.uniform(box[:, 0], box[:, 1], (400, 3))
     width = rng.uniform(0.0, 0.6, (400, 3))
-    G, sure = bound.gains(centre - width, centre + width)
-    assert 0 < sure.sum() < 400
+    K, sure = bound.gains(centre - width, centre + width)
+    assert 0 < sure.sum() < 400 and K[sure].all()
     for size in (1, 37, 200):
         sub = rng.choice(400, size, replace=False)
-        Gs, ss = bound.gains(centre[sub] - width[sub], centre[sub] + width[sub])
-        assert np.array_equal(Gs, G[sub]) and np.array_equal(ss, sure[sub])
+        Ks, ss = bound.gains(centre[sub] - width[sub], centre[sub] + width[sub])
+        assert np.array_equal(Ks, K[sub]) and np.array_equal(ss, sure[sub])
+
+
+def test_curvature_bound_holds_on_sampled_rows():
+    # K bounds the endpoint's second derivative in the input, so every row
+    # ends within sum_a K curv[a] of the chord of its coarse cell's corners,
+    # the pad the proof gives it (_decide).  Sampled over every input of
+    # random states of the nonlinear plant at mu = 0.01 (11 coarse inputs),
+    # with the region the engine draws from the coarse rows' stage points.
+    # x3' = -3 x3 + 0.75 u1^2 is decoupled from the other axes, and its
+    # exact flow has d^2 x3 / du1^2 = 0.5 (1 - e^-3) at tau = 1: the
+    # bound of the RK4 map is within 1.1 times it
+    plant, _, params = nonlinear_pair()
+    st_lat = Lattice(plant.state_box, 2.0 / 15.0)
+    engine = abstraction.RowEngine(
+        plant, st_lat, Lattice(plant.input_box, 0.02), params.tau, 50)
+    split = engine.split
+    assert split.coarse.size == 11 and np.allclose(split.reach, 0.1)
+    rng = np.random.default_rng(11)
+    X = st_lat.points()[rng.choice(st_lat.n_points, 200, replace=False)]
+    Zc, lo, hi = dynamics._flow_tile(
+        plant, np.repeat(X, split.coarse.size, axis=0),
+        np.tile(engine.inputs[split.coarse], (200, 1)), params.tau, 50,
+        hull=True)
+    K, sure = engine.bound.gains(lo.reshape(200, -1, 3).min(axis=1),
+                                 hi.reshape(200, -1, 3).max(axis=1))
+    # a region that may hold stiffer stage points is refused
+    assert sure.sum() >= 180
+    X, K, Zc = X[sure], K[sure], Zc.reshape(200, -1, 3)[sure]
+    exact = 0.5 * (1.0 - np.exp(-3.0))
+    assert np.all((exact <= K[:, 2, 0]) & (K[:, 2, 0] <= 1.1 * exact))
+    S = X.shape[0]
+    Z = flow_many(plant, np.repeat(X, split.inputs.size, axis=0),
+                  np.tile(engine.inputs[split.inputs], (S, 1)), params.tau,
+                  50).reshape(S, -1, 3)
+    chord = np.einsum("scx,cf->sfx", Zc, split.weight)
+    pad = np.einsum("sxa,af->sfx", K, split.curv)
+    err = np.abs(Z - chord)
+    # the kernel's rounding, which the proof pads separately
+    assert np.all(err <= pad + 1e-12)
+    # on every axis, some row's error reaches a twentieth of its pad
+    assert np.all(np.max(err / pad, axis=(0, 1)) > 0.05)

@@ -48,9 +48,9 @@ TILE_ROWS = 1 << 15
 # 2-core x86-64 machine (Python 3.11, numpy 2.4):
 #
 #     rows                         8          16         24         32
-#     nonlinear plant              0.33       0.64       0.92       1.29
-#     nonlinear spec (np.power)    1.08       1.95       2.84       3.55
-#     linear #1 plant and spec     0.17-0.20  0.34-0.38  0.53-0.58  0.63-0.78
+#     nonlinear plant              0.32-0.33  0.61-0.62  0.92       1.22-1.23
+#     nonlinear spec               0.31       0.63       0.92       1.23
+#     linear #1 plant and spec     0.18-0.19  0.35-0.40  0.51-0.55  0.69-0.76
 #
 # The closed loop flows a relational cell's 2-16 options as one tile and
 # never flows the specification more than one row at a time; both synthesis

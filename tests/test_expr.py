@@ -9,6 +9,8 @@ from symctrl import (EvalDomainError, ExprSyntaxError, evaluate,
 from symctrl.expr import (MAX_DEPTH, Bin, FieldCode, Neg, Num, Var,
                           compile_expression, derivative, enclose, is_affine)
 
+from test_kernel import product_of_squares
+
 
 def test_arithmetic_with_states_and_inputs():
     e = parse_expression("-2*x1 + x3^2 - u1", 3, 1)
@@ -167,6 +169,84 @@ def test_vectorized_matches_scalar():
         batch = compile_expression(e)([X[:, 0], X[:, 1]], [])
         for i in range(500):
             assert batch[i] == evaluate(e, X[i]), (text, i)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+def _power_samples():
+    """Random bases of both signs, with +-0, +-inf, nan and bases whose
+    16th power overflows or underflows."""
+    rng = np.random.default_rng(12)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e30, -1e30,
+               1e-30, -1e-30, 1.0, -1.0]
+    return np.r_[special, rng.uniform(-3.0, 3.0, 400),
+                 rng.normal(0.0, 1e-3, 100)]
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_integer_powers_lower_to_products_of_squares(k):
+    # binary powering: one square per bit of k after the leading one, one
+    # product per further set bit, and no call of np.power
+    code = FieldCode([parse_expression(f"x1^{k}", 1, 0)])
+    assert [op[0] for op in code.ops] == ["mul"] * (
+        k.bit_length() - 1 + bin(k).count("1") - 1)
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_integer_powers_equal_the_product_chain_bit_for_bit(k):
+    # over arrays and on one point alike, x1^k is the chain of products
+    # the kernels' reference computes
+    e = parse_expression(f"x1^{k}", 1, 0)
+    X = _power_samples()
+    with np.errstate(all="ignore"):
+        want = product_of_squares(X, k)
+        batch = compile_expression(e)([X], [])
+    assert np.array_equal(_bits(batch), _bits(want))
+    for i, x in enumerate(X):
+        assert _bits(evaluate(e, (x,))) == _bits(want[i]), (k, x)
+
+
+@pytest.mark.parametrize("text", ["x1^17", "x1^1", "x1^0", "x1^-2",
+                                  "x1^0.5"])
+def test_other_powers_still_call_np_power(text):
+    e = parse_expression(text, 1, 0)
+    code = FieldCode([e])
+    assert [op[0] for op in code.ops if op[0] != "check"] == ["pow"]
+    p = e.right.value
+    X = _power_samples()
+    # their domain checks: zero to a negative power, a negative base to a
+    # fractional one
+    bad = (X == 0.0) if p < 0 else (X < 0.0) & (not p.is_integer())
+    with np.errstate(all="ignore"):
+        want = np.power(X, p)
+        batch = compile_expression(e)([X], [])
+        assert np.array_equal(_bits(batch[~bad]), _bits(want[~bad]))
+        assert np.isnan(batch[bad]).all()
+        for i, x in enumerate(X):
+            if bad[i]:
+                with pytest.raises(EvalDomainError):
+                    evaluate(e, (x,))
+            else:
+                assert _bits(evaluate(e, (x,))) == _bits(want[i]), x
+
+
+def test_enclosure_of_a_cube_holds_the_product():
+    # the enclosure takes np.power of the box's ends, rounded to nearest;
+    # the product chain at any point of the box stays within its documented
+    # margin of a few ulps of it
+    rng = np.random.default_rng(13)
+    e = parse_expression("x1^3", 1, 0)
+    f = compile_expression(e)
+    for _ in range(200):
+        lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+        (iv,), ok = enclose([e], [(lo, hi)], [])
+        assert ok
+        x = np.r_[lo, hi, rng.uniform(lo, hi, 50)]
+        vals = f([x], [])
+        margin = 4 * np.spacing(np.maximum(np.abs(iv[0]), np.abs(iv[1])))
+        assert np.all((iv[0] - margin <= vals) & (vals <= iv[1] + margin))
 
 
 def test_nonfinite_literals_format_to_parseable_text():

@@ -2,10 +2,11 @@
 
 `reference_compile` and `reference_flow_tile` are copies of the evaluator
 the kernels replaced: a closure per AST node, and RK4 over lists of columns
-(Python floats for a one-row tile).  The kernels must give the same
-endpoints bit for bit, on every tile size and thread count, and rows that
-leave a field's domain must end at NaN while the other rows keep their
-endpoints.
+(Python floats for a one-row tile); its integer powers from 2 to 16 follow
+the kernels' rule, a product of squares (`product_of_squares`).  The
+kernels must give the same endpoints bit for bit, on every tile size and
+thread count, and rows that leave a field's domain must end at NaN while
+the other rows keep their endpoints.
 """
 
 import numpy as np
@@ -19,6 +20,18 @@ from symctrl.expr import Call, EvalDomainError, Neg, Num, Var
 from _systems import every_operator_system, linear_pair, nonlinear_pair
 
 _NUMPY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
+
+
+def product_of_squares(a, k):
+    """a^k by binary powering: a^3 is a * (a*a), a^4 (a*a) * (a*a)."""
+    power = None
+    while k:
+        if k & 1:
+            power = a if power is None else power * a
+        k >>= 1
+        if k:
+            a = a * a
+    return power
 
 
 def reference_compile(expr):
@@ -61,11 +74,8 @@ def reference_compile(expr):
         return do_div
     if isinstance(expr.right, Num) and float(expr.right.value).is_integer():
         k = int(expr.right.value)
-        if k == 2:
-            def do_sq(X, U):
-                a = fl(X, U)
-                return a * a
-            return do_sq
+        if 2 <= k <= 16:
+            return lambda X, U: product_of_squares(fl(X, U), k)
         if k >= 0:
             return lambda X, U: np.power(fl(X, U), k)
 

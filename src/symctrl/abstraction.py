@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -141,6 +141,25 @@ class _InputSplit:
             self.reach = du.max(axis=0) / 2.0
 
 
+class _Bounds(NamedTuple):
+    """_GrowthBound._at over some boxes, one row per box: the substep's
+    gain A on the state and B on the input, R and G the sums of B through
+    A over all substeps but the last and over all, the region's growth,
+    whether the box is ok and whether it fits the region; and only over
+    the boxes that fit, the curvature's term C per substep and K, its sum
+    through A."""
+
+    A: np.ndarray
+    B: np.ndarray
+    R: np.ndarray
+    G: np.ndarray
+    growth: np.ndarray
+    ok: np.ndarray
+    fits: np.ndarray
+    C: np.ndarray
+    K: np.ndarray
+
+
 class _GrowthBound:
     """Bounds on how the plant's RK4 endpoint varies with its input at a
     fixed state: G on its first derivative, which sizes the region, and K
@@ -190,22 +209,36 @@ class _GrowthBound:
     s/24), and from y'' = 0 at the state, K = sum_(k < substeps) A^k C.
     An affine field's K is 0, and RowEngine builds no bound for it.
 
+    Both sums run by binary powering (_sums), in about 2 log2(substeps)
+    stacked matrix products instead of one per substep.  Wherever a box is
+    ok, A >= 0 entrywise: off the diagonal it sums products of M >= 0, and
+    on it 1 + h sup J_ii + ... >= 1 + h inf J_ii >= 0; B and C are >= 0 as
+    well.  So the partial sums grow with every substep, and R, the largest
+    before a substep, is the sum over substeps - 1 of them; G = A R + B.
+    Powering adds the same terms in another order, so G, R and K differ
+    from the sums taken term by term only in rounding, each product's
+    within a few ulp: some 1e-14 relative, as far below the 1e-9 of
+    _MARGIN, which pads both the region and the proof, as the term-by-term
+    recursion's own rounding.
+
     D is the hull of the stage points of a state's coarse rows
     (RowEngine.run), grown by g.  The bounds hold if the stage points of
     every row whose input lies in a coarse cell stay within g of it: by
     the bounds above, they move from those of the cell's nearest corner by
     at most max(R, Y2, Y3, Y4) times the reach, and induction over the
     stages shows that then no stage point leaves D, so g is accepted when
-    this growth is at most g.  Every point of a coarse cell lies within
-    half the cell's width of one of its corners on each axis, that
-    half-width is at most the reach, and every corner's stage points lie
-    in the hull: so D holds the stage points of every row K is asked
-    about, those on the segments of the chord's interpolation, and the
-    segments between them, which is all the mean value theorem needs.
+    this growth is at most g, and K is computed for the accepted boxes
+    alone.  Every point of a coarse cell lies within half the cell's width
+    of one of its corners on each axis, that half-width is at most the
+    reach, and every corner's stage points lie in the hull: so D holds
+    the stage points of every row K is asked about, those on the segments
+    of the chord's interpolation, and the segments between them, which is
+    all the mean value theorem needs.
     Both D and the proof get a rounding margin of _MARGIN (unit +
     |value|), with `unit` that of RowEngine.  A box is refused when an
-    enclosure is unbounded or undefined, when 1 + h inf J_ii < 0, or when
-    no g is accepted within _REGION_ROUNDS tries.
+    enclosure is unbounded or undefined, when 1 + h inf J_ii < 0, when
+    no g is accepted within _REGION_ROUNDS tries, or when its K is not
+    finite (K only grows with D, so no larger g would help).
     """
 
     def __init__(self, plant: ControlSystem, u_pts: np.ndarray, tau: float,
@@ -227,9 +260,10 @@ class _GrowthBound:
         self.h, self.substeps, self.reach = tau / substeps, substeps, reach
         self.unit = unit
 
-    def _at(self, lo: np.ndarray, hi: np.ndarray):
-        """(G, K, growth, ok) over the boxes [lo, hi] (rows), one row per
-        box, a constant Jacobian included."""
+    def _at(self, lo: np.ndarray, hi: np.ndarray, g: np.ndarray) -> _Bounds:
+        """The bounds over the boxes [lo, hi] (rows), one row per box, a
+        constant Jacobian included, for a region grown by g[box]: K only
+        over the boxes that fit it."""
         n, m, h = self.n, self.m, self.h
         ivs, ok = enclose(self.exprs, list(zip(lo.T, hi.T)), self.u)
         k, d = lo.shape[0], np.arange(n)
@@ -247,31 +281,32 @@ class _GrowthBound:
             P3 = P2 @ hM
             A = np.eye(n) + h * L + P2 / 2 + P3 / 6 + P3 @ hM / 24
 
-            def iterate(V):
-                # sum_(k < substeps) A^k h (V + hM V/2 + (hM)^2 V/6 +
-                # (hM)^3 V/24), and the largest partial sum before a substep
-                C = h * (V + hM @ V / 2 + P2 @ V / 6 + P3 @ V / 24)
-                S, top = np.zeros_like(C), np.zeros_like(C)
-                for _ in range(self.substeps):
-                    np.maximum(top, S, out=top)
-                    S = np.einsum("...ij,...jk->...ik", A, S) + C
-                return S, top
+            def term(V, rows):
+                # h (V + hM V/2 + (hM)^2 V/6 + (hM)^3 V/24) over the boxes
+                # `rows`: B for V = W, C for V = sigma
+                return h * (V + hM[rows] @ V / 2 + P2[rows] @ V / 6
+                            + P3[rows] @ V / 24)
 
-            G, R = iterate(W)
+            B = term(W, slice(None))
+            R = _sums(A, B, self.substeps - 1)
+            G = A @ R + B
             Y2 = R + h / 2 * (M @ R + W)
             Y3 = R + h / 2 * (M @ Y2 + W)
             Y4 = R + h * (M @ Y3 + W)
             Y = np.maximum(np.maximum(R, Y2), np.maximum(Y3, Y4))
             growth = Y @ self.reach
-            Q = np.concatenate([Y, np.broadcast_to(np.eye(m), (k, m, m))],
-                               axis=1)
-            sigma = np.zeros((k, n, m))
+            ok = ok & np.all(np.isfinite(growth), axis=-1)
+            fits = ok & np.all(growth <= g, axis=1)
+            f = int(fits.sum())
+            Q = np.concatenate(
+                [Y[fits], np.broadcast_to(np.eye(m), (f, m, m))], axis=1)
+            sigma = np.zeros((f, n, m))
             for (i, v, w), (a, b) in zip(self.second, ivs[n + n * (n + m):]):
-                sigma[:, i] += (np.maximum(np.abs(a), np.abs(b))[..., None]
-                                * Q[:, v] * Q[:, w])
-            K, _ = iterate(sigma)
-        ok = ok & np.all(np.isfinite(growth), axis=-1)
-        return G, K, growth, ok & np.all(np.isfinite(K), axis=(1, 2))
+                H = np.broadcast_to(np.maximum(np.abs(a), np.abs(b)), k)
+                sigma[:, i] += H[fits, None] * Q[:, v] * Q[:, w]
+            C = term(sigma, fits)
+            K = _sums(A[fits], C, self.substeps)
+        return _Bounds(A, B, R, G, growth, ok, fits, C, K)
 
     def gains(self, lo: np.ndarray, hi: np.ndarray):
         """(K, sure) per stage-point hull [lo[s], hi[s]]: K[s] bounds the
@@ -285,19 +320,41 @@ class _GrowthBound:
         pad0 = _MARGIN * (self.unit + np.maximum(np.abs(lo), np.abs(hi)))
         open_ = np.arange(S)  # the boxes not yet decided
         for _ in range(_REGION_ROUNDS):
-            _, Kk, growth, ok = self._at(lo[open_] - g[open_] - pad0[open_],
-                                         hi[open_] + g[open_] + pad0[open_])
-            fits = ok & np.all(growth <= g[open_], axis=1)
-            K[open_[fits]] = Kk[fits]
-            sure[open_[fits]] = True
+            b = self._at(lo[open_] - g[open_] - pad0[open_],
+                         hi[open_] + g[open_] + pad0[open_], g[open_])
+            fin = np.all(np.isfinite(b.K), axis=(1, 2))
+            done = open_[b.fits][fin]
+            K[done] = b.K[fin]
+            sure[done] = True
             # a refused box stays refused on any larger one; grow past the
             # need, which grows with the region
-            left = ok & ~fits
-            g[open_[left]] = 1.5 * growth[left]
+            left = b.ok & ~b.fits
+            g[open_[left]] = 1.5 * b.growth[left]
             open_ = open_[left]
             if not open_.size:
                 break
         return K, sure
+
+
+def _sums(A: np.ndarray, C: np.ndarray, count: int) -> np.ndarray:
+    """sum_(k < count) A^k C over stacks of matrices, by binary powering
+    over the bits of count, from S_1 = C and P_1 = A: S_2k = S_k + P_k S_k
+    with P_2k = P_k P_k, and S_(k+1) = A S_k + C with P_(k+1) = A P_k.
+    About 2 log2(count) stacked products, against count for the sum term
+    by term."""
+    if not count:
+        return np.zeros_like(C)
+    # einsum is the faster on a stack of small products by C's shape,
+    # matmul on a stack of square ones
+    S, P = C, A
+    bits = bin(count)[3:]
+    for j, bit in enumerate(bits):
+        S = S + np.einsum("...ij,...jk->...ik", P, S)
+        if bit == "1":
+            S = np.einsum("...ij,...jk->...ik", A, S) + C
+        if j + 1 < len(bits):  # P_k for the next doubling
+            P = P @ P if bit == "0" else A @ (P @ P)
+    return S
 
 
 def _unit(sys: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,

@@ -8,9 +8,10 @@ once (expr.FieldCode) and generates two RK4 kernels from it, one over the
 arrays of a tile of rows and one over the floats of a single row; they run
 the same operations, so a row's endpoint does not depend on the batch it is
 flowed in.  A tile of at most ROW_TILE rows flows through the row kernel,
-one row at a time; a longer one through the tile kernel.  A row on which
-the field leaves its domain ends at NaN.  Asked for it, the tile kernel also
-records the hull of every point at which it evaluates the field; both
+one row at a time; a longer one through the tile kernel, which holds its
+state and slopes as (n, rows) blocks.  A row on which the field leaves its
+domain ends at NaN.  Asked for it, the tile kernel also records the hull
+of every point at which it evaluates the field; both
 synthesis routes flow the coarse rows of a plant that is not affine that
 way, for the curvature bound that pads their chord (abstraction.RowEngine).
 An affine plant's chord is exact, and its corners flow without hulls.
@@ -34,24 +35,26 @@ DEFAULT_SUBSTEPS = 50
 # rows per batched flow call.  Every ufunc call of the RK4 kernel releases
 # the GIL and takes it back, so on several threads a tile must be long
 # enough for its ufunc calls to outlast that hand-over.  Flowing 262,144
-# rows of the nonlinear plant on 2 cores: 4K-row tiles ran at 379K rows/s
-# on 1 thread but 230K on 2; one thread was fastest on 8K-row tiles (511K),
-# whose buffers stay in L2; 32K-row tiles were fastest on 2 threads (660K,
-# 402K on 1), as they were for linear example #1's plant (944K, 646K on 1).
-# Endpoints do not depend on the tile size
+# rows of the nonlinear plant on 2 cores (best of 6): 4K-row tiles ran at
+# 480K rows/s on 1 thread but 272K on 2; one thread was fastest on 8K-row
+# tiles (584K), whose buffers stay in L2; 16K- and 32K-row tiles were
+# fastest on 2 threads (656K and 646K; 532K and 410K on 1), and 32K-row
+# tiles on linear example #1's plant (1,127K; 838K on 1).  Endpoints do not
+# depend on the tile size
 TILE_ROWS = 1 << 15
 
 # tiles of at most this many rows flow one row at a time over Python floats.
-# A call of the tile kernel costs 1.2 ms (linear #1) to 2 ms (nonlinear) at
-# any small size, nearly all of it ufunc-call overhead.  Time of the row
+# A call of the tile kernel costs 1.0 ms (linear #1) to 1.6 ms (nonlinear)
+# at any small size, nearly all of it ufunc-call overhead.  Time of the row
 # kernel, row by row, over that of the tile kernel, on one thread of a
-# 2-core x86-64 machine (Python 3.11, numpy 2.4):
+# 2-core x86-64 machine (Python 3.11, numpy 2.4, best of 100):
 #
 #     rows                         8          16         24         32
-#     nonlinear plant              0.32-0.33  0.61-0.62  0.92       1.22-1.23
-#     nonlinear spec               0.31       0.63       0.92       1.23
-#     linear #1 plant and spec     0.18-0.19  0.35-0.40  0.51-0.55  0.69-0.76
+#     nonlinear plant              0.44-0.45  0.89       1.28-1.45  1.73-1.78
+#     nonlinear spec               0.46       0.89-0.90  1.34-1.35  1.74-1.78
+#     linear #1 plant and spec     0.21-0.26  0.41-0.51  0.68-0.79  0.81-1.00
 #
+# so the nonlinear problem breaks even near 18 rows and linear #1 near 32.
 # The closed loop flows a relational cell's 2-16 options as one tile and
 # never flows the specification more than one row at a time; both synthesis
 # routes flow their specification in waves of hundreds of rows
@@ -228,26 +231,31 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
     kernel is tile(X, U, h, substeps, hull); with `hull` it returns
     (endpoints, lo, hi), where lo and hi bound, per row and component, every
     point at which it evaluated the field; the endpoints do not depend on
-    `hull`."""
-    x, xt = [f"x{i}" for i in range(n)], [f"xt{i}" for i in range(n)]
-    k1, k2, k3 = [[f"k{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
+    `hull`.  It holds the state, the stage point, the slopes and the hull as
+    (n, rows) blocks, whose rows are the components the field's code reads
+    and writes (x0 is the first row of xs), so that each step of RK4 and of
+    the hull is one ufunc call over a block, not one per component."""
+    x = [f"x{i}" for i in range(n)]
+    # the block of each component prefix
+    block = {p: p.rstrip("_") + "s" for p in ("x", "xt", "k1_", "k2_", "k3_")}
     # a row that leaves the field's domain ends at NaN (over arrays, the
     # rows marked in `bad`)
     fail = "return (" + "nan, " * n + ")"
     if form == "array":
         lines = ["def tile(X, U, h, substeps, hull):",
-                 "    rows = X.shape[0]"]
-        lines += [f"    x{i} = np.array(X[:, {i}], dtype=float)"
-                  for i in range(n)]
-        lines += [f"    u{j} = np.ascontiguousarray(U[:, {j}], dtype=float)"
-                  for j in range(m)]
-        lines += [f"    {b} = np.empty(rows)" for b in xt + k1 + k2 + k3]
+                 "    rows = X.shape[0]",
+                 '    xs = np.array(X.T, dtype=float, order="C")']
+        lines += [f"    {b} = np.empty(({n}, rows))"
+                  for p, b in block.items() if p != "x"]
+        lines += [f"    {''.join(f'{p}{i}, ' for i in range(n))}= {b}"
+                  for p, b in block.items()]
+        if m:
+            lines += ["    us = np.ascontiguousarray(U.T, dtype=float)",
+                      f"    {''.join(f'u{j}, ' for j in range(m))}= us"]
         lines += [f"    t{r} = np.empty(rows)" for r in range(code.n_registers)]
         if code.checks:
             lines.append("    bad = np.zeros(rows, dtype=bool)")
-        lines.append("    if hull:")
-        lines += [f"        {b}{i} = np.array(x{i})"
-                  for b in ("lo", "hi") for i in range(n)]
+        lines += ["    if hull:", "        lo, hi = xs.copy(), xs.copy()"]
     else:
         lines = ["def row(x, u, h, substeps):"]
         if n:
@@ -258,49 +266,50 @@ def _rk4_source(code: FieldCode, n: int, m: int, form: str) -> list:
     lines += ["    " + ln for ln in code.prologue_lines(form, fail)]
     lines.append("    for _ in range(substeps):")
 
-    def op(fn, dest, *args):
-        lines.append("        " + render(form, fn, args, dest))
+    def step(*ops):
+        # operations (fn, dest, *args) on component prefixes or scalars:
+        # over floats each component in turn, over arrays each operation
+        # once over its blocks
+        if form == "float":
+            for i in range(n):
+                for fn, dest, *args in ops:
+                    lines.append("        " + render(
+                        form, fn, [a + str(i) if a in block else a
+                                   for a in args], dest + str(i)))
+        else:
+            lines.extend("        " + render(form, fn,
+                                             [block.get(a, a) for a in args],
+                                             block[dest])
+                         for fn, dest, *args in ops)
 
     def stage(xs, ks):
         if form == "array":
             # the stage point, before the field is evaluated there
-            lines.append("        if hull:")
-            lines.extend(f"            np.{fn}({b}{i}, {xs}{i}, out={b}{i})"
-                         for fn, b in (("minimum", "lo"), ("maximum", "hi"))
-                         for i in range(n))
+            lines.extend(["        if hull:",
+                          f"            np.minimum(lo, {block[xs]}, out=lo)",
+                          f"            np.maximum(hi, {block[xs]}, out=hi)"])
         lines.extend("        " + ln
                      for ln in code.body_lines(form, fail, xs, ks))
 
     stage("x", "k1_")
-    for i in range(n):
-        op("mul", xt[i], "hh", k1[i])
-        op("add", xt[i], x[i], xt[i])
+    step(("mul", "xt", "hh", "k1_"), ("add", "xt", "x", "xt"))
     stage("xt", "k2_")
-    for i in range(n):
-        op("mul", xt[i], "hh", k2[i])
-        op("add", xt[i], x[i], xt[i])
+    step(("mul", "xt", "hh", "k2_"), ("add", "xt", "x", "xt"))
     stage("xt", "k3_")
-    for i in range(n):
-        op("add", k2[i], k2[i], k3[i])  # k2 + k3, as soon as k3 exists
-        op("mul", xt[i], "h", k3[i])
-        op("add", xt[i], x[i], xt[i])
+    # k2 + k3, as soon as k3 exists
+    step(("add", "k2_", "k2_", "k3_"), ("mul", "xt", "h", "k3_"),
+         ("add", "xt", "x", "xt"))
     stage("xt", "k3_")  # k4, into the buffers of k3
-    for i in range(n):
-        op("mul", k2[i], k2[i], "2.0")
-        op("add", k2[i], k2[i], k1[i])
-        op("add", k2[i], k2[i], k3[i])
-        op("mul", k2[i], k2[i], "h6")
-        op("add", x[i], x[i], k2[i])
+    step(("mul", "k2_", "k2_", "2.0"), ("add", "k2_", "k2_", "k1_"),
+         ("add", "k2_", "k2_", "k3_"), ("mul", "k2_", "k2_", "h6"),
+         ("add", "x", "x", "k2_"))
     if form == "float":
         return lines + ["    return (" + "".join(v + ", " for v in x) + ")"]
     if code.checks:
-        lines += ["    if bad.any():"] + [f"        {v}[bad] = nan" for v in x]
-    lines.append(f"    out = np.empty((rows, {n}))")
-    lines += [f"    out[:, {i}] = x{i}" for i in range(n)]
-    lo, hi = (", ".join(f"{b}{i}" for i in range(n)) for b in ("lo", "hi"))
+        lines += ["    if bad.any():", "        xs[:, bad] = nan"]
     return lines + ["    if hull:",
-                    f"        return out, np.column_stack([{lo}]), "
-                    f"np.column_stack([{hi}])", "    return out"]
+                    "        return xs.T.copy(), lo.T.copy(), hi.T.copy()",
+                    "    return xs.T.copy()"]
 
 
 def check_substeps(substeps) -> None:

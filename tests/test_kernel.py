@@ -204,39 +204,59 @@ def test_hull_kernel_bounds_every_stage_point(case):
 
 
 def domain_system(text):
-    return ControlSystem(n=1, m=1, state_box=[[-1, 1]], init_box=[[-1, 1]],
-                         input_box=[[-0.5, 0.5]],
-                         field=(parse_expression(text, 1, 1),))
+    """A system of one component per "; "-separated expression of `text`."""
+    texts = text.split("; ")
+    n = len(texts)
+    return ControlSystem(n=n, m=1, state_box=[[-1, 1]] * n,
+                         init_box=[[-1, 1]] * n, input_box=[[-0.5, 0.5]],
+                         field=tuple(parse_expression(t, n, 1) for t in texts))
 
 
 @pytest.mark.parametrize("text", ["sqrt(x1) + u1", "0.1/x1 - u1",
                                   "0.1*x1^-1 - u1", "x1^0.5 + u1",
                                   "(x1 + 0.5)^x1 + u1", "sqrt(0 - 1) + x1",
-                                  "x1 - 0.1/u1"])
+                                  "x1 - 0.1/u1", "u1 - x1; sqrt(x2) + u1"])
 def test_rows_leaving_the_domain_end_at_nan(text):
     # a row ends at NaN exactly when the reference, run on that row alone,
     # raises EvalDomainError; every other row keeps its endpoint, whether it
     # flows in a long tile (over arrays), in a ROW_TILE-row tile (row by row
-    # over floats) or alone.  x1 - 0.1/u1 divides in the prologue, where a
-    # zero divisor would raise over floats
+    # over floats) or alone, and in a long tile its hull.  x1 - 0.1/u1
+    # divides in the prologue, where a zero divisor would raise over
+    # floats.  On two axes, a row that leaves the domain on the second ends
+    # at NaN on both, though the first does not read the second
     sys = domain_system(text)
+    n = sys.n
     rng = np.random.default_rng(23)
-    X = np.concatenate([[[0.0], [-0.0], [0.3], [-0.3]],
-                        rng.uniform(-1, 1, size=(96, 1))])
+    X = np.concatenate([np.repeat([[0.0], [-0.0], [0.3], [-0.3]], n, axis=1),
+                        rng.uniform(-1, 1, size=(96, n))])
     U = np.concatenate([[[0.0], [0.1], [-0.5], [0.5]],
                         rng.uniform(-0.5, 0.5, size=(96, 1))])
     batch = _flow_tile(sys, X, U, 1.0, 5)
+    hulled, lo, hi = _flow_tile(sys, X, U, 1.0, 5, hull=True)
     small = _flow_tile(sys, X[:ROW_TILE], U[:ROW_TILE], 1.0, 5)
+    left = 0
     for i in range(X.shape[0]):
         alone = _flow_tile(sys, X[i:i + 1], U[i:i + 1], 1.0, 5)
-        flowed = [batch[i:i + 1], alone] + ([small[i:i + 1]]
-                                            if i < ROW_TILE else [])
+        flowed = [batch[i:i + 1], hulled[i:i + 1], alone] + (
+            [small[i:i + 1]] if i < ROW_TILE else [])
+        ref_lo, ref_hi = X[i:i + 1].copy(), X[i:i + 1].copy()
+
+        def visit(cols):
+            for k, col in enumerate(cols):
+                ref_lo[0, k] = min(ref_lo[0, k], col)
+                ref_hi[0, k] = max(ref_hi[0, k], col)
+
         try:
-            ref = reference_flow_tile(sys, X[i:i + 1], U[i:i + 1], 1.0, 5)
+            ref = reference_flow_tile(sys, X[i:i + 1], U[i:i + 1], 1.0, 5,
+                                      visit)
         except EvalDomainError:
             assert all(np.all(np.isnan(z)) for z in flowed), i
+            left += 1
         else:
             assert all(np.array_equal(z, ref) for z in flowed), i
+            assert np.array_equal(lo[i:i + 1], ref_lo), i
+            assert np.array_equal(hi[i:i + 1], ref_hi), i
+    assert 0 < left < X.shape[0] or text == "sqrt(0 - 1) + x1"
 
 
 def test_flow_raises_on_leaving_the_domain():

@@ -349,12 +349,53 @@ def test_growth_bound_holds_on_sampled_rows():
     X = np.repeat(rng.uniform(-0.5, 0.5, (20, 2)), 201, axis=0)
     U = np.tile(u_pts, (20, 1))
     Z = flow_many(plant, X, U, params.tau, 50).reshape(20, 201, 2)
-    G, K, _, ok = bound._at(X[::201] - 1.0, X[::201] + 1.0)
-    assert ok.all() and not K.any()
+    # K is computed over the boxes that fit the region: any, with g = inf
+    b = bound._at(X[::201] - 1.0, X[::201] + 1.0, np.inf)
+    assert b.ok.all() and b.fits.all() and not b.K.any()
     step = u_pts[1, 0] - u_pts[0, 0]
     seen = np.max(np.abs(np.diff(Z, axis=1)), axis=(0, 1)) / step
-    assert np.all(seen <= G[0, :, 0])
-    assert np.all(G[0, :, 0] <= 1.5 * seen)
+    assert np.all(seen <= b.G[0, :, 0])
+    assert np.all(b.G[0, :, 0] <= 1.5 * seen)
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3, 49, 50, 64])
+def test_powering_equals_the_substep_recursion(substeps):
+    # _at sums the input's term B and the curvature's term C through the
+    # substep gain A by binary powering.  The plain recursion S_(k+1) =
+    # A S_k + C, substep by substep, gives the same G and K up to rounding,
+    # and its largest partial sum before the last substep, by which the
+    # stage points are sized, is the last one, R: A, B and C are >= 0
+    # wherever a box is ok.  h is the engine's tau / 50 at every count, so
+    # that the same random boxes of the nonlinear plant are ok
+    plant, _, params = nonlinear_pair()
+    u_pts = np.linspace(*plant.input_box[0], 101)[:, None]
+    bound = abstraction._GrowthBound(plant, u_pts,
+                                   params.tau * substeps / 50, substeps,
+                                   np.array([0.1]), 1.0)
+    rng = np.random.default_rng(substeps)
+    box = plant.state_box
+    centre = rng.uniform(box[:, 0], box[:, 1], (300, 3))
+    width = rng.uniform(0.0, 0.6, (300, 3))
+    b = bound._at(centre - width, centre + width, np.inf)
+    ok = b.ok
+    assert ok.sum() >= 250 and np.array_equal(b.fits, ok)
+    assert np.all(b.A[ok] >= 0.0) and np.all(b.B[ok] >= 0.0)
+    assert np.all(b.C >= 0.0)
+
+    def recursion(A, C):
+        S, partial = np.zeros_like(C), []
+        for _ in range(substeps):
+            partial.append(S)
+            S = np.einsum("...ij,...jk->...ik", A, S) + C
+        return S, partial
+
+    G, partial = recursion(b.A[ok], b.B[ok])
+    assert np.array_equal(np.max(partial, axis=0), partial[-1])
+    np.testing.assert_allclose(b.R[ok], partial[-1], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(b.G[ok], G, rtol=1e-12, atol=0.0)
+    K, _ = recursion(b.A[ok], b.C)
+    assert np.all(K > 0.0)
+    np.testing.assert_allclose(b.K, K, rtol=1e-12, atol=0.0)
 
 
 def test_gains_on_a_subset_equal_the_rows_of_gains_on_all():

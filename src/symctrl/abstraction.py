@@ -17,13 +17,15 @@ The coarse inputs are the input box's 2^m corners on a plant affine in
 (x, u), whose chord is exact and needs no curvature pad, and a grid of
 isqrt strides on any other plant, whose coarse rows also record the hulls
 of their RK4 stage points (dynamics._flow_tile) for the curvature bound.
-The rows the chord leaves undecided are flowed in one more pass, so the
-rows flowed depend on the problem alone, not on how many states a call
-holds.  The box is the cells' cover for the abstraction, which takes a row
-proved to land as its cell, and each state's target cell for the
-integrated route of `synthesis`, which flows such rows for their
-endpoints.  The proof allows a rounding margin that grows with the
-endpoint and with the field's largest intermediate value (_unit).
+The rows the chord leaves undecided are flowed in one more pass, but for
+those the integrated route skips as farther from its target cell's centre
+than a row proved to land (_nearest), so the rows flowed depend on the
+problem alone, not on how many states a call holds.  The box is the cells'
+cover for the abstraction, which takes a row proved to land as its cell,
+and each state's target cell for the integrated route of `synthesis`, which
+flows such rows for their endpoints.  The proof allows a rounding margin
+that grows with the endpoint and with the field's largest intermediate
+value (_unit).
 """
 
 from __future__ import annotations
@@ -97,7 +99,10 @@ class _InputSplit:
     inputs so weighted sum to it.  On an affine plant lo and hi are the
     box's ends, so that an input on a face weighs 0 on the corners of the
     opposite face; where lo = hi, the two corners coincide and add their
-    weights up on it.
+    weights up on it.  The same weights, corner by corner: corner[q, f] is
+    the position among the coarse inputs of input inputs[f]'s corner q (at
+    hi on axis a where bit a of q is set) and share[q, f] its weight, for
+    the chords of a few rows (_nearest).
 
     curv[a, f] = t (1 - t) du^2 / 2 on axis a, with du = u(hi) - u(lo):
     the chord's curvature pad per unit of the second derivative (_decide),
@@ -120,7 +125,8 @@ class _InputSplit:
                          for c in counts], dtype=np.int64)
         on = np.all((k % step == 0) | (k == counts - 1), axis=1)
         self.coarse, self.inputs = np.flatnonzero(on), np.flatnonzero(~on)
-        self.weight = self.curv = self.reach = None
+        self.weight = self.corner = self.share = None
+        self.curv = self.reach = None
         if not self.inputs.size:
             return
         kf = k[self.inputs]
@@ -130,11 +136,14 @@ class _InputSplit:
         pos = np.full(n_u, -1, dtype=np.int64)
         pos[self.coarse] = np.arange(self.coarse.size)
         cols = np.arange(self.inputs.size)
+        self.corner = np.empty((1 << m, self.inputs.size), dtype=np.int64)
+        self.share = np.empty((1 << m, self.inputs.size))
         self.weight = np.zeros((self.coarse.size, self.inputs.size))
         for q in range(1 << m):
             up = np.array([(q >> ax) & 1 for ax in range(m)], dtype=bool)
-            self.weight[pos[np.where(up, hi, lo) @ in_lat.strides], cols] += \
-                np.prod(np.where(up, t, 1.0 - t), axis=1)
+            self.corner[q] = pos[np.where(up, hi, lo) @ in_lat.strides]
+            self.share[q] = np.prod(np.where(up, t, 1.0 - t), axis=1)
+            self.weight[self.corner[q], cols] += self.share[q]
         if not affine:
             du = u_pts[hi @ in_lat.strides] - u_pts[lo @ in_lat.strides]
             self.curv = (t * (1.0 - t) * du ** 2 / 2.0).T
@@ -385,16 +394,18 @@ def _decide(split: _InputSplit, E: list, pad: np.ndarray, lat: Lattice,
             K: Optional[np.ndarray]) -> np.ndarray:
     """keep over the rows (state s, split.inputs[f]): whether the row may
     still land in its state's box.  Landings are proved only with `lands`,
-    which gets each slice of states' rows proved to land as they are found,
-    as lands(s, f, cells) with cells their lattice cells; such a row is not
-    kept.  E[ax][c, s] are the coordinates of the coarse endpoints, NaN for
-    every coarse input of a state whose chords prove nothing.  pad[ax, s]
-    is the rounding margin of any endpoint of state s that lands or that a
-    chord is drawn from (it bounds |z| by the state's largest coarse
-    endpoint and the cells' reach), box[0][ax, s] and box[1][ax, s] the
-    lower and upper face on axis ax of state s's box, a union of cells,
-    and K[s] the curvature bound of state s (_GrowthBound.gains), None on
-    an affine plant.
+    which gets each slice of states' rows as they are decided, as lands(s,
+    slice(None), cells) when some of them land: s the slice, the rows over
+    all of split.inputs, and cells an int32 block over them, each row's
+    lattice cell where it is proved to land and -1 elsewhere; such a row is
+    not kept.  E[ax][c, s] are the coordinates of the coarse endpoints,
+    NaN for every coarse input of a state whose chords prove nothing.
+    pad[ax, s] is the rounding margin of any endpoint of state s that lands
+    or that a chord is drawn from (it bounds |z| by the state's largest
+    coarse endpoint and the cells' reach), box[0][ax, s] and box[1][ax, s]
+    the lower and upper face on axis ax of state s's box, a union of
+    cells, and K[s] the curvature bound of state s (_GrowthBound.gains),
+    None on an affine plant.
 
     A row's chord is sum_c weight[c, f] Z_c, one matrix product per axis,
     laid out (states, inputs).  Multilinear interpolation is one 1-D
@@ -450,12 +461,67 @@ def _decide(split: _InputSplit, E: list, pad: np.ndarray, lat: Lattice,
                 at += k
         if lands:
             land &= ~miss
-            src, f = np.nonzero(land)
-            if src.size:
-                lands(src + a, f, at[src, f].astype(np.int32))
+            if land.any():
+                lands(s, slice(None), np.where(land, at, -1).astype(np.int32))
             miss |= land
         keep[s] = ~miss
     return keep
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _nearest(split: _InputSplit, E: list, pad: np.ndarray,
+             K: Optional[np.ndarray], P: np.ndarray, half: np.ndarray,
+             src: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Over the rows (state src[r], split.inputs[f[r]]) that _decide kept,
+    whether the row may land nearest its state's centre P[s] of all the
+    rows that land in its box, one cell of half-widths `half`: False where
+    its chord proves it lands farther from the centre, in the infinity
+    norm, than another row proved to land.  E, pad and K are _decide's.
+
+    Each row's chord c is taken from its own 2^m corners (split.corner and
+    split.share), and m2 is the margin _decide allows it (twice pad, and
+    the curvature pad on a plant that is not affine), so that the row's
+    endpoint lies within m2 of c on every axis.  Its distance to the
+    centre is then at least max_ax(|c - P| - m2), and at most max_ax(|c -
+    P| + m2); where |c - P| <= half - m2 on every axis, it lands in the
+    cell.  A row is dropped when its lower bound strictly exceeds the
+    least upper bound of its state's rows proved to land.  That row lands
+    nearer than any row dropped, and is itself kept, as is every row at
+    least as near, ties included: so the nearest landing and the lowest
+    input among its ties are still flowed.  The subtraction and the
+    absolute value round by half an ulp of the coordinates at most, some
+    1e-16 of them, far inside the 1e-9 of _MARGIN that pad already gives
+    to every endpoint and chord.  A row whose chord is NaN has NaN bounds:
+    it is proved to land nowhere, and is kept.
+    """
+    S = P.shape[0]
+    # every gather is a 1-D take: fancy indexing over two axes, or of rows
+    # a few entries wide, goes element by element, several times slower.
+    # at[q, r] is the position in e.ravel() of row r's corner q
+    at = np.take(split.corner, f, axis=1) * S + src
+    share = np.take(split.share, f, axis=1)
+    if K is not None:
+        curv = np.take(split.curv, f, axis=1)
+        K = K.transpose(1, 2, 0)  # K[ax, a] over the states
+    low, high = np.zeros(src.size), np.zeros(src.size)
+    inside = np.ones(src.size, dtype=bool)
+    for ax, e in enumerate(E):
+        d = np.einsum("qr,qr->r", share, e.ravel().take(at))
+        d -= P[:, ax].take(src)
+        np.abs(d, out=d)
+        m2 = pad[ax].take(src)
+        m2 *= 2.0
+        if K is not None:
+            for k, c in zip(K[ax], curv):
+                m2 += k.take(src) * c
+        inside &= d <= half[ax] - m2
+        # np.maximum, not np.fmax: a NaN bound stays NaN
+        np.maximum(high, d + m2, out=high)
+        d -= m2
+        np.maximum(low, d, out=low)
+    best = np.full(S, np.inf)
+    np.minimum.at(best, src[inside], high[inside])
+    return ~(low > best[src])
 
 
 class RowEngine:
@@ -484,29 +550,22 @@ class RowEngine:
                 self.bound = _GrowthBound(sys, self.inputs, tau, substeps,
                                           self.split.reach, self.unit)
 
-    def _flow_kept(self, X, keep, inputs, on_tile, hull=False) -> list:
-        """[on_tile(src, f, Z, cells)] per tile of the rows (s, inputs[f])
-        where keep[s, f], each tile finding its rows in the mask; with
-        `hull`, on_tile also gets the stage-point hulls lo and hi."""
-        # rows before each state's, and in all
-        offset = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-
+    def _flow_rows(self, X, src, f, inputs, on_tile, hull=False) -> list:
+        """[on_tile(src, f, Z, cells)] per tile of the rows (src[r],
+        inputs[f[r]]); with `hull`, on_tile also gets the stage-point hulls
+        lo and hi."""
         def tile(a, b):
-            s0 = np.searchsorted(offset, a, "right") - 1
-            s1 = np.searchsorted(offset, b, "left")
-            src, f = np.nonzero(keep[s0:s1])
-            skip = a - offset[s0]
-            src, f = src[skip:skip + b - a] + s0, f[skip:skip + b - a]
-            out = _flow_tile(self.sys, X[src], self.inputs[inputs[f]],
+            s, k = src[a:b], f[a:b]
+            out = _flow_tile(self.sys, X[s], self.inputs[inputs[k]],
                              self.tau, self.substeps, hull=hull)
             Z, hulls = (out[0], out[1:]) if hull else (out, ())
-            return on_tile(src, f, Z, self.st_lat.quantize_many(Z), *hulls)
+            return on_tile(s, k, Z, self.st_lat.quantize_many(Z), *hulls)
 
-        return map_tiles(tile, int(offset[-1]))
+        return map_tiles(tile, src.size)
 
     def run(self, X: np.ndarray, P: np.ndarray, half: np.ndarray,
-            visit: Callable[..., None], cells_suffice: bool
-            ) -> Tuple[int, int]:
+            visit: Callable[..., None], cells_suffice: bool,
+            nearest: bool = False) -> Tuple[int, int]:
         """Decides every row of the states X that may land in the box of
         centre P[s] and per-axis half-widths `half`, a union of the
         lattice's cells, flowing the rows the chord does not decide;
@@ -514,15 +573,21 @@ class RowEngine:
         without flowing them.  Each flowed tile goes to visit(src, cols, Z,
         cells): its rows' positions in X, input indices, endpoints and
         cells (-1 off the lattice).  With `cells_suffice`, visit also gets
-        the rows proved to land, with Z None; without, those rows are
-        flowed and only misses are proved.  Tiles are disjoint and run on
-        the flow workers, so visit must be safe to call from several
-        threads at once.
+        the rows proved to land, with Z None, a slice of states at a time:
+        src the slice, cols every input past the coarse ones, and cells a
+        block over those rows, -1 where a row is not proved to land;
+        without, those rows are flowed and only misses are proved.  With
+        `nearest`, the box is one cell and only the rows that may land
+        nearest its centre are flowed (_nearest): the one nearest and all
+        its ties among them, so that the choice of the nearest landing,
+        then the lowest input, is that over every row; without, every row
+        that may land is.  Tiles are disjoint and run on the flow workers,
+        so visit must be safe to call from several threads at once.
 
-        1. Every coarse input (_InputSplit), flowed under a mask that keeps
-           every row; without other inputs, every row, and nothing more.
-           On a plant that is not affine they are flowed with the hulls of
-           their stage points.
+        1. Every coarse input (_InputSplit), flowed for every state;
+           without other inputs, every row, and nothing more.  On a plant
+           that is not affine they are flowed with the hulls of their
+           stage points.
         2. A state's chords need all its coarse endpoints finite and, on a
            plant that is not affine, its hulls finite and its curvature
            bound sure (_GrowthBound.gains, over the hull of its coarse
@@ -530,10 +595,17 @@ class RowEngine:
            NaN to the proof.
         3. The proof (_decide), which hands the rows it proves to land to
            visit a slice of states at a time, then one pass over the rows
-           it leaves undecided, each tile finding its rows in the
-           keep-mask.
-        A row proved to miss would not have landed in the box, and one
-        proved to land lands in the cell it is handed over with.
+           it leaves undecided or, with `nearest`, over those of them that
+           may land nearest the centre.
+        A row proved to miss would not have landed in the box, one proved
+        to land lands in the cell it is handed over with, and one skipped
+        as not nearest lands farther from the centre than a row flowed, or
+        not at all.  The skip needs its lower bound strictly above an upper
+        bound of a row proved to land, so a row as near as that one, a tie
+        included, is flowed.  Its bounds are the chord's distance to the
+        centre give or take the proof's margins, which already cover the
+        rounding of that distance: some 1e-16 of the coordinates, against
+        the 1e-9 of _MARGIN.
         """
         S, n = X.shape
         split, lat = self.split, self.st_lat
@@ -544,8 +616,8 @@ class RowEngine:
             # handed back, so that no buffer adds to the kernel's peak
             return (Z,) + hulls if split.inputs.size else None
 
-        parts = self._flow_kept(X, np.ones((S, n_c), dtype=bool), coarse,
-                                first, self.bound is not None)
+        parts = self._flow_rows(X, *np.divmod(np.arange(S * n_c), n_c),
+                                coarse, first, self.bound is not None)
         if not split.inputs.size:
             return S * n_c, 0
         Z, *hulls = (np.concatenate(k) for k in zip(*parts))
@@ -578,16 +650,20 @@ class RowEngine:
             # the rows _decide proved to land
             nonlocal landed
             visit(src, split.inputs[f], None, cells)
-            landed += src.size
+            landed += int(np.count_nonzero(cells >= 0))
 
         def on_tile(src, f, Z, cells):
             # the rows _decide left undecided, flowed
             visit(src, split.inputs[f], Z, cells)
 
-        keep = _decide(split, E, pad, lat, ((P - half).T, (P + half).T),
-                       hand_over if cells_suffice else None, K)
-        self._flow_kept(X, keep, split.inputs, on_tile)
-        return S * n_c + int(keep.sum()), landed
+        src, f = np.nonzero(_decide(split, E, pad, lat,
+                                    ((P - half).T, (P + half).T),
+                                    hand_over if cells_suffice else None, K))
+        if nearest:
+            near = _nearest(split, E, pad, K, P, half, src, f)
+            src, f = src[near], f[near]
+        self._flow_rows(X, src, f, split.inputs, on_tile)
+        return S * n_c + src.size, landed
 
 
 def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,

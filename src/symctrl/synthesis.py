@@ -281,9 +281,15 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
     The engine flows only the inputs it cannot prove to miss ys[i]'s cell:
     the coarse inputs and the rows whose padded chord may land there (on
     an affine plant the input box's corners and the rows whose chord may).
-    It flows those it proves to land too, since the choice needs their
-    endpoints.  A pruned input would not have landed, so the
-    choice is that of a scan of every input.
+    Of those it flows only the ones that may land nearest the centre
+    (RowEngine.run with `nearest`): a row whose chord puts it, padded,
+    strictly farther from the centre than another row proved to land is
+    skipped, and the rows it proves to land are flowed too, since the
+    choice needs their endpoints.  The inequality is strict, so every row
+    as near as the nearest landing, ties included, is flowed; and the
+    pads that cover the kernel's rounding cover that of the distance
+    bounds too.  A pruned input would not have landed, or not nearest, so
+    the choice is that of a scan of every input.
     """
     P = st_pts[ys]
     hits = []  # (state, input, distance to the center) of the landing rows
@@ -294,7 +300,8 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
                      np.max(np.abs(Z[hit] - P[src[hit]]), axis=1)))
 
     half = np.full(st_pts.shape[1], engine.st_lat.spacing / 2.0)
-    flowed, _ = engine.run(st_pts[xs], P, half, land, cells_suffice=False)
+    flowed, _ = engine.run(st_pts[xs], P, half, land, cells_suffice=False,
+                           nearest=True)
     # per state, the landing row nearest the center, then the lowest input,
     # in whatever order the workers handed the tiles over
     src, cols, d = (np.concatenate(a) for a in zip(*hits))

@@ -440,6 +440,10 @@ def test_cells_suffice_changes_only_the_rows_flowed():
 
                 def write(src, cols, Z, cells):
                     if Z is None:
+                        # a slice of states' rows over cols, -1 where a row
+                        # is not proved to land
+                        at, k = np.nonzero(cells >= 0)
+                        src, cols, cells = own[src][at], cols[k], cells[at, k]
                         bare[0] += src.size
                     inside = (cells >= 0 if target is None
                               else cells == target[src])

@@ -242,7 +242,7 @@ def test_published_nonlinear_rows(nonlinear_results):
     # looser curvature bound would flow more rows and land fewer, with the
     # same controllers
     r = nonlinear_results
-    assert r["m_i"].rows_flowed == 318_752
+    assert r["m_i"].rows_flowed == 155_746
     assert (r["m_b"].rows_flowed, r["m_b"].rows_landed) == (1_780_980,
                                                             28_069_602)
 

@@ -19,13 +19,13 @@ from hypothesis import HealthCheck, example, given, settings
 
 from symctrl import (AbstractionSpec, ControlSystem, Controller, Lattice,
                      StabilityCertificate, SynthesisParams, abstraction,
-                     dynamics, flow_many, parse_expression,
+                     dynamics, flow_many, parse_expression, synthesis,
                      synthesize_integrated)
 from symctrl.synthesis import integrated_memory_units, shared_lattices
 
 from _systems import (MULTI_WAVE_DRAWS, STIFF_AFFINE, affine_plants,
                       linear_pair, nonlinear_pair, problems)
-from test_abstraction import assert_matches_full_sweep
+from test_abstraction import LANDING_PROBLEMS, assert_matches_full_sweep
 
 # per-state status of the sequential reference
 UNSEEN, QUEUED, CONTROLLED, BAD = 0, 1, 2, 3
@@ -142,14 +142,25 @@ def assert_matches_full_scan(plant, spec, params, substeps, stats=None):
 
 def test_pruned_scan_equals_full_scan_on_random_problems(monkeypatch):
     seen = {"examples": 0, "pruned": 0, "controlled": 0, "pruning": False}
-    decide = abstraction._decide
+    # the draws in which the distance bound skipped rows, by their count
+    # before them; `check` is left as it was, since Hypothesis derives its
+    # derandomized draws from the test's source
+    skipped = set()
+    decide, nearest = abstraction._decide, abstraction._nearest
 
     def counting(*args):
         keep = decide(*args)
         seen["pruning"] |= not keep.all()
         return keep
 
+    def skipping(*args):
+        near = nearest(*args)
+        if not near.all():
+            skipped.add(seen["examples"])
+        return near
+
     monkeypatch.setattr(abstraction, "_decide", counting)
+    monkeypatch.setattr(abstraction, "_nearest", skipping)
 
     @settings(derandomize=True, max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -164,9 +175,11 @@ def test_pruned_scan_equals_full_scan_on_random_problems(monkeypatch):
         seen["controlled"] += ctrl.n_transitions > 0
 
     check()
-    # the draws must exercise the pruning on problems that control something
+    # the draws must exercise the pruning on problems that control something,
+    # and the distance bound's skips among it
     assert seen["pruned"] >= seen["examples"] // 3
     assert seen["controlled"] >= seen["examples"] // 2
+    assert len(skipped) >= seen["examples"] // 4
 
     waves = []
 
@@ -205,6 +218,65 @@ def test_pruned_scan_equals_full_scan_on_nonlinear():
                              eta=0.125, mu=0.01)
     _, m = assert_matches_full_scan(plant, spec, params, 50)
     assert m.rows_flowed * 2 < m.steps  # steps: 201 per scanned state
+
+
+def benchmark_problem(pair, eta=None):
+    """A benchmark workload's timed problem, in the form of `problems()`:
+    mu = 0.01 and 50 substeps, and eta where given."""
+    plant, spec, params = pair()
+    return plant, spec, SynthesisParams(
+        epsilon=params.epsilon, theta_p=params.theta_p,
+        theta_q=params.theta_q, tau=params.tau, eta=eta or params.eta,
+        mu=0.01), 50
+
+
+@pytest.mark.parametrize("problem", [
+    benchmark_problem(lambda: linear_pair(1)),
+    benchmark_problem(nonlinear_pair, 1 / 15), *LANDING_PROBLEMS],
+    ids=["linear-pair", "nonlinear-pair", "landing-linear",
+         "landing-nonlinear"])
+def test_rows_the_distance_bound_skips_are_not_nearest(monkeypatch, problem):
+    # every row the scan skipped by its chord's distance to the centre
+    # (abstraction._nearest), flowed: it misses its state's target cell, or
+    # lands strictly farther from the centre than the input the scan chose
+    plant, spec, params, substeps = problem
+    skips, rows = [], []
+    nearest, scan = abstraction._nearest, synthesis._scan_inputs
+
+    def recording_nearest(split, E, pad, K, P, half, src, f):
+        near = nearest(split, E, pad, K, P, half, src, f)
+        skips.append((src[~near], split.inputs[f[~near]]))
+        return near
+
+    def recording_scan(engine, st_pts, xs, ys):
+        # one engine run, so at most one call of _nearest, per scan
+        mark = len(skips)
+        choice, flowed = scan(engine, st_pts, xs, ys)
+        for src, u in skips[mark:]:
+            rows.append((xs[src], ys[src], choice[src], u))
+        return choice, flowed
+
+    monkeypatch.setattr(abstraction, "_nearest", recording_nearest)
+    monkeypatch.setattr(synthesis, "_scan_inputs", recording_scan)
+    synthesize_integrated(plant, spec, params, substeps, force=True)
+    x, y, chosen, u = (np.concatenate(a) for a in zip(*rows))
+    st_lat, in_lat, _ = shared_lattices(plant, spec, params)
+    st_pts, u_pts = st_lat.points(), in_lat.points()
+
+    def flow(inputs):
+        # whether each row lands in its target cell, and its distance to
+        # the centre
+        Z = flow_many(plant, st_pts[x], u_pts[inputs], params.tau, substeps,
+                      check_finite=False)
+        return (st_lat.quantize_many(Z) == y,
+                np.max(np.abs(Z - st_pts[y]), axis=1))
+
+    lands, d = flow(u)
+    assert np.all(chosen[lands] >= 0)
+    _, d_chosen = flow(np.maximum(chosen, 0))
+    assert np.all(~lands | (d > d_chosen))
+    # rows that land, farther out, are skipped as well as misses
+    assert lands.any()
 
 
 def test_pruned_scan_under_thread_stress(monkeypatch):

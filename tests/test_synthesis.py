@@ -292,8 +292,8 @@ def test_rows_flowed_counts_the_flowed_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("pair, eta, integrated, baseline, landed", [
-    (lambda: linear_pair(1), None, 2_618, 7_803, 267_503),
-    (nonlinear_pair, 1 / 15, 13_520, 94_360, 249_890)],
+    (lambda: linear_pair(1), None, 2_460, 7_803, 267_503),
+    (nonlinear_pair, 1 / 15, 8_006, 94_360, 249_890)],
     ids=["linear-pair", "nonlinear-pair"])
 def test_rows_flowed_on_the_benchmark_problems(pair, eta, integrated,
                                                baseline, landed):
@@ -301,11 +301,13 @@ def test_rows_flowed_on_the_benchmark_problems(pair, eta, integrated,
     # the nonlinear one; only the baseline takes rows proved to land as
     # cells.  The linear-pair plant is affine: both routes flow the 2 corners
     # of its input box per state, and the chord decides the other rows but
-    # those the integrated route's cells may take (1,889 plant rows in all);
-    # the specification flows 2,601 (baseline) and 729 (integrated) rows.
-    # The nonlinear plant flows its 11 coarse inputs per state (37,125 rows)
-    # and, in the baseline, the 53,860 of its other 303,750 rows whose
-    # chord, padded for its curvature, may cross a cell face
+    # those the integrated route's cells may take and whose chord may put
+    # them nearest the centre (1,731 plant rows in all; 1,889 without the
+    # distance bound); the specification flows 2,601 (baseline) and 729
+    # (integrated) rows.  The nonlinear plant flows its 11 coarse inputs
+    # per state (37,125 rows) and, in the baseline, the 53,860 of its other
+    # 303,750 rows whose chord, padded for its curvature, may cross a cell
+    # face
     plant, spec, params = pair()
     params = SynthesisParams(epsilon=params.epsilon, theta_p=params.theta_p,
                              theta_q=params.theta_q, tau=params.tau,
@@ -381,7 +383,7 @@ def test_scan_chunks_leave_the_rows_of_a_nonlinear_plant(monkeypatch):
     plant, spec, params = nonlinear_pair()
     _, m = scan_budgets_agree(monkeypatch, plant, spec, params, [1 << 16],
                               1 << 16)
-    assert m.rows_flowed == 318_752
+    assert m.rows_flowed == 155_746
 
 
 def test_scan_ties_keep_the_lowest_input(monkeypatch):

@@ -17,15 +17,15 @@ The coarse inputs are the input box's 2^m corners on a plant affine in
 (x, u), whose chord is exact and needs no curvature pad, and a grid of
 isqrt strides on any other plant, whose coarse rows also record the hulls
 of their RK4 stage points (dynamics._flow_tile) for the curvature bound.
-The rows the chord leaves undecided are flowed in one more pass, but for
-those the integrated route skips as farther from its target cell's centre
-than a row proved to land (_nearest), so the rows flowed depend on the
-problem alone, not on how many states a call holds.  The box is the cells'
-cover for the abstraction, which takes a row proved to land as its cell,
-and each state's target cell for the integrated route of `synthesis`, which
-flows such rows for their endpoints.  The proof allows a rounding margin
-that grows with the endpoint and with the field's largest intermediate
-value (_unit).
+The rows the chord leaves undecided are flowed in one more pass, so the
+rows flowed depend on the problem alone, not on how many states a call
+holds.  The box is the cells' cover for the abstraction, which takes a row
+proved to land as its cell, and each state's target cell for the
+integrated route of `synthesis`, which flows such rows for their endpoints;
+there the same chords also bound each row's distance to the cell's centre,
+and the proof drops the rows that land farther from it than a row proved
+to land.  The proof allows a rounding margin that grows with the endpoint
+and with the field's largest intermediate value (_unit).
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ DEFAULT_TRANSITION_CAP = 100_000_000
 # (state, input) rows per chunk of the abstraction's sweep.  A chunk holds a
 # keep-mask per row; the benchmark problems' lattices fit in one chunk
 _SWEEP_ROWS = 1 << 20
-# rows per slice of the proof's temporaries
-_PROOF_ROWS = TILE_ROWS // 8
 # rounding margin of the proof, relative to unit + |value| (_unit).  The
 # chord and its curvature bound are those of the RK4 map in exact
 # arithmetic, while the kernel rounds each of its few hundred operations per
@@ -99,10 +97,7 @@ class _InputSplit:
     inputs so weighted sum to it.  On an affine plant lo and hi are the
     box's ends, so that an input on a face weighs 0 on the corners of the
     opposite face; where lo = hi, the two corners coincide and add their
-    weights up on it.  The same weights, corner by corner: corner[q, f] is
-    the position among the coarse inputs of input inputs[f]'s corner q (at
-    hi on axis a where bit a of q is set) and share[q, f] its weight, for
-    the chords of a few rows (_nearest).
+    weights up on it.
 
     curv[a, f] = t (1 - t) du^2 / 2 on axis a, with du = u(hi) - u(lo):
     the chord's curvature pad per unit of the second derivative (_decide),
@@ -125,8 +120,7 @@ class _InputSplit:
                          for c in counts], dtype=np.int64)
         on = np.all((k % step == 0) | (k == counts - 1), axis=1)
         self.coarse, self.inputs = np.flatnonzero(on), np.flatnonzero(~on)
-        self.weight = self.corner = self.share = None
-        self.curv = self.reach = None
+        self.weight = self.curv = self.reach = None
         if not self.inputs.size:
             return
         kf = k[self.inputs]
@@ -136,14 +130,13 @@ class _InputSplit:
         pos = np.full(n_u, -1, dtype=np.int64)
         pos[self.coarse] = np.arange(self.coarse.size)
         cols = np.arange(self.inputs.size)
-        self.corner = np.empty((1 << m, self.inputs.size), dtype=np.int64)
-        self.share = np.empty((1 << m, self.inputs.size))
         self.weight = np.zeros((self.coarse.size, self.inputs.size))
         for q in range(1 << m):
+            # the corner at hi on axis a where bit a of q is set
             up = np.array([(q >> ax) & 1 for ax in range(m)], dtype=bool)
-            self.corner[q] = pos[np.where(up, hi, lo) @ in_lat.strides]
-            self.share[q] = np.prod(np.where(up, t, 1.0 - t), axis=1)
-            self.weight[self.corner[q], cols] += self.share[q]
+            corner = pos[np.where(up, hi, lo) @ in_lat.strides]
+            self.weight[corner, cols] += np.prod(np.where(up, t, 1.0 - t),
+                                                 axis=1)
         if not affine:
             du = u_pts[hi @ in_lat.strides] - u_pts[lo @ in_lat.strides]
             self.curv = (t * (1.0 - t) * du ** 2 / 2.0).T
@@ -390,22 +383,24 @@ def _unit(sys: ControlSystem, st_lat: Lattice, u_pts: np.ndarray,
 # a box's ends far past the lattice may overflow to inf, as far outside it
 @np.errstate(over="ignore", invalid="ignore")
 def _decide(split: _InputSplit, E: list, pad: np.ndarray, lat: Lattice,
-            box: tuple, lands: Optional[Callable[..., None]],
+            P: np.ndarray, half: np.ndarray,
+            lands: Optional[Callable[..., None]],
             K: Optional[np.ndarray]) -> np.ndarray:
     """keep over the rows (state s, split.inputs[f]): whether the row may
-    still land in its state's box.  Landings are proved only with `lands`,
-    which gets each slice of states' rows as they are decided, as lands(s,
-    slice(None), cells) when some of them land: s the slice, the rows over
-    all of split.inputs, and cells an int32 block over them, each row's
-    lattice cell where it is proved to land and -1 elsewhere; such a row is
-    not kept.  E[ax][c, s] are the coordinates of the coarse endpoints,
-    NaN for every coarse input of a state whose chords prove nothing.
-    pad[ax, s] is the rounding margin of any endpoint of state s that lands
-    or that a chord is drawn from (it bounds |z| by the state's largest
-    coarse endpoint and the cells' reach), box[0][ax, s] and box[1][ax, s]
-    the lower and upper face on axis ax of state s's box, a union of
-    cells, and K[s] the curvature bound of state s (_GrowthBound.gains),
-    None on an affine plant.
+    still land in its state's box, of centre P[s] and per-axis half-widths
+    `half`, a union of cells.  With `lands`, landings are proved, and each
+    slice of states' rows goes to lands(s, slice(None), cells) as it is
+    decided when some of them land: s the slice, the rows over all of
+    split.inputs, and cells an int32 block over them, each row's lattice
+    cell where it is proved to land and -1 elsewhere; such a row is not
+    kept.  Without, the box is one cell, and a row is not kept either when
+    it cannot land nearest the centre.  E[ax][c, s] are the coordinates of
+    the coarse endpoints, NaN for every coarse input of a state whose chords
+    prove nothing.  pad[ax, s] is the rounding margin of any endpoint of
+    state s that lands or that a chord is drawn from (it bounds |z| by the
+    state's largest coarse endpoint and the cells' reach), and K[s] the
+    curvature bound of state s (_GrowthBound.gains), None on an affine
+    plant.
 
     A row's chord is sum_c weight[c, f] Z_c, one matrix product per axis,
     laid out (states, inputs).  Multilinear interpolation is one 1-D
@@ -417,111 +412,96 @@ def _decide(split: _InputSplit, E: list, pad: np.ndarray, lat: Lattice,
     is affine in the input at a fixed state, so its chord is exact.  The
     chord is also padded twice for rounding, for the row and for the
     corners: a convex mix of the corners, it is no larger than the largest
-    of them.  The row misses when the padded chord lies off the box on
-    some axis, and lands in the chord's cell, at the lattice's floor((z +
-    s/2) / s), when the padded chord lies inside that cell on every axis.
-    With the weights dense, a state with a coarse endpoint that is NaN has
-    NaN chords, which decide nothing: its rows are kept.
+    of them.  With m2 that margin, the row misses when its chord c lies
+    more than m2 off the box on some axis, and lands in the chord's cell,
+    at the lattice's floor((c + s/2) / s), when c lies more than m2 inside
+    that cell on every axis.  With the weights dense, a state with a
+    coarse endpoint that is NaN has NaN chords, which decide nothing: its
+    rows are kept.
+
+    Without `lands`, each kept row's distance to the centre, in the
+    infinity norm, is at least max_ax(|c - P| - m2) and at most max_ax(|c
+    - P| + m2), from the same chords, and the row lands in the cell where
+    |c - P| <= half - m2 on every axis.  A row is dropped when its lower
+    bound strictly exceeds the least upper bound of its state's rows so
+    proved to land.  That row lands nearer than any row dropped, and is
+    itself kept, as is every row at least as near, ties included: so the
+    nearest landing and the lowest input among its ties are still kept.  A
+    slice holds whole states, so each state's least bound is complete in
+    it.  The subtraction and the absolute value round by half an ulp of the
+    coordinates at most, some 1e-16 of them, far inside the 1e-9 of
+    _MARGIN that pad already gives to every endpoint and chord.  A row
+    whose chord is NaN has NaN bounds: it is proved to land nowhere, and
+    is kept.
     """
-    S, n_k = box[0].shape[1], split.inputs.size
+    S, n_k = P.shape[0], split.inputs.size
     keep = np.ones((S, n_k), dtype=bool)
     sp = lat.spacing
-    # a few states at a time, so that the temporaries stay small.  The
-    # chord holds float arrays over every row of a slice; for its misses
-    # alone, the integrated scan's proofs, they set that route's peak, so
-    # those slices are narrower.  With landings, wide slices save Python
-    # passes
-    step = max(1, (TILE_ROWS if lands else _PROOF_ROWS) // n_k)
+    # a few states at a time, so that the temporaries stay small: the chords
+    # hold float arrays over every row of a slice
+    step = max(1, TILE_ROWS // n_k)
     for a in range(0, S, step):
         s = slice(a, min(S, a + step))
         miss = np.zeros((s.stop - a, n_k), dtype=bool)
         if lands:
             land, at = ~miss, np.zeros(miss.shape)
-        for ax, (e, lo, hi, pd) in enumerate(zip(E, box[0][:, s, None],
-                                                 box[1][:, s, None],
-                                                 pad[:, s, None])):
+        chords = []
+        for ax, e in enumerate(E):
             c = e[:, s].T @ split.weight
             # more than the margins off the box
-            m2 = 2.0 * pd
+            m2 = 2.0 * pad[ax, s, None]
             if K is not None:
                 m2 = m2 + K[s, ax] @ split.curv
-            miss |= c < lo - m2
-            miss |= c > hi + m2
-            if lands:
-                # the lattice's cell of the chord, more than the margins
-                # from its faces: a cell of the box
-                k = c + sp / 2.0
-                k /= sp
-                np.floor(k, out=k)
-                c -= k * sp
-                np.abs(c, out=c)
-                land &= c <= sp / 2.0 - m2
-                k -= lat.kmin[ax]
-                k *= lat.strides[ax]
-                at += k
+            p = P[s, ax, None]
+            miss |= c < p - half[ax] - m2
+            miss |= c > p + half[ax] + m2
+            if not lands:
+                chords.append(c)
+                continue
+            # the lattice's cell of the chord, more than the margins from
+            # its faces: a cell of the box
+            k = c + sp / 2.0
+            k /= sp
+            np.floor(k, out=k)
+            c -= k * sp
+            np.abs(c, out=c)
+            land &= c <= sp / 2.0 - m2
+            k -= lat.kmin[ax]
+            k *= lat.strides[ax]
+            at += k
         if lands:
             land &= ~miss
             if land.any():
                 lands(s, slice(None), np.where(land, at, -1).astype(np.int32))
             miss |= land
+        else:
+            # every gather is a 1-D take: fancy indexing over two axes goes
+            # element by element, several times slower.  The margins are
+            # gathered for the kept rows alone
+            kept = np.flatnonzero(~miss)
+            row, f = np.divmod(kept, n_k)
+            src = row + a
+            low, high = np.zeros(kept.size), np.zeros(kept.size)
+            inside = np.ones(kept.size, dtype=bool)
+            for ax, c in enumerate(chords):
+                d = c.ravel().take(kept)
+                d -= P[:, ax].take(src)
+                np.abs(d, out=d)
+                m2 = pad[ax].take(src)
+                m2 *= 2.0
+                if K is not None:
+                    for k, cv in zip(K[:, ax].T, split.curv):
+                        m2 += k.take(src) * cv.take(f)
+                inside &= d <= half[ax] - m2
+                # np.maximum, not np.fmax: a NaN bound stays NaN
+                np.maximum(high, d + m2, out=high)
+                d -= m2
+                np.maximum(low, d, out=low)
+            best = np.full(s.stop - a, np.inf)
+            np.minimum.at(best, row[inside], high[inside])
+            miss.ravel()[kept[low > best.take(row)]] = True
         keep[s] = ~miss
     return keep
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _nearest(split: _InputSplit, E: list, pad: np.ndarray,
-             K: Optional[np.ndarray], P: np.ndarray, half: np.ndarray,
-             src: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Over the rows (state src[r], split.inputs[f[r]]) that _decide kept,
-    whether the row may land nearest its state's centre P[s] of all the
-    rows that land in its box, one cell of half-widths `half`: False where
-    its chord proves it lands farther from the centre, in the infinity
-    norm, than another row proved to land.  E, pad and K are _decide's.
-
-    Each row's chord c is taken from its own 2^m corners (split.corner and
-    split.share), and m2 is the margin _decide allows it (twice pad, and
-    the curvature pad on a plant that is not affine), so that the row's
-    endpoint lies within m2 of c on every axis.  Its distance to the
-    centre is then at least max_ax(|c - P| - m2), and at most max_ax(|c -
-    P| + m2); where |c - P| <= half - m2 on every axis, it lands in the
-    cell.  A row is dropped when its lower bound strictly exceeds the
-    least upper bound of its state's rows proved to land.  That row lands
-    nearer than any row dropped, and is itself kept, as is every row at
-    least as near, ties included: so the nearest landing and the lowest
-    input among its ties are still flowed.  The subtraction and the
-    absolute value round by half an ulp of the coordinates at most, some
-    1e-16 of them, far inside the 1e-9 of _MARGIN that pad already gives
-    to every endpoint and chord.  A row whose chord is NaN has NaN bounds:
-    it is proved to land nowhere, and is kept.
-    """
-    S = P.shape[0]
-    # every gather is a 1-D take: fancy indexing over two axes, or of rows
-    # a few entries wide, goes element by element, several times slower.
-    # at[q, r] is the position in e.ravel() of row r's corner q
-    at = np.take(split.corner, f, axis=1) * S + src
-    share = np.take(split.share, f, axis=1)
-    if K is not None:
-        curv = np.take(split.curv, f, axis=1)
-        K = K.transpose(1, 2, 0)  # K[ax, a] over the states
-    low, high = np.zeros(src.size), np.zeros(src.size)
-    inside = np.ones(src.size, dtype=bool)
-    for ax, e in enumerate(E):
-        d = np.einsum("qr,qr->r", share, e.ravel().take(at))
-        d -= P[:, ax].take(src)
-        np.abs(d, out=d)
-        m2 = pad[ax].take(src)
-        m2 *= 2.0
-        if K is not None:
-            for k, c in zip(K[ax], curv):
-                m2 += k.take(src) * c
-        inside &= d <= half[ax] - m2
-        # np.maximum, not np.fmax: a NaN bound stays NaN
-        np.maximum(high, d + m2, out=high)
-        d -= m2
-        np.maximum(low, d, out=low)
-    best = np.full(S, np.inf)
-    np.minimum.at(best, src[inside], high[inside])
-    return ~(low > best[src])
 
 
 class RowEngine:
@@ -556,7 +536,8 @@ class RowEngine:
         lo and hi."""
         def tile(a, b):
             s, k = src[a:b], f[a:b]
-            out = _flow_tile(self.sys, X[s], self.inputs[inputs[k]],
+            out = _flow_tile(self.sys, X.take(s, axis=0),
+                             self.inputs.take(inputs.take(k), axis=0),
                              self.tau, self.substeps, hull=hull)
             Z, hulls = (out[0], out[1:]) if hull else (out, ())
             return on_tile(s, k, Z, self.st_lat.quantize_many(Z), *hulls)
@@ -564,25 +545,25 @@ class RowEngine:
         return map_tiles(tile, src.size)
 
     def run(self, X: np.ndarray, P: np.ndarray, half: np.ndarray,
-            visit: Callable[..., None], cells_suffice: bool,
-            nearest: bool = False) -> Tuple[int, int]:
+            visit: Callable[..., None], nearest: bool) -> Tuple[int, int]:
         """Decides every row of the states X that may land in the box of
         centre P[s] and per-axis half-widths `half`, a union of the
         lattice's cells, flowing the rows the chord does not decide;
         returns how many rows it flowed and how many it proved to land
         without flowing them.  Each flowed tile goes to visit(src, cols, Z,
         cells): its rows' positions in X, input indices, endpoints and
-        cells (-1 off the lattice).  With `cells_suffice`, visit also gets
-        the rows proved to land, with Z None, a slice of states at a time:
+        cells (-1 off the lattice).  `nearest` picks what the proof does
+        with the rows it proves to land.  Without it (the abstraction's
+        sweep), visit gets them with Z None, a slice of states at a time:
         src the slice, cols every input past the coarse ones, and cells a
-        block over those rows, -1 where a row is not proved to land;
-        without, those rows are flowed and only misses are proved.  With
-        `nearest`, the box is one cell and only the rows that may land
-        nearest its centre are flowed (_nearest): the one nearest and all
-        its ties among them, so that the choice of the nearest landing,
-        then the lowest input, is that over every row; without, every row
-        that may land is.  Tiles are disjoint and run on the flow workers,
-        so visit must be safe to call from several threads at once.
+        block over those rows, -1 where a row is not proved to land.  With
+        it (the integrated scan), the box is one cell, and of the rows
+        that may land only those that may land nearest its centre are
+        flowed, proved to land or not: the one nearest and all its ties
+        among them, so that the choice of the nearest landing, then the
+        lowest input, is that over every row.  Tiles are disjoint and run
+        on the flow workers, so visit must be safe to call from several
+        threads at once.
 
         1. Every coarse input (_InputSplit), flowed for every state;
            without other inputs, every row, and nothing more.  On a plant
@@ -593,19 +574,13 @@ class RowEngine:
            bound sure (_GrowthBound.gains, over the hull of its coarse
            stage points).  The coarse endpoints of the other states are
            NaN to the proof.
-        3. The proof (_decide), which hands the rows it proves to land to
-           visit a slice of states at a time, then one pass over the rows
-           it leaves undecided or, with `nearest`, over those of them that
-           may land nearest the centre.
+        3. The proof (_decide), which without `nearest` hands the rows it
+           proves to land to visit a slice of states at a time, then one
+           pass over the rows it keeps.
         A row proved to miss would not have landed in the box, one proved
-        to land lands in the cell it is handed over with, and one skipped
+        to land lands in the cell it is handed over with, and one dropped
         as not nearest lands farther from the centre than a row flowed, or
-        not at all.  The skip needs its lower bound strictly above an upper
-        bound of a row proved to land, so a row as near as that one, a tie
-        included, is flowed.  Its bounds are the chord's distance to the
-        centre give or take the proof's margins, which already cover the
-        rounding of that distance: some 1e-16 of the coordinates, against
-        the 1e-9 of _MARGIN.
+        not at all.
         """
         S, n = X.shape
         split, lat = self.split, self.st_lat
@@ -656,12 +631,8 @@ class RowEngine:
             # the rows _decide left undecided, flowed
             visit(src, split.inputs[f], Z, cells)
 
-        src, f = np.nonzero(_decide(split, E, pad, lat,
-                                    ((P - half).T, (P + half).T),
-                                    hand_over if cells_suffice else None, K))
-        if nearest:
-            near = _nearest(split, E, pad, K, P, half, src, f)
-            src, f = src[near], f[near]
+        src, f = np.nonzero(_decide(split, E, pad, lat, P, half,
+                                    None if nearest else hand_over, K))
         self._flow_rows(X, src, f, split.inputs, on_tile)
         return S * n_c + src.size, landed
 
@@ -707,7 +678,7 @@ def build_abstraction(sys: ControlSystem, spec: AbstractionSpec,
             out[src, cols] = cells
 
         flowed, landed = engine.run(X, np.broadcast_to(centre, X.shape),
-                                    half, write, cells_suffice=True)
+                                    half, write, nearest=False)
         rows += flowed
         rows_landed += landed
     fs = FiniteSystem(pts, st_lat.outer_range_indices(sys.init_box),

@@ -720,15 +720,23 @@ def derivative(expr: Expr, var: Var) -> Expr:
     """The partial derivative of `expr` with respect to `var`, with products
     and sums of constants folded.  abs differentiates to sign, whose
     enclosure over an interval holding 0 is the subgradient [-1, 1], and
-    sign to 0 / a, which `enclose` refuses over an interval holding 0."""
+    sign to 0 / a, which `enclose` refuses over an interval holding 0.
+    Each node is differentiated once per call (memo, by node id; the nodes
+    are those of `expr`, alive for the whole call), so a subtree the
+    expression shares, as a derivative shares its operands, has one
+    derivative, shared in turn."""
+    memo = {}
+
     def d(e: Expr) -> Expr:
         if isinstance(e, Num):
             return Num(0.0)
         if isinstance(e, Var):
             return Num(1.0 if e == var else 0.0)
+        if id(e) in memo:
+            return memo[id(e)]
         if isinstance(e, Neg):
-            return _neg(d(e.operand))
-        if isinstance(e, Call):
+            r = _neg(d(e.operand))
+        elif isinstance(e, Call):
             a, da = e.arg, d(e.arg)
             outer = {"sin": lambda: Call("cos", a),
                      "cos": lambda: Neg(Call("sin", a)),
@@ -737,22 +745,27 @@ def derivative(expr: Expr, var: Var) -> Expr:
                      "abs": lambda: Call("sign", a),
                      "log": lambda: _quot(Num(1.0), a),
                      "sign": lambda: Bin("/", Num(0.0), a)}[e.func]
-            return Num(0.0) if _is(da, 0.0) else _prod(outer(), da)
-        a, b = e.left, e.right
-        da, db = d(a), d(b)
-        if e.op == "+":
-            return _sum(da, db)
-        if e.op == "-":
-            return _diff(da, db)
-        if e.op == "*":
-            return _sum(_prod(da, b), _prod(a, db))
-        if e.op == "/":
-            return _diff(_quot(da, b), _quot(_prod(a, db), _power(b, 2.0)))
-        if isinstance(b, Num):
-            return _prod(_prod(Num(b.value), _power(a, b.value - 1.0)), da)
-        # a^b = exp(b log a)
-        return _prod(e, _sum(_prod(db, Call("log", a)),
-                             _quot(_prod(b, da), a)))
+            r = Num(0.0) if _is(da, 0.0) else _prod(outer(), da)
+        else:
+            a, b = e.left, e.right
+            da, db = d(a), d(b)
+            if e.op == "+":
+                r = _sum(da, db)
+            elif e.op == "-":
+                r = _diff(da, db)
+            elif e.op == "*":
+                r = _sum(_prod(da, b), _prod(a, db))
+            elif e.op == "/":
+                r = _diff(_quot(da, b),
+                          _quot(_prod(a, db), _power(b, 2.0)))
+            elif isinstance(b, Num):
+                r = _prod(_prod(Num(b.value), _power(a, b.value - 1.0)), da)
+            else:
+                # a^b = exp(b log a)
+                r = _prod(e, _sum(_prod(db, Call("log", a)),
+                                  _quot(_prod(b, da), a)))
+        memo[id(e)] = r
+        return r
     return d(expr)
 
 

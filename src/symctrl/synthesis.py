@@ -28,9 +28,10 @@ from .tsys import (FiniteSystem, _rows, compose, nonblocking_part,
 # holds _SCAN_ROWS // (inputs) states.  What a chunk holds grows with its
 # rows, a keep-mask per row, not with the coarse rows it flows first and
 # whose endpoints it keeps, which are 2 per state on an affine plant with
-# one input.  The rows a chunk flows do not depend on its size: each
-# state's rows are decided from its own coarse rows alone
-# (abstraction.RowEngine.run)
+# one input; the proof holds its chords and distance bounds a slice of
+# states at a time (abstraction._decide).  The rows a chunk flows do not
+# depend on its size: each state's rows are decided from its own coarse
+# rows alone (abstraction.RowEngine.run)
 _SCAN_ROWS = 1 << 18
 
 # input scan result of a state where no input lands
@@ -282,26 +283,28 @@ def _scan_inputs(engine: RowEngine, st_pts: np.ndarray, xs: np.ndarray,
     the coarse inputs and the rows whose padded chord may land there (on
     an affine plant the input box's corners and the rows whose chord may).
     Of those it flows only the ones that may land nearest the centre
-    (RowEngine.run with `nearest`): a row whose chord puts it, padded,
-    strictly farther from the centre than another row proved to land is
-    skipped, and the rows it proves to land are flowed too, since the
-    choice needs their endpoints.  The inequality is strict, so every row
-    as near as the nearest landing, ties included, is flowed; and the
-    pads that cover the kernel's rounding cover that of the distance
-    bounds too.  A pruned input would not have landed, or not nearest, so
-    the choice is that of a scan of every input.
+    (RowEngine.run with `nearest`): the proof drops a row whose chord puts
+    it, padded, strictly farther from the centre than another row proved
+    to land (abstraction._decide), and the rows it proves to land are
+    flowed too, since the choice needs their endpoints.  The inequality is
+    strict, so every row as near as the nearest landing, ties included, is
+    flowed; and the pads that cover the kernel's rounding cover that of
+    the distance bounds too.  A pruned input would not have landed, or not
+    nearest, so the choice is that of a scan of every input.
     """
     P = st_pts[ys]
     hits = []  # (state, input, distance to the center) of the landing rows
 
     def land(src, cols, Z, cells):
-        hit = cells == ys[src]
-        hits.append((src[hit], cols[hit],
-                     np.max(np.abs(Z[hit] - P[src[hit]]), axis=1)))
+        # 1-D takes: fancy indexing copies narrow rows element by element
+        hit = np.flatnonzero(cells == ys.take(src))
+        src = src.take(hit)
+        hits.append((src, cols.take(hit),
+                     np.max(np.abs(Z.take(hit, axis=0) - P.take(src, axis=0)),
+                            axis=1)))
 
     half = np.full(st_pts.shape[1], engine.st_lat.spacing / 2.0)
-    flowed, _ = engine.run(st_pts[xs], P, half, land, cells_suffice=False,
-                           nearest=True)
+    flowed, _ = engine.run(st_pts[xs], P, half, land, nearest=True)
     # per state, the landing row nearest the center, then the lowest input,
     # in whatever order the workers handed the tiles over
     src, cols, d = (np.concatenate(a) for a in zip(*hits))

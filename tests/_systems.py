@@ -2,14 +2,14 @@
 `configs/`, loaded as the `symctrl` commands load them (`config`; the toy
 pair, the eight linear benchmark pairs and the 3-D nonlinear tracking pair
 as `(plant, specification, params)`), a 4-D field that uses every
-operator, the hypothesis strategies `problems` of random small plant and
-specification pairs and `affine_plants` of random affine plants, and
+operator, `problems`, seeded draws of random small plant and
+specification pairs, and `affine_plants`, of random affine plants, and
 `STIFF_AFFINE`, affine plants on which an RK4 substep overshoots.
 """
 
 import os
 
-from hypothesis import strategies as st
+import numpy as np
 
 from symctrl import (AbstractionSpec, ControlSystem, StabilityCertificate,
                      SynthesisParams, parse_expression)
@@ -57,28 +57,53 @@ def every_operator_system():
 
 
 # ---- random problems ----------------------------------------------------------
+#
+# Each draw comes from a numpy generator seeded with (seed, index), so that it
+# depends on those two numbers alone and the coverage floors that tests count
+# over the draws stay where they are.  Hypothesis's derandomized draws also
+# mix in the literals of the modules under test and the test's own source, so
+# an edit to either moved them.
 
-def _constant():
-    return st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: repr(round(v, 3)))
+class Draw:
+    """Uniform draws from the generator seeded with (seed, index)."""
+
+    def __init__(self, seed: int, index: int):
+        self.rng = np.random.default_rng([seed, index])
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An integer of [lo, hi]."""
+        return int(self.rng.integers(lo, hi, endpoint=True))
+
+    def floats(self, lo: float, hi: float) -> float:
+        return float(self.rng.uniform(lo, hi))
+
+    def choice(self, options):
+        return options[self.integers(0, len(options) - 1)]
 
 
-def terms(names):
-    """Expression text over `names`: the four operators, the five functions
-    and integer and fractional powers.  Division, sqrt and the powers -1
-    and 0.5 are drawn less often: near 0 their derivatives are unbounded,
-    so the scan keeps every input of the states that reach there."""
-    leaf = st.one_of(st.sampled_from(names), _constant())
-
-    def grow(kids):
-        return st.one_of(
-            st.tuples(kids, st.sampled_from("++--**/"), kids).map(
-                lambda t: f"({t[0]} {t[1]} {t[2]})"),
-            st.tuples(st.sampled_from(("sin", "cos", "exp", "abs") * 2
-                                      + ("sqrt",)),
-                      kids).map(lambda t: f"{t[0]}({t[1]})"),
-            st.tuples(kids, st.sampled_from(("2", "3") * 2 + ("-1", "0.5"))
-                      ).map(lambda t: f"({t[0]})^{t[1]}"))
-    return st.recursive(leaf, grow, max_leaves=4)
+def terms(draw: Draw, names, leaves: int = 4, depth: int = 3) -> str:
+    """Expression text over `names`, of at most `leaves` leaves nested at
+    most `depth` deep, a leaf two times in three at each level: the four
+    operators, the five functions and integer and fractional powers.
+    Division, sqrt and the powers -1 and 0.5 are drawn less often: near 0
+    their derivatives are unbounded, so the scan keeps every input of the
+    states that reach there."""
+    if not depth or draw.integers(0, 2):
+        if draw.integers(0, 1):
+            return draw.choice(names)
+        return repr(round(draw.floats(-2.0, 2.0), 3))
+    kind = draw.choice(("op", "call", "power") if leaves > 1
+                       else ("call", "power"))
+    if kind == "op":
+        k = draw.integers(1, leaves - 1)
+        return (f"({terms(draw, names, k, depth - 1)} "
+                f"{draw.choice('++--**/')} "
+                f"{terms(draw, names, leaves - k, depth - 1)})")
+    inner = terms(draw, names, leaves, depth - 1)
+    if kind == "call":
+        return (f"{draw.choice(('sin', 'cos', 'exp', 'abs') * 2 + ('sqrt',))}"
+                f"({inner})")
+    return f"({inner})^{draw.choice(('2', '3') * 2 + ('-1', '0.5'))}"
 
 
 # terms that blow up, leave the domain or stiffen the flow on parts of the
@@ -94,58 +119,64 @@ INPUT_HALF = {1: 40, 2: 5}
 MULTI_WAVE_DRAWS = 100
 
 
-@st.composite
-def problems(draw, drifting=False, shifted=False):
-    """A random plant and specification pair; with `drifting`, the initial
-    box is a corner sub-box and the specification contracts toward a centre
-    outside it, so that synthesis runs over several waves.  With `shifted`,
-    the plant's initial box is at most one cell wide and the
-    specification's is the plant's shifted by up to one cell per axis, so
-    that the two may be disjoint and still share outward-rounded cells."""
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 2))
+def problems(count: int, seed: int, drifting=False, shifted=False) -> list:
+    """`count` random plant and specification pairs, (plant, spec, params,
+    substeps), drawn with `seed`; with `drifting`, the initial box is a
+    corner sub-box and the specification contracts toward a centre outside
+    it, so that synthesis runs over several waves.  With `shifted`, the
+    plant's initial box is at most one cell wide and the specification's is
+    the plant's shifted by up to one cell per axis, so that the two may be
+    disjoint and still share outward-rounded cells."""
+    return [_problem(Draw(seed, i), drifting, shifted) for i in range(count)]
+
+
+def _problem(draw: Draw, drifting: bool, shifted: bool):
+    n = draw.integers(1, 3)
+    m = draw.integers(1, 2)
     xs = [f"x{i + 1}" for i in range(n)]
     us = [f"u{j + 1}" for j in range(m)]
-    w = draw(st.floats(0.5, 1.5))
-    eta = w / draw(st.integers(2, STATE_HALF[n])) / 2.0
-    r = draw(st.floats(0.5, 2.0))
-    mu = r / draw(st.integers(2, INPUT_HALF[m])) / 2.0
-    tau = draw(st.floats(0.2, 1.0))
-    substeps = draw(st.sampled_from((1, 2) + (5, 10) * 3))
+    w = draw.floats(0.5, 1.5)
+    eta = w / draw.integers(2, STATE_HALF[n]) / 2.0
+    r = draw.floats(0.5, 2.0)
+    mu = r / draw.integers(2, INPUT_HALF[m]) / 2.0
+    tau = draw.floats(0.2, 1.0)
+    substeps = draw.choice((1, 2) + (5, 10) * 3)
     spec_field, plant_field = [], []
+    # the plant may be unstable where the specification is not, in half the
+    # draws: there RK4's higher-order terms raise the growth above the
+    # first-order one.  In the other half it is the specification plus its
+    # inputs, a small term and the blow-ups, and so controlled more often
+    unstable = draw.integers(0, 1)
     if drifting:
         # per axis, the initial box is the low or the high quarter of the
         # state box and the centre lies in the other half
-        sides = [draw(st.sampled_from((-1, 1))) for _ in range(n)]
-        centre = [-side * draw(st.floats(0.0, 0.8 * w)) for side in sides]
+        sides = [draw.choice((-1, 1)) for _ in range(n)]
+        centre = [-side * draw.floats(0.0, 0.8 * w) for side in sides]
     for i in range(n):
-        a = draw(st.floats(0.5, 3.0))
-        b = draw(st.floats(-0.5, 0.5))
-        spec_i = f"{-a}*x{i + 1} + {b}*{draw(terms(xs))}"
+        a = draw.floats(0.5, 3.0)
+        b = draw.floats(-0.5, 0.5)
+        spec_i = f"{-a}*x{i + 1} + {b}*{terms(draw, xs)}"
         if drifting:
             spec_i += f" + {a * centre[i]}"
         gains = " + ".join(
-            f"{draw(st.sampled_from((-1, 1))) * draw(st.floats(0.5, 2.0))}*{u}"
-            for u in us)
-        d = draw(st.floats(-0.2, 0.2))
-        blow = draw(st.sampled_from(BLOW_UPS))
-        # the plant may be unstable where the specification is not: there
-        # RK4's higher-order terms raise the growth above the first-order one
-        k = draw(st.floats(0.0, 3.0))
+            f"{draw.choice((-1, 1)) * draw.floats(0.5, 2.0)}*{u}" for u in us)
+        d = draw.floats(-0.2, 0.2)
+        blow = draw.choice(BLOW_UPS)
+        k = draw.floats(0.0, 3.0) if unstable else 0.0
         plant_field.append(f"{spec_i} + {k}*x{i + 1} + {gains} + "
-                           f"{d}*{draw(terms(xs + us))} + {blow}")
+                           f"{d}*{terms(draw, xs + us)} + {blow}")
         spec_field.append(spec_i)
     box = [[-w, w]] * n
     if drifting:
         init = spec_init = [sorted((side * w / 2, side * w)) for side in sides]
     elif shifted:
         # one cell, 2 eta, is at most w / 2: both boxes stay inside the box
-        lo = draw(st.floats(-w / 2, 0.0))
-        init = [[lo, lo + draw(st.floats(0.0, 2 * eta))]] * n
+        lo = draw.floats(-w / 2, 0.0)
+        init = [[lo, lo + draw.floats(0.0, 2 * eta)]] * n
         spec_init = [[a + s, b + s] for a, b in init
-                     for s in [draw(st.floats(-2 * eta, 2 * eta))]]
+                     for s in [draw.floats(-2 * eta, 2 * eta)]]
     else:
-        init = spec_init = [[-w / 2, draw(st.floats(0.0, w / 2))]] * n
+        init = spec_init = [[-w / 2, draw.floats(0.0, w / 2)]] * n
     plant = ControlSystem(
         n=n, m=m, state_box=box, init_box=init, input_box=[[-r, r]] * m,
         field=tuple(parse_expression(t, n, m) for t in plant_field),
@@ -159,32 +190,35 @@ def problems(draw, drifting=False, shifted=False):
     return plant, spec, params, substeps
 
 
-@st.composite
-def affine_plants(draw):
-    """A random plant with an affine field, n and m of 1 or 2, and its
-    abstraction spec.  One input gain in four is huge, so that the flows
-    overflow for some inputs and not for others."""
-    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+def affine_plants(count: int, seed: int) -> list:
+    """`count` random plants with an affine field, n and m of 1 or 2, and
+    their abstraction specs, drawn with `seed`.  One input gain in four is
+    huge, so that the flows overflow for some inputs and not for others."""
+    return [_affine_plant(Draw(seed, i)) for i in range(count)]
+
+
+def _affine_plant(draw: Draw):
+    n, m = draw.integers(1, 2), draw.integers(1, 2)
 
     def coefficient(huge=False):
-        if huge and not draw(st.integers(0, 3)):
-            return draw(st.sampled_from((-1.0, 1.0))) * draw(
-                st.sampled_from((1e150, 1e307, 5e307, 1e308)))
-        return round(draw(st.floats(-3.0, 3.0)), 3)
+        if huge and not draw.integers(0, 3):
+            return draw.choice((-1.0, 1.0)) * draw.choice(
+                (1e150, 1e307, 5e307, 1e308))
+        return round(draw.floats(-3.0, 3.0), 3)
 
     field = tuple(parse_expression(" + ".join(
         [f"{coefficient()!r}*x{i + 1}" for i in range(n)]
         + [f"{coefficient(huge=True)!r}*u{j + 1}" for j in range(m)]
         + [repr(coefficient())]), n, m) for _ in range(n))
-    w, r = draw(st.floats(0.5, 1.5)), draw(st.floats(0.5, 2.0))
+    w, r = draw.floats(0.5, 1.5), draw.floats(0.5, 2.0)
     plant = ControlSystem(n=n, m=m, state_box=[[-w, w]] * n,
                           init_box=[[-w, w]] * n, input_box=[[-r, r]] * m,
                           field=field)
     spec = AbstractionSpec(
-        tau=draw(st.floats(0.2, 1.0)),
-        eta=w / draw(st.integers(2, (12, 5)[n - 1])) / 2.0,
-        mu=r / draw(st.integers(4, (40, 6)[m - 1])) / 2.0,
-        substeps=draw(st.sampled_from((1, 2, 5, 10))))
+        tau=draw.floats(0.2, 1.0),
+        eta=w / draw.integers(2, (12, 5)[n - 1]) / 2.0,
+        mu=r / draw.integers(4, (40, 6)[m - 1]) / 2.0,
+        substeps=draw.choice((1, 2, 5, 10)))
     return plant, spec
 
 

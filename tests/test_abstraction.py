@@ -2,7 +2,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
 
 from symctrl import (AbstractionSpec, ControlSystem, ResourceLimitError,
                      StabilityCertificate, SynthesisParams, abstraction,
@@ -209,38 +208,32 @@ def test_abstraction_equals_full_sweep_on_random_problems(monkeypatch):
             "landing": False}
     decide = abstraction._decide
 
-    def counting(split, E, pad, lat, box, lands, *rest):
+    def counting(split, E, pad, lat, P, half, lands, K):
         def landing(src, f, cells):
             seen["landing"] = True
             lands(src, f, cells)
 
-        keep = decide(split, E, pad, lat, box, landing if lands else None,
-                      *rest)
+        keep = decide(split, E, pad, lat, P, half,
+                      landing if lands else None, K)
         seen["pruning"] |= not keep.all()
         return keep
 
     monkeypatch.setattr(abstraction, "_decide", counting)
-    for drifting in (False, True):
-        @settings(derandomize=True, max_examples=50, deadline=None,
-                  suppress_health_check=[HealthCheck.too_slow,
-                                         HealthCheck.data_too_large])
-        @given(problems(drifting=drifting))
-        def check(problem):
-            seen["pruning"] = seen["landing"] = False
-            plant, spec, params, substeps = problem
-            fp = assert_matches_full_sweep(
-                plant, AbstractionSpec(params.tau, params.eta, params.mu,
-                                       substeps))
-            assert (fp.rows_landed > 0) == seen["landing"]
-            # the specification has no inputs to prune
-            fq = assert_matches_full_sweep(
-                spec, AbstractionSpec(params.tau, params.eta, None, substeps))
-            assert fq.rows_flowed == fq.n_states and fq.rows_landed == 0
-            seen["examples"] += 1
-            seen["pruned"] += seen["pruning"]
-            seen["landed"] += seen["landing"]
-
-        check()
+    for plant, spec, params, substeps in (problems(50, seed=4)
+                                          + problems(50, seed=5,
+                                                     drifting=True)):
+        seen["pruning"] = seen["landing"] = False
+        fp = assert_matches_full_sweep(
+            plant, AbstractionSpec(params.tau, params.eta, params.mu,
+                                   substeps))
+        assert (fp.rows_landed > 0) == seen["landing"]
+        # the specification has no inputs to prune
+        fq = assert_matches_full_sweep(
+            spec, AbstractionSpec(params.tau, params.eta, None, substeps))
+        assert fq.rows_flowed == fq.n_states and fq.rows_landed == 0
+        seen["examples"] += 1
+        seen["pruned"] += seen["pruning"]
+        seen["landed"] += seen["landing"]
     # the draws must exercise the pruning, and the landing proofs among it;
     # many of them leave the cover only through blow-ups, or are too stiff
     # for a sure curvature bound
@@ -354,13 +347,7 @@ def test_affine_plants_equal_the_full_sweep():
     # with one and two inputs, and where some corners overflow, so that
     # their chords are NaN or huge
     seen = {"examples": 0, "landed": 0, "overflowed": 0, "inputs": set()}
-
-    @settings(derandomize=True, max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(affine_plants())
-    def check(problem):
-        plant, spec = problem
+    for plant, spec in affine_plants(60, seed=6):
         assert engine_of(plant, spec).split.curv is None
         fs = assert_matches_full_sweep(plant, spec)
         X = np.repeat(fs.outputs, fs.n_inputs, axis=0)
@@ -372,8 +359,6 @@ def test_affine_plants_equal_the_full_sweep():
         # a plant that overflows on some rows
         seen["overflowed"] += 0 < finite.sum() < finite.size
         seen["inputs"].add(plant.m)
-
-    check()
     assert seen["inputs"] == {1, 2}
     assert seen["landed"] >= seen["examples"] // 4
     assert seen["overflowed"] > 0
@@ -408,58 +393,48 @@ def landing_problems():
 LANDING_PROBLEMS = landing_problems()
 
 
-def test_cells_suffice_changes_only_the_rows_flowed():
-    # handing the rows proved to land over as cells (the baseline's choice)
-    # and flowing them (the integrated route's) give the same successors in
-    # the box, against the cover and against each state's own cell.  The
-    # fixed landing problems must land rows whatever the draws do
+def test_handed_over_cells_equal_the_full_sweep():
+    # the sweep's rows, handed over as the cells they are proved to land in
+    # or flowed, give the full sweep's successors in the box, against the
+    # cover and against each state's own cell.  The fixed landing problems
+    # must land rows whatever the draws do
     seen = {"examples": 0, "landed": 0}
-
-    @settings(derandomize=True, max_examples=50, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(problems())
-    @example(LANDING_PROBLEMS[0])
-    @example(LANDING_PROBLEMS[1])
-    def check(problem):
+    for problem in LANDING_PROBLEMS + problems(50, seed=7):
         plant, _, params, substeps = problem
+        spec = AbstractionSpec(params.tau, params.eta, params.mu, substeps)
         st_lat = Lattice(plant.state_box, 2.0 * params.eta)
-        engine = abstraction.RowEngine(
-            plant, st_lat, Lattice(plant.input_box, 2.0 * params.mu),
-            params.tau, substeps)
+        engine = engine_of(plant, spec)
         X, s = st_lat.points(), st_lat.spacing
         own, hit = np.arange(X.shape[0]), False
+        ref = np.full((X.shape[0], engine.inputs.shape[0]), -1)
+        src, uix, dst = full_sweep(plant, spec).T
+        ref[src, uix] = dst
         boxes = [(np.broadcast_to((st_lat.kmin + st_lat.kmax) * (s / 2.0),
                                   X.shape), st_lat.counts * (s / 2.0), None),
                  (X, np.full(X.shape[1], s / 2.0), own)]
         for P, half, target in boxes:
-            succ, landed = [], []
-            for cells_suffice in (False, True):
-                out = np.full((X.shape[0], engine.inputs.shape[0]), -1)
-                bare = [0]
+            out = np.full(ref.shape, -1)
+            bare = [0]
 
-                def write(src, cols, Z, cells):
-                    if Z is None:
-                        # a slice of states' rows over cols, -1 where a row
-                        # is not proved to land
-                        at, k = np.nonzero(cells >= 0)
-                        src, cols, cells = own[src][at], cols[k], cells[at, k]
-                        bare[0] += src.size
-                    inside = (cells >= 0 if target is None
-                              else cells == target[src])
-                    out[src[inside], cols[inside]] = cells[inside]
+            def write(src, cols, Z, cells):
+                if Z is None:
+                    # a slice of states' rows over cols, -1 where a row is
+                    # not proved to land
+                    at, k = np.nonzero(cells >= 0)
+                    src, cols, cells = own[src][at], cols[k], cells[at, k]
+                    bare[0] += src.size
+                inside = (cells >= 0 if target is None
+                          else cells == target[src])
+                out[src[inside], cols[inside]] = cells[inside]
 
-                _, rows_landed = engine.run(X, P, half, write, cells_suffice)
-                assert rows_landed == bare[0]
-                succ.append(out)
-                landed.append(rows_landed)
-            assert np.array_equal(succ[0], succ[1])
-            assert landed[0] == 0
-            hit |= landed[1] > 0
+            _, rows_landed = engine.run(X, P, half, write, nearest=False)
+            assert rows_landed == bare[0]
+            want = ref if target is None else np.where(
+                ref == target[:, None], ref, -1)
+            assert np.array_equal(out, want)
+            hit |= rows_landed > 0
         assert hit or all(problem is not p for p in LANDING_PROBLEMS)
         seen["examples"] += 1
         seen["landed"] += hit
-
-    check()
     # the landing proofs must decide rows in some draws
     assert seen["landed"] >= seen["examples"] // 4

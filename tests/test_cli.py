@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from symctrl.cli import (ConfigError, load_config, main, read_controller_file,
@@ -304,14 +304,23 @@ def _config_docs(draw, flows=False):
 
 def test_validate_params_survives_any_config(tmp_path, capsys):
     # a config drawn from the loader's schema exits 0, 1 or 2, with no
-    # exception; the draws reach every one of the three
+    # exception; the pinned examples reach every one of the three, whatever
+    # the draws: the toy config, the nonlinear one, whose plant inequality
+    # fails, and a field that does not parse
     path = str(tmp_path / "drawn.json")
     seen = {0: 0, 1: 0, 2: 0}
+    with open(NONLINEAR) as fh:
+        nonlinear = json.load(fh)
+    junk = toy_doc()
+    junk["plant"]["field"] = ["x1 +"]
 
     @settings(derandomize=True, max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(_config_docs())
+    @example(toy_doc())
+    @example(nonlinear)
+    @example(junk)
     def check(doc):
         write_json(path, doc)
         code = main(["validate-params", path])
@@ -330,11 +339,16 @@ def test_synthesize_and_compare_survive_any_config(tmp_path, capsys):
     # other than bisimilar
     path = str(tmp_path / "drawn.json")
     seen = set()
+    # the pinned example, the toy config on coarse lattices, synthesizes
+    # and compares with exit 0 whatever the draws
+    coarse = toy_doc()
+    coarse["params"].update(eta=0.25, mu=0.25, substeps=2)
 
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(_config_docs(flows=True))
+    @example(coarse)
     def check(doc):
         write_json(path, doc)
         for argv in (["synthesize", path, "--force", "--method", "integrated"],
@@ -828,9 +842,14 @@ def test_drawn_bodies_read_as_line_by_line(tmp_path):
     header = "".join(path.read_text().splitlines(keepends=True)[:7])
     seen = {"read": 0, "line": 0, "file": 0}
 
+    # the pinned examples read, fail on a line and fail on the whole file,
+    # whatever the draws
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_controller_bodies(ctrl.n_states, ctrl.n_inputs))
+    @example("0 0 1\n")
+    @example("0 0 x\n")
+    @example("#initials 99\n")
     def check(body):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(header + body)

@@ -400,6 +400,32 @@ DEEP = {
 }
 
 
+def distinct_nodes(e) -> int:
+    """The nodes of a tree, each shared subtree counted once."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, k) for k in ("operand", "arg", "left",
+                                                    "right")
+                         if hasattr(node, k))
+    return len(seen)
+
+
+@pytest.mark.parametrize("shape, k", [("exponents", 40), ("functions", 127)])
+def test_a_second_derivative_shares_its_subtrees(shape, k):
+    # a derivative shares its operands' subtrees, and differentiating it
+    # again differentiates each shared node once: the curvature bound's
+    # second derivatives of a 40-deep x1^x1^... (79 nodes) and a 126-deep
+    # sin(sin(...)) (127 nodes) hold 1,010 and 1,377 distinct nodes, where
+    # a derivative that shares nothing held 8,344 and 16,753
+    e = parse_expression(DEEP[shape](k), 1, 1)
+    x1 = Var("x", 0)
+    d2 = derivative(derivative(e, x1), x1)
+    assert distinct_nodes(d2) <= 16 * distinct_nodes(e)
+
+
 @pytest.mark.parametrize("shape", DEEP)
 def test_expressions_nest_at_most_max_depth(shape):
     # at the limit every walker over the tree runs, the derivative (up to

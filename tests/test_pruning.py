@@ -15,7 +15,6 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
 
 from symctrl import (AbstractionSpec, ControlSystem, Controller, Lattice,
                      StabilityCertificate, SynthesisParams, abstraction,
@@ -140,41 +139,47 @@ def assert_matches_full_scan(plant, spec, params, substeps, stats=None):
     return ctrl, m
 
 
+def off_the_box(split, E, pad, P, half, K):
+    """Over the rows (state s, split.inputs[f]) that abstraction._decide
+    decides from these arguments, whether the row's chord, padded as the
+    proof pads it, lies off its state's box on some axis: the rows the
+    proof drops as misses."""
+    off = np.zeros((P.shape[0], split.inputs.size), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for ax, e in enumerate(E):
+            c = e.T @ split.weight
+            m2 = 2.0 * pad[ax][:, None]
+            if K is not None:
+                m2 = m2 + K[:, ax] @ split.curv
+            off |= c < P[:, ax, None] - half[ax] - m2
+            off |= c > P[:, ax, None] + half[ax] + m2
+    return off
+
+
 def test_pruned_scan_equals_full_scan_on_random_problems(monkeypatch):
     seen = {"examples": 0, "pruned": 0, "controlled": 0, "pruning": False}
-    # the draws in which the distance bound skipped rows, by their count
-    # before them; `check` is left as it was, since Hypothesis derives its
-    # derandomized draws from the test's source
+    # the draws in which the distance bound dropped rows, by their count
+    # before them
     skipped = set()
-    decide, nearest = abstraction._decide, abstraction._nearest
+    decide = abstraction._decide
 
-    def counting(*args):
-        keep = decide(*args)
+    def counting(split, E, pad, lat, P, half, lands, K):
+        keep = decide(split, E, pad, lat, P, half, lands, K)
         seen["pruning"] |= not keep.all()
+        # the scan's rows dropped with a padded chord that is not off the
+        # box: dropped as farther from the centre than a landing
+        if lands is None and np.any(~keep & ~off_the_box(split, E, pad, P,
+                                                         half, K)):
+            skipped.add(seen["examples"])
         return keep
 
-    def skipping(*args):
-        near = nearest(*args)
-        if not near.all():
-            skipped.add(seen["examples"])
-        return near
-
     monkeypatch.setattr(abstraction, "_decide", counting)
-    monkeypatch.setattr(abstraction, "_nearest", skipping)
-
-    @settings(derandomize=True, max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(problems())
-    def check(problem):
+    for problem in problems(100, seed=1):
         seen["pruning"] = False
-        plant, spec, params, substeps = problem
-        ctrl, _ = assert_matches_full_scan(plant, spec, params, substeps)
+        ctrl, _ = assert_matches_full_scan(*problem)
         seen["examples"] += 1
         seen["pruned"] += seen["pruning"]
         seen["controlled"] += ctrl.n_transitions > 0
-
-    check()
     # the draws must exercise the pruning on problems that control something,
     # and the distance bound's skips among it
     assert seen["pruned"] >= seen["examples"] // 3
@@ -182,17 +187,10 @@ def test_pruned_scan_equals_full_scan_on_random_problems(monkeypatch):
     assert len(skipped) >= seen["examples"] // 4
 
     waves = []
-
-    @settings(derandomize=True, max_examples=MULTI_WAVE_DRAWS, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(problems(drifting=True))
-    def check_drifting(problem):
+    for problem in problems(MULTI_WAVE_DRAWS, seed=2, drifting=True):
         stats = {}
         assert_matches_full_scan(*problem, stats=stats)
         waves.append((stats["waves"], stats["across"]))
-
-    check_drifting()
     # the next-wave logic, and blocking states back-propagated into the
     # transitions of earlier waves, must both be exercised
     assert sum(w > 1 for w, _ in waves) >= len(waves) // 3
@@ -236,27 +234,29 @@ def benchmark_problem(pair, eta=None):
     ids=["linear-pair", "nonlinear-pair", "landing-linear",
          "landing-nonlinear"])
 def test_rows_the_distance_bound_skips_are_not_nearest(monkeypatch, problem):
-    # every row the scan skipped by its chord's distance to the centre
-    # (abstraction._nearest), flowed: it misses its state's target cell, or
-    # lands strictly farther from the centre than the input the scan chose
+    # every row the scan's proof dropped (abstraction._decide without
+    # `lands`), flowed: it misses its state's target cell, or lands
+    # strictly farther from the centre than the input the scan chose
     plant, spec, params, substeps = problem
     skips, rows = [], []
-    nearest, scan = abstraction._nearest, synthesis._scan_inputs
+    decide, scan = abstraction._decide, synthesis._scan_inputs
 
-    def recording_nearest(split, E, pad, K, P, half, src, f):
-        near = nearest(split, E, pad, K, P, half, src, f)
-        skips.append((src[~near], split.inputs[f[~near]]))
-        return near
+    def recording_decide(split, E, pad, lat, P, half, lands, K):
+        keep = decide(split, E, pad, lat, P, half, lands, K)
+        if lands is None:
+            src, f = np.nonzero(~keep)
+            skips.append((src, split.inputs[f]))
+        return keep
 
     def recording_scan(engine, st_pts, xs, ys):
-        # one engine run, so at most one call of _nearest, per scan
+        # one engine run, so at most one call of _decide, per scan
         mark = len(skips)
         choice, flowed = scan(engine, st_pts, xs, ys)
         for src, u in skips[mark:]:
             rows.append((xs[src], ys[src], choice[src], u))
         return choice, flowed
 
-    monkeypatch.setattr(abstraction, "_nearest", recording_nearest)
+    monkeypatch.setattr(abstraction, "_decide", recording_decide)
     monkeypatch.setattr(synthesis, "_scan_inputs", recording_scan)
     synthesize_integrated(plant, spec, params, substeps, force=True)
     x, y, chosen, u = (np.concatenate(a) for a in zip(*rows))
@@ -275,7 +275,7 @@ def test_rows_the_distance_bound_skips_are_not_nearest(monkeypatch, problem):
     assert np.all(chosen[lands] >= 0)
     _, d_chosen = flow(np.maximum(chosen, 0))
     assert np.all(~lands | (d > d_chosen))
-    # rows that land, farther out, are skipped as well as misses
+    # rows that land, farther out, are dropped as well as misses
     assert lands.any()
 
 
@@ -357,15 +357,8 @@ def test_pruned_scan_equals_full_scan_on_affine_plants():
     # state's target cell, with one and two inputs, and where some corners
     # overflow, so that their chords are NaN or huge
     seen = {"examples": 0, "controlled": 0, "overflowed": 0, "inputs": set()}
-
-    @settings(derandomize=True, max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(affine_plants())
-    @example(OVERFLOWING)
-    @example(STIFF_AFFINE["1d-ha-1.8"])
-    def check(problem):
-        plant, quant = problem
+    for plant, quant in [OVERFLOWING, STIFF_AFFINE["1d-ha-1.8"],
+                         *affine_plants(60, seed=3)]:
         spec = ControlSystem(
             n=plant.n, m=0, state_box=plant.state_box,
             init_box=plant.init_box, input_box=[],
@@ -383,8 +376,6 @@ def test_pruned_scan_equals_full_scan_on_affine_plants():
         # a plant that overflows on some rows
         seen["overflowed"] += 0 < finite.sum() < finite.size
         seen["inputs"].add(plant.m)
-
-    check()
     assert seen["inputs"] == {1, 2}
     assert seen["controlled"] >= seen["examples"] // 4, seen
     assert seen["overflowed"] > 0, seen

@@ -171,30 +171,33 @@ class _GrowthBound:
     endpoint distance componentwise by G |du|.  G bounds the map the
     kernel runs, substep by substep, not the exact flow.  Let h = tau /
     substeps, and over a box D of states times the input hull take J, the
-    interval Jacobian df/dx, with L its Metzler bound (sup J_ii on the
-    diagonal, sup |J_ij| off it), M = sup |J| and W = sup |df/du|.  While
+    interval Jacobian df/dx, with M = sup |J| and W = sup |df/du|.  While
     both rows' stage points lie in D, the mean value theorem (row by row,
     on segments inside the box D) writes each stage difference as
     dk_s = J_s dy_s + W_s du, with dy_1 = dx, dy_2 = dx + h/2 dk_1,
     dy_3 = dx + h/2 dk_2, dy_4 = dx + h dk_3.  Expanding
-    dx+ = dx + h/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4):
+    dx+ = dx + h/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4) gives dx+ = T dx + ...
+    with T = I + h/6 (J_1 + 2 J_2 + 2 J_3 + J_4) + h^2/6 (J_2 J_1 + J_3 J_2
+    + J_4 J_3) + h^3/12 (J_3 J_2 J_1 + J_4 J_3 J_2) + h^4/24 J_4 J_3 J_2 J_1:
 
-    - order h: (I + h Jbar) dx with Jbar = (J_1 + 2 J_2 + 2 J_3 + J_4) / 6,
-      a convex mix of Jacobians in J.  So |I + h Jbar| <= I + h L entrywise
-      when 1 + h inf J_ii >= 0, and the contraction is kept;
-    - order h^2: h/6 * h (J_2 J_1 + J_3 J_2 + J_4 J_3) dx, at most
-      (hM)^2 / 2 |dx|;
-    - order h^3: h/6 * h^2 (J_3 J_2 J_1 / 2 + J_4 J_3 J_2 / 2) dx, at most
-      (hM)^3 / 6 |dx|;
-    - order h^4: h/6 * h^3 J_4 J_3 J_2 J_1 / 4 dx, at most (hM)^4 / 24 |dx|;
-    - the input terms, likewise: h/6 (W_1 + 2 W_2 + 2 W_3 + W_4) du, then
+    - off the diagonal, h^k times a product of k Jacobians is at most
+      (hM)^k entrywise, so |T_ij| <= (hM + (hM)^2/2 + (hM)^3/6
+      + (hM)^4/24)_ij;
+    - on it, the products through diagonal entries alone sum to p(e_1, e_2,
+      e_3, e_4), one RK4 substep of a scalar field (_peak), with e_s =
+      h (J_s)_ii in [h inf J_ii, h sup J_ii].  p is multilinear, so |p| is
+      greatest at one of the 16 vertices of that box, and a contracting
+      diagonal stays contracting.  The products through some entry off the
+      diagonal add at most ((hM)^k)_ii - (hM_ii)^k for k = 2, 3 and 4,
+      divided by 2, 6 and 24;
+    - the input terms: h/6 (W_1 + 2 W_2 + 2 W_3 + W_4) du, then
       h/6 * h (J_2 W_1 + J_3 W_2 + J_4 W_3) du, h/6 * h^2 (J_3 J_2 W_1 / 2
       + J_4 J_3 W_2 / 2) du and h/6 * h^3 J_4 J_3 J_2 W_1 / 4 du, at most
       h (W + hM W / 2 + (hM)^2 W / 6 + (hM)^3 W / 24) |du|.
 
-    So |dx+| <= A |dx| + B |du| with A = I + hL + (hM)^2/2 + (hM)^3/6 +
-    (hM)^4/24 and B = h (W + hM W/2 + (hM)^2 W/6 + (hM)^3 W/24), and from
-    dx = 0, G is B iterated `substeps` times through A.  With R the largest
+    So |dx+| <= A |dx| + B |du| with A those bounds on |T| and B = h (W +
+    hM W/2 + (hM)^2 W/6 + (hM)^3 W/24), and from dx = 0, G is B iterated
+    `substeps` times through A.  With R the largest
     G before a substep, the stage points move by at most |dy_1| <= R,
     |dy_2| <= Y2 = R + h/2 (M R + W), |dy_3| <= Y3 = R + h/2 (M Y2 + W) and
     |dy_4| <= Y4 = R + h (M Y3 + W) per unit of |du|.
@@ -212,10 +215,13 @@ class _GrowthBound:
     An affine field's K is 0, and RowEngine builds no bound for it.
 
     Both sums run by binary powering (_sums), in about 2 log2(substeps)
-    stacked matrix products instead of one per substep.  Wherever a box is
-    ok, A >= 0 entrywise: off the diagonal it sums products of M >= 0, and
-    on it 1 + h sup J_ii + ... >= 1 + h inf J_ii >= 0; B and C are >= 0 as
-    well.  So the partial sums grow with every substep, and R, the largest
+    stacked matrix products instead of one per substep.  A >= 0
+    entrywise: off the diagonal it sums products of M >= 0, and on it |p|
+    and the remainders, which stay >= 0 in floating point too.
+    ((hM)^k)_ii sums terms >= 0, one of them hM_ii times the power below's
+    diagonal entry, and rounding to nearest is monotone, so it is at least
+    (hM_ii)^k taken by the same products.  B and C are >= 0 as well.  So
+    the partial sums grow with every substep, and R, the largest
     before a substep, is the sum over substeps - 1 of them; G = A R + B.
     Powering adds the same terms in another order, so G, R and K differ
     from the sums taken term by term only in rounding, each product's
@@ -238,9 +244,9 @@ class _GrowthBound:
     all the mean value theorem needs.
     Both D and the proof get a rounding margin of _MARGIN (unit +
     |value|), with `unit` that of RowEngine.  A box is refused when an
-    enclosure is unbounded or undefined, when 1 + h inf J_ii < 0, when
-    no g is accepted within _REGION_ROUNDS tries, or when its K is not
-    finite (K only grows with D, so no larger g would help).
+    enclosure is unbounded or undefined, when no g is accepted within
+    _REGION_ROUNDS tries, or when its K is not finite (K only grows with
+    D, so no larger g would help).
     """
 
     def __init__(self, plant: ControlSystem, u_pts: np.ndarray, tau: float,
@@ -275,13 +281,20 @@ class _GrowthBound:
         with np.errstate(all="ignore"):
             mag = np.maximum(np.abs(Jlo), np.abs(Jhi))
             M, W = mag[..., :n], mag[..., n:]
-            L = M.copy()
-            L[..., d, d] = Jhi[..., d, d]
-            ok = ok & np.all(1.0 + h * Jlo[..., d, d] >= 0.0, axis=-1)
             hM = h * M
             P2 = hM @ hM
             P3 = P2 @ hM
-            A = np.eye(n) + h * L + P2 / 2 + P3 / 6 + P3 @ hM / 24
+            P4 = P3 @ hM
+            A = hM + P2 / 2 + P3 / 6 + P4 / 24
+            # the diagonal: p's peak, and the products through entries off
+            # it, each a power's diagonal less hM_ii's power
+            m1 = hM[..., d, d]
+            m2 = m1 * m1
+            m3 = m2 * m1
+            A[..., d, d] = (_peak(h * Jlo[..., d, d], h * Jhi[..., d, d])
+                            + (P2[..., d, d] - m2) / 2
+                            + (P3[..., d, d] - m3) / 6
+                            + (P4[..., d, d] - m3 * m1) / 24)
 
             def term(V, rows):
                 # h (V + hM V/2 + (hM)^2 V/6 + (hM)^3 V/24) over the boxes
@@ -336,6 +349,27 @@ class _GrowthBound:
             if not open_.size:
                 break
         return K, sure
+
+
+def _peak(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |p(e_1, e_2, e_3, e_4)| over the 16 vertices e_s in {a, b},
+    elementwise, where p = 1 + (e_1 + 2 e_2 g_2 + 2 e_3 g_3 + e_4 g_4) / 6
+    with g_2 = 1 + e_1 / 2, g_3 = 1 + e_2 g_2 / 2 and g_4 = 1 + e_3 g_3 is
+    one RK4 substep of dx/dt = lambda_s x at stage s, e_s = h lambda_s.
+    The vertices run over the first four axes of the temporaries, the
+    largest of which holds 16 times a's size."""
+    e = np.stack([a, b])
+    e1, e2, e3, e4 = (e.reshape((1,) * s + (2,) + (1,) * (3 - s) + a.shape)
+                      for s in range(4))
+    t2 = e2 * (1.0 + e1 / 2.0)  # e_2 g_2
+    t3 = e3 * (1.0 + t2 / 2.0)
+    t4 = e4 * (1.0 + t3)
+    t4 += e1 + 2.0 * t2 + 2.0 * t3
+    t4 /= 6.0
+    t4 += 1.0
+    t4 = t4.reshape((16,) + a.shape)
+    # np.maximum, not np.fmax: a NaN peak stays NaN
+    return np.maximum(t4.max(axis=0), -t4.min(axis=0))
 
 
 def _sums(A: np.ndarray, C: np.ndarray, count: int) -> np.ndarray:

@@ -32,15 +32,23 @@ from .expr import FieldCode, compile_expression, compile_source, render
 
 DEFAULT_SUBSTEPS = 50
 
-# rows per batched flow call.  Every ufunc call of the RK4 kernel releases
-# the GIL and takes it back, so on several threads a tile must be long
-# enough for its ufunc calls to outlast that hand-over.  Flowing 262,144
-# rows of the nonlinear plant on 2 cores (best of 6): 4K-row tiles ran at
-# 480K rows/s on 1 thread but 272K on 2; one thread was fastest on 8K-row
-# tiles (584K), whose buffers stay in L2; 16K- and 32K-row tiles were
-# fastest on 2 threads (656K and 646K; 532K and 410K on 1), and 32K-row
-# tiles on linear example #1's plant (1,127K; 838K on 1).  Endpoints do not
-# depend on the tile size
+# rows per batched flow call on several threads.  Every ufunc call of the
+# RK4 kernel releases the GIL and takes it back, so on several threads a
+# tile must be long enough for its ufunc calls to outlast that hand-over.
+# Flowing 262,144 rows of the nonlinear plant on 2 cores (best of 6),
+# rows/s by tile length, before the stacked tile kernel:
+#
+#     tile rows        4K     8K     16K    32K
+#     1 thread         480K   584K   532K   410K
+#     2 threads        272K   -      656K   646K
+#
+# and 32K-row tiles on linear example #1's plant (1,127K; 838K on 1).  One
+# thread is fastest on tiles whose buffers stay in L2: with the stacked
+# kernel, 28,779 nonlinear rows took 52 ms as one tile and 39 ms as three
+# (one thread of a 2-core Xeon with 2 MiB of L2 a core, best of 7).  So a
+# call that runs on the calling thread alone, of at least TILE_ROWS // 2
+# rows, flows tiles of TILE_ROWS // 4 rows or a few more (map_tiles).
+# Endpoints do not depend on the tile size
 TILE_ROWS = 1 << 15
 
 # tiles of at most this many rows flow one row at a time over Python floats.
@@ -89,20 +97,27 @@ def map_tiles(fn: Callable[[int, int], object], n_rows: int,
               threads: Optional[int] = None) -> list:
     """[fn(a, b)] for each tile [a, b) of range(n_rows), in tile order.
 
-    The tiles are of equal length (to a row), at most TILE_ROWS, and when
-    there are several, their count is a multiple of the workers, so that
-    no worker idles through a short last tile.  Several tiles run on
+    The tiles are of equal length (to a row).  A call of fewer than
+    TILE_ROWS // 2 rows is one tile, run on the calling thread before
+    thread_count, which reads the environment, is asked.  A call that runs
+    on the calling thread alone, of at most TILE_ROWS rows or on one
+    worker, is n_rows // (TILE_ROWS // 4) tiles, of at least TILE_ROWS // 4
+    rows each, which stay in L2 (see TILE_ROWS).  Any other call is tiles
+    of at most TILE_ROWS rows, as many as a multiple of the workers, so
+    that no worker idles through a short last tile.  They run on
     thread_count(threads) workers, the calling thread among them, so fn
     must be safe to call from several threads at once."""
-    if n_rows <= TILE_ROWS:  # one tile or none, on this thread
+    if n_rows < TILE_ROWS // 2:  # one tile or none, on this thread
         return [fn(0, n_rows)] if n_rows else []
-    nworkers = thread_count(threads)
-    count = -(-n_rows // TILE_ROWS)
-    if count > 1:
+    nworkers = 1 if n_rows <= TILE_ROWS else thread_count(threads)
+    if nworkers <= 1:
+        count = n_rows // max(1, TILE_ROWS // 4)
+    else:
+        count = -(-n_rows // TILE_ROWS)
         count = -(-count // nworkers) * nworkers
     tiles = [(n_rows * i // count, n_rows * (i + 1) // count)
              for i in range(count)]
-    if nworkers <= 1 or len(tiles) <= 1:
+    if nworkers <= 1:
         return [fn(a, b) for a, b in tiles]
 
     def work(w):  # tiles w, w + nworkers, ...

@@ -21,7 +21,7 @@ from .abstraction import (DEFAULT_TRANSITION_CAP, AbstractionSpec,
 from .dynamics import DEFAULT_SUBSTEPS, ControlSystem, _flow_tile, map_tiles
 from .quantize import (EmptyLatticeError, Lattice, LatticeError,
                        SynthesisParams, ValidationReport, validate_parameters)
-from .tsys import (FiniteSystem, _rows, compose, nonblocking_part,
+from .tsys import (FiniteSystem, _rows, _unique, compose, nonblocking_part,
                    subsystem)
 
 # (state, input) rows a chunk of the integrated input scan decides: a chunk
@@ -66,7 +66,7 @@ class Controller(FiniteSystem):
         inputs = (np.zeros((1, 0)) if input_lattice is None
                   else input_lattice.points())
         super().__init__(state_lattice.points(), initials, inputs, transitions)
-        self.bad = np.unique(np.asarray(bad, dtype=np.int64))
+        self.bad = _unique(np.asarray(bad, dtype=np.int64))
         if self.bad.size and (self.bad[0] < 0 or self.bad[-1] >= self.n_states):
             raise ValueError("bad state index out of range")
         self.state_lattice = state_lattice

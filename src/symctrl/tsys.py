@@ -66,6 +66,16 @@ def _ranges(indptr: np.ndarray,
                                             counts)
 
 
+def _unique(a) -> np.ndarray:
+    """The sorted distinct values of a, flattened: np.unique(a), whose
+    plain form imports numpy.ma on its first call (numpy 2.4), some 15 ms
+    of a route's time."""
+    a = np.sort(a, axis=None)
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def _mask(n: int, index) -> np.ndarray:
     """Boolean mask of length n, true at `index`."""
     mask = np.zeros(n, dtype=bool)
@@ -89,13 +99,13 @@ def _greatest_fixpoint(n_nodes: int, owner: np.ndarray, wit_ob: np.ndarray,
     order = np.argsort(wit_node, kind="stable")
     by_node = _indptr(wit_node, n_nodes)
     alive = np.ones(n_nodes, dtype=bool)
-    dying = np.unique(owner[live == 0])
+    dying = _unique(owner[live == 0])
     while dying.size:
         alive[dying] = False
         ob, lost = np.unique(wit_ob[order[_ranges(by_node, dying)[1]]],
                              return_counts=True)
         live[ob] -= lost
-        dying = np.unique(owner[ob[live[ob] == 0]])
+        dying = _unique(owner[ob[live[ob] == 0]])
         dying = dying[alive[dying]]
     return alive
 
@@ -168,7 +178,7 @@ class FiniteSystem:
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim != 2:
             raise ValueError("inputs must be a (I, mi) array")
-        initials = np.unique(np.asarray(initials, dtype=np.int64).reshape(-1))
+        initials = _unique(np.asarray(initials, dtype=np.int64))
         ns, ni = outputs.shape[0], inputs.shape[0]
         if max(ns, ni) > 2 ** 31:
             raise ValueError("more than 2^31 states or inputs")
@@ -413,7 +423,7 @@ def accessible_part(s: FiniteSystem) -> FiniteSystem:
     wave = s.initials
     while wave.size:
         seen[wave] = True
-        reached = np.unique(
+        reached = _unique(
             s.transitions[_ranges(s._succ_index(), wave)[1], 2])
         wave = reached[~seen[reached]]
     return subsystem(s, np.flatnonzero(seen))
@@ -423,7 +433,7 @@ def _label_free(s: FiniteSystem) -> FiniteSystem:
     """s with its input labels dropped: one input, and one transition per
     distinct (src, dst) edge."""
     n = np.int64(s.n_states)
-    code = np.unique(s.transitions[:, 0] * n + s.transitions[:, 2])
+    code = _unique(s.transitions[:, 0] * n + s.transitions[:, 2])
     return FiniteSystem(s.outputs, s.initials, np.zeros((1, 0)),
                         _rows(code // n, 0, code % n))
 

@@ -125,6 +125,46 @@ def test_map_tiles_keeps_order_and_runs_on_the_caller(monkeypatch):
         dynamics.map_tiles(fail, 95, threads=3)
 
 
+@pytest.mark.parametrize("n_rows, threads", [
+    (49, "2"), (50, "2"), (74, "2"), (99, "2"), (100, "2"), (250, "1")])
+def test_map_tiles_cuts_a_call_on_the_caller_into_quarter_tiles(
+        monkeypatch, n_rows, threads):
+    # with 100 rows a tile, a call that runs on the caller alone, of 50 to
+    # 100 rows or on one worker, is cut into tiles of 25 rows or a few
+    # more, in order, all run on the caller; a smaller call is one tile
+    monkeypatch.setattr(dynamics, "TILE_ROWS", 100)
+    monkeypatch.setenv("SYMCTRL_THREADS", threads)
+    ran = set()
+
+    def fn(a, b):
+        ran.add(threading.get_ident())
+        return a, b
+
+    count = n_rows // 25 if n_rows >= 50 else 1
+    assert dynamics.map_tiles(fn, n_rows, threads=2) == [
+        (n_rows * i // count, n_rows * (i + 1) // count)
+        for i in range(count)]
+    assert ran == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_tiles_on_the_caller_flow_the_endpoints_of_one_tile(monkeypatch,
+                                                           threads):
+    # 300 rows are 3 tiles on the caller, and 1,000 are 10 tiles on one
+    # worker or 4 on two: every endpoint is that of the rows as one tile
+    plant, _, params = nonlinear_pair()
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-1.0, 1.0, (1000, 3))
+    U = rng.uniform(-1.0, 1.0, (1000, 1))
+    whole = dynamics._flow_tile(plant, X, U, params.tau, 50)
+    monkeypatch.setattr(dynamics, "TILE_ROWS", 400)
+    monkeypatch.setenv("SYMCTRL_THREADS", threads)
+    for rows in (300, 1000):
+        Z = flow_many(plant, X[:rows], U[:rows], params.tau, 50,
+                      check_finite=False)
+        assert np.array_equal(Z, whole[:rows])
+
+
 def test_replaced_field_is_compiled_anew():
     sys = scalar_decay()
     assert flow(sys, [1.0], [], 0.5, 50)[0] < 1.0

@@ -461,6 +461,108 @@ def test_powering_equals_the_substep_recursion(substeps):
     np.testing.assert_allclose(b.K, K, rtol=1e-12, atol=0.0)
 
 
+# a plant whose axes feed each other both ways, J12 J21 > 0: the products
+# through them add to the substep Jacobian's diagonal
+COUPLED = ControlSystem(
+    n=2, m=1, state_box=[[-1, 1]] * 2, init_box=[[-1, 1]] * 2,
+    input_box=[[-1, 1]],
+    field=(parse_expression("-x1 + 2*sin(x2) + u1", 2, 1),
+           parse_expression("1.5*x1 - 4*exp(x2) + 4 + 0.5*u1^2", 2, 1)))
+
+
+def substep_p(e1, e2, e3, e4):
+    """One RK4 substep of dx/dt = (e_s / h) x at stage s, expanded."""
+    return (1.0 + (e1 + 2 * e2 + 2 * e3 + e4) / 6
+            + (e1 * e2 + e2 * e3 + e3 * e4) / 6 + e2 * e3 * (e1 + e4) / 12
+            + e1 * e2 * e3 * e4 / 24)
+
+
+def test_peak_is_the_largest_substep_value_over_the_box():
+    # p is multilinear: its largest |p| over [a, b]^4 is the largest over
+    # the 16 vertices.  On stiff boxes it is the all-inf vertex's, on mild
+    # ones the all-sup vertex's, and on [-5.75, 2.9] that of a vertex where
+    # p is negative
+    rng = np.random.default_rng(4)
+    a = np.append(rng.uniform(-6.0, 1.0, 200), -5.75)
+    b = np.append(a[:200] + rng.uniform(0.0, 3.0, 200), 2.9)
+    peak = abstraction._peak(a, b)
+    grid = [np.linspace(a, b, 5)[(slice(None),) + (None,) * k]
+            for k in range(4)]
+    p = substep_p(*grid).reshape(-1, 201)
+    vertex = substep_p(*(g[::4] for g in grid)).reshape(-1, 201)
+    np.testing.assert_allclose(peak, np.abs(vertex).max(axis=0),
+                               rtol=1e-13, atol=0.0)
+    assert np.all(np.abs(p).max(axis=0) <= peak * (1 + 1e-13))
+    top = np.abs(vertex).argmax(axis=0)
+    assert (top == 0).any() and (top == 15).any()
+    assert -vertex[:, -1].min() > vertex[:, -1].max()
+
+
+@pytest.mark.parametrize("plant", ["nonlinear", "coupled"])
+@pytest.mark.parametrize("h", [0.02, 0.1, 0.3])
+def test_substep_gain_bounds_the_substep_jacobian(plant, h):
+    # A bounds |dx+/dx| of one RK4 substep entrywise while the stage points
+    # lie in the box.  The Jacobian is taken by central differences of the
+    # row kernel at substeps=1 (delta = 1e-6), at random states and inputs
+    # of random boxes whose stage points, and those of x +- delta e_j, stay
+    # in the box; 1e-8 is some 50 times the difference's rounding, 2^-52
+    # |z| / delta.  h = 0.3 makes the nonlinear plant's x2 stiff, where
+    # |p| is largest at the all-inf vertex, and the coupled plant needs the
+    # diagonal's remainder at every h.  The nonlinear plant's x1 and x3 feed
+    # nothing back and have constant J_ii, so their A_ii is |T_ii| exactly
+    plant = nonlinear_pair()[0] if plant == "nonlinear" else COUPLED
+    n, delta = plant.n, 1e-6
+    u_pts = np.linspace(-1.0, 1.0, 11)[:, None]
+    bound = abstraction._GrowthBound(plant, u_pts, h, 1, np.array([0.1]), 1.0)
+    rng = np.random.default_rng(int(h * 100))
+    box = plant.state_box
+    centre = rng.uniform(box[:, 0], box[:, 1], (300, n))
+    width = rng.uniform(0.05, 1.0, (300, n))
+    lo, hi = centre - width, centre + width
+    b = bound._at(lo, hi, np.inf)
+    assert b.ok.all()
+    src = np.repeat(np.arange(300), 20)
+    X, U = rng.uniform(lo[src], hi[src]), rng.uniform(-1.0, 1.0, (6000, 1))
+    step = delta * np.eye(n)
+    Z, zlo, zhi = dynamics._flow_tile(
+        plant, np.stack([X[:, None] - step, X[:, None] + step], axis=1)
+        .reshape(-1, n), np.repeat(U, 2 * n, axis=0), h, 1, hull=True)
+    inside = ((zlo >= np.repeat(lo[src], 2 * n, axis=0))
+              & (zhi <= np.repeat(hi[src], 2 * n, axis=0)))
+    inside = inside.reshape(6000, -1).all(axis=1)
+    assert inside.sum() >= 500
+    Z = Z.reshape(6000, 2, n, n)[inside]
+    T = np.swapaxes(Z[:, 1] - Z[:, 0], 1, 2) / (2 * delta)
+    A = b.A[src[inside]]
+    assert np.all(np.abs(T) <= A + 1e-8)
+    if plant is not COUPLED:
+        d = np.array([0, 2])
+        assert np.all(np.abs(np.abs(T[:, d, d]) - A[:, d, d]) <= 1e-8)
+
+
+def test_substep_gain_is_below_the_taylor_bound_on_x2():
+    # on the nonlinear plant, J22 = -7 exp(x2) and no other axis feeds x2
+    # back, so the earlier bound on A_22, 1 + h sup J22 + sum_k (h M22)^k /
+    # k! for k = 2..4, grows with exp(x2) past the contraction: the vertex
+    # bound stays below it on every box that reaches x2 > 0
+    plant, _, params = nonlinear_pair()
+    h = params.tau / 50
+    u_pts = np.linspace(-1.0, 1.0, 11)[:, None]
+    bound = abstraction._GrowthBound(plant, u_pts, params.tau, 50,
+                                   np.array([0.1]), 1.0)
+    rng = np.random.default_rng(6)
+    centre = rng.uniform(-1.0, 1.0, (300, 3))
+    width = rng.uniform(0.0, 0.6, (300, 3))
+    lo, hi = centre - width, centre + width
+    b = bound._at(lo, hi, np.inf)
+    m = 7 * h * np.exp(hi[:, 1])
+    taylor = (1 - 7 * h * np.exp(lo[:, 1]) + m ** 2 / 2 + m ** 3 / 6
+              + m ** 4 / 24)
+    up = hi[:, 1] > 0
+    assert up.sum() >= 100 and np.all(b.A[up, 1, 1] < taylor[up])
+    assert np.all(b.A[:, 1, 1] < 1.0) and np.any(taylor[up] > 1.0)
+
+
 def test_gains_on_a_subset_equal_the_rows_of_gains_on_all():
     # each box is decided on its own, over as many rounds as it needs: the
     # curvature bounds of any subset of the boxes are the matching rows of
@@ -472,7 +574,8 @@ def test_gains_on_a_subset_equal_the_rows_of_gains_on_all():
     rng = np.random.default_rng(5)
     box = plant.state_box
     centre = rng.uniform(box[:, 0], box[:, 1], (400, 3))
-    width = rng.uniform(0.0, 0.6, (400, 3))
+    # wide enough that some boxes are refused
+    width = rng.uniform(0.0, 2.0, (400, 3))
     K, sure = bound.gains(centre - width, centre + width)
     assert 0 < sure.sum() < 400 and K[sure].all()
     for size in (1, 37, 200):

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,7 +296,7 @@ def test_rows_flowed_counts_the_flowed_rows(monkeypatch):
 
 @pytest.mark.parametrize("pair, eta, integrated, baseline, landed", [
     (lambda: linear_pair(1), None, 2_460, 7_803, 267_503),
-    (nonlinear_pair, 1 / 15, 8_006, 94_360, 249_890)],
+    (nonlinear_pair, 1 / 15, 7_936, 69_279, 274_971)],
     ids=["linear-pair", "nonlinear-pair"])
 def test_rows_flowed_on_the_benchmark_problems(pair, eta, integrated,
                                                baseline, landed):
@@ -315,6 +319,24 @@ def test_rows_flowed_on_the_benchmark_problems(pair, eta, integrated,
                                (synthesize_baseline, baseline, landed)):
         _, m = route(plant, spec, params, 50, force=True)
         assert (m.rows_flowed, m.rows_landed) == (rows, cells)
+
+
+def test_routes_leave_numpy_ma_unimported():
+    # plain np.unique imports numpy.ma on its first call (numpy 2.4), some
+    # 15 ms inside a route's first timed call; tsys._unique stands in for
+    # it.  Both routes on the toy config, in a fresh interpreter
+    code = ("import sys\n"
+            "from _systems import toy_pair\n"
+            "from symctrl import synthesize_baseline, synthesize_integrated\n"
+            "for route in (synthesize_integrated, synthesize_baseline):\n"
+            "    route(*toy_pair())\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    paths = [str(Path(symctrl.__file__).parents[1]),
+             str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr
 
 
 def test_synthesis_reproducible():
@@ -382,7 +404,7 @@ def test_scan_chunks_leave_the_rows_of_a_nonlinear_plant(monkeypatch):
     plant, spec, params = nonlinear_pair()
     _, m = scan_budgets_agree(monkeypatch, plant, spec, params, [1 << 16],
                               1 << 16)
-    assert m.rows_flowed == 155_746
+    assert m.rows_flowed == 155_132
 
 
 def test_scan_ties_keep_the_lowest_input(monkeypatch):
